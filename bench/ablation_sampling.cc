@@ -40,7 +40,7 @@ int main() {
       const auto probe = MakeCompressor("sz");
       int n = 0;
       for (double tcr : ProbeValidTargetRatios(*probe, test, 6)) {
-        const auto result = fxrz.CompressToRatio(test, tcr);
+        const auto result = fxrz.CompressToRatio(test, tcr).value();
         errors[idx] += EstimationError(tcr, result.measured_ratio);
         analysis_ms += result.analysis_seconds * 1e3;
         ++n;

@@ -35,8 +35,8 @@ int main() {
 
     double err = 0.0;
     for (double tcr : targets) {
-      err += EstimationError(tcr,
-                             fxrz.CompressToRatio(test, tcr).measured_ratio);
+      err += EstimationError(
+          tcr, fxrz.CompressToRatio(test, tcr).value().measured_ratio);
     }
     std::printf("%-10d %13.2fs %14zu %13.1f%%\n", points, b.total_seconds(),
                 b.compressor_runs, 100.0 * err / targets.size());

@@ -35,12 +35,12 @@ int main() {
       const auto comp = MakeCompressor(comp_name);
       const ConfigSpace space = comp->config_space(test);
       const double mid = std::sqrt(space.min * space.max);
-      const double mid_ratio = comp->MeasureCompressionRatio(test, mid);
+      const double mid_ratio = MeasuredRatio(*comp, test, mid);
 
       double err = 0.0, analysis = 0.0;
       const auto targets = ProbeValidTargetRatios(*comp, test, 6);
       for (double tcr : targets) {
-        const auto r = fxrz.CompressToRatio(test, tcr);
+        const auto r = fxrz.CompressToRatio(test, tcr).value();
         err += EstimationError(tcr, r.measured_ratio);
         analysis += r.analysis_seconds;
       }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/compressors/compressor.h"
 #include "src/data/generators/catalog.h"
 #include "src/data/tensor.h"
 
@@ -47,6 +48,13 @@ inline std::vector<const fxrz::Tensor*> Pointers(
   out.reserve(sets.size());
   for (const auto& s : sets) out.push_back(&s.data);
   return out;
+}
+
+// Compression ratio of one codec run at `config`; aborts if the run fails.
+inline double MeasuredRatio(const fxrz::Compressor& comp,
+                            const fxrz::Tensor& data, double config) {
+  return static_cast<double>(data.size_bytes()) /
+         static_cast<double>(comp.Compress(data, config).value().size());
 }
 
 }  // namespace fxrz_bench

@@ -63,7 +63,7 @@ int main() {
       const double target = 0.5 * (points[i].ratio + points[i + 1].ratio);
       if (target <= curve.min_ratio() || target >= curve.max_ratio()) continue;
       const double cfg = curve.ConfigForRatio(target);
-      const double measured = comp->MeasureCompressionRatio(baryon, cfg);
+      const double measured = MeasuredRatio(*comp, baryon, cfg);
       total += std::fabs(measured - target) / target;
       ++count;
     }

@@ -61,7 +61,7 @@ int main() {
       } else {
         config = 1e-3 * (st.value_range > 0 ? st.value_range : 1.0);
       }
-      std::printf(" %9.1fx", comp->MeasureCompressionRatio(e.data, config));
+      std::printf(" %9.1fx", MeasuredRatio(*comp, e.data, config));
     }
     std::printf("\n");
   }

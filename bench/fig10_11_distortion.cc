@@ -39,7 +39,7 @@ int main() {
               "halos mislocated");
   for (double rel : {0.001, 0.01, 0.05, 0.15, 0.45}) {
     const double eb = rel * st.value_range;
-    const std::vector<uint8_t> bytes = sz->Compress(baryon, eb);
+    const std::vector<uint8_t> bytes = sz->Compress(baryon, eb).value();
     Tensor rec;
     if (!sz->Decompress(bytes.data(), bytes.size(), &rec).ok()) return 1;
     const DistortionStats d = ComputeDistortion(baryon, rec);
@@ -68,7 +68,7 @@ int main() {
       const double eb = rel * es.value_range;
       const std::vector<uint8_t> bytes = e.data.size_bytes() == 0
                                              ? std::vector<uint8_t>()
-                                             : sz->Compress(e.data, eb);
+                                             : sz->Compress(e.data, eb).value();
       Tensor rec;
       if (!sz->Decompress(bytes.data(), bytes.size(), &rec).ok()) return 1;
       const DistortionStats d = ComputeDistortion(e.data, rec);

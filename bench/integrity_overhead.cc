@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
     std::vector<uint8_t> bytes;
     const double compress_s = TimeSeconds([&] {
-      bytes = comp.Compress(data, config);
+      bytes = comp.Compress(data, config).value();
     });
 
     uint32_t crc = 0;

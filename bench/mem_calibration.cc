@@ -105,26 +105,25 @@ int main(int argc, char** argv) {
     // on a small probe so the warmup's freed buffers cannot mask the real
     // run's large transients.
     const Tensor probe = GaussianRandomField3D(8, 8, 8, 2.0, 3);
-    std::vector<uint8_t> warm;
-    if (!compressor->TryCompress(probe, compressor->config_space(probe).min,
-                                 &warm)
+    if (!compressor->Compress(probe, compressor->config_space(probe).min)
              .ok()) {
       std::printf("  %-8s warmup compress failed, skipped\n", name.c_str());
       continue;
     }
-    warm.clear();
-    warm.shrink_to_fit();
 
     const uint64_t baseline_kb = ReadStatusKb("VmRSS");
     if (!ResetPeakRss()) break;
     {
-      std::vector<uint8_t> archive;
-      if (!compressor->TryCompress(field, config, &archive).ok()) {
+      const StatusOr<std::vector<uint8_t>> archive =
+          compressor->Compress(field, config);
+      if (!archive.ok()) {
         std::printf("  %-8s compress failed, skipped\n", name.c_str());
         continue;
       }
       Tensor decoded;
-      if (!compressor->TryDecompress(archive.data(), archive.size(), &decoded)
+      if (!compressor
+               ->Decompress(archive.value().data(), archive.value().size(),
+                            &decoded)
                .ok()) {
         std::printf("  %-8s decompress failed, skipped\n", name.c_str());
         continue;

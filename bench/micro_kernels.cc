@@ -130,7 +130,7 @@ void BM_Compress(benchmark::State& state, const std::string& name) {
   const ConfigSpace space = comp->config_space(data);
   const double config = space.integer ? 16 : std::sqrt(space.min * space.max);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(comp->Compress(data, config));
+    benchmark::DoNotOptimize(comp->Compress(data, config).value());
   }
   state.SetBytesProcessed(state.iterations() * data.size_bytes());
 }
@@ -140,7 +140,7 @@ void BM_Decompress(benchmark::State& state, const std::string& name) {
   const Tensor& data = TestField();
   const ConfigSpace space = comp->config_space(data);
   const double config = space.integer ? 16 : std::sqrt(space.min * space.max);
-  const std::vector<uint8_t> bytes = comp->Compress(data, config);
+  const std::vector<uint8_t> bytes = comp->Compress(data, config).value();
   Tensor out;
   for (auto _ : state) {
     benchmark::DoNotOptimize(comp->Decompress(bytes.data(), bytes.size(), &out));
@@ -292,9 +292,10 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
       const ConfigSpace space = comp->config_space(data);
       const double config =
           space.integer ? 16 : std::sqrt(space.min * space.max);
-      const std::vector<uint8_t> archive = comp->Compress(data, config);
-      const double enc_s = BestSeconds(
-          reps, [&] { benchmark::DoNotOptimize(comp->Compress(data, config)); });
+      const std::vector<uint8_t> archive = comp->Compress(data, config).value();
+      const double enc_s = BestSeconds(reps, [&] {
+        benchmark::DoNotOptimize(comp->Compress(data, config).value());
+      });
       Tensor out;
       FXRZ_CHECK(comp->Decompress(archive.data(), archive.size(), &out).ok());
       const double dec_s = BestSeconds(reps, [&] {

@@ -73,7 +73,7 @@ int main() {
             config = rel * (st.value_range > 0 ? st.value_range : 1.0);
             config = std::min(std::max(config, space.min), space.max);
           }
-          ratios[i] = comp->MeasureCompressionRatio(*sets[i], config);
+          ratios[i] = MeasuredRatio(*comp, *sets[i], config);
         }
         for (const std::string& n : names) {
           std::vector<double> fv(sets.size());

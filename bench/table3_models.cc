@@ -50,7 +50,7 @@ int main() {
         for (double tcr :
              ProbeValidTargetRatios(*probe, b.bundle.test[0].data, 8)) {
           const auto result =
-              fxrz.CompressToRatio(b.bundle.test[0].data, tcr);
+              fxrz.CompressToRatio(b.bundle.test[0].data, tcr).value();
           total += EstimationError(tcr, result.measured_ratio);
           ++n;
         }

@@ -54,7 +54,7 @@ int main() {
       const auto targets = ProbeValidTargetRatios(*comp, test, 5);
       double compress_seconds = 0.0;
       {
-        const auto mid = fxrz.CompressToRatio(test, targets[2]);
+        const auto mid = fxrz.CompressToRatio(test, targets[2]).value();
         compress_seconds = mid.compress_seconds;
       }
 

@@ -43,7 +43,7 @@ int main() {
     const double rate_psnr = ComputeDistortion(test, rate_rec).psnr;
 
     // FXRZ: estimate the accuracy-mode error bound for the same ratio.
-    const auto result = fxrz.CompressToRatioRefined(test, target);
+    const auto result = fxrz.CompressToRatioRefined(test, target).value();
     Tensor fxrz_rec;
     if (!zfp.Decompress(result.compressed.data(), result.compressed.size(),
                         &fxrz_rec)

@@ -79,9 +79,13 @@ int main() {
                                    0.9 * pipelines[i]->model().max_trained_ratio());
     // The hybrid refinement mode verifies the estimate with one extra
     // compression when needed -- worth it when a hard quota is at stake.
-    const auto refined = pipelines[i]->CompressToRatioRefined(fields[i], target);
-    const Status st = archive.AddFieldFixedConfig(allocations[i].name,
-                                                  fields[i], refined.config);
+    const auto refined =
+        pipelines[i]->CompressToRatioRefined(fields[i], target);
+    const Status st =
+        refined.ok() ? archive.AddFieldFixedConfig(allocations[i].name,
+                                                   fields[i],
+                                                   refined.value().config)
+                     : refined.status();
     if (!st.ok()) {
       std::fprintf(stderr, "archive error: %s\n", st.ToString().c_str());
       return 1;

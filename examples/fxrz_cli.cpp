@@ -161,8 +161,9 @@ int CmdEstimate(const std::map<std::string, std::string>& args) {
 }
 
 int CmdCompress(const std::map<std::string, std::string>& args) {
-  FxrzModel model;
-  Status st = model.LoadFromFile(Get(args, "model"));
+  const std::string comp_name = Get(args, "compressor", "sz");
+  Fxrz fxrz(MakeCompressor(comp_name));
+  Status st = fxrz.model().LoadFromFile(Get(args, "model"));
   if (!st.ok()) return Fail(st.ToString());
   Tensor data;
   st = ReadTensorFile(Get(args, "data"), &data);
@@ -172,25 +173,17 @@ int CmdCompress(const std::map<std::string, std::string>& args) {
   const std::string out = Get(args, "out");
   if (out.empty()) return Fail("compress needs --out");
 
-  const std::string comp_name = Get(args, "compressor", "sz");
-  const double config = model.EstimateConfig(data, target);
-  const auto comp = MakeCompressor(comp_name);
-  std::vector<uint8_t> bytes = comp->Compress(data, config);
-  double ratio = static_cast<double>(data.size_bytes()) / bytes.size();
-
-  if (Get(args, "refine", "") == "true" || args.count("refine")) {
-    const double corrected = model.RefineConfig(data, target, config, ratio);
-    if (corrected != config) {
-      std::vector<uint8_t> candidate = comp->Compress(data, corrected);
-      const double candidate_ratio =
-          static_cast<double>(data.size_bytes()) / candidate.size();
-      if (EstimationError(target, candidate_ratio) <
-          EstimationError(target, ratio)) {
-        bytes = std::move(candidate);
-        ratio = candidate_ratio;
-      }
-    }
-  }
+  // --refine spends one corrective recompression whenever the estimate
+  // missed the target at all.
+  Fxrz::RefinementOptions refine;
+  refine.error_threshold = 0.0;
+  refine.max_extra_compressions =
+      Get(args, "refine", "") == "true" || args.count("refine") ? 1 : 0;
+  StatusOr<Fxrz::FixedRatioResult> result =
+      fxrz.CompressToRatioRefined(data, target, refine);
+  if (!result.ok()) return Fail(result.status().ToString());
+  std::vector<uint8_t> bytes = std::move(result.value().compressed);
+  const double ratio = result.value().measured_ratio;
 
   // Self-describing checksummed container, written atomically: the codec
   // name rides in the section name, and fxrz_verify can audit the file.

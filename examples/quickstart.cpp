@@ -53,7 +53,13 @@ int main() {
     //    preview tells the user what quality the ratio will cost *before*
     //    anything is compressed.
     const double preview = fxrz.model().EstimatePsnr(snapshot, target);
-    const auto result = fxrz.CompressToRatio(snapshot, target);
+    const auto compressed = fxrz.CompressToRatio(snapshot, target);
+    if (!compressed.ok()) {
+      std::fprintf(stderr, "error: %s\n",
+                   compressed.status().ToString().c_str());
+      return 1;
+    }
+    const Fxrz::FixedRatioResult& result = compressed.value();
     std::printf("%8.0f %14.6g %14.2f %9.1f%% %10.2fms %12.1fdB\n", target,
                 result.config, result.measured_ratio,
                 100.0 * EstimationError(target, result.measured_ratio),

@@ -58,7 +58,14 @@ int main(int argc, char** argv) {
               : space.min + f * (space.max - space.min);
       if (space.integer) config = std::round(config);
 
-      const std::vector<uint8_t> bytes = comp->Compress(data, config);
+      const StatusOr<std::vector<uint8_t>> archive =
+          comp->Compress(data, config);
+      if (!archive.ok()) {
+        std::printf("compression failed: %s\n",
+                    archive.status().ToString().c_str());
+        return 1;
+      }
+      const std::vector<uint8_t>& bytes = archive.value();
       Tensor rec;
       const Status st = comp->Decompress(bytes.data(), bytes.size(), &rec);
       if (!st.ok()) {

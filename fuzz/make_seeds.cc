@@ -53,16 +53,17 @@ int main(int argc, char** argv) {
     const fxrz::ConfigSpace space = comp->config_space(data);
     const double config = space.integer ? 12.0 : 0.01;
     ok &= WriteSeed(out_dir + "/" + name, "roundtrip.bin",
-                    comp->Compress(data, config));
+                    comp->Compress(data, config).value());
     ok &= WriteSeed(out_dir + "/" + name, "roundtrip_small.bin",
-                    comp->Compress(small, space.integer ? 16.0 : 0.05));
+                    comp->Compress(small, space.integer ? 16.0 : 0.05)
+                        .value());
   }
 
   {
     fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
                                     /*target_chunk_elems=*/256, /*threads=*/1);
     ok &= WriteSeed(out_dir + "/chunked", "roundtrip.bin",
-                    chunked.Compress(data, 0.01));
+                    chunked.Compress(data, 0.01).value());
   }
 
   {
@@ -94,8 +95,10 @@ int main(int argc, char** argv) {
     // Checksummed-container seeds: one of each section kind the adopters
     // write, plus a multi-section file so the fuzzer mutates TOC walks.
     ok &= WriteSeed(out_dir + "/container", "archive.bin",
-                    fxrz::WrapInContainer("archive:sz", fxrz::MakeCompressor(
-                                              "sz")->Compress(small, 0.02)));
+                    fxrz::WrapInContainer("archive:sz",
+                                          fxrz::MakeCompressor("sz")
+                                              ->Compress(small, 0.02)
+                                              .value()));
     fxrz::FieldStoreWriter writer("sz", /*model=*/nullptr);
     ok &= writer.AddFieldFixedConfig("density", small, 0.02).ok();
     ok &= WriteSeed(out_dir + "/container", "store.bin",

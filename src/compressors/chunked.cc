@@ -150,9 +150,8 @@ ChunkedCompressor::ChunkedCompressor(std::unique_ptr<Compressor> base,
   FXRZ_CHECK_GT(target_chunk_elems_, 0u);
 }
 
-std::vector<uint8_t> ChunkedCompressor::Compress(const Tensor& data,
-                                                 double config) const {
-  FXRZ_CHECK(!data.empty());
+StatusOr<std::vector<uint8_t>> ChunkedCompressor::DoCompress(
+    const Tensor& data, double config) const {
   const size_t row_elems = data.size() / data.dim(0);
   const size_t rows_per_chunk =
       std::max<size_t>(1, target_chunk_elems_ / row_elems);
@@ -162,6 +161,7 @@ std::vector<uint8_t> ChunkedCompressor::Compress(const Tensor& data,
   // Compress every chunk into its own buffer, then concatenate in chunk
   // order -- the archive is byte-identical at any thread count.
   std::vector<std::vector<uint8_t>> chunks(num_chunks);
+  std::vector<Status> statuses(num_chunks, Status::Ok());
   std::vector<uint32_t> chunk_rows(num_chunks);
   auto compress_chunk = [&](size_t c) {
     const size_t row_lo = c * rows_per_chunk;
@@ -172,8 +172,13 @@ std::vector<uint8_t> ChunkedCompressor::Compress(const Tensor& data,
     std::vector<float> values(rows * row_elems);
     std::memcpy(values.data(), data.data() + row_lo * row_elems,
                 values.size() * sizeof(float));
-    chunks[c] = base_->Compress(
+    StatusOr<std::vector<uint8_t>> chunk = base_->Compress(
         Tensor(std::move(slab_dims), std::move(values)), config);
+    if (chunk.ok()) {
+      chunks[c] = std::move(chunk).value();
+    } else {
+      statuses[c] = chunk.status();
+    }
   };
   if (threads_ == 1 || num_chunks == 1) {
     for (size_t c = 0; c < num_chunks; ++c) compress_chunk(c);
@@ -186,6 +191,7 @@ std::vector<uint8_t> ChunkedCompressor::Compress(const Tensor& data,
   compressor_internal::AppendHeader(&out, kMagicV2, data);
   AppendUint32(&out, static_cast<uint32_t>(num_chunks));
   for (size_t c = 0; c < num_chunks; ++c) {
+    FXRZ_RETURN_IF_ERROR(statuses[c]);
     AppendUint64(&out, chunks[c].size());
     AppendUint32(&out, chunk_rows[c]);
     AppendUint32(&out, Crc32c::Compute(chunks[c].data(), chunks[c].size()));
@@ -237,9 +243,8 @@ Status ChunkedCompressor::VerifyIntegrity(const uint8_t* data,
   return status;
 }
 
-Status ChunkedCompressor::Decompress(const uint8_t* data, size_t size,
-                                     Tensor* out) const {
-  FXRZ_CHECK(out != nullptr);
+Status ChunkedCompressor::DoDecompress(const uint8_t* data, size_t size,
+                                       Tensor* out) const {
   ChunkIndex index;
   FXRZ_RETURN_IF_ERROR(ParseChunkIndex(data, size, &index));
   const std::vector<ChunkSpan>& spans = index.spans;
@@ -324,7 +329,9 @@ Status ChunkedCompressor::DecompressDegraded(const uint8_t* data, size_t size,
 
   // Decode chunk-by-chunk; a corrupt chunk is contained, not fatal.
   std::vector<Tensor> slabs(spans.size());
-  std::vector<bool> lost(spans.size(), false);
+  // One byte per chunk: workers set their own entries concurrently, which
+  // the bit-packed std::vector<bool> cannot do without a data race.
+  std::vector<uint8_t> lost(spans.size(), 0);
   auto decode_chunk = [&](size_t c) {
     Status status = ChunkChecksumStatus(data, spans[c], c);
     if (status.ok()) {

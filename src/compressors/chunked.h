@@ -69,15 +69,6 @@ class ChunkedCompressor : public Compressor {
   ConfigSpace config_space(const Tensor& data) const override {
     return base_->config_space(data);
   }
-  std::vector<uint8_t> Compress(const Tensor& data,
-                                double config) const override;
-
-  // Strict decode: any chunk whose checksum or payload is corrupt fails
-  // the whole archive with Corruption (version-2 checksums are verified
-  // before entropy-decoding each chunk).
-  Status Decompress(const uint8_t* data, size_t size,
-                    Tensor* out) const override;
-
   // Checksum-only integrity audit: validates the framing and index
   // checksum, then every per-chunk CRC32C -- without entropy-decoding
   // anything. Version-1 archives only get the framing walk (they carry no
@@ -100,6 +91,17 @@ class ChunkedCompressor : public Compressor {
                          Tensor* out) const;
 
  private:
+  // Compresses every slab through base_->Compress; a failed slab fails
+  // the archive with that slab's Status.
+  StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,
+                                            double config) const override;
+
+  // Strict decode: any chunk whose checksum or payload is corrupt fails
+  // the whole archive with Corruption (version-2 checksums are verified
+  // before entropy-decoding each chunk).
+  Status DoDecompress(const uint8_t* data, size_t size,
+                      Tensor* out) const override;
+
   std::unique_ptr<Compressor> base_;
   size_t target_chunk_elems_;
   int threads_;

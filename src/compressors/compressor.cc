@@ -20,12 +20,13 @@ namespace fxrz {
 
 namespace {
 
-// Per-codec serving metrics, resolved once per codec name and cached. The
-// guarded wrappers below are the single choke point every serving-path
-// compression/decompression goes through, so instrumenting here covers all
-// codecs (and their chunked/relative decorators) at once. The map lookup is
-// mutex-guarded but costs nanoseconds against the millisecond-scale codec
-// runs it measures; the metric updates themselves are lock-free.
+// Per-codec metrics, resolved once per codec name and cached. Compress and
+// Decompress below are the single choke point every codec run goes
+// through, so instrumenting here covers all codecs (and their chunked/
+// relative/psnr decorators, whose inner base runs count under the base
+// codec's label) at once. The map lookup is mutex-guarded but costs
+// nanoseconds against the millisecond-scale codec runs it measures; the
+// metric updates themselves are lock-free.
 struct CodecMetrics {
   metrics::Counter* compress_calls;
   metrics::Counter* compress_failures;
@@ -58,51 +59,42 @@ const CodecMetrics& GetCodecMetrics(const std::string& codec) {
   const std::string label = "{codec=\"" + codec + "\"}";
   CodecMetrics m;
   m.compress_calls = &metrics::GetCounter(
-      "fxrz_codec_compress_total" + label, "TryCompress calls per codec");
+      "fxrz_codec_compress_total" + label, "Compress calls per codec");
   m.compress_failures = &metrics::GetCounter(
       "fxrz_codec_compress_failures_total" + label,
-      "TryCompress calls that returned a non-OK Status");
+      "Compress calls that returned a non-OK Status");
   m.compress_bytes_in = &metrics::GetCounter(
       "fxrz_codec_compress_bytes_in_total" + label,
-      "Uncompressed bytes fed to TryCompress (successful calls)");
+      "Uncompressed bytes fed to Compress (successful calls)");
   m.compress_bytes_out = &metrics::GetCounter(
       "fxrz_codec_compress_bytes_out_total" + label,
-      "Archive bytes produced by TryCompress (successful calls)");
+      "Archive bytes produced by Compress (successful calls)");
   m.decompress_calls = &metrics::GetCounter(
-      "fxrz_codec_decompress_total" + label, "TryDecompress calls per codec");
+      "fxrz_codec_decompress_total" + label, "Decompress calls per codec");
   m.decompress_failures = &metrics::GetCounter(
       "fxrz_codec_decompress_failures_total" + label,
-      "TryDecompress calls that returned a non-OK Status");
+      "Decompress calls that returned a non-OK Status");
   m.decompress_bytes_in = &metrics::GetCounter(
       "fxrz_codec_decompress_bytes_in_total" + label,
-      "Archive bytes fed to TryDecompress (successful calls)");
+      "Archive bytes fed to Decompress (successful calls)");
   m.decompress_bytes_out = &metrics::GetCounter(
       "fxrz_codec_decompress_bytes_out_total" + label,
-      "Reconstructed bytes produced by TryDecompress (successful calls)");
+      "Reconstructed bytes produced by Decompress (successful calls)");
   m.achieved_ratio = &metrics::GetHistogram(
       "fxrz_codec_achieved_ratio" + label, metrics::RatioBuckets(),
-      "Achieved compression ratio (bytes in / bytes out) per TryCompress");
+      "Achieved compression ratio (bytes in / bytes out) per Compress");
   m.decompress_throughput = &metrics::GetHistogram(
       "fxrz_codec_decompress_bytes_per_second" + label,
       metrics::ThroughputBuckets(),
       "Decode throughput in reconstructed bytes per wall-clock second per "
-      "successful TryDecompress (dropped by WithoutTimings)");
+      "successful Decompress (dropped by WithoutTimings)");
   return cache->emplace(codec, m).first->second;
 }
 
 }  // namespace
 
-double Compressor::MeasureCompressionRatio(const Tensor& data,
-                                           double config) const {
-  const std::vector<uint8_t> compressed = Compress(data, config);
-  FXRZ_CHECK(!compressed.empty());
-  return static_cast<double>(data.size_bytes()) /
-         static_cast<double>(compressed.size());
-}
-
-Status Compressor::TryCompress(const Tensor& data, double config,
-                               std::vector<uint8_t>* out) const {
-  FXRZ_CHECK(out != nullptr);
+StatusOr<std::vector<uint8_t>> Compressor::Compress(const Tensor& data,
+                                                    double config) const {
   FXRZ_TRACE_SPAN("codec.compress");
   const CodecMetrics& m = GetCodecMetrics(name());
   m.compress_calls->Increment();
@@ -113,16 +105,24 @@ Status Compressor::TryCompress(const Tensor& data, double config,
     // serving layer's StatusIsRetryable classification keys on.
     return Status::Unavailable("injected fault: " + name() + " Compress");
   }
-  *out = Compress(data, config);
-  if (out->empty()) {
+  if (data.empty()) {
     m.compress_failures->Increment();
-    return Status::Internal(name() + ": Compress produced an empty archive");
+    return Status::InvalidArgument(name() + ": empty tensor");
   }
+  StatusOr<std::vector<uint8_t>> out = DoCompress(data, config);
+  if (out.ok() && out.value().empty()) {
+    out = Status::Internal(name() + ": Compress produced an empty archive");
+  }
+  if (!out.ok()) {
+    m.compress_failures->Increment();
+    return out;
+  }
+  const size_t archive_bytes = out.value().size();
   m.compress_bytes_in->Increment(data.size_bytes());
-  m.compress_bytes_out->Increment(out->size());
+  m.compress_bytes_out->Increment(archive_bytes);
   m.achieved_ratio->Observe(static_cast<double>(data.size_bytes()) /
-                            static_cast<double>(out->size()));
-  return Status::Ok();
+                            static_cast<double>(archive_bytes));
+  return out;
 }
 
 Status Compressor::VerifyIntegrity(const uint8_t* data, size_t size) const {
@@ -134,8 +134,8 @@ Status Compressor::VerifyIntegrity(const uint8_t* data, size_t size) const {
   return Status::Ok();
 }
 
-Status Compressor::TryDecompress(const uint8_t* data, size_t size,
-                                 Tensor* out) const {
+Status Compressor::Decompress(const uint8_t* data, size_t size,
+                              Tensor* out) const {
   FXRZ_CHECK(out != nullptr);
   FXRZ_TRACE_SPAN("codec.decompress");
   const CodecMetrics& m = GetCodecMetrics(name());
@@ -145,7 +145,7 @@ Status Compressor::TryDecompress(const uint8_t* data, size_t size,
     return Status::Unavailable("injected fault: " + name() + " Decompress");
   }
   const WallTimer timer;
-  const Status status = Decompress(data, size, out);
+  const Status status = DoDecompress(data, size, out);
   if (!status.ok()) {
     m.decompress_failures->Increment();
     return status;

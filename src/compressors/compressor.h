@@ -30,7 +30,11 @@ struct ConfigSpace {
   bool ratio_increases = true;  // CR grows with the knob (false for FPZIP)
 };
 
-// Abstract error-controlled lossy compressor.
+// Abstract error-controlled lossy compressor. Every codec run -- guard
+// tiers, FRaZ probes, training, stores, decorators' base runs -- goes
+// through the non-virtual Compress/Decompress, which own the trace span,
+// per-codec metrics and fault site (util/fault_injection.h) and report
+// failures as Status; the codec bodies are private virtuals.
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -42,13 +46,15 @@ class Compressor {
   virtual ConfigSpace config_space(const Tensor& data) const = 0;
 
   // Compresses `data` under knob value `config` into a self-describing
-  // stream (shape is embedded). `config` must lie inside config_space.
-  virtual std::vector<uint8_t> Compress(const Tensor& data,
-                                        double config) const = 0;
+  // stream (shape is embedded). `config` must lie inside config_space;
+  // callers clamp before invoking. An empty tensor fails as
+  // InvalidArgument, an empty archive as Internal, an injected fault as
+  // Unavailable.
+  StatusOr<std::vector<uint8_t>> Compress(const Tensor& data,
+                                          double config) const;
 
   // Reconstructs a tensor from a stream produced by Compress.
-  virtual Status Decompress(const uint8_t* data, size_t size,
-                            Tensor* out) const = 0;
+  Status Decompress(const uint8_t* data, size_t size, Tensor* out) const;
 
   // Cheap integrity audit of an archive without decoding it. Formats that
   // carry checksums (ChunkedCompressor's version-2 framing, container-
@@ -59,18 +65,11 @@ class Compressor {
   // runs this before deciding whether to pay for a decode check.
   virtual Status VerifyIntegrity(const uint8_t* data, size_t size) const;
 
-  // Guarded entry points used by the serving layer (core/guard.*). They
-  // wrap the virtual Compress/Decompress with deterministic fault-injection
-  // points (util/fault_injection.h) and report degenerate outputs -- an
-  // empty archive, an unserved config -- as Status instead of leaving the
-  // caller to divide by a zero-sized archive. `config` must still lie
-  // inside config_space(data); callers clamp before invoking.
-  [[nodiscard]] Status TryCompress(const Tensor& data, double config,
-                     std::vector<uint8_t>* out) const;
-  [[nodiscard]] Status TryDecompress(const uint8_t* data, size_t size, Tensor* out) const;
-
-  // Convenience: compresses and returns original_bytes / compressed_bytes.
-  double MeasureCompressionRatio(const Tensor& data, double config) const;
+ private:
+  virtual StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,
+                                                    double config) const = 0;
+  virtual Status DoDecompress(const uint8_t* data, size_t size,
+                              Tensor* out) const = 0;
 };
 
 // Creates a compressor by name; aborts on unknown names (use

@@ -220,9 +220,8 @@ ConfigSpace FpzipCompressor::config_space(const Tensor& data) const {
   return space;
 }
 
-std::vector<uint8_t> FpzipCompressor::Compress(const Tensor& data,
-                                               double config) const {
-  FXRZ_CHECK(!data.empty());
+StatusOr<std::vector<uint8_t>> FpzipCompressor::DoCompress(
+    const Tensor& data, double config) const {
   const int p = static_cast<int>(std::lround(config));
   FXRZ_CHECK(p >= kMinPrecision && p <= kMaxPrecision) << "precision " << p;
 
@@ -259,9 +258,8 @@ std::vector<uint8_t> FpzipCompressor::Compress(const Tensor& data,
   return out;
 }
 
-Status FpzipCompressor::Decompress(const uint8_t* data, size_t size,
-                                   Tensor* out) const {
-  FXRZ_CHECK(out != nullptr);
+Status FpzipCompressor::DoDecompress(const uint8_t* data, size_t size,
+                                     Tensor* out) const {
   ByteReader reader(data, size);
   std::vector<size_t> dims;
   FXRZ_RETURN_IF_ERROR(

@@ -161,9 +161,8 @@ ConfigSpace MgardCompressor::config_space(const Tensor& data) const {
   return space;
 }
 
-std::vector<uint8_t> MgardCompressor::Compress(const Tensor& data,
-                                               double eb) const {
-  FXRZ_CHECK(!data.empty());
+StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
+    const Tensor& data, double eb) const {
   FXRZ_CHECK_GT(eb, 0.0);
 
   const SummaryStats stats = ComputeSummary(data);
@@ -202,9 +201,8 @@ std::vector<uint8_t> MgardCompressor::Compress(const Tensor& data,
   return out;
 }
 
-Status MgardCompressor::Decompress(const uint8_t* data, size_t size,
-                                   Tensor* out) const {
-  FXRZ_CHECK(out != nullptr);
+Status MgardCompressor::DoDecompress(const uint8_t* data, size_t size,
+                                     Tensor* out) const {
   ByteReader archive(data, size);
   std::vector<size_t> dims;
   FXRZ_RETURN_IF_ERROR(

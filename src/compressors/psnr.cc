@@ -26,8 +26,8 @@ ConfigSpace PsnrBoundCompressor::config_space(const Tensor& data) const {
   return space;
 }
 
-std::vector<uint8_t> PsnrBoundCompressor::Compress(const Tensor& data,
-                                                   double config) const {
+StatusOr<std::vector<uint8_t>> PsnrBoundCompressor::DoCompress(
+    const Tensor& data, double config) const {
   FXRZ_CHECK(config >= 1.0 && config <= 200.0) << "PSNR " << config;
   const SummaryStats stats = ComputeSummary(data);
   const double range = stats.value_range > 0 ? stats.value_range : 1.0;
@@ -38,8 +38,8 @@ std::vector<uint8_t> PsnrBoundCompressor::Compress(const Tensor& data,
   return base_->Compress(data, eb);
 }
 
-Status PsnrBoundCompressor::Decompress(const uint8_t* data, size_t size,
-                                       Tensor* out) const {
+Status PsnrBoundCompressor::DoDecompress(const uint8_t* data, size_t size,
+                                         Tensor* out) const {
   return base_->Decompress(data, size, out);
 }
 

@@ -25,12 +25,13 @@ class PsnrBoundCompressor : public Compressor {
 
   std::string name() const override { return base_->name() + "-psnr"; }
   ConfigSpace config_space(const Tensor& data) const override;
-  std::vector<uint8_t> Compress(const Tensor& data,
-                                double config) const override;
-  Status Decompress(const uint8_t* data, size_t size,
-                    Tensor* out) const override;
 
  private:
+  StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,
+                                            double config) const override;
+  Status DoDecompress(const uint8_t* data, size_t size,
+                      Tensor* out) const override;
+
   std::unique_ptr<Compressor> base_;
 };
 

@@ -26,8 +26,8 @@ ConfigSpace RelativeErrorCompressor::config_space(const Tensor& data) const {
   return space;
 }
 
-std::vector<uint8_t> RelativeErrorCompressor::Compress(const Tensor& data,
-                                                       double config) const {
+StatusOr<std::vector<uint8_t>> RelativeErrorCompressor::DoCompress(
+    const Tensor& data, double config) const {
   FXRZ_CHECK_GT(config, 0.0);
   const SummaryStats stats = ComputeSummary(data);
   const double range = stats.value_range > 0 ? stats.value_range : 1.0;
@@ -37,8 +37,8 @@ std::vector<uint8_t> RelativeErrorCompressor::Compress(const Tensor& data,
   return base_->Compress(data, abs_eb);
 }
 
-Status RelativeErrorCompressor::Decompress(const uint8_t* data, size_t size,
-                                           Tensor* out) const {
+Status RelativeErrorCompressor::DoDecompress(const uint8_t* data, size_t size,
+                                             Tensor* out) const {
   return base_->Decompress(data, size, out);
 }
 

@@ -253,9 +253,8 @@ ConfigSpace SzCompressor::config_space(const Tensor& data) const {
   return space;
 }
 
-std::vector<uint8_t> SzCompressor::Compress(const Tensor& data,
-                                            double eb) const {
-  FXRZ_CHECK(!data.empty());
+StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
+    const Tensor& data, double eb) const {
   FXRZ_CHECK_GT(eb, 0.0);
   const double bin = 2.0 * eb;
   double coef_steps[4];
@@ -388,9 +387,8 @@ std::vector<uint8_t> SzCompressor::Compress(const Tensor& data,
   return out;
 }
 
-Status SzCompressor::Decompress(const uint8_t* data, size_t size,
-                                Tensor* out) const {
-  FXRZ_CHECK(out != nullptr);
+Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
+                                  Tensor* out) const {
   ByteReader archive(data, size);
   std::vector<size_t> dims;
   FXRZ_RETURN_IF_ERROR(

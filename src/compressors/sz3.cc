@@ -233,9 +233,8 @@ ConfigSpace Sz3Compressor::config_space(const Tensor& data) const {
   return space;
 }
 
-std::vector<uint8_t> Sz3Compressor::Compress(const Tensor& data,
-                                             double eb) const {
-  FXRZ_CHECK(!data.empty());
+StatusOr<std::vector<uint8_t>> Sz3Compressor::DoCompress(
+    const Tensor& data, double eb) const {
   FXRZ_CHECK_GT(eb, 0.0);
   const double bin = 2.0 * eb;
 
@@ -290,9 +289,8 @@ std::vector<uint8_t> Sz3Compressor::Compress(const Tensor& data,
   return out;
 }
 
-Status Sz3Compressor::Decompress(const uint8_t* data, size_t size,
-                                 Tensor* out) const {
-  FXRZ_CHECK(out != nullptr);
+Status Sz3Compressor::DoDecompress(const uint8_t* data, size_t size,
+                                   Tensor* out) const {
   ByteReader archive(data, size);
   std::vector<size_t> dims;
   FXRZ_RETURN_IF_ERROR(

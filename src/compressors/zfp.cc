@@ -388,8 +388,8 @@ ConfigSpace ZfpCompressor::config_space(const Tensor& data) const {
   return space;
 }
 
-std::vector<uint8_t> ZfpCompressor::Compress(const Tensor& data,
-                                             double config) const {
+StatusOr<std::vector<uint8_t>> ZfpCompressor::DoCompress(
+    const Tensor& data, double config) const {
   FXRZ_CHECK_GT(config, 0.0);
   return CompressImpl(data, Mode::kFixedAccuracy, config, 0.0);
 }
@@ -400,9 +400,8 @@ std::vector<uint8_t> ZfpCompressor::CompressFixedRate(
   return CompressImpl(data, Mode::kFixedRate, 0.0, bits_per_value);
 }
 
-Status ZfpCompressor::Decompress(const uint8_t* data, size_t size,
-                                 Tensor* out) const {
-  FXRZ_CHECK(out != nullptr);
+Status ZfpCompressor::DoDecompress(const uint8_t* data, size_t size,
+                                   Tensor* out) const {
   ByteReader reader(data, size);
   std::vector<size_t> dims;
   FXRZ_RETURN_IF_ERROR(

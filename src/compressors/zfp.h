@@ -33,18 +33,18 @@ class ZfpCompressor : public Compressor {
   std::string name() const override { return "zfp"; }
   ConfigSpace config_space(const Tensor& data) const override;
 
-  // Fixed-accuracy compression with absolute error bound `config`.
-  std::vector<uint8_t> Compress(const Tensor& data,
-                                double config) const override;
-
   // Fixed-rate compression: exactly `bits_per_value` bits per element
   // (rounded up to whole bits per block). bits_per_value in (0, 32].
   std::vector<uint8_t> CompressFixedRate(const Tensor& data,
                                          double bits_per_value) const;
 
+ private:
+  // Fixed-accuracy compression with absolute error bound `config`.
+  StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,
+                                            double config) const override;
   // Decompresses either mode.
-  Status Decompress(const uint8_t* data, size_t size,
-                    Tensor* out) const override;
+  Status DoDecompress(const uint8_t* data, size_t size,
+                      Tensor* out) const override;
 };
 
 }  // namespace fxrz

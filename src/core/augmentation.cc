@@ -35,16 +35,16 @@ std::vector<StationaryPoint> CollectStationaryPoints(
     have_prev = true;
     StationaryPoint point;
     point.config = config;
+    // Training has no Status to return: a failed codec run aborts it.
+    const std::vector<uint8_t> bytes =
+        compressor.Compress(data, config).value();
+    point.ratio = static_cast<double>(data.size_bytes()) /
+                  static_cast<double>(bytes.size());
     if (options.measure_quality) {
-      const std::vector<uint8_t> bytes = compressor.Compress(data, config);
-      point.ratio = static_cast<double>(data.size_bytes()) /
-                    static_cast<double>(bytes.size());
       Tensor rec;
       const Status st = compressor.Decompress(bytes.data(), bytes.size(), &rec);
       FXRZ_CHECK(st.ok()) << st.ToString();
       point.psnr = ComputeDistortion(data, rec).psnr;
-    } else {
-      point.ratio = compressor.MeasureCompressionRatio(data, config);
     }
     points.push_back(point);
   }

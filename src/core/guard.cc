@@ -171,8 +171,8 @@ AdmissionReport AdmitTensor(const Tensor& data, double target_ratio) {
 
 namespace {
 
-// One guarded compressor run: clamp the config into the space, compress
-// through the fault-instrumented wrapper, measure the achieved ratio.
+// One guarded compressor run: clamp the config into the space, compress,
+// measure the achieved ratio.
 struct Attempt {
   double config = 0.0;
   double ratio = 0.0;
@@ -185,8 +185,8 @@ StatusOr<Attempt> AttemptCompress(const Compressor& compressor,
   Attempt attempt;
   if (space.integer) config = std::round(config);
   attempt.config = std::clamp(config, space.min, space.max);
-  FXRZ_RETURN_IF_ERROR(
-      compressor.TryCompress(data, attempt.config, &attempt.bytes));
+  FXRZ_ASSIGN_OR_RETURN(attempt.bytes,
+                        compressor.Compress(data, attempt.config));
   attempt.ratio = static_cast<double>(data.size_bytes()) /
                   static_cast<double>(attempt.bytes.size());
   return attempt;
@@ -457,8 +457,8 @@ StatusOr<GuardedResult> Fxrz::GuardedServeLadder(
     if (status.ok() && !options.verify_checksum_only &&
         decode_verify_allowed()) {
       Tensor decoded;
-      status = compressor_->TryDecompress(attempt.bytes.data(),
-                                          attempt.bytes.size(), &decoded);
+      status = compressor_->Decompress(attempt.bytes.data(),
+                                       attempt.bytes.size(), &decoded);
       if (status.ok() && decoded.dims() != data.dims()) {
         status = Status::Corruption("decoded shape mismatch");
       }
@@ -644,21 +644,18 @@ StatusOr<GuardedResult> Fxrz::GuardedServeLadder(
       return (options.cancel != nullptr && options.cancel->cancelled()) ||
              options.deadline.expired();
     };
-    const FrazResult found =
-        FrazSearch(*compressor_, data, target_ratio, fraz);
+    FrazResult found = FrazSearch(*compressor_, data, target_ratio, fraz);
     result.compressions += found.compressor_runs;
+    if (!found.status.ok()) note(note_failure("fraz tier", found.status));
     if (Status cp = checkpoint("guard: fraz tier"); !cp.ok()) {
       return expire(std::move(cp));
     }
-    // FRaZ reports the winning config but keeps no archive; produce it
-    // with one more (guarded) run.
-    StatusOr<Attempt> last =
-        AttemptCompress(*compressor_, data, space, found.config);
-    if (!last.ok()) {
-      note(note_failure("fraz tier", last.status()));
+    if (found.compressed.empty()) {
+      if (found.status.ok()) note("fraz tier: search stopped before any probe");
     } else {
-      ++result.compressions;
-      Attempt attempt = std::move(last).value();
+      // FRaZ kept its best probe's archive: polish from it, no extra run.
+      Attempt attempt{found.config, found.achieved_ratio,
+                      std::move(found.compressed)};
       if (miss(attempt) > accept_error && options.max_polish_compressions > 0) {
         attempt = PolishTowardTarget(*compressor_, data, space,
                                      std::move(attempt), target_ratio,

@@ -15,8 +15,10 @@
 //                           -> bounded FRaZ trial-and-error search
 //                           (Underwood et al., IPDPS'20), recording which
 //                           tier produced the archive;
-//   4. fault tolerance   -- compressor and model calls are routed through
-//                           Status-returning wrappers carrying the
+//   4. fault tolerance   -- every codec run (each tier's attempt and
+//                           each FRaZ probe) goes through the Status-
+//                           returning Compressor::Compress/Decompress;
+//                           codec runs and model queries carry the
 //                           deterministic fault-injection points of
 //                           util/fault_injection.h, so tests can force
 //                           every failure branch.
@@ -92,7 +94,7 @@ struct GuardOptions {
   // FRaZ's budgeted black-box search can stop short of accept_error; since
   // ratio-vs-knob is monotone for every built-in codec, the fallback tier
   // finishes with up to this many bisection compressions from FRaZ's best
-  // probe toward the target.
+  // probe (whose archive the search keeps) toward the target.
   int max_polish_compressions = 10;
   // Verify every archive before serving it: a tier whose archive fails
   // verification is invalidated and the ladder escalates, so a corrupt
@@ -100,7 +102,7 @@ struct GuardOptions {
   // two-tier ladder: a cheap checksum/structural pass
   // (Compressor::VerifyIntegrity -- for chunked archives this validates
   // every per-chunk CRC32C without entropy-decoding anything) always runs
-  // first, then the full decode check (TryDecompress + shape match).
+  // first, then the full decode check (Decompress + shape match).
   // Costs one decompression per served request; off by default to keep
   // the fast path at exactly one compression.
   bool verify_archive = false;

@@ -23,25 +23,27 @@ Fxrz::Estimate Fxrz::EstimateConfig(const Tensor& data,
   return e;
 }
 
-Fxrz::FixedRatioResult Fxrz::CompressToRatio(const Tensor& data,
-                                             double target_ratio) const {
+StatusOr<Fxrz::FixedRatioResult> Fxrz::CompressToRatio(
+    const Tensor& data, double target_ratio) const {
   const Estimate est = EstimateConfig(data, target_ratio);
   FixedRatioResult result;
   result.config = est.config;
   result.analysis_seconds = est.analysis_seconds;
 
   WallTimer timer;
-  result.compressed = compressor_->Compress(data, est.config);
+  FXRZ_ASSIGN_OR_RETURN(result.compressed,
+                        compressor_->Compress(data, est.config));
   result.compress_seconds = timer.Seconds();
   result.measured_ratio = static_cast<double>(data.size_bytes()) /
                           static_cast<double>(result.compressed.size());
   return result;
 }
 
-Fxrz::FixedRatioResult Fxrz::CompressToRatioRefined(
+StatusOr<Fxrz::FixedRatioResult> Fxrz::CompressToRatioRefined(
     const Tensor& data, double target_ratio,
     const RefinementOptions& options) const {
-  FixedRatioResult result = CompressToRatio(data, target_ratio);
+  FXRZ_ASSIGN_OR_RETURN(FixedRatioResult result,
+                        CompressToRatio(data, target_ratio));
   for (int extra = 0; extra < options.max_extra_compressions; ++extra) {
     if (EstimationError(target_ratio, result.measured_ratio) <=
         options.error_threshold) {
@@ -54,7 +56,8 @@ Fxrz::FixedRatioResult Fxrz::CompressToRatioRefined(
     if (corrected == result.config) break;  // clamped: no progress possible
 
     WallTimer timer;
-    std::vector<uint8_t> candidate = compressor_->Compress(data, corrected);
+    FXRZ_ASSIGN_OR_RETURN(std::vector<uint8_t> candidate,
+                          compressor_->Compress(data, corrected));
     result.compress_seconds += timer.Seconds();
     ++result.compressions;
     const double candidate_ratio = static_cast<double>(data.size_bytes()) /

@@ -3,6 +3,7 @@
 //   auto fxrz = Fxrz(MakeCompressor("sz"));
 //   fxrz.Train(training_tensors);
 //   auto result = fxrz.CompressToRatio(new_snapshot, /*target_ratio=*/100);
+//   if (result.ok()) Write(result.value().compressed);
 //
 // Inference never runs the compressor to *search* -- it extracts features,
 // adjusts the target ratio, queries the model, and compresses exactly once.
@@ -39,7 +40,8 @@ class Fxrz {
   };
   Estimate EstimateConfig(const Tensor& data, double target_ratio) const;
 
-  // Full fixed-ratio compression: estimate, then compress once.
+  // Full fixed-ratio compression: estimate, then compress once. Fails with
+  // the codec's Status when that compression fails.
   struct FixedRatioResult {
     double config = 0.0;
     double measured_ratio = 0.0;
@@ -48,24 +50,24 @@ class Fxrz {
     int compressions = 1;
     std::vector<uint8_t> compressed;
   };
-  FixedRatioResult CompressToRatio(const Tensor& data,
-                                   double target_ratio) const;
+  StatusOr<FixedRatioResult> CompressToRatio(const Tensor& data,
+                                             double target_ratio) const;
 
   // EXTENSION (paper future work): hybrid mode. Compresses at the model
   // estimate; if the measured ratio misses the target by more than
   // `error_threshold`, corrects the knob via FxrzModel::RefineConfig and
   // recompresses (at most `max_extra_compressions` times, default 1).
   // Worst case cost: 1 + max_extra_compressions compressions -- still far
-  // below FRaZ's iteration counts.
+  // below FRaZ's iteration counts. A failed recompression fails the call.
   struct RefinementOptions {
     double error_threshold = 0.08;
     int max_extra_compressions = 1;
   };
-  FixedRatioResult CompressToRatioRefined(
+  StatusOr<FixedRatioResult> CompressToRatioRefined(
       const Tensor& data, double target_ratio,
       const RefinementOptions& options) const;
-  FixedRatioResult CompressToRatioRefined(const Tensor& data,
-                                          double target_ratio) const {
+  StatusOr<FixedRatioResult> CompressToRatioRefined(
+      const Tensor& data, double target_ratio) const {
     return CompressToRatioRefined(data, target_ratio, RefinementOptions());
   }
 

@@ -16,7 +16,7 @@
 namespace fxrz {
 
 struct VerificationReport {
-  bool round_trip_ok = false;   // decompression succeeded, shape matches
+  bool round_trip_ok = false;   // both codec runs succeeded, shape matches
   double ratio = 0.0;
   double compress_seconds = 0.0;
   double decompress_seconds = 0.0;

@@ -22,25 +22,37 @@ FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
   WallTimer timer;
   double best_err = -1.0;
 
-  // Cooperative cancellation: polled before every compressor run (the only
-  // expensive step), so a stop request is honored within one compression.
-  auto stopped = [&options] {
-    return options.should_stop && options.should_stop();
+  auto finish = [&] {
+    result.search_seconds = timer.Seconds();
+    return std::move(result);
   };
 
-  auto evaluate = [&](double knob) -> double {
+  // One compressor run at `knob`; *err receives its relative ratio error.
+  // Returns false when the search must end: a stop request (polled before
+  // every run, the only expensive step, so it is honored within one
+  // compression), a failed run (its Status lands in result.status), or a
+  // best probe already within tolerance.
+  auto probe = [&](double knob, double* err) -> bool {
+    if (options.should_stop && options.should_stop()) return false;
     double config = space.log_scale ? std::pow(10.0, knob) : knob;
     config = std::clamp(config, space.min, space.max);
     if (space.integer) config = std::round(config);
-    const double ratio = compressor.MeasureCompressionRatio(data, config);
+    StatusOr<std::vector<uint8_t>> archive = compressor.Compress(data, config);
+    if (!archive.ok()) {
+      result.status = archive.status();
+      return false;
+    }
     ++result.compressor_runs;
-    const double err = std::fabs(ratio - target_ratio) / target_ratio;
-    if (best_err < 0 || err < best_err) {
-      best_err = err;
+    const double ratio = static_cast<double>(data.size_bytes()) /
+                         static_cast<double>(archive.value().size());
+    *err = std::fabs(ratio - target_ratio) / target_ratio;
+    if (best_err < 0 || *err < best_err) {
+      best_err = *err;
       result.config = config;
       result.achieved_ratio = ratio;
+      result.compressed = std::move(archive).value();
     }
-    return ratio;
+    return best_err > options.tolerance;
   };
 
   const int iters_per_bin =
@@ -59,22 +71,14 @@ FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
     double bin_best_knob = lo;
     double bin_best_err = -1.0;
     for (int i = 0; i < explore; ++i) {
-      if (stopped()) {
-        result.search_seconds = timer.Seconds();
-        return result;
-      }
       const double f =
           explore == 1 ? 0.5 : static_cast<double>(i) / (explore - 1);
       const double knob = lo + (0.25 + 0.5 * f) * (hi - lo);
-      const double ratio = evaluate(knob);
-      const double err = std::fabs(ratio - target_ratio) / target_ratio;
+      double err = 0.0;
+      if (!probe(knob, &err)) return finish();
       if (bin_best_err < 0 || err < bin_best_err) {
         bin_best_err = err;
         bin_best_knob = knob;
-      }
-      if (best_err >= 0 && best_err <= options.tolerance) {
-        result.search_seconds = timer.Seconds();
-        return result;
       }
     }
     // Exploitation: probe alternating sides of the best knob with a
@@ -82,14 +86,10 @@ FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
     double step = (hi - lo) / (2.0 * explore);
     int sign = 1;
     for (int it = explore; it < iters_per_bin; ++it) {
-      if (stopped()) {
-        result.search_seconds = timer.Seconds();
-        return result;
-      }
       const double knob =
           std::clamp(bin_best_knob + sign * step, knob_lo, knob_hi);
-      const double ratio = evaluate(knob);
-      const double err = std::fabs(ratio - target_ratio) / target_ratio;
+      double err = 0.0;
+      if (!probe(knob, &err)) return finish();
       if (err < bin_best_err) {
         bin_best_err = err;
         bin_best_knob = knob;
@@ -98,15 +98,9 @@ FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
         if (sign < 0) step *= 0.5;
         sign = -sign;
       }
-      if (best_err >= 0 && best_err <= options.tolerance) {
-        result.search_seconds = timer.Seconds();
-        return result;
-      }
     }
   }
-
-  result.search_seconds = timer.Seconds();
-  return result;
+  return finish();
 }
 
 }  // namespace fxrz

@@ -11,10 +11,13 @@
 #ifndef FXRZ_FRAZ_FRAZ_H_
 #define FXRZ_FRAZ_FRAZ_H_
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/compressors/compressor.h"
 #include "src/data/tensor.h"
+#include "src/util/status.h"
 
 namespace fxrz {
 
@@ -34,11 +37,14 @@ struct FrazOptions {
 struct FrazResult {
   double config = 0.0;
   double achieved_ratio = 0.0;
-  int compressor_runs = 0;
+  int compressor_runs = 0;  // successful probes
   double search_seconds = 0.0;
+  Status status;  // the failed probe's Status, if one ended the search
+  std::vector<uint8_t> compressed;  // best probe's archive; empty if none
 };
 
 // Searches for the config whose measured ratio is closest to target_ratio.
+// Probes run through Compressor::Compress; a failed probe ends the search.
 FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
                       double target_ratio, const FrazOptions& options = {});
 

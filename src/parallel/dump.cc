@@ -10,6 +10,21 @@
 
 namespace fxrz {
 
+namespace {
+
+// A rank's final compression; returns its ratio. Aborts if the run fails.
+double TimedCompress(const Compressor& compressor, const Tensor& data,
+                     double config, RankTiming* timing) {
+  WallTimer compress_timer;
+  const std::vector<uint8_t> bytes = compressor.Compress(data, config).value();
+  timing->compress_seconds = compress_timer.Seconds();
+  timing->compressed_bytes = bytes.size();
+  return static_cast<double>(data.size_bytes()) /
+         static_cast<double>(bytes.size());
+}
+
+}  // namespace
+
 ParallelDumpExperiment::ParallelDumpExperiment(const Compressor* compressor,
                                                DumpExperimentOptions options)
     : compressor_(compressor), options_(options) {
@@ -57,13 +72,7 @@ DumpMethodResult ParallelDumpExperiment::RunFxrz(
     WallTimer analysis_timer;
     const double config = model.EstimateConfig(data, options_.target_ratio);
     timings[i].analysis_seconds = analysis_timer.Seconds();
-
-    WallTimer compress_timer;
-    const std::vector<uint8_t> bytes = compressor_->Compress(data, config);
-    timings[i].compress_seconds = compress_timer.Seconds();
-    timings[i].compressed_bytes = bytes.size();
-    ratios[i] = static_cast<double>(data.size_bytes()) /
-                static_cast<double>(bytes.size());
+    ratios[i] = TimedCompress(*compressor_, data, config, &timings[i]);
   });
   return Combine(timings, ratios);
 }
@@ -84,14 +93,8 @@ DumpMethodResult ParallelDumpExperiment::RunFraz(
     const FrazResult search =
         FrazSearch(*compressor_, data, options_.target_ratio, fraz_options);
     timings[i].analysis_seconds = search.search_seconds;
-
-    WallTimer compress_timer;
-    const std::vector<uint8_t> bytes =
-        compressor_->Compress(data, search.config);
-    timings[i].compress_seconds = compress_timer.Seconds();
-    timings[i].compressed_bytes = bytes.size();
-    ratios[i] = static_cast<double>(data.size_bytes()) /
-                static_cast<double>(bytes.size());
+    ratios[i] =
+        TimedCompress(*compressor_, data, search.config, &timings[i]);
   });
   return Combine(timings, ratios);
 }

@@ -36,9 +36,9 @@
 // participating, so serve slots occupying pool threads cannot deadlock
 // them.
 //
-// All compressor access goes through the guard pipeline's Status-returning
-// wrappers -- serving code never touches raw Compress/Decompress (enforced
-// by the fxrz-try-api-in-serving lint rule, which covers this directory).
+// All compressor access goes through the guard pipeline, whose codec runs
+// use the Status-returning Compressor::Compress/Decompress (the codec
+// bodies behind them are private, so nothing can bypass them).
 
 #ifndef FXRZ_SERVE_SERVER_H_
 #define FXRZ_SERVE_SERVER_H_

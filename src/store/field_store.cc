@@ -49,6 +49,7 @@ Status FieldStoreWriter::AddFieldFixedRatio(const std::string& name,
   if (target_ratio <= 0) {
     return Status::InvalidArgument("target ratio must be positive");
   }
+  if (data.empty()) return Status::InvalidArgument("empty field: " + name);
   const double config = model_->EstimateConfig(data, target_ratio);
   return AddCompressed(name, data, target_ratio, config);
 }
@@ -68,9 +69,8 @@ Status FieldStoreWriter::AddCompressed(const std::string& name,
       return Status::InvalidArgument("duplicate field: " + name);
     }
   }
-  FXRZ_CHECK(!data.empty());
-
-  std::vector<uint8_t> payload = compressor_->Compress(data, config);
+  FXRZ_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                        compressor_->Compress(data, config));
   FieldEntry entry;
   entry.name = name;
   entry.compressor = compressor_name_;

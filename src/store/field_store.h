@@ -51,11 +51,12 @@ class FieldStoreWriter {
   FieldStoreWriter(std::string compressor_name, const FxrzModel* model);
 
   // Compresses `data` at the FXRZ-estimated knob for `target_ratio`.
-  // Requires a model. Duplicate names are rejected.
+  // Requires a model. Duplicate names and empty tensors are rejected with
+  // InvalidArgument; a failed compression returns the codec's Status.
   Status AddFieldFixedRatio(const std::string& name, const Tensor& data,
                             double target_ratio);
 
-  // Compresses `data` at an explicit knob value.
+  // Compresses `data` at an explicit knob value (same rejections).
   Status AddFieldFixedConfig(const std::string& name, const Tensor& data,
                              double config);
 

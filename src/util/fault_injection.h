@@ -38,8 +38,10 @@ namespace fault {
 
 // Instrumented failure sites.
 enum class Site : int {
-  kCompressorCompress = 0,  // Compressor::TryCompress
-  kCompressorDecompress,    // Compressor::TryDecompress
+  // Compressor::Compress / Decompress: every codec run, including FRaZ
+  // probes, training, stores and decorators' base runs (one per slab).
+  kCompressorCompress = 0,
+  kCompressorDecompress,
   kModelQuery,              // FxrzModel::EstimateWithConfidence
   kArchiveDecode,           // compressor_internal::ParseHeader
   kBitrot,                  // Crc32cMatches: checksum verification mismatch

@@ -10,6 +10,7 @@
 #include "src/encoding/bit_stream.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
+#include "src/util/fault_injection.h"
 
 namespace fxrz {
 namespace {
@@ -18,7 +19,7 @@ TEST(ChunkedTest, RoundTripMatchesShapeAndBound) {
   const Tensor g = GaussianRandomField3D(32, 16, 16, 3.0, 971);
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/2048);
   const double eb = 0.01;
-  const std::vector<uint8_t> bytes = comp.Compress(g, eb);
+  const std::vector<uint8_t> bytes = comp.Compress(g, eb).value();
   EXPECT_GT(comp.ChunkCount(bytes.data(), bytes.size()), 1u);
 
   Tensor rec;
@@ -30,7 +31,7 @@ TEST(ChunkedTest, RoundTripMatchesShapeAndBound) {
 TEST(ChunkedTest, SingleChunkWhenDataSmall) {
   const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 972);
   ChunkedCompressor comp(MakeCompressor("zfp"));
-  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   EXPECT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 1u);
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
@@ -40,7 +41,7 @@ TEST(ChunkedTest, RandomAccessChunkMatchesSlab) {
   const Tensor g = GaussianRandomField3D(32, 8, 8, 3.0, 973);
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
   const double eb = 0.005;
-  const std::vector<uint8_t> bytes = comp.Compress(g, eb);
+  const std::vector<uint8_t> bytes = comp.Compress(g, eb).value();
   const size_t chunks = comp.ChunkCount(bytes.data(), bytes.size());
   ASSERT_GE(chunks, 4u);
 
@@ -60,10 +61,29 @@ TEST(ChunkedTest, RandomAccessChunkMatchesSlab) {
 TEST(ChunkedTest, OutOfRangeChunkIndexRejected) {
   const Tensor g = GaussianRandomField3D(16, 8, 8, 3.0, 974);
   ChunkedCompressor comp(MakeCompressor("sz"), 512);
-  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   Tensor slab;
   EXPECT_FALSE(
       comp.DecompressChunk(bytes.data(), bytes.size(), 999, &slab).ok());
+}
+
+TEST(ChunkedTest, FailedSlabFailsTheArchiveWithItsStatus) {
+  if (!fault::Enabled()) GTEST_SKIP() << "built without FXRZ_FAULT_INJECT";
+  const Tensor g = GaussianRandomField3D(16, 16, 16, 3.0, 7);
+  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1024,
+                         /*threads=*/1);
+  // Visits in order: the chunked entry, slab 0, slab 1 -- fail slab 1.
+  fault::ResetAll();
+  fault::Arm(fault::Site::kCompressorCompress, /*skip=*/2, /*count=*/1);
+  const StatusOr<std::vector<uint8_t>> archive = comp.Compress(g, 0.01);
+  const uint64_t triggered =
+      fault::TriggeredCount(fault::Site::kCompressorCompress);
+  fault::ResetAll();
+  EXPECT_EQ(triggered, 1u);
+  ASSERT_FALSE(archive.ok());
+  EXPECT_EQ(archive.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(archive.status().message().find("sz Compress"), std::string::npos)
+      << archive.status().message();
 }
 
 TEST(ChunkedTest, UnevenRowSplit) {
@@ -71,7 +91,7 @@ TEST(ChunkedTest, UnevenRowSplit) {
   Tensor t({10, 6});
   for (size_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(i % 13);
   ChunkedCompressor comp(MakeCompressor("mgard"), /*target_chunk_elems=*/24);
-  const std::vector<uint8_t> bytes = comp.Compress(t, 0.01);
+  const std::vector<uint8_t> bytes = comp.Compress(t, 0.01).value();
   EXPECT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 3u);
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
@@ -93,8 +113,8 @@ TEST(ChunkedTest, ParallelArchiveByteIdenticalToSerial) {
                            /*threads=*/1);
   ChunkedCompressor parallel(MakeCompressor("sz"), /*target_chunk_elems=*/1280,
                              /*threads=*/0);
-  const std::vector<uint8_t> a = serial.Compress(g, 0.01);
-  const std::vector<uint8_t> b = parallel.Compress(g, 0.01);
+  const std::vector<uint8_t> a = serial.Compress(g, 0.01).value();
+  const std::vector<uint8_t> b = parallel.Compress(g, 0.01).value();
   EXPECT_EQ(a, b);
 
   Tensor ra, rb;
@@ -114,7 +134,7 @@ TEST(ChunkedTest, ParallelDecompressManyChunks) {
   }
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1,
                          /*threads=*/0);
-  const std::vector<uint8_t> bytes = comp.Compress(t, 0.001);
+  const std::vector<uint8_t> bytes = comp.Compress(t, 0.001).value();
   EXPECT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 33u);
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
@@ -125,7 +145,7 @@ TEST(ChunkedTest, ParallelDecompressManyChunks) {
 TEST(ChunkedTest, CorruptStreamsRejected) {
   const Tensor g = GaussianRandomField3D(16, 8, 8, 3.0, 976);
   ChunkedCompressor comp(MakeCompressor("sz"), 512);
-  std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   Tensor rec;
   EXPECT_FALSE(comp.Decompress(bytes.data(), bytes.size() / 2, &rec).ok());
   bytes[1] ^= 0xFF;
@@ -143,7 +163,7 @@ TEST(ChunkedTest, VerifyIntegrityCatchesEveryFlippedByte) {
   // chunk's checksum: no byte of a version-2 archive is unprotected.
   const Tensor g = GaussianRandomField3D(16, 8, 8, 3.0, 978);
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   ASSERT_TRUE(comp.VerifyIntegrity(bytes.data(), bytes.size()).ok());
   for (size_t pos = 0; pos < bytes.size(); ++pos) {
     std::vector<uint8_t> corrupt = bytes;
@@ -157,7 +177,7 @@ TEST(ChunkedTest, VerifyIntegrityCatchesEveryFlippedByte) {
 TEST(ChunkedTest, StrictDecodeRejectsPayloadCorruptionAtEveryStride) {
   const Tensor g = GaussianRandomField3D(16, 8, 8, 3.0, 979);
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
   for (size_t pos = 0; pos < bytes.size(); pos += 64) {
@@ -171,7 +191,7 @@ TEST(ChunkedTest, StrictDecodeRejectsPayloadCorruptionAtEveryStride) {
 TEST(ChunkedTest, DegradedDecodeSalvagesIntactChunks) {
   const Tensor g = GaussianRandomField3D(32, 8, 8, 3.0, 980);
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   const size_t chunks = comp.ChunkCount(bytes.data(), bytes.size());
   ASSERT_EQ(chunks, 4u);
   Tensor clean;
@@ -208,7 +228,7 @@ TEST(ChunkedTest, DegradedDecodeSalvagesIntactChunks) {
 TEST(ChunkedTest, DegradedDecodeReportsEveryLostChunk) {
   const Tensor g = GaussianRandomField3D(32, 8, 8, 3.0, 981);
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   ASSERT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 4u);
 
   // Kill the last chunk (archive tail is chunk 3's last payload byte).
@@ -233,7 +253,7 @@ TEST(ChunkedTest, DegradedDecodeFailsWhenIndexCorrupt) {
   // (here a chunk-size field) must fail even the degraded path.
   const Tensor g = GaussianRandomField3D(16, 8, 8, 3.0, 982);
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  std::vector<uint8_t> bytes = comp.Compress(g, 0.01);
+  std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
   bytes[4 + 4 + 8 * g.rank() + 4] ^= 0xFF;  // first TOC byte
   Tensor rec;
   DecodeReport report;
@@ -266,7 +286,8 @@ std::vector<uint8_t> BuildV1Archive(const Compressor& base, const Tensor& data,
         data.data() + row_lo * row_elems,
         data.data() + (row_lo + rows) * row_elems);
     const std::vector<uint8_t> payload =
-        base.Compress(Tensor(std::move(dims), std::move(values)), config);
+        base.Compress(Tensor(std::move(dims), std::move(values)), config)
+            .value();
     AppendUint64(&out, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
   }

@@ -25,7 +25,7 @@ TEST_P(CorruptionFuzzTest, RandomBitFlipsNeverCrash) {
   const ConfigSpace space = comp->config_space(data);
   const double config =
       space.integer ? 12 : std::sqrt(space.min * space.max);
-  const std::vector<uint8_t> bytes = comp->Compress(data, config);
+  const std::vector<uint8_t> bytes = comp->Compress(data, config).value();
 
   Rng rng(702);
   for (int trial = 0; trial < 60; ++trial) {
@@ -51,7 +51,7 @@ TEST_P(CorruptionFuzzTest, EveryTruncationLengthHandled) {
   const ConfigSpace space = comp->config_space(data);
   const double config =
       space.integer ? 12 : std::sqrt(space.min * space.max);
-  const std::vector<uint8_t> bytes = comp->Compress(data, config);
+  const std::vector<uint8_t> bytes = comp->Compress(data, config).value();
 
   // Sweep a sample of truncation points including all short prefixes.
   std::vector<size_t> lengths;

@@ -50,7 +50,7 @@ class DecodeHardeningTest : public ::testing::TestWithParam<std::string> {
     const ConfigSpace space = comp.config_space(data);
     const double config =
         space.integer ? 12 : std::sqrt(space.min * space.max);
-    return comp.Compress(data, config);
+    return comp.Compress(data, config).value();
   }
 };
 
@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(AllDecoders, DecodeHardeningTest,
 std::vector<uint8_t> MakeChunkedArchive(const Tensor& data) {
   ChunkedCompressor chunked(MakeCompressor("sz"), /*target_chunk_elems=*/128,
                             /*threads=*/1);
-  return chunked.Compress(data, 0.02);
+  return chunked.Compress(data, 0.02).value();
 }
 
 void PatchU64(std::vector<uint8_t>* bytes, size_t pos, uint64_t value) {

@@ -9,6 +9,7 @@
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 #include "src/util/random.h"
+#include "tests/compressors/measured_ratio.h"
 
 namespace fxrz {
 namespace {
@@ -20,7 +21,7 @@ TEST(FpzipTest, LosslessAtPrecision32) {
     t[i] = static_cast<float>(rng.NextGaussian() * 1e3);
   }
   FpzipCompressor fpzip;
-  const std::vector<uint8_t> bytes = fpzip.Compress(t, 32);
+  const std::vector<uint8_t> bytes = fpzip.Compress(t, 32).value();
   Tensor rec;
   ASSERT_TRUE(fpzip.Decompress(bytes.data(), bytes.size(), &rec).ok());
   EXPECT_TRUE(rec.SameAs(t)) << "precision 32 must be bit-exact";
@@ -31,7 +32,7 @@ TEST(FpzipTest, DistortionShrinksMonotonicallyWithPrecision) {
   FpzipCompressor fpzip;
   double prev_rmse = 1e300;
   for (int p : {6, 10, 16, 24, 32}) {
-    const std::vector<uint8_t> bytes = fpzip.Compress(g, p);
+    const std::vector<uint8_t> bytes = fpzip.Compress(g, p).value();
     Tensor rec;
     ASSERT_TRUE(fpzip.Decompress(bytes.data(), bytes.size(), &rec).ok());
     const double rmse = ComputeDistortion(g, rec).rmse;
@@ -46,7 +47,7 @@ TEST(FpzipTest, RatioShrinksMonotonicallyWithPrecision) {
   FpzipCompressor fpzip;
   double prev_ratio = 1e300;
   for (int p : {6, 12, 20, 28}) {
-    const double ratio = fpzip.MeasureCompressionRatio(g, p);
+    const double ratio = MeasuredRatio(fpzip, g, p);
     EXPECT_LT(ratio, prev_ratio) << "precision " << p;
     prev_ratio = ratio;
   }
@@ -58,7 +59,7 @@ TEST(FpzipTest, HandlesNegativeAndMixedSignData) {
     t[i] = static_cast<float>((i % 2 ? -1.0 : 1.0) * std::exp(0.1 * i));
   }
   FpzipCompressor fpzip;
-  const std::vector<uint8_t> bytes = fpzip.Compress(t, 32);
+  const std::vector<uint8_t> bytes = fpzip.Compress(t, 32).value();
   Tensor rec;
   ASSERT_TRUE(fpzip.Decompress(bytes.data(), bytes.size(), &rec).ok());
   EXPECT_TRUE(rec.SameAs(t));
@@ -73,7 +74,7 @@ TEST(FpzipTest, TruncationErrorIsValueRelative) {
     t[i] = static_cast<float>(std::pow(10.0, rng.Uniform(-3, 3)));
   }
   FpzipCompressor fpzip;
-  const std::vector<uint8_t> bytes = fpzip.Compress(t, 20);
+  const std::vector<uint8_t> bytes = fpzip.Compress(t, 20).value();
   Tensor rec;
   ASSERT_TRUE(fpzip.Decompress(bytes.data(), bytes.size(), &rec).ok());
   for (size_t i = 0; i < t.size(); ++i) {
@@ -85,8 +86,8 @@ TEST(FpzipTest, TruncationErrorIsValueRelative) {
 TEST(FpzipDeathTest, RejectsPrecisionOutOfRange) {
   const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 915);
   FpzipCompressor fpzip;
-  EXPECT_DEATH(fpzip.Compress(g, 2), "");
-  EXPECT_DEATH(fpzip.Compress(g, 40), "");
+  EXPECT_DEATH(fpzip.Compress(g, 2).value(), "");
+  EXPECT_DEATH(fpzip.Compress(g, 40).value(), "");
 }
 
 }  // namespace

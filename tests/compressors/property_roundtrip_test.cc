@@ -117,14 +117,13 @@ TEST_P(PropertyRoundTripTest, SeededSweepHonorsContractAndMetrics) {
 
     const metrics::MetricsSnapshot before = metrics::MetricsSnapshot::Capture();
 
-    std::vector<uint8_t> archive;
-    const Status cs = codec->TryCompress(data, config, &archive);
-    ASSERT_TRUE(cs.ok()) << cs.ToString();
+    const StatusOr<std::vector<uint8_t>> cs = codec->Compress(data, config);
+    ASSERT_TRUE(cs.ok()) << cs.status().ToString();
+    const std::vector<uint8_t>& archive = cs.value();
     ASSERT_FALSE(archive.empty());
 
     Tensor rec;
-    const Status ds = codec->TryDecompress(archive.data(), archive.size(),
-                                           &rec);
+    const Status ds = codec->Decompress(archive.data(), archive.size(), &rec);
     ASSERT_TRUE(ds.ok()) << ds.ToString();
     ASSERT_EQ(rec.dims(), data.dims());
 

@@ -21,7 +21,7 @@ TEST(RelativeErrorTest, BoundScalesWithValueRange) {
   RelativeErrorCompressor rel(MakeCompressor("sz"));
   for (const Tensor* t :
        {static_cast<const Tensor*>(&base), static_cast<const Tensor*>(&big)}) {
-    const std::vector<uint8_t> bytes = rel.Compress(*t, 1e-3);
+    const std::vector<uint8_t> bytes = rel.Compress(*t, 1e-3).value();
     Tensor rec;
     ASSERT_TRUE(rel.Decompress(bytes.data(), bytes.size(), &rec).ok());
     const double range = ComputeSummary(*t).value_range;
@@ -44,7 +44,7 @@ TEST(RelativeErrorTest, StreamsInteroperateWithBase) {
   const Tensor g = GaussianRandomField3D(16, 16, 16, 3.0, 503);
   RelativeErrorCompressor rel(MakeCompressor("zfp"));
   const auto zfp = MakeCompressor("zfp");
-  const std::vector<uint8_t> bytes = rel.Compress(g, 1e-2);
+  const std::vector<uint8_t> bytes = rel.Compress(g, 1e-2).value();
   Tensor rec;
   ASSERT_TRUE(zfp->Decompress(bytes.data(), bytes.size(), &rec).ok());
   EXPECT_EQ(rec.dims(), g.dims());
@@ -61,7 +61,7 @@ TEST(RelativeErrorTest, FxrzRunsOnTopOfAdapter) {
 
   Fxrz fxrz(std::make_unique<RelativeErrorCompressor>(MakeCompressor("sz")));
   fxrz.Train(train);
-  const auto result = fxrz.CompressToRatio(fields[2], 15.0);
+  const auto result = fxrz.CompressToRatio(fields[2], 15.0).value();
   EXPECT_GE(result.config, 1e-6);
   EXPECT_LE(result.config, 0.3);
   EXPECT_LT(EstimationError(15.0, result.measured_ratio), 0.6);

@@ -94,9 +94,11 @@ TEST_P(SimdEquivalenceTest, ArchivesAndDecodesAreBitIdentical) {
                             : std::sqrt(space.min * space.max);
 
   simd::ForceLevel(Level::kScalar);
-  const std::vector<uint8_t> scalar_archive = comp->Compress(data, config);
+  const std::vector<uint8_t> scalar_archive =
+      comp->Compress(data, config).value();
   simd::ForceLevel(best);
-  const std::vector<uint8_t> vector_archive = comp->Compress(data, config);
+  const std::vector<uint8_t> vector_archive =
+      comp->Compress(data, config).value();
   ASSERT_EQ(scalar_archive, vector_archive)
       << name << ": scalar and " << simd::LevelName(best)
       << " paths wrote different archives";

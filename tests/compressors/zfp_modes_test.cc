@@ -9,6 +9,7 @@
 #include "src/compressors/zfp.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
+#include "tests/compressors/measured_ratio.h"
 
 namespace fxrz {
 namespace {
@@ -46,7 +47,7 @@ TEST(ZfpFixedRateTest, FixedAccuracyBeatsFixedRateAtEqualDistortion) {
   ZfpCompressor zfp;
   const double eb = 0.01 * ComputeSummary(g).value_range;
 
-  const std::vector<uint8_t> acc_bytes = zfp.Compress(g, eb);
+  const std::vector<uint8_t> acc_bytes = zfp.Compress(g, eb).value();
   Tensor acc_rec;
   ASSERT_TRUE(zfp.Decompress(acc_bytes.data(), acc_bytes.size(), &acc_rec).ok());
   const double acc_rmse = ComputeDistortion(g, acc_rec).rmse;
@@ -82,7 +83,7 @@ TEST(ZfpStairwiseTest, RatioCurveHasFlatSteps) {
     const double eb = std::pow(
         10.0, std::log10(space.min) +
                   f * (std::log10(space.max) - std::log10(space.min)));
-    const double ratio = zfp.MeasureCompressionRatio(g, eb);
+    const double ratio = MeasuredRatio(zfp, g, eb);
     if (prev >= 0 && ratio == prev) ++flat_steps;
     prev = ratio;
   }

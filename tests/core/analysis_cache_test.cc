@@ -140,7 +140,7 @@ TEST_F(PipelineAnalysisCountTest, RefinedCompressionAnalyzesOnce) {
 
   const uint64_t extractions = FeatureExtractionCount();
   const uint64_t scans = ConstantBlockScanCount();
-  const auto result = fxrz_->CompressToRatioRefined(test, 30.0, opts);
+  const auto result = fxrz_->CompressToRatioRefined(test, 30.0, opts).value();
   EXPECT_GE(result.compressions, 2);  // refinement actually ran
   EXPECT_EQ(FeatureExtractionCount() - extractions, 1u);
   EXPECT_EQ(ConstantBlockScanCount() - scans, 1u);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "src/core/guard.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
+#include "src/serve/server.h"
 #include "src/util/fault_injection.h"
 
 namespace fxrz {
@@ -82,6 +84,45 @@ TEST_F(FaultLadderTest, CompressFaultAtModelTierRecoversViaFraz) {
   EXPECT_EQ(fault::TriggeredCount(Site::kCompressorCompress), 1u);
   EXPECT_GE(fault::HitCount(Site::kCompressorCompress),
             fault::TriggeredCount(Site::kCompressorCompress));
+}
+
+TEST_F(FaultLadderTest, CompressFaultOnFrazProbeIsSeenAndNamed) {
+  // The model-tier attempt succeeds but misses an unmeetable accept_error
+  // (refinement is off), so the ladder's second compression is FRaZ's
+  // first probe -- and that is where the single fault lands: FRaZ probes
+  // run through the same instrumented Compress as every tier. Served
+  // through FxrzServer without retries so "resolved exactly once" is the
+  // callback count.
+  ServeOptions options;
+  options.guard = OpenGate();
+  options.guard.accept_error = 1e-9;
+  options.guard.max_refine_compressions = 0;
+  options.retry.max_attempts = 1;
+  FxrzServer server(*fxrz_, options);
+  fault::Arm(Site::kCompressorCompress, /*skip=*/1, /*count=*/1);
+
+  std::atomic<int> callbacks{0};
+  ServeReply reply;
+  ServeRequest request;
+  request.data = &(*fields_)[3];
+  request.target_ratio = MidTarget();
+  request.callback = [&callbacks, &reply](ServeReply r) {
+    reply = std::move(r);
+    callbacks.fetch_add(1);
+  };
+  ASSERT_TRUE(server.Submit(std::move(request)).ok());
+  server.Shutdown();  // flushes the request
+
+  EXPECT_EQ(callbacks.load(), 1);
+  EXPECT_EQ(fault::TriggeredCount(Site::kCompressorCompress), 1u);
+  EXPECT_EQ(fault::HitCount(Site::kCompressorCompress), 2u)
+      << "the failed probe ends the search";
+  // The transient probe fault keeps exhaustion retryable, and the tier
+  // trail names the tier it hit.
+  EXPECT_EQ(reply.status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(reply.status.message().find("fraz tier: Unavailable: injected"),
+            std::string::npos)
+      << reply.status.message();
 }
 
 TEST_F(FaultLadderTest, ForcedMisestimateIsCaughtByLadder) {
@@ -195,7 +236,7 @@ TEST_F(FaultLadderTest, BitrotAtChecksumTierInvalidatesTheArchive) {
 
 TEST_F(FaultLadderTest, DecompressFaultIsTransient) {
   // A valid archive plus an injected decode failure: the first
-  // TryDecompress errors cleanly, the retry succeeds.
+  // Decompress errors cleanly, the retry succeeds.
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -203,10 +244,10 @@ TEST_F(FaultLadderTest, DecompressFaultIsTransient) {
 
   fault::Arm(Site::kCompressorDecompress, /*skip=*/0, /*count=*/1);
   Tensor decoded;
-  const Status first = fxrz_->compressor().TryDecompress(
+  const Status first = fxrz_->compressor().Decompress(
       archive.data(), archive.size(), &decoded);
   EXPECT_FALSE(first.ok());
-  const Status second = fxrz_->compressor().TryDecompress(
+  const Status second = fxrz_->compressor().Decompress(
       archive.data(), archive.size(), &decoded);
   EXPECT_TRUE(second.ok()) << second.ToString();
   EXPECT_EQ(decoded.dims(), (*fields_)[3].dims());
@@ -220,12 +261,12 @@ TEST_F(FaultLadderTest, ArchiveDecodeFaultSurfacesAsCorruption) {
 
   fault::Arm(Site::kArchiveDecode, /*skip=*/0, /*count=*/1);
   Tensor decoded;
-  const Status corrupted = fxrz_->compressor().TryDecompress(
+  const Status corrupted = fxrz_->compressor().Decompress(
       archive.data(), archive.size(), &decoded);
   ASSERT_FALSE(corrupted.ok());
   EXPECT_EQ(corrupted.code(), StatusCode::kCorruption);
   EXPECT_TRUE(fxrz_->compressor()
-                  .TryDecompress(archive.data(), archive.size(), &decoded)
+                  .Decompress(archive.data(), archive.size(), &decoded)
                   .ok());
 }
 

@@ -24,6 +24,8 @@ namespace {
 
 using metrics::MetricsSnapshot;
 
+constexpr char kSzCompressions[] = "fxrz_codec_compress_total{codec=\"sz\"}";
+
 std::string TierCounterName(ServingTier tier) {
   return std::string("fxrz_guard_served_total{tier=\"") +
          ServingTierName(tier) + "\"}";
@@ -91,8 +93,11 @@ TEST_F(GuardMetricsTest, ServedRequestCountsExactlyOneTier) {
   // Exactly one tier served it, and it is the tier the result reports.
   EXPECT_EQ(TotalServed(delta), 1u);
   EXPECT_EQ(delta.CounterValue(TierCounterName(r.value().tier)), 1u);
-  // The compression budget the result reports is what the counter saw.
+  // The compression budget the result reports is what the counters saw:
+  // the guard's own tally and the codec entry every run goes through.
   EXPECT_EQ(delta.CounterValue("fxrz_guard_compressions_total"),
+            static_cast<uint64_t>(r.value().compressions));
+  EXPECT_EQ(delta.CounterValue(kSzCompressions),
             static_cast<uint64_t>(r.value().compressions));
   // One target-ratio and one measured-ratio observation.
   const metrics::MetricValue* target = delta.Find("fxrz_guard_target_ratio");
@@ -103,6 +108,32 @@ TEST_F(GuardMetricsTest, ServedRequestCountsExactlyOneTier) {
   ASSERT_NE(measured, nullptr);
   EXPECT_EQ(measured->count, 1u);
   EXPECT_DOUBLE_EQ(measured->sum, r.value().measured_ratio);
+}
+
+TEST_F(GuardMetricsTest, FrazTierCountsEveryProbe) {
+  // An untrained pipeline serves through the FRaZ tier: its search probes
+  // and polish steps all reach the codec counter.
+  Fxrz untrained(MakeCompressor("sz"));
+  const StatusOr<GuardedResult> r =
+      untrained.GuardedCompressToRatio((*fields_)[3], MidTarget());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().tier, ServingTier::kFrazFallback);
+  ASSERT_GT(r.value().compressions, 1);
+
+  const MetricsSnapshot delta = Delta();
+  EXPECT_EQ(delta.CounterValue("fxrz_guard_compressions_total"),
+            static_cast<uint64_t>(r.value().compressions));
+  EXPECT_EQ(delta.CounterValue(kSzCompressions),
+            static_cast<uint64_t>(r.value().compressions));
+}
+
+TEST_F(GuardMetricsTest, TrainingCountsEveryCompressorRun) {
+  Fxrz fresh(MakeCompressor("sz"));
+  std::vector<const Tensor*> train;
+  for (size_t i = 0; i < 3; ++i) train.push_back(&(*fields_)[i]);
+  const TrainingBreakdown breakdown = fresh.Train(train);
+  ASSERT_GT(breakdown.compressor_runs, 0u);
+  EXPECT_EQ(Delta().CounterValue(kSzCompressions), breakdown.compressor_runs);
 }
 
 TEST_F(GuardMetricsTest, ConstantFieldCountsItsOwnTier) {
@@ -131,8 +162,7 @@ TEST_F(GuardMetricsTest, AdmissionRejectCountsAndCompressesNothing) {
   EXPECT_EQ(delta.CounterValue("fxrz_guard_admission_rejected_total"), 1u);
   EXPECT_EQ(TotalServed(delta), 0u);
   EXPECT_EQ(delta.CounterValue("fxrz_guard_compressions_total"), 0u);
-  EXPECT_EQ(delta.CounterValue("fxrz_codec_compress_total{codec=\"sz\"}"),
-            0u);
+  EXPECT_EQ(delta.CounterValue(kSzCompressions), 0u);
   EXPECT_EQ(delta.CounterValue("fxrz_analysis_cache_misses_total"), 0u);
 }
 

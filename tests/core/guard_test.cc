@@ -121,8 +121,8 @@ TEST_F(GuardedServingTest, TrainedFastPathServesWithinTolerance) {
   // The archive is genuinely decodable.
   Tensor decoded;
   ASSERT_TRUE(fxrz_->compressor()
-                  .TryDecompress(result.compressed.data(),
-                                 result.compressed.size(), &decoded)
+                  .Decompress(result.compressed.data(),
+                              result.compressed.size(), &decoded)
                   .ok());
   EXPECT_EQ(decoded.dims(), test.dims());
 }
@@ -160,8 +160,8 @@ TEST_F(GuardedServingTest, ConstantFieldFastPath) {
   EXPECT_GT(r.value().measured_ratio, 50.0);
   Tensor decoded;
   ASSERT_TRUE(fxrz_->compressor()
-                  .TryDecompress(r.value().compressed.data(),
-                                 r.value().compressed.size(), &decoded)
+                  .Decompress(r.value().compressed.data(),
+                              r.value().compressed.size(), &decoded)
                   .ok());
   EXPECT_EQ(decoded.dims(), constant.dims());
 }

@@ -63,7 +63,7 @@ TEST_F(QualityModelTest, PreviewTracksMeasuredPsnr) {
   for (double tcr : {8.0, 40.0}) {
     const double predicted = model.EstimatePsnr(test, tcr);
     const double config = model.EstimateConfig(test, tcr);
-    const std::vector<uint8_t> bytes = sz->Compress(test, config);
+    const std::vector<uint8_t> bytes = sz->Compress(test, config).value();
     Tensor rec;
     ASSERT_TRUE(sz->Decompress(bytes.data(), bytes.size(), &rec).ok());
     const double measured = ComputeDistortion(test, rec).psnr;
@@ -76,7 +76,7 @@ TEST(PsnrAdapterTest, AchievedPsnrTracksKnob) {
   const Tensor g = GaussianRandomField3D(16, 16, 16, 3.5, 805);
   PsnrBoundCompressor comp(MakeCompressor("sz"));
   for (double target : {40.0, 60.0, 80.0}) {
-    const std::vector<uint8_t> bytes = comp.Compress(g, target);
+    const std::vector<uint8_t> bytes = comp.Compress(g, target).value();
     Tensor rec;
     ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
     const double achieved = ComputeDistortion(g, rec).psnr;
@@ -102,7 +102,7 @@ TEST(PsnrAdapterTest, FxrzRunsOnPsnrKnob) {
   }
   Fxrz fxrz(std::make_unique<PsnrBoundCompressor>(MakeCompressor("sz")));
   fxrz.Train({&fields[0], &fields[1]});
-  const auto result = fxrz.CompressToRatio(fields[2], 10.0);
+  const auto result = fxrz.CompressToRatio(fields[2], 10.0).value();
   EXPECT_GE(result.config, 20.0);
   EXPECT_LE(result.config, 120.0);
   EXPECT_LT(EstimationError(10.0, result.measured_ratio), 0.6);

@@ -32,8 +32,8 @@ class RefinementTest : public ::testing::Test {
 TEST_F(RefinementTest, NeverWorseThanPlainEstimate) {
   const Tensor& test = fields_[3];
   for (double tcr : fxrz_->model().ValidTargetRatios(5)) {
-    const auto plain = fxrz_->CompressToRatio(test, tcr);
-    const auto refined = fxrz_->CompressToRatioRefined(test, tcr);
+    const auto plain = fxrz_->CompressToRatio(test, tcr).value();
+    const auto refined = fxrz_->CompressToRatioRefined(test, tcr).value();
     EXPECT_LE(EstimationError(tcr, refined.measured_ratio),
               EstimationError(tcr, plain.measured_ratio) + 1e-12)
         << "tcr=" << tcr;
@@ -45,7 +45,7 @@ TEST_F(RefinementTest, BoundedCompressionCount) {
   Fxrz::RefinementOptions opts;
   opts.error_threshold = 0.0;  // always try to refine
   opts.max_extra_compressions = 2;
-  const auto result = fxrz_->CompressToRatioRefined(test, 30.0, opts);
+  const auto result = fxrz_->CompressToRatioRefined(test, 30.0, opts).value();
   EXPECT_GE(result.compressions, 1);
   EXPECT_LE(result.compressions, 3);
 }
@@ -54,7 +54,7 @@ TEST_F(RefinementTest, SkipsRefinementWhenAlreadyAccurate) {
   const Tensor& test = fields_[3];
   Fxrz::RefinementOptions opts;
   opts.error_threshold = 10.0;  // any outcome counts as accurate
-  const auto result = fxrz_->CompressToRatioRefined(test, 30.0, opts);
+  const auto result = fxrz_->CompressToRatioRefined(test, 30.0, opts).value();
   EXPECT_EQ(result.compressions, 1);
 }
 
@@ -73,7 +73,7 @@ TEST_F(RefinementTest, RefineConfigMovesInCorrectDirection) {
 
 TEST_F(RefinementTest, ResultPayloadMatchesReportedRatio) {
   const Tensor& test = fields_[3];
-  const auto result = fxrz_->CompressToRatioRefined(test, 40.0);
+  const auto result = fxrz_->CompressToRatioRefined(test, 40.0).value();
   EXPECT_NEAR(result.measured_ratio,
               static_cast<double>(test.size_bytes()) / result.compressed.size(),
               1e-9);

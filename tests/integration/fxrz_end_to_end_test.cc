@@ -47,7 +47,7 @@ TEST(FxrzEndToEndTest, NyxBaryonDensitySzCapabilityLevel2) {
   double total_err = 0.0;
   int n = 0;
   for (double tcr : {10.0, 30.0, 60.0, 100.0}) {
-    const auto result = fxrz.CompressToRatio(test, tcr);
+    const auto result = fxrz.CompressToRatio(test, tcr).value();
     total_err += EstimationError(tcr, result.measured_ratio);
     ++n;
   }
@@ -68,7 +68,7 @@ TEST(FxrzEndToEndTest, HurricaneTcZfpCapabilityLevel1) {
   double total_err = 0.0;
   int n = 0;
   for (double tcr : fxrz.model().ValidTargetRatios(4, 0.15)) {
-    const auto result = fxrz.CompressToRatio(test, tcr);
+    const auto result = fxrz.CompressToRatio(test, tcr).value();
     total_err += EstimationError(tcr, result.measured_ratio);
     ++n;
   }
@@ -102,7 +102,7 @@ TEST(FxrzEndToEndTest, AnalysisIsCompressionFree) {
 
   const uint64_t extractions = FeatureExtractionCount();
   const uint64_t scans = ConstantBlockScanCount();
-  const auto result = fxrz.CompressToRatio(test, 40.0);
+  const auto result = fxrz.CompressToRatio(test, 40.0).value();
   EXPECT_EQ(FeatureExtractionCount() - extractions, 1u);
   EXPECT_EQ(ConstantBlockScanCount() - scans, 1u);
   EXPECT_EQ(result.compressions, 1);

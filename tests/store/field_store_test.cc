@@ -7,6 +7,7 @@
 
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
+#include "src/util/fault_injection.h"
 #include "src/util/file_io.h"
 
 namespace fxrz {
@@ -66,6 +67,30 @@ TEST_F(FieldStoreTest, DuplicateNamesRejected) {
   FieldStoreWriter writer("sz", &model_);
   ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 10.0).ok());
   EXPECT_FALSE(writer.AddFieldFixedRatio("a", fields_[1], 10.0).ok());
+}
+
+TEST_F(FieldStoreTest, EmptyTensorIsInvalidArgument) {
+  // A caller's empty tensor is a bad argument, not a reason to abort.
+  FieldStoreWriter writer("sz", &model_);
+  const Tensor empty;
+  const Status fixed = writer.AddFieldFixedConfig("e", empty, 0.01);
+  EXPECT_EQ(fixed.code(), StatusCode::kInvalidArgument) << fixed.ToString();
+  const Status ratio = writer.AddFieldFixedRatio("e", empty, 10.0);
+  EXPECT_EQ(ratio.code(), StatusCode::kInvalidArgument) << ratio.ToString();
+  EXPECT_TRUE(writer.entries().empty());
+}
+
+TEST_F(FieldStoreTest, FailedCompressionPropagatesItsStatus) {
+  if (!fault::Enabled()) GTEST_SKIP() << "built without FXRZ_FAULT_INJECT";
+  fault::ResetAll();
+  fault::Arm(fault::Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
+  FieldStoreWriter writer("sz", nullptr);
+  const Status st = writer.AddFieldFixedConfig("f", fields_[3], 0.01);
+  fault::ResetAll();
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  EXPECT_TRUE(writer.entries().empty());
+  // The failed add left nothing behind: the same name still goes in.
+  EXPECT_TRUE(writer.AddFieldFixedConfig("f", fields_[3], 0.01).ok());
 }
 
 TEST_F(FieldStoreTest, MultipleFieldsIndependentlyReadable) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full local CI matrix: a build-artifact hygiene check, release build +
-# tests, an FXRZ_METRICS=OFF build proving the observability layer strips
-# cleanly, an FXRZ_SIMD=OFF build proving the scalar kernel paths stand on
-# their own, ThreadSanitizer build + tests, ASan+UBSan build + tests
-# (including the fuzz-corpus replay harnesses), an overload-chaos re-run
-# of the resource-governance suite under ASan with a finite
+# tests, a standalone build of the perfbench/ benchmark (fxrz_perfbench)
+# against the library, an FXRZ_METRICS=OFF build proving the observability
+# layer strips cleanly, an FXRZ_SIMD=OFF build proving the scalar kernel
+# paths stand on their own, ThreadSanitizer build + tests, ASan+UBSan build
+# + tests (including the fuzz-corpus replay harnesses), an overload-chaos
+# re-run of the resource-governance suite under ASan with a finite
 # FXRZ_MEM_BUDGET, an ASan+UBSan FXRZ_FAULT_INJECT build running the
 # fault-injection/escalation-ladder suite and the serving-layer
 # retry/breaker/chaos tests, a gcov coverage gate holding src/serve/ line
@@ -55,6 +56,14 @@ run_config release build-ci-release \
 # filtered ctest.
 echo "=== serve_load smoke ==="
 (cd build-ci-release && ./bench/serve_load --requests 400 --clients 4 --gate 1.0)
+
+# Benchmark build: perfbench/ is a standalone CMake package (the library
+# from src/ plus fxrz_perfbench.cc), built the way perfbench/run.py builds
+# it. A library API change that breaks fxrz_perfbench fails here instead
+# of at benchmark time.
+echo "=== [perfbench] configure + build ==="
+cmake -S perfbench -B build-ci-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-ci-perfbench -j "$JOBS"
 
 # Observability-off configuration: FXRZ_METRICS=OFF compiles the metrics
 # registry and trace spans down to no-ops. The suite must pass unchanged

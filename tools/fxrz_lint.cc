@@ -1,6 +1,6 @@
 // fxrz_lint: project-specific static analysis for the FXRZ codebase.
 //
-// Three invariant systems in this repository exist by convention and are
+// Two invariant systems in this repository exist by convention and are
 // easy to regress silently in review; this tool makes them machine-checked.
 // It is a lexical analyzer (comment/string-aware token scanning, function
 // body extraction by brace matching) rather than a clang-tidy plugin so it
@@ -13,12 +13,6 @@
 //     bounds-checked ByteReader (src/util/byte_reader.h). Raw memcpy from
 //     the parameter, reinterpret_cast of it, direct indexing, and manual
 //     cursor advances on it are flagged.
-//
-//   fxrz-try-api-in-serving
-//     Serving-path code (src/core/guard.cc and everything under
-//     src/serve/) must call the Status-returning TryCompress/TryDecompress
-//     wrappers, never the raw virtual Compress/Decompress, so fault
-//     injection and per-codec metrics cover every serving request.
 //
 //   fxrz-no-unguarded-shared-state
 //     Raw std::mutex / std::lock_guard / std::unique_lock /
@@ -309,42 +303,6 @@ void CheckSharedState(const SourceFile& f, std::vector<Finding>* findings) {
 }
 
 // ---------------------------------------------------------------------------
-// fxrz-try-api-in-serving
-// ---------------------------------------------------------------------------
-
-void CheckTryApi(const SourceFile& f, std::vector<Finding>* findings) {
-  const bool in_scope = f.virtual_path.ends_with("src/core/guard.cc") ||
-                        f.virtual_path.find("src/serve/") !=
-                            std::string::npos;
-  if (!in_scope) return;
-  constexpr const char* kCheck = "fxrz-try-api-in-serving";
-
-  for (const char* name : {"Compress", "Decompress"}) {
-    const std::string needle(name);
-    for (size_t at = f.code.find(needle); at != std::string::npos;
-         at = f.code.find(needle, at + 1)) {
-      if (!TokenAt(f.code, at, needle)) continue;
-      // Must be a member call: .Compress( or ->Compress(.
-      size_t before = at;
-      while (before > 0 && std::isspace(static_cast<unsigned char>(
-                               f.code[before - 1])) != 0) {
-        --before;
-      }
-      if (before == 0) continue;
-      const char prev = f.code[before - 1];
-      if (prev != '.' && prev != '>') continue;
-      const size_t open = SkipSpace(f.code, at + needle.size());
-      if (open >= f.code.size() || f.code[open] != '(') continue;
-      findings->push_back(
-          {f.display_path, f.LineOf(at), kCheck,
-           std::string("direct ") + name + "() call on the serving path; "
-           "use Try" + name + " so Status propagation, fault injection, "
-           "and per-codec metrics cover this request"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // fxrz-byte-reader-only
 // ---------------------------------------------------------------------------
 
@@ -617,7 +575,6 @@ int main(int argc, char** argv) {
         treat_as.empty() ? display : NormalizeSlashes(treat_as);
     const SourceFile f = LoadFile(file, display, virt);
     CheckByteReaderOnly(f, &findings);
-    CheckTryApi(f, &findings);
     CheckSharedState(f, &findings);
   }
 

@@ -153,10 +153,12 @@ int MakeFixtures(const std::string& dir) {
   {
     ChunkedCompressor chunked(MakeCompressor("sz"),
                               /*target_chunk_elems=*/512, /*threads=*/1);
+    StatusOr<std::vector<uint8_t>> archive = chunked.Compress(a, 0.01);
+    if (!archive.ok()) return Fail(archive.status());
     const Status st =
         WriteContainerFile(dir + "/archive.fxa",
                            std::string(kSectionArchivePrefix) + chunked.name(),
-                           chunked.Compress(a, 0.01));
+                           archive.value());
     if (!st.ok()) return Fail(st);
   }
   std::printf("fixtures written to %s\n", dir.c_str());
@@ -276,10 +278,10 @@ int Stats(const std::string& dir, const std::string& golden_dir) {
     return Fail(Status::Internal("admission accepted an invalid target"));
   }
 
-  // Decompress the last served archive through the instrumented wrapper.
+  // Decompress the last served archive.
   Tensor decoded;
-  if (Status st = fxrz.compressor().TryDecompress(archive.data(),
-                                                  archive.size(), &decoded);
+  if (Status st = fxrz.compressor().Decompress(archive.data(), archive.size(),
+                                               &decoded);
       !st.ok()) {
     return Fail(st);
   }
@@ -287,7 +289,10 @@ int Stats(const std::string& dir, const std::string& golden_dir) {
   // Container round trip + chunked checksum audit.
   ChunkedCompressor chunked(MakeCompressor("sz"), /*target_chunk_elems=*/512,
                             /*threads=*/1);
-  const std::vector<uint8_t> chunked_archive = chunked.Compress(query, 0.01);
+  StatusOr<std::vector<uint8_t>> chunked_compressed =
+      chunked.Compress(query, 0.01);
+  if (!chunked_compressed.ok()) return Fail(chunked_compressed.status());
+  const std::vector<uint8_t>& chunked_archive = chunked_compressed.value();
   if (Status st = chunked.VerifyIntegrity(chunked_archive.data(),
                                           chunked_archive.size());
       !st.ok()) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Static-analysis pass over src/: first the project-specific fxrz_lint
-# checks (tools/fxrz_lint.cc -- byte-reader discipline, Try*-API-in-serving,
-# unguarded shared state), then clang-tidy with the repo's .clang-tidy
+# checks (tools/fxrz_lint.cc -- byte-reader discipline, unguarded shared
+# state), then clang-tidy with the repo's .clang-tidy
 # config. Fails (exit 1) on any finding. fxrz_lint has no clang dependency
 # and always runs (built from the build tree, or compiled ad hoc when the
 # build skipped tools); the clang-tidy stage skips with exit 0 and a
