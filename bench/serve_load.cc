@@ -14,21 +14,11 @@
 // the harness quantifies that with Jain's fairness index over per-tenant
 // served counts plus the per-tenant p99 spread.
 //
-// With --batch B the harness runs the SAME workload twice -- once with
-// batching disabled (the reference) and once with batched dispatch -- and
-// measures amortization with the process's own invocation counters
-// (feature extractions + model estimates per request), not wall clock.
-// Counter-based gating is deterministic: a loaded CI box can stretch every
-// latency, but it cannot change how many analysis passes a batch of
-// co-dispatched requests consumed.
-//
 // Reports per-request latency percentiles and throughput, writes
-// BENCH_serve.json (fairness and amortization fields included), and with
-// --gate enforces the serving-layer acceptance criteria: p99 latency under
-// budget, zero requests dropped without a terminal Status, a fairness-index
-// floor when more than one tenant is in play, and -- in batch mode --
-// analysis+estimate invocations per request strictly under 1.0 and under
-// the unbatched reference.
+// BENCH_serve.json (fairness fields included), and with --gate enforces the
+// serving-layer acceptance criteria: p99 latency under budget, zero
+// requests dropped without a terminal Status, and a fairness-index floor
+// when more than one tenant is in play.
 //
 // The latency budget is absolute by default; --relative-gate M widens it to
 // max(budget, M * the warmup ServeSync median) so slow builds (sanitizers,
@@ -36,7 +26,6 @@
 // stall gate into a build-speed gate.
 //
 // Usage: serve_load [--requests N] [--clients C] [--tenants T]
-//                   [--batch [B]] [--linger S]
 //                   [--gate [P99_BUDGET_S]] [--fairness-gate [MIN_INDEX]]
 //                   [--relative-gate [MULT]]
 
@@ -50,11 +39,9 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/features.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
 #include "src/serve/server.h"
-#include "src/util/metrics.h"
 
 namespace {
 
@@ -71,11 +58,9 @@ struct RunConfig {
   int clients = 8;
   int tenants = 8;
   size_t max_queue_depth = 4;
-  size_t max_batch = 1;  // 1 = batching off
-  double linger_seconds = 2e-4;
 };
 
-struct PhaseStats {
+struct LoadStats {
   size_t served = 0;
   size_t failed = 0;
   size_t shed = 0;
@@ -91,30 +76,15 @@ struct PhaseStats {
   size_t served_min = 0, served_max = 0;
   double tenant_p99_max = 0.0;
   std::vector<size_t> served_by_tenant;
-  // Amortization counters (deltas across the measured loop, warmup
-  // excluded): how many analysis passes and model inferences the phase
-  // actually consumed.
-  uint64_t feature_extractions = 0;
-  uint64_t model_estimates = 0;
-  double analysis_per_request = 0.0;
-  uint64_t batch_groups = 0;
-  uint64_t batch_members = 0;
 };
 
-// One closed-loop phase against a fresh server. `batched` switches the
-// dispatch mode; everything else (workload, queue bound, tenants) is
-// identical, so counter deltas between the two phases isolate batching.
-PhaseStats RunPhase(const RunConfig& config, const Fxrz& fxrz,
-                    const std::vector<Tensor>& fields, double target,
-                    bool batched) {
-  PhaseStats stats;
+// One closed-loop run against a fresh server.
+LoadStats RunLoad(const RunConfig& config, const Fxrz& fxrz,
+                  const std::vector<Tensor>& fields, double target) {
+  LoadStats stats;
 
   ServeOptions options;
   options.max_queue_depth = config.max_queue_depth;
-  if (batched) {
-    options.batch.max_batch = config.max_batch;
-    options.batch.max_linger_seconds = config.linger_seconds;
-  }
   FxrzServer server(fxrz, options);
 
   // Warmup: fault-free closed loop to settle worker slots and allocators;
@@ -132,15 +102,6 @@ PhaseStats RunPhase(const RunConfig& config, const Fxrz& fxrz,
   }
   std::sort(warm_latency.begin(), warm_latency.end());
   stats.baseline_median = Percentile(warm_latency, 0.5);
-
-  // Counter snapshots AFTER warmup: the measured loop's own consumption.
-  const uint64_t extract0 = FeatureExtractionCount();
-  const uint64_t estimates0 =
-      metrics::GetCounter("fxrz_model_estimates_total").Value();
-  const uint64_t groups0 =
-      metrics::GetCounter("fxrz_serve_batch_formed_total").Value();
-  const uint64_t members0 =
-      metrics::GetCounter("fxrz_serve_batch_members_total").Value();
 
   std::atomic<size_t> next{0};
   std::atomic<size_t> ok{0};
@@ -252,23 +213,11 @@ PhaseStats RunPhase(const RunConfig& config, const Fxrz& fxrz,
       sum_sq > 0.0
           ? (sum * sum) / (static_cast<double>(config.tenants) * sum_sq)
           : 0.0;
-
-  stats.feature_extractions = FeatureExtractionCount() - extract0;
-  stats.model_estimates =
-      metrics::GetCounter("fxrz_model_estimates_total").Value() - estimates0;
-  stats.analysis_per_request =
-      static_cast<double>(stats.feature_extractions + stats.model_estimates) /
-      static_cast<double>(config.total_requests);
-  stats.batch_groups =
-      metrics::GetCounter("fxrz_serve_batch_formed_total").Value() - groups0;
-  stats.batch_members =
-      metrics::GetCounter("fxrz_serve_batch_members_total").Value() - members0;
   return stats;
 }
 
-void PrintPhase(const char* name, const RunConfig& config,
-                const PhaseStats& s) {
-  std::printf("%s: %zu requests, %d clients, queue %zu\n", name,
+void PrintLoad(const RunConfig& config, const LoadStats& s) {
+  std::printf("closed-loop serve load: %zu requests, %d clients, queue %zu\n",
               config.total_requests, config.clients, config.max_queue_depth);
   std::printf("  served %zu  failed %zu  shed-and-resubmitted %zu  "
               "(drain %s)\n",
@@ -281,27 +230,13 @@ void PrintPhase(const char* name, const RunConfig& config,
               "%zu/%zu, worst tenant p99 %.3f ms\n",
               config.tenants, s.fairness_index, s.served_min, s.served_max,
               s.tenant_p99_max * 1e3);
-  std::printf("  amortization: %llu extractions + %llu estimates = %.4f "
-              "analysis+estimate per request\n",
-              static_cast<unsigned long long>(s.feature_extractions),
-              static_cast<unsigned long long>(s.model_estimates),
-              s.analysis_per_request);
-  if (s.batch_groups > 0) {
-    std::printf("  batching: %llu groups, %llu co-batched members, mean "
-                "group size %.2f\n",
-                static_cast<unsigned long long>(s.batch_groups),
-                static_cast<unsigned long long>(s.batch_members),
-                static_cast<double>(s.batch_members) /
-                    static_cast<double>(s.batch_groups));
-  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   RunConfig config;
-  int tenants = 0;  // 0: one tenant per client (the PR 8 behavior)
-  bool batch_mode = false;
+  int tenants = 0;  // 0: one tenant per client
   bool gate = false;
   double p99_budget = 0.5;
   double fairness_floor = 0.8;
@@ -313,14 +248,6 @@ int main(int argc, char** argv) {
       config.clients = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
       tenants = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      batch_mode = true;
-      config.max_batch = 8;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        config.max_batch = static_cast<size_t>(std::atoll(argv[++i]));
-      }
-    } else if (std::strcmp(argv[i], "--linger") == 0 && i + 1 < argc) {
-      config.linger_seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--gate") == 0) {
       gate = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
@@ -344,7 +271,6 @@ int main(int argc, char** argv) {
   if (config.total_requests < static_cast<size_t>(config.clients)) {
     config.total_requests = static_cast<size_t>(config.clients);
   }
-  if (config.max_batch < 1) config.max_batch = 1;
   // Queue shorter than the client count: the closed loop routinely finds
   // the queue full, so the shed/backpressure path is part of the measured
   // steady state, not an untested corner.
@@ -361,18 +287,8 @@ int main(int argc, char** argv) {
   fxrz.Train(train);
   const double target = fxrz.model().ValidTargetRatios(3)[1];
 
-  // In batch mode the unbatched run is the amortization reference; without
-  // --batch it IS the measured run (the PR 8 harness, unchanged).
-  const PhaseStats unbatched =
-      RunPhase(config, fxrz, fields, target, /*batched=*/false);
-  PrintPhase("closed-loop serve load (unbatched)", config, unbatched);
-  PhaseStats batched;
-  if (batch_mode) {
-    batched = RunPhase(config, fxrz, fields, target, /*batched=*/true);
-    std::printf("\n");
-    PrintPhase("closed-loop serve load (batched)", config, batched);
-  }
-  const PhaseStats& primary = batch_mode ? batched : unbatched;
+  const LoadStats stats = RunLoad(config, fxrz, fields, target);
+  PrintLoad(config, stats);
 
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
   if (f != nullptr) {
@@ -380,49 +296,32 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"requests\": %zu,\n", config.total_requests);
     std::fprintf(f, "  \"clients\": %d,\n", config.clients);
     std::fprintf(f, "  \"max_queue_depth\": %zu,\n", config.max_queue_depth);
-    std::fprintf(f, "  \"served\": %zu,\n", primary.served);
-    std::fprintf(f, "  \"shed_resubmitted\": %zu,\n", primary.shed);
-    std::fprintf(f, "  \"failed\": %zu,\n", primary.failed);
+    std::fprintf(f, "  \"served\": %zu,\n", stats.served);
+    std::fprintf(f, "  \"shed_resubmitted\": %zu,\n", stats.shed);
+    std::fprintf(f, "  \"failed\": %zu,\n", stats.failed);
     std::fprintf(f, "  \"dropped_without_status\": %zu,\n",
-                 primary.dropped_without_status);
-    std::fprintf(f, "  \"latency_mean_ms\": %.4f,\n", primary.mean * 1e3);
-    std::fprintf(f, "  \"latency_p50_ms\": %.4f,\n", primary.p50 * 1e3);
-    std::fprintf(f, "  \"latency_p90_ms\": %.4f,\n", primary.p90 * 1e3);
-    std::fprintf(f, "  \"latency_p99_ms\": %.4f,\n", primary.p99 * 1e3);
+                 stats.dropped_without_status);
+    std::fprintf(f, "  \"latency_mean_ms\": %.4f,\n", stats.mean * 1e3);
+    std::fprintf(f, "  \"latency_p50_ms\": %.4f,\n", stats.p50 * 1e3);
+    std::fprintf(f, "  \"latency_p90_ms\": %.4f,\n", stats.p90 * 1e3);
+    std::fprintf(f, "  \"latency_p99_ms\": %.4f,\n", stats.p99 * 1e3);
     std::fprintf(f, "  \"served_per_second\": %.1f,\n",
-                 primary.wall > 0
-                     ? static_cast<double>(primary.served) / primary.wall
+                 stats.wall > 0
+                     ? static_cast<double>(stats.served) / stats.wall
                      : 0.0);
     std::fprintf(f, "  \"tenants\": %d,\n", config.tenants);
     std::fprintf(f, "  \"fairness_jain_index\": %.4f,\n",
-                 primary.fairness_index);
-    std::fprintf(f, "  \"tenant_served_min\": %zu,\n", primary.served_min);
-    std::fprintf(f, "  \"tenant_served_max\": %zu,\n", primary.served_max);
+                 stats.fairness_index);
+    std::fprintf(f, "  \"tenant_served_min\": %zu,\n", stats.served_min);
+    std::fprintf(f, "  \"tenant_served_max\": %zu,\n", stats.served_max);
     std::fprintf(f, "  \"tenant_p99_ms_max\": %.4f,\n",
-                 primary.tenant_p99_max * 1e3);
+                 stats.tenant_p99_max * 1e3);
     std::fprintf(f, "  \"tenant_served\": [");
     for (int t = 0; t < config.tenants; ++t) {
       std::fprintf(f, "%s%zu", t == 0 ? "" : ", ",
-                   primary.served_by_tenant[static_cast<size_t>(t)]);
+                   stats.served_by_tenant[static_cast<size_t>(t)]);
     }
-    std::fprintf(f, "],\n");
-    // Amortization: the counters that make the batch gate deterministic.
-    std::fprintf(f, "  \"batch_mode\": %s,\n", batch_mode ? "true" : "false");
-    std::fprintf(f, "  \"batch_max\": %zu,\n",
-                 batch_mode ? config.max_batch : 1);
-    std::fprintf(f, "  \"analysis_plus_estimates_per_request\": %.4f,\n",
-                 primary.analysis_per_request);
-    std::fprintf(f, "  \"feature_extractions\": %llu,\n",
-                 static_cast<unsigned long long>(primary.feature_extractions));
-    std::fprintf(f, "  \"model_estimates\": %llu,\n",
-                 static_cast<unsigned long long>(primary.model_estimates));
-    std::fprintf(f, "  \"batch_groups_formed\": %llu,\n",
-                 static_cast<unsigned long long>(primary.batch_groups));
-    std::fprintf(f, "  \"batch_members_total\": %llu,\n",
-                 static_cast<unsigned long long>(primary.batch_members));
-    std::fprintf(
-        f, "  \"unbatched_analysis_plus_estimates_per_request\": %.4f\n",
-        unbatched.analysis_per_request);
+    std::fprintf(f, "]\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_serve.json\n");
@@ -436,24 +335,24 @@ int main(int argc, char** argv) {
     // absolute gate).
     const double p99_budget_eff =
         relative_mult > 0.0
-            ? std::max(p99_budget, relative_mult * primary.baseline_median)
+            ? std::max(p99_budget, relative_mult * stats.baseline_median)
             : p99_budget;
-    if (primary.dropped_without_status != 0) {
+    if (stats.dropped_without_status != 0) {
       std::printf("GATE FAIL: %zu requests dropped without a terminal "
                   "Status\n",
-                  primary.dropped_without_status);
+                  stats.dropped_without_status);
       pass = false;
     }
-    if (primary.served == 0) {
+    if (stats.served == 0) {
       std::printf("GATE FAIL: no request was served successfully\n");
       pass = false;
     }
-    if (primary.p99 > p99_budget_eff) {
-      std::printf("GATE FAIL: p99 %.3f s exceeds budget %.3f s\n", primary.p99,
+    if (stats.p99 > p99_budget_eff) {
+      std::printf("GATE FAIL: p99 %.3f s exceeds budget %.3f s\n", stats.p99,
                   p99_budget_eff);
       pass = false;
     }
-    if (!primary.drain_clean) {
+    if (!stats.drain_clean) {
       std::printf("GATE FAIL: drain was not clean\n");
       pass = false;
     }
@@ -461,46 +360,20 @@ int main(int argc, char** argv) {
     // tenant must be served at all, and equal-demand tenants must get
     // near-equal service from the round-robin scheduler.
     if (config.tenants > 1) {
-      if (primary.served_min == 0) {
+      if (stats.served_min == 0) {
         std::printf("GATE FAIL: a tenant was fully starved (served 0)\n");
         pass = false;
       }
-      if (primary.fairness_index < fairness_floor) {
+      if (stats.fairness_index < fairness_floor) {
         std::printf("GATE FAIL: Jain fairness index %.4f below floor %.4f\n",
-                    primary.fairness_index, fairness_floor);
+                    stats.fairness_index, fairness_floor);
         pass = false;
       }
     }
-    // Batch amortization: counter-asserted, so it cannot flake with
-    // machine load. Needs the metrics layer for the estimate counter.
-    if (batch_mode) {
-      if (!metrics::Enabled()) {
-        std::printf("batch amortization gate skipped: metrics disabled\n");
-      } else {
-        if (batched.analysis_per_request >= 1.0) {
-          std::printf("GATE FAIL: batched analysis+estimate per request "
-                      "%.4f >= 1.0\n",
-                      batched.analysis_per_request);
-          pass = false;
-        }
-        if (batched.analysis_per_request >= unbatched.analysis_per_request) {
-          std::printf("GATE FAIL: batching did not amortize (batched %.4f "
-                      ">= unbatched %.4f per request)\n",
-                      batched.analysis_per_request,
-                      unbatched.analysis_per_request);
-          pass = false;
-        }
-        if (batched.batch_groups == 0) {
-          std::printf("GATE FAIL: no batch was ever formed\n");
-          pass = false;
-        }
-      }
-    }
     std::printf("serve_load gate: %s (p99 %.3f s <= %.3f s, dropped %zu, "
-                "fairness %.4f, analysis+estimates/request %.4f)\n",
-                pass ? "PASS" : "FAIL", primary.p99, p99_budget_eff,
-                primary.dropped_without_status, primary.fairness_index,
-                primary.analysis_per_request);
+                "fairness %.4f)\n",
+                pass ? "PASS" : "FAIL", stats.p99, p99_budget_eff,
+                stats.dropped_without_status, stats.fairness_index);
     return pass ? 0 : 1;
   }
   return 0;

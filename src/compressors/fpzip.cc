@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/encoding/arith.h"
@@ -58,6 +59,24 @@ void EncodeResidual(ArithEncoder* enc, ResidualModel* m, int64_t r) {
     // Bits below the implicit leading 1.
     enc->EncodeRaw(mag & ((1ull << (k - 1)) - 1ull), k - 1);
   }
+}
+
+// Upper bound on the elements a residual payload of `payload_bytes` bytes
+// can encode. Every element costs at least the six class-tree decisions,
+// and a BitContext's P(bit) saturates where its update step
+// (kProbMax - p) >> kMoveBits reaches zero, so no decision costs less than
+// -log2(saturated / kProbMax) bits (~0.022; ~61 elements per byte). The
+// bound doubles that density and adds a constant for the coder's flush
+// bytes, so every archive the encoder can produce passes while a header
+// claiming more elements is rejected before any allocation.
+uint64_t MaxEncodableElements(size_t payload_bytes) {
+  constexpr double kSaturated =
+      BitContext::kProbMax - ((1u << BitContext::kMoveBits) - 1u);
+  const double min_bits_per_element =
+      6.0 * -std::log2(kSaturated / BitContext::kProbMax);
+  const double per_byte = 2.0 * 8.0 / min_bits_per_element;
+  return static_cast<uint64_t>(per_byte * static_cast<double>(payload_bytes)) +
+         4096;
 }
 
 // Decodes one residual into *r. Returns false when the stream encodes a
@@ -274,6 +293,13 @@ Status FpzipCompressor::DoDecompress(const uint8_t* data, size_t size,
   const int p = precision;
   if (p < kMinPrecision || p > kMaxPrecision) {
     return Status::Corruption("fpzip: bad precision");
+  }
+  uint64_t elements = 1;
+  for (const size_t d : dims) elements *= d;  // ParseHeader caps at 2^33
+  if (elements > MaxEncodableElements(payload_size)) {
+    return Status::Corruption("fpzip: element count exceeds what the " +
+                              std::to_string(payload_size) +
+                              "-byte payload can encode");
   }
 
   Tensor result(dims);

@@ -246,36 +246,32 @@ Attempt PolishTowardTarget(const Compressor& compressor, const Tensor& data,
 
 }  // namespace
 
-namespace {
-
-// Admission + memory reservation shared by the single and batched guard
-// entry points. Returns OK with *reservation held (when a budget is set)
-// and *admission filled, or the Status the request must resolve with.
-// Counts the rejection metrics itself so both entry points stay in sync.
-Status AdmitAndReserve(const Compressor& compressor, const Tensor& data,
-                       double target_ratio, const GuardOptions& options,
-                       AdmissionReport* admission,
-                       MemReservation* reservation) {
+StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
+    const Tensor& data, double target_ratio,
+    const GuardOptions& options) const {
+  FXRZ_TRACE_SPAN("guard.request");
+  GMetrics().requests.Increment();
   if (Status valid = ValidateGuardOptions(options); !valid.ok()) {
     GMetrics().rejected.Increment();
     return valid;
   }
-  *admission = AdmitTensor(data, target_ratio);
-  if (!admission->admitted) {
+  const AdmissionReport admission = AdmitTensor(data, target_ratio);
+  if (!admission.admitted) {
     GMetrics().rejected.Increment();
-    return admission->status;
+    return admission.status;
   }
   // Memory admission: reserve the codec's estimated peak working set up
   // front, release it (RAII) when the request resolves. Denial is
   // retryable -- other requests' reservations free as they resolve -- so
   // the serving layer's backoff loop, not an OOM killer, absorbs memory
   // pressure.
+  MemReservation memory;
   if (options.memory != nullptr) {
     const uint64_t need =
-        EstimatePeakBytes(compressor.name(), data.size_bytes());
+        EstimatePeakBytes(compressor_->name(), data.size_bytes());
     uint64_t free_bytes = 0;
-    *reservation = options.memory->TryReserve(need, &free_bytes);
-    if (!reservation->held()) {
+    memory = options.memory->TryReserve(need, &free_bytes);
+    if (!memory.held()) {
       GMetrics().memory_rejected.Increment();
       // free_bytes is the value the denial was decided against, observed
       // under the budget's admission lock -- never torn by concurrent
@@ -286,99 +282,7 @@ Status AdmitAndReserve(const Compressor& compressor, const Tensor& data,
     }
   }
   GMetrics().target_ratio.Observe(target_ratio);
-  return Status::Ok();
-}
 
-}  // namespace
-
-StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
-    const Tensor& data, double target_ratio,
-    const GuardOptions& options) const {
-  FXRZ_TRACE_SPAN("guard.request");
-  GMetrics().requests.Increment();
-  AdmissionReport admission;
-  MemReservation memory;
-  if (Status admit = AdmitAndReserve(*compressor_, data, target_ratio,
-                                     options, &admission, &memory);
-      !admit.ok()) {
-    return admit;
-  }
-  return GuardedServeLadder(data, target_ratio, options, admission,
-                            std::move(memory), /*pre_estimate=*/nullptr);
-}
-
-std::vector<StatusOr<GuardedResult>> Fxrz::GuardedCompressBatchToRatio(
-    const std::vector<GuardedBatchItem>& items) const {
-  FXRZ_TRACE_SPAN("guard.batch");
-  std::vector<StatusOr<GuardedResult>> results;
-  results.reserve(items.size());
-  // Phase 1 -- per-member admission and memory reservation. All member
-  // reservations are taken (and held) BEFORE any member compresses, so the
-  // budget sees the sum of the batch's peak estimates up front: co-batched
-  // work can never overshoot the budget mid-flight. A member the budget
-  // cannot cover resolves ResourceExhausted on its own; the rest proceed.
-  struct Prep {
-    AdmissionReport admission;
-    MemReservation memory;
-    bool ready = false;
-  };
-  std::vector<Prep> preps(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    GMetrics().requests.Increment();
-    if (items[i].data == nullptr) {
-      GMetrics().rejected.Increment();
-      results.emplace_back(
-          Status::InvalidArgument("guard: batch member has no data"));
-      continue;
-    }
-    Status admit = AdmitAndReserve(*compressor_, *items[i].data,
-                                   items[i].target_ratio, items[i].options,
-                                   &preps[i].admission, &preps[i].memory);
-    if (!admit.ok()) {
-      results.emplace_back(std::move(admit));
-      continue;
-    }
-    preps[i].ready = true;
-    results.emplace_back(Status::Internal("guard: batch member unresolved"));
-  }
-
-  // Phase 2 -- ONE fused model pass for every member the model tier will
-  // consider (trained model, non-constant field): feature analysis shares
-  // the per-tensor cache, inference is a single regressor batch query.
-  std::vector<size_t> fused;
-  std::vector<const Tensor*> fused_data;
-  std::vector<double> fused_targets;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (!preps[i].ready || preps[i].admission.constant_field ||
-        !model_.trained()) {
-      continue;
-    }
-    fused.push_back(i);
-    fused_data.push_back(items[i].data);
-    fused_targets.push_back(items[i].target_ratio);
-  }
-  std::vector<FxrzModel::ConfidentEstimate> estimates;
-  if (!fused.empty()) estimates = model_.EstimateBatch(fused_data, fused_targets);
-  std::vector<const FxrzModel::ConfidentEstimate*> pre(items.size(), nullptr);
-  for (size_t k = 0; k < fused.size(); ++k) pre[fused[k]] = &estimates[k];
-
-  // Phase 3 -- fan back out: each member runs the full escalation ladder
-  // with its own deadline/cancel/policy, seeded with its fused estimate.
-  // Escalation and refinement stay per-request, so archives are
-  // byte-identical to the unbatched path.
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (!preps[i].ready) continue;
-    results[i] = GuardedServeLadder(
-        *items[i].data, items[i].target_ratio, items[i].options,
-        preps[i].admission, std::move(preps[i].memory), pre[i]);
-  }
-  return results;
-}
-
-StatusOr<GuardedResult> Fxrz::GuardedServeLadder(
-    const Tensor& data, double target_ratio, const GuardOptions& options,
-    const AdmissionReport& admission, MemReservation memory,
-    const FxrzModel::ConfidentEstimate* pre_estimate) const {
   const uint64_t tensor_bytes = data.size_bytes();
   const ConfigSpace space = compressor_->config_space(data);
   const double accept_error = std::max(options.accept_error, 0.0);
@@ -536,9 +440,7 @@ StatusOr<GuardedResult> Fxrz::GuardedServeLadder(
   } else {
     FXRZ_TRACE_SPAN("guard.model_tier");
     const FxrzModel::ConfidentEstimate est =
-        pre_estimate != nullptr
-            ? *pre_estimate
-            : model_.EstimateWithConfidence(data, target_ratio);
+        model_.EstimateWithConfidence(data, target_ratio);
     result.knob_spread = est.knob_spread;
     result.out_of_distribution = est.envelope_excess > options.envelope_slack;
     const bool spread_ok =

@@ -175,16 +175,6 @@ struct GuardedResult {
 // GuardedCompressToRatio on every request; cheap (pure field checks).
 Status ValidateGuardOptions(const GuardOptions& options);
 
-// One member of a batched guard invocation
-// (Fxrz::GuardedCompressBatchToRatio). Each member carries its own
-// options because deadlines/cancel tokens/accept policy are per-request
-// even when the analysis and model inference are fused across the batch.
-struct GuardedBatchItem {
-  const Tensor* data = nullptr;  // borrowed; must outlive the call
-  double target_ratio = 0.0;
-  GuardOptions options;
-};
-
 }  // namespace fxrz
 
 #endif  // FXRZ_CORE_GUARD_H_

@@ -361,12 +361,23 @@ double FxrzModel::EstimateConfig(const Tensor& data,
   return FromKnob(knob);
 }
 
-FxrzModel::ConfidentEstimate FxrzModel::FinishEstimate(
-    const std::vector<double>& inputs, double knob, bool has_spread,
-    double knob_spread) const {
+FxrzModel::ConfidentEstimate FxrzModel::EstimateWithConfidence(
+    const Tensor& data, double target_ratio) const {
+  FXRZ_TRACE_SPAN("model.estimate");
+  MMetrics().estimates.Increment();
+  FXRZ_CHECK(trained()) << "EstimateWithConfidence before Train/Load";
+  FXRZ_CHECK_GT(target_ratio, 0.0);
+  const std::vector<double> inputs = BuildInputs(data, target_ratio);
   ConfidentEstimate est;
-  est.has_spread = has_spread;
-  est.knob_spread = has_spread ? knob_spread : 0.0;
+  PredictionStats stats;
+  double knob;
+  if (model_->PredictWithStats(inputs, &stats)) {
+    knob = stats.mean;
+    est.has_spread = true;
+    est.knob_spread = stats.stddev;
+  } else {
+    knob = model_->Predict(inputs);
+  }
   if (input_min_.size() == inputs.size()) {
     for (size_t i = 0; i < inputs.size(); ++i) {
       const double scale = std::max(input_max_[i] - input_min_[i], 0.5);
@@ -385,55 +396,6 @@ FxrzModel::ConfidentEstimate FxrzModel::FinishEstimate(
   knob = std::clamp(knob, knob_min_, knob_max_);
   est.config = FromKnob(knob);
   return est;
-}
-
-FxrzModel::ConfidentEstimate FxrzModel::EstimateWithConfidence(
-    const Tensor& data, double target_ratio) const {
-  FXRZ_TRACE_SPAN("model.estimate");
-  MMetrics().estimates.Increment();
-  FXRZ_CHECK(trained()) << "EstimateWithConfidence before Train/Load";
-  FXRZ_CHECK_GT(target_ratio, 0.0);
-  const std::vector<double> inputs = BuildInputs(data, target_ratio);
-  PredictionStats stats;
-  if (model_->PredictWithStats(inputs, &stats)) {
-    return FinishEstimate(inputs, stats.mean, /*has_spread=*/true,
-                          stats.stddev);
-  }
-  return FinishEstimate(inputs, model_->Predict(inputs),
-                        /*has_spread=*/false, 0.0);
-}
-
-std::vector<FxrzModel::ConfidentEstimate> FxrzModel::EstimateBatch(
-    const std::vector<const Tensor*>& data,
-    const std::vector<double>& targets) const {
-  FXRZ_TRACE_SPAN("model.estimate_batch");
-  FXRZ_CHECK(trained()) << "EstimateBatch before Train/Load";
-  FXRZ_CHECK_EQ(data.size(), targets.size());
-  if (data.empty()) return {};
-  // One estimates_total tick for the whole batch: the counter measures
-  // inference passes, and amortizing those across co-batched requests is
-  // exactly what the serving layer's batched dispatch buys (the
-  // estimates-per-request gate in bench/serve_load counter-asserts it).
-  MMetrics().estimates.Increment();
-  FeatureMatrix inputs(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    FXRZ_CHECK(data[i] != nullptr);
-    FXRZ_CHECK_GT(targets[i], 0.0);
-    inputs[i] = BuildInputs(*data[i], targets[i]);
-  }
-  std::vector<PredictionStats> stats;
-  const bool has_stats = model_->PredictBatchWithStats(inputs, &stats);
-  std::vector<double> means;
-  if (!has_stats) means = model_->PredictBatch(inputs);
-  std::vector<ConfidentEstimate> out;
-  out.reserve(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    out.push_back(FinishEstimate(inputs[i],
-                                 has_stats ? stats[i].mean : means[i],
-                                 has_stats,
-                                 has_stats ? stats[i].stddev : 0.0));
-  }
-  return out;
 }
 
 double FxrzModel::RefineConfig(const Tensor& data, double target_ratio,

@@ -103,19 +103,6 @@ class FxrzModel {
   ConfidentEstimate EstimateWithConfidence(const Tensor& data,
                                            double target_ratio) const;
 
-  // Batched EstimateWithConfidence for the serving layer's fused dispatch:
-  // one feature/analysis pass per distinct tensor (shared through the
-  // analysis cache) and ONE regressor batch query for all rows, instead of
-  // a model query per request. Row i of the result is exactly
-  // EstimateWithConfidence(*data[i], targets[i]) -- same estimates, same
-  // confidence signals, same per-row fault-injection semantics -- so
-  // batched and unbatched serving stay equivalent. Counts as a single
-  // fxrz_model_estimates_total increment: that counter measures inference
-  // passes, which is precisely what batching amortizes.
-  std::vector<ConfidentEstimate> EstimateBatch(
-      const std::vector<const Tensor*>& data,
-      const std::vector<double>& targets) const;
-
   // True once Train/Load captured a per-input envelope.
   bool has_envelope() const { return !input_min_.empty(); }
 
@@ -162,11 +149,6 @@ class FxrzModel {
  private:
   std::vector<double> BuildInputs(const Tensor& data,
                                   double target_ratio) const;
-  // Envelope check + fault injection + knob clamp shared by the single and
-  // batched estimate paths, so the two can never drift apart.
-  ConfidentEstimate FinishEstimate(const std::vector<double>& inputs,
-                                   double knob, bool has_spread,
-                                   double knob_spread) const;
   // Cached features + constant-block scan under the trained options.
   TensorAnalysis Analyze(const Tensor& data) const;
   double ToKnob(double config) const;

@@ -82,31 +82,11 @@ class Fxrz {
       const Tensor& data, double target_ratio,
       const GuardOptions& options = {}) const;
 
-  // Batched guard entry point for the serving layer's fused dispatch: the
-  // per-member admission, memory reservation, escalation ladder, deadlines,
-  // and result contract are identical to calling GuardedCompressToRatio
-  // once per item -- byte-identical archives, same tiers/flags/Status codes
-  // -- but the feature-analysis pass and the model inference run ONCE for
-  // the whole batch. Memory admission reserves the SUM of member peak
-  // estimates before any member compresses; a member the budget cannot
-  // cover resolves ResourceExhausted alone without failing the batch.
-  // Result i corresponds to items[i].
-  std::vector<StatusOr<GuardedResult>> GuardedCompressBatchToRatio(
-      const std::vector<GuardedBatchItem>& items) const;
-
   const Compressor& compressor() const { return *compressor_; }
   FxrzModel& model() { return model_; }
   const FxrzModel& model() const { return model_; }
 
  private:
-  // Escalation-ladder body shared by the single and batched guard entry
-  // points: runs after admission/memory reservation, optionally seeded with
-  // a batch-fused model estimate (nullptr = query the model inline).
-  StatusOr<GuardedResult> GuardedServeLadder(
-      const Tensor& data, double target_ratio, const GuardOptions& options,
-      const AdmissionReport& admission, MemReservation memory,
-      const FxrzModel::ConfidentEstimate* pre_estimate) const;
-
   std::unique_ptr<Compressor> compressor_;
   FxrzTrainingOptions options_;
   FxrzModel model_;

@@ -85,22 +85,6 @@ bool RandomForestRegressor::PredictWithStats(const std::vector<double>& x,
   return true;
 }
 
-bool RandomForestRegressor::PredictBatchWithStats(
-    const FeatureMatrix& x, std::vector<PredictionStats>* stats) const {
-  FXRZ_CHECK(!trees_.empty()) << "Predict before Fit";
-  FXRZ_CHECK(stats != nullptr);
-  stats->assign(x.size(), PredictionStats{});
-  auto stats_row = [&](size_t i) {
-    (void)PredictWithStats(x[i], &(*stats)[i]);
-  };
-  if (params_.threads == 1 || x.size() <= 1) {
-    for (size_t i = 0; i < x.size(); ++i) stats_row(i);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, x.size(), stats_row);
-  }
-  return true;
-}
-
 std::vector<double> RandomForestRegressor::PredictBatch(
     const FeatureMatrix& x) const {
   FXRZ_CHECK(!trees_.empty()) << "Predict before Fit";

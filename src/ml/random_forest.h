@@ -43,11 +43,6 @@ class RandomForestRegressor : public Regressor {
   // signal the guarded serving layer gates on (core/guard.h).
   bool PredictWithStats(const std::vector<double>& x,
                         PredictionStats* stats) const override;
-  // Row-parallel PredictWithStats for the batched serving path; per-row
-  // results are bit-identical to the serial calls at any thread count.
-  bool PredictBatchWithStats(const FeatureMatrix& x,
-                             std::vector<PredictionStats>* stats)
-      const override;
 
   size_t tree_count() const { return trees_.size(); }
 

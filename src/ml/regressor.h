@@ -51,20 +51,6 @@ class Regressor {
     (void)stats;
     return false;
   }
-
-  // PredictWithStats over every row of `x`. Returns false (stats resized
-  // but meaningless) when the model has no member spread, in which case
-  // callers should fall back to PredictBatch. When it returns true,
-  // (*stats)[i] is exactly PredictWithStats(x[i]) -- same values, same
-  // order -- so batched and per-row inference are interchangeable.
-  virtual bool PredictBatchWithStats(const FeatureMatrix& x,
-                                     std::vector<PredictionStats>* stats) const {
-    stats->assign(x.size(), PredictionStats{});
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (!PredictWithStats(x[i], &(*stats)[i])) return false;
-    }
-    return true;
-  }
 };
 
 }  // namespace fxrz

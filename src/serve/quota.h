@@ -64,17 +64,14 @@ struct TenantQuotaOptions {
   // dispatched). 0 = unlimited.
   size_t max_queued_bytes = 0;
   // Max requests a tenant may have executing in worker slots at once.
-  // 0 = unlimited. Batched dispatch (ServeOptions::batch) counts every
-  // batch MEMBER individually against this cap -- co-batching is a
-  // dispatch optimization, not a way to fold N requests into one in-flight
-  // charge -- so a capped tenant's surplus requests wait in its queue
-  // rather than riding along inside a batch.
+  // 0 = unlimited. A capped tenant's surplus requests wait in its queue
+  // while other tenants' work dispatches.
   size_t max_inflight_requests = 0;
 };
 
 // Tenant quota policy: one default applied to every tenant, plus optional
 // per-tenant overrides (e.g. a paid tier with a higher rate, or a known
-// batch tenant pinned to one worker slot).
+// bulk-job tenant pinned to one worker slot).
 struct QuotaOptions {
   TenantQuotaOptions default_tenant;
   std::map<std::string, TenantQuotaOptions> per_tenant;

@@ -88,38 +88,6 @@ metrics::Counter& OverloadShedCounter(RequestPriority priority) {
   return priority == RequestPriority::kLow ? *low : *normal;
 }
 
-// Batched-dispatch observability, registered lazily on first batched
-// dispatch (a server running with max_batch == 1 never creates them, so
-// the metrics goldens of batching-free runs are unchanged).
-struct BatchMetrics {
-  metrics::Counter& formed = metrics::GetCounter(
-      "fxrz_serve_batch_formed_total",
-      "Dispatch groups of >= 2 co-batched requests");
-  metrics::Counter& members = metrics::GetCounter(
-      "fxrz_serve_batch_members_total",
-      "Requests dispatched as members of a >= 2 group");
-  metrics::Counter& linger_flush = metrics::GetCounter(
-      "fxrz_serve_batch_flushed_linger_total",
-      "Groups dispatched because the linger micro-wait expired underfull");
-  metrics::Histogram& size = metrics::GetHistogram(
-      "fxrz_serve_batch_size", {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0,
-                                24.0, 32.0, 48.0, 64.0},
-      "Dispatch group sizes while batching is enabled (1 = dispatched "
-      "alone)");
-};
-
-BatchMetrics& BMetrics() {
-  static BatchMetrics* m = new BatchMetrics();  // never destroyed
-  return *m;
-}
-
-// Target-ratio co-batching band (BatchOptions::target_band_log10): the
-// band gates grouping only; every member still serves its exact target.
-bool TargetsCoBatchable(double a, double b, double band) {
-  if (band <= 0.0) return a == b;
-  return std::floor(std::log10(a) / band) == std::floor(std::log10(b) / band);
-}
-
 }  // namespace
 
 FxrzServer::FxrzServer(const Fxrz& fxrz, ServeOptions options)
@@ -308,81 +276,9 @@ bool FxrzServer::PopNextLocked(Pending* out) {
   return false;
 }
 
-bool FxrzServer::PopBatchLocked(std::vector<Pending>* out) {
-  out->clear();
-  Pending lead;
-  if (!PopNextLocked(&lead)) return false;
-  out->push_back(std::move(lead));
-  if (options_.batch.max_batch > 1) ExtendBatchLocked(out);
-  return true;
-}
-
-size_t FxrzServer::ExtendBatchLocked(std::vector<Pending>* out) {
-  const BatchOptions& opts = options_.batch;
-  // The lead's batch-key fields, copied out BEFORE the scan: push_back
-  // below may reallocate *out, so a reference into out->front() would
-  // dangle. The Backend and Tensor objects themselves are stable (borrowed,
-  // not owned by Pending) -- only the Pending storage moves.
-  const Backend* const lead_backend = out->front().backend;
-  const std::vector<size_t> lead_dims = out->front().request.data->dims();
-  const double lead_target = out->front().request.target_ratio;
-  size_t batch_bytes = 0;
-  for (const Pending& member : *out) batch_bytes += member.bytes;
-  // Co-batchable with the lead: same backend (one breaker, one guard
-  // pipeline), same tensor shape (one fused analysis geometry), target in
-  // the same ratio band. Deadlines/priorities/tenants may differ freely --
-  // they stay per-member through the batched guard.
-  auto co_batchable = [&](const Pending& p) {
-    return p.backend == lead_backend &&
-           p.request.data->dims() == lead_dims &&
-           TargetsCoBatchable(p.request.target_ratio, lead_target,
-                              opts.target_band_log10);
-  };
-  size_t appended = 0;
-  const size_t n = rr_ring_.size();
-  // Ring order starting at the post-lead cursor, FIFO within each tenant:
-  // the same order dispatch would visit this work anyway, so batching
-  // cannot starve or reorder anyone.
-  for (size_t i = 0; i < n && out->size() < opts.max_batch; ++i) {
-    const std::string& tenant = rr_ring_[(rr_cursor_ + i) % n];
-    std::deque<Pending>& queue = tenants_[tenant];
-    if (queue.empty()) continue;
-    // In-flight caps count batch members individually (see quota.h): a
-    // tenant at its cap contributes nothing to this group and its queue
-    // head waits for one of its own completions, exactly as unbatched.
-    for (auto it = queue.begin();
-         it != queue.end() && out->size() < opts.max_batch;) {
-      if (!co_batchable(*it)) {
-        ++it;
-        continue;
-      }
-      if (opts.max_batch_bytes != 0 &&
-          batch_bytes + it->bytes > opts.max_batch_bytes) {
-        ++it;
-        continue;
-      }
-      if (!quota_.CanDispatch(tenant)) break;
-      Pending member = std::move(*it);
-      it = queue.erase(it);
-      quota_.OnDispatch(tenant, member.bytes);
-      batch_bytes += member.bytes;
-      --queued_;
-      ++processing_;
-      out->push_back(std::move(member));
-      ++appended;
-    }
-  }
-  if (appended > 0) {
-    SMetrics().queue_depth.Set(static_cast<double>(queued_));
-    SMetrics().inflight.Set(static_cast<double>(processing_));
-  }
-  return appended;
-}
-
 void FxrzServer::WorkerSlot() {
-  const BatchOptions& batch_opts = options_.batch;
   for (;;) {
-    std::vector<Pending> batch;
+    Pending item;
     {
       MutexLock lock(mu_);
       // Paused slots stay parked -- except when the drain needs them to
@@ -392,73 +288,42 @@ void FxrzServer::WorkerSlot() {
       work_cv_.Wait(mu_, [this]() FXRZ_REQUIRES(mu_) {
         return !paused_ || force_cancelled_ || (draining_ && queued_ == 0);
       });
-      if (!PopBatchLocked(&batch)) {
+      if (!PopNextLocked(&item)) {
         // Idle: retire the slot (Submit spawns fresh ones). The retirement
         // broadcast releases Shutdown's final wait.
         --active_slots_;
         if (active_slots_ == 0) drain_cv_.NotifyAll();
         return;
       }
-      // Linger: hold an underfull group briefly for co-batchable arrivals
-      // so a lone request still amortizes when traffic is merely bursty
-      // rather than queued. Never during drain/force (latency there is the
-      // whole point), and ended early by any arrival the group cannot
-      // absorb -- that request must not wait out our micro-wait.
-      if (batch_opts.max_batch > 1 && batch_opts.max_linger_seconds > 0.0 &&
-          batch.size() < batch_opts.max_batch && !draining_ &&
-          !force_cancelled_) {
-        const Clock::time_point linger_until =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   batch_opts.max_linger_seconds));
-        uint64_t seen = next_id_;
-        while (batch.size() < batch_opts.max_batch) {
-          const bool woke = work_cv_.WaitUntil(
-              mu_, linger_until, [this, seen]() FXRZ_REQUIRES(mu_) {
-                return next_id_ > seen || draining_ || force_cancelled_;
-              });
-          if (!woke) {
-            BMetrics().linger_flush.Increment();
-            break;
-          }
-          if (draining_ || force_cancelled_) break;
-          seen = next_id_;
-          if (ExtendBatchLocked(&batch) == 0 && queued_ > 0) {
-            // The arrival was not co-batchable; dispatch what we have and
-            // let the next loop iteration (or another slot) take it.
-            work_cv_.NotifyOne();
-            break;
-          }
-        }
-      }
-      if (batch_opts.max_batch > 1) {
-        BMetrics().size.Observe(static_cast<double>(batch.size()));
-        if (batch.size() >= 2) {
-          BMetrics().formed.Increment();
-          BMetrics().members.Increment(batch.size());
-        }
-      }
     }
-    if (batch.size() == 1) {
-      Process(std::move(batch.front()));
-    } else {
-      ProcessBatch(std::move(batch));
-    }
+    Process(std::move(item));
   }
 }
 
-void FxrzServer::RegisterInflight(uint64_t id, CancelToken* effective) {
-  // Registration and the force-cancel sweep run under the same mutex, so a
-  // request dispatched after the sweep still observes it via the
-  // force_cancelled_ check here.
-  MutexLock lock(mu_);
-  if (force_cancelled_) effective->Cancel();
-  inflight_[id] = effective;
-}
+void FxrzServer::Process(Pending item) {
+  FXRZ_TRACE_SPAN("serve.request");
+  const Clock::time_point dispatched = Clock::now();
+  ServeReply reply;
+  reply.request_id = item.id;
+  reply.tenant = item.request.tenant;
+  reply.backend = item.request.backend;
+  reply.queue_seconds = SecondsBetween(item.enqueued, dispatched);
+  SMetrics().queue_seconds.Observe(reply.queue_seconds);
 
-void FxrzServer::FinalizeReply(Pending* item, ServeReply reply,
-                               double compute_seconds,
-                               Clock::time_point dispatched) {
+  // Effective cancellation: the caller's token (if any) as parent, the
+  // drain path cancelling the child directly through the in-flight
+  // registry. Registration and the force-cancel sweep run under the same
+  // mutex, so a request dispatched after the sweep still observes it via
+  // the force_cancelled_ check here.
+  CancelToken effective(item.request.cancel);
+  {
+    MutexLock lock(mu_);
+    if (force_cancelled_) effective.Cancel();
+    inflight_[item.id] = &effective;
+  }
+
+  double compute_seconds = 0.0;
+  reply.status = RunAttempts(item, effective, &reply, &compute_seconds);
   reply.serve_seconds = SecondsBetween(dispatched, Clock::now());
   SMetrics().latency_seconds.Observe(reply.serve_seconds);
   OutcomeCounter(reply.status, reply.result.deadline_degraded).Increment();
@@ -468,15 +333,15 @@ void FxrzServer::FinalizeReply(Pending* item, ServeReply reply,
   const bool sample_service = reply.status.ok();
   // The callback is the contract's "resolved exactly once" moment; it must
   // fire before the drain accounting below lets Shutdown return.
-  item->request.callback(std::move(reply));
+  item.request.callback(std::move(reply));
 
   {
     MutexLock lock(mu_);
-    inflight_.erase(item->id);
+    inflight_.erase(item.id);
     --processing_;
     // Free the tenant's worker slot BEFORE this worker re-loops into
     // PopNextLocked, so its own completion unblocks its queued work.
-    quota_.OnComplete(item->request.tenant);
+    quota_.OnComplete(item.request.tenant);
     // Service-time EWMA feeding the shed policy's queue-latency estimate.
     // Only successful requests' backend-compute time is sampled: backoff
     // sleeps would inflate the estimate, and drain-cancelled or fast-
@@ -501,140 +366,8 @@ void FxrzServer::FinalizeReply(Pending* item, ServeReply reply,
   }
 }
 
-void FxrzServer::Process(Pending item) {
-  FXRZ_TRACE_SPAN("serve.request");
-  const Clock::time_point dispatched = Clock::now();
-  ServeReply reply;
-  reply.request_id = item.id;
-  reply.tenant = item.request.tenant;
-  reply.backend = item.request.backend;
-  reply.queue_seconds = SecondsBetween(item.enqueued, dispatched);
-  SMetrics().queue_seconds.Observe(reply.queue_seconds);
-
-  // Effective cancellation: the caller's token (if any) as parent, the
-  // drain path cancelling the child directly through the in-flight
-  // registry.
-  CancelToken effective(item.request.cancel);
-  RegisterInflight(item.id, &effective);
-
-  double compute_seconds = 0.0;
-  reply.status = RunAttempts(item, effective, &reply, &compute_seconds);
-  FinalizeReply(&item, std::move(reply), compute_seconds, dispatched);
-}
-
-void FxrzServer::ProcessBatch(std::vector<Pending> batch) {
-  FXRZ_TRACE_SPAN("serve.batch");
-  const Clock::time_point dispatched = Clock::now();
-  const size_t n = batch.size();
-  Backend& backend = *batch.front().backend;  // batch key: shared backend
-
-  struct Member {
-    ServeReply reply;
-    // Stable address: registered in inflight_ until FinalizeReply.
-    std::unique_ptr<CancelToken> effective;
-    Status status;  // attempt-1 outcome (authoritative when terminal)
-    bool terminal = false;
-    double compute_seconds = 0.0;
-  };
-  std::vector<Member> members(n);
-  for (size_t i = 0; i < n; ++i) {
-    Member& m = members[i];
-    m.reply.request_id = batch[i].id;
-    m.reply.tenant = batch[i].request.tenant;
-    m.reply.backend = batch[i].request.backend;
-    m.reply.batch_members = n;
-    m.reply.queue_seconds = SecondsBetween(batch[i].enqueued, dispatched);
-    SMetrics().queue_seconds.Observe(m.reply.queue_seconds);
-    m.effective = std::make_unique<CancelToken>(batch[i].request.cancel);
-    RegisterInflight(batch[i].id, m.effective.get());
-  }
-
-  // Fused attempt 1. Per member: the same dispatch checkpoint, fault site,
-  // and breaker admission the unbatched attempt loop runs -- a member that
-  // fails any of them drops out of the fused guard call and resumes on the
-  // standard retry path below with that failure as its first attempt.
-  std::vector<size_t> active;
-  active.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Member& m = members[i];
-    m.reply.attempts = 1;
-    m.status = CheckCancel(batch[i].deadline, m.effective.get(),
-                           "serve: dispatch");
-    if (m.status.ok() && fault::Hit(fault::Site::kServeDispatch)) {
-      m.status = Status::Unavailable("injected fault: serve dispatch");
-    }
-    if (m.status.ok()) {
-      m.status = backend.breaker->Allow();
-      if (m.status.ok()) active.push_back(i);
-    }
-  }
-
-  if (!active.empty()) {
-    std::vector<GuardedBatchItem> items;
-    items.reserve(active.size());
-    for (const size_t idx : active) {
-      GuardedBatchItem item;
-      item.data = batch[idx].request.data;
-      item.target_ratio = batch[idx].request.target_ratio;
-      item.options = options_.guard;
-      item.options.deadline = batch[idx].deadline;
-      item.options.cancel = members[idx].effective.get();
-      item.options.memory = memory_;
-      items.push_back(std::move(item));
-    }
-    const Clock::time_point compute_start = Clock::now();
-    std::vector<StatusOr<GuardedResult>> served =
-        backend.fxrz->GuardedCompressBatchToRatio(items);
-    // Fused compute is attributed evenly across the members that shared
-    // it; the EWMA below smooths any per-member skew anyway.
-    const double per_member_seconds =
-        SecondsBetween(compute_start, Clock::now()) /
-        static_cast<double>(active.size());
-    for (size_t k = 0; k < active.size(); ++k) {
-      Member& m = members[active[k]];
-      m.compute_seconds = per_member_seconds;
-      if (served[k].ok()) {
-        // Breaker accounting is per MEMBER, not per batch: every
-        // successful Allow() above pairs with exactly one record here or
-        // in the non-terminal branch below.
-        backend.breaker->RecordSuccess();
-        m.reply.result = std::move(served[k]).value();
-        m.status = Status::Ok();
-        m.terminal = true;
-      } else {
-        m.status = served[k].status();
-        backend.breaker->RecordResult(
-            m.status.code() == StatusCode::kResourceExhausted ||
-            !StatusIsRetryable(m.status));
-      }
-    }
-  }
-
-  // Resolve the members the fused attempt settled FIRST: a co-batched
-  // request must never wait out another member's retry backoffs.
-  for (size_t i = 0; i < n; ++i) {
-    if (!members[i].terminal) continue;
-    Member& m = members[i];
-    m.reply.status = m.status;
-    FinalizeReply(&batch[i], std::move(m.reply), m.compute_seconds,
-                  dispatched);
-  }
-  // Fan the rest out to the standard per-request attempt loop, seeded with
-  // their attempt-1 failure (failure isolation: one member's bad deadline,
-  // cancelled token, or transient fault never poisons its co-members).
-  for (size_t i = 0; i < n; ++i) {
-    if (members[i].terminal) continue;
-    Member& m = members[i];
-    m.reply.status = RunAttempts(batch[i], *m.effective, &m.reply,
-                                 &m.compute_seconds, &m.status);
-    FinalizeReply(&batch[i], std::move(m.reply), m.compute_seconds,
-                  dispatched);
-  }
-}
-
 Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
-                               ServeReply* reply, double* compute_seconds,
-                               const Status* resume_failure) {
+                               ServeReply* reply, double* compute_seconds) {
   GuardOptions guard = options_.guard;
   guard.deadline = item.deadline;
   guard.cancel = &cancel;
@@ -645,49 +378,38 @@ Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
   guard.memory = memory_;
   Backend& backend = *item.backend;
 
-  // Resuming from a batched first attempt: that attempt is already counted
-  // in reply->attempts and its breaker record already taken; consume its
-  // failure and fall through to the retry decision instead of re-running
-  // attempt 1.
-  bool resume_pending = resume_failure != nullptr;
   Status last;
   for (;;) {
-    if (resume_pending) {
-      resume_pending = false;
-      last = *resume_failure;
-    } else {
-      ++reply->attempts;
-      last = CheckCancel(item.deadline, &cancel, "serve: dispatch");
-      if (last.ok() && fault::Hit(fault::Site::kServeDispatch)) {
-        last = Status::Unavailable("injected fault: serve dispatch");
-      }
+    ++reply->attempts;
+    last = CheckCancel(item.deadline, &cancel, "serve: dispatch");
+    if (last.ok() && fault::Hit(fault::Site::kServeDispatch)) {
+      last = Status::Unavailable("injected fault: serve dispatch");
+    }
+    if (last.ok()) {
+      last = backend.breaker->Allow();
       if (last.ok()) {
-        last = backend.breaker->Allow();
-        if (last.ok()) {
-          const Clock::time_point compute_start = Clock::now();
-          StatusOr<GuardedResult> served =
-              backend.fxrz->GuardedCompressToRatio(
-                  *item.request.data, item.request.target_ratio, guard);
-          *compute_seconds += SecondsBetween(compute_start, Clock::now());
-          if (served.ok()) {
-            backend.breaker->RecordSuccess();
-            reply->result = std::move(served).value();
-            return Status::Ok();
-          }
-          last = served.status();
-          // Every successful Allow() pairs with exactly one RecordResult();
-          // skipping it would leak a half-open probe slot and wedge the
-          // breaker. Only transient failures are breaker-unhealthy: a
-          // permanent error (bad input, unreachable ratio, expired
-          // deadline) means the backend responded and says nothing about
-          // its health. Resource exhaustion counts as healthy too -- a
-          // memory-budget denial is governance working as intended, and
-          // counting it as a failure would trip the breaker and cascade
-          // Unavailable onto tenants the budget never touched.
-          backend.breaker->RecordResult(
-              last.code() == StatusCode::kResourceExhausted ||
-              !StatusIsRetryable(last));
+        const Clock::time_point compute_start = Clock::now();
+        StatusOr<GuardedResult> served = backend.fxrz->GuardedCompressToRatio(
+            *item.request.data, item.request.target_ratio, guard);
+        *compute_seconds += SecondsBetween(compute_start, Clock::now());
+        if (served.ok()) {
+          backend.breaker->RecordSuccess();
+          reply->result = std::move(served).value();
+          return Status::Ok();
         }
+        last = served.status();
+        // Every successful Allow() pairs with exactly one RecordResult();
+        // skipping it would leak a half-open probe slot and wedge the
+        // breaker. Only transient failures are breaker-unhealthy: a
+        // permanent error (bad input, unreachable ratio, expired deadline)
+        // means the backend responded and says nothing about its health.
+        // Resource exhaustion counts as healthy too -- a memory-budget
+        // denial is governance working as intended, and counting it as a
+        // failure would trip the breaker and cascade Unavailable onto
+        // tenants the budget never touched.
+        backend.breaker->RecordResult(
+            last.code() == StatusCode::kResourceExhausted ||
+            !StatusIsRetryable(last));
       }
     }
     if (!ShouldRetry(options_.retry, last, reply->attempts)) return last;

@@ -97,37 +97,6 @@ struct ShedOptions {
   double ewma_alpha = 0.2;
 };
 
-// Batched dispatch policy: coalesce co-batchable queued requests -- same
-// backend (codec), same tensor shape, comparable target ratio -- into one
-// fused guard invocation, so the per-request feature-analysis pass and the
-// Random-Forest inference amortize across the batch (the dominant
-// small-request overhead; see DESIGN.md "Batched serving model").
-//
-// Batching changes WHEN analysis/inference run, never WHAT is served: the
-// escalation ladder, deadlines, cancellation, quotas, memory reservations,
-// and breaker accounting all stay per-member, and archives are
-// byte-identical to unbatched serving (proven by
-// tests/serve/batch_equivalence_test.cc).
-struct BatchOptions {
-  // Requests per dispatch group. 1 (default) disables batching: the
-  // dispatch path is exactly the unbatched PR 8/9 one.
-  size_t max_batch = 1;
-  // Cap on the summed tensor bytes of one group; 0 = unbounded. The lead
-  // request always dispatches (an oversized singleton still serves).
-  size_t max_batch_bytes = 0;
-  // How long a dispatching worker may hold an underfull group waiting for
-  // co-batchable arrivals. 0 (default) = never wait: a lone request
-  // dispatches immediately. The wait ends early when the group fills or
-  // when a non-co-batchable request arrives (that work must not queue
-  // behind our micro-wait).
-  double max_linger_seconds = 0.0;
-  // Target-ratio co-batching band: two targets are co-batchable when
-  // floor(log10(target) / band) matches. 0 = exact target equality only.
-  // The band only gates GROUPING -- every member is still served its own
-  // exact target through its own ladder.
-  double target_band_log10 = 0.5;
-};
-
 struct ServeOptions {
   // Bound on requests queued but not yet dispatched (all tenants
   // combined). Submit sheds with ResourceExhausted beyond it.
@@ -149,8 +118,6 @@ struct ServeOptions {
   QuotaOptions quota;
   // Priority-aware overload shedding on top of the hard queue bound.
   ShedOptions shed;
-  // Batched dispatch (off by default; see BatchOptions).
-  BatchOptions batch;
   // Memory budget for admission control in the guard ladder (reservations
   // sized by per-codec peak estimates; see util/mem_budget.h). nullptr
   // uses ProcessMemoryBudget(), whose capacity comes from FXRZ_MEM_BUDGET
@@ -173,8 +140,8 @@ struct ServeReply {
   GuardedResult result;
   // Guard-ladder invocations spent (1 + retries).
   int attempts = 0;
-  // Size of the dispatch group this request was served in: 1 when it
-  // dispatched alone (or batching is off), >= 2 when co-batched.
+  // Always 1: every request dispatches alone. Kept only because the
+  // benchmark harness (perfbench/fxrz_perfbench.cc) still reads it.
   size_t batch_members = 1;
   double queue_seconds = 0.0;  // submission -> dispatch
   double serve_seconds = 0.0;  // dispatch -> terminal (incl. backoffs)
@@ -285,36 +252,15 @@ class FxrzServer {
 
   void WorkerSlot();
   bool PopNextLocked(Pending* out) FXRZ_REQUIRES(mu_);
-  // Batch formation: pops the round-robin lead via PopNextLocked, then
-  // (when batching is on) extends the group with co-batchable requests.
-  // Returns false when nothing is dispatchable.
-  bool PopBatchLocked(std::vector<Pending>* out) FXRZ_REQUIRES(mu_);
-  // Scans tenants in ring order appending requests co-batchable with
-  // out->front() (same backend, same dims, same target band) under the
-  // max_batch/max_batch_bytes caps and each member's dispatch quota.
-  // Returns the number appended.
-  size_t ExtendBatchLocked(std::vector<Pending>* out) FXRZ_REQUIRES(mu_);
+  // Serves one dispatched request: registers its cancel token, runs the
+  // attempt loop, then fires the exactly-once callback and releases its
+  // quota slot, EWMA sample and drain accounting.
   void Process(Pending item);
-  // Fused dispatch of a >= 2 group: one batched guard call for attempt 1,
-  // then per-member fan-out (retries, callbacks, accounting).
-  void ProcessBatch(std::vector<Pending> batch);
-  // Registers the request's effective cancel token (caller token chained
-  // with the drain's force-cancel control) in the in-flight registry.
-  void RegisterInflight(uint64_t id, CancelToken* effective);
-  // Terminal bookkeeping shared by the single and batched paths: outcome
-  // metrics, the exactly-once callback, and the under-lock completion
-  // accounting (quota slot release, EWMA sample, drain counters).
-  void FinalizeReply(Pending* item, ServeReply reply, double compute_seconds,
-                     Clock::time_point dispatched);
   // Attempt loop (breaker -> guard -> retry/backoff) for one request.
   // *compute_seconds accumulates the time spent inside the guard ladder
   // (backend compute only -- no backoff sleeps, no breaker fast-fails).
-  // `resume_failure`, when set, is a first-attempt failure already made by
-  // the batched dispatch: the loop consumes it (no new attempt) and
-  // continues with the standard retry/backoff policy.
   Status RunAttempts(const Pending& item, const CancelToken& cancel,
-                     ServeReply* reply, double* compute_seconds,
-                     const Status* resume_failure = nullptr);
+                     ServeReply* reply, double* compute_seconds);
 
   const ServeOptions options_;
   ThreadPool* const pool_;

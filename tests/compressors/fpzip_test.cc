@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/compressors/fpzip.h"
 #include "src/data/generators/grf.h"
@@ -81,6 +82,39 @@ TEST(FpzipTest, TruncationErrorIsValueRelative) {
     const double rel = std::fabs(rec[i] - t[i]) / std::fabs(t[i]);
     EXPECT_LT(rel, 1e-2) << i;  // 20 of 32 ordered bits kept
   }
+}
+
+// A constant field is the densest stream the residual coder emits (~60
+// elements per payload byte at 128^3); the decoder's element-count bound
+// must still admit it.
+TEST(FpzipTest, ConstantFieldAtDensestStreamRoundTrips) {
+  Tensor t({128, 128, 128});
+  for (size_t i = 0; i < t.size(); ++i) t[i] = 1.5f;
+  FpzipCompressor fpzip;
+  const std::vector<uint8_t> bytes = fpzip.Compress(t, 32).value();
+  Tensor rec;
+  const Status st = fpzip.Decompress(bytes.data(), bytes.size(), &rec);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(rec.SameAs(t));
+}
+
+// A header claiming more elements than the payload can encode is rejected
+// as Corruption before the decoder allocates the output.
+TEST(FpzipTest, HeaderClaimingMoreElementsThanPayloadIsRejected) {
+  const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 916);
+  FpzipCompressor fpzip;
+  std::vector<uint8_t> bytes = fpzip.Compress(g, 12).value();
+  // Header: magic (u32), rank (u32), then one little-endian u64 per dim.
+  // Claim 4096 x 8 x 8 elements for a payload that encodes 8 x 8 x 8.
+  const uint64_t claimed = 4096;
+  for (int i = 0; i < 8; ++i) {
+    bytes[8 + i] = static_cast<uint8_t>(claimed >> (8 * i));
+  }
+  Tensor rec;
+  const Status st = fpzip.Decompress(bytes.data(), bytes.size(), &rec);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.ToString().find("payload can encode"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(FpzipDeathTest, RejectsPrecisionOutOfRange) {

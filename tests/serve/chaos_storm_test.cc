@@ -38,18 +38,6 @@ size_t RequestCount() {
   return 100000;
 }
 
-// FXRZ_CHAOS_BATCH=1 re-runs the storm through the batched dispatch path
-// (ctest entry chaos_storm_batched): same exactly-once/no-drop invariants,
-// but requests coalesce into fused guard calls with a linger micro-wait,
-// so batch formation races drain/force-cancel/breakers under load.
-void ApplyChaosBatchEnv(ServeOptions* options) {
-  const char* env = std::getenv("FXRZ_CHAOS_BATCH");
-  if (env != nullptr && env[0] != '\0' && env[0] != '0') {
-    options->batch.max_batch = 4;
-    options->batch.max_linger_seconds = 5e-5;
-  }
-}
-
 TEST(ChaosStormTest, EveryRequestResolvesExactlyOnce) {
   // Tiny fields keep the per-request cost at one small compression so the
   // storm exercises the serving machinery, not the codecs.
@@ -76,7 +64,6 @@ TEST(ChaosStormTest, EveryRequestResolvesExactlyOnce) {
   options.retry.max_backoff_seconds = 1e-3;
   options.breaker.failure_threshold = 8;
   options.breaker.open_seconds = 1e-4;  // breakers trip AND recover mid-storm
-  ApplyChaosBatchEnv(&options);
   FxrzServer server(fxrz, options);
 
   const size_t total = RequestCount();

@@ -45,19 +45,6 @@ size_t RequestCount() {
   return 100000;
 }
 
-// FXRZ_CHAOS_BATCH=1 re-runs the overload storm with batched dispatch
-// (ctest entry overload_chaos_batched). Zero-OOM is the sharp edge here:
-// batch admission must reserve the SUM of member peak estimates before any
-// member compresses, or co-batched large requests would overshoot the
-// budget mid-flight.
-void ApplyChaosBatchEnv(ServeOptions* options) {
-  const char* env = std::getenv("FXRZ_CHAOS_BATCH");
-  if (env != nullptr && env[0] != '\0' && env[0] != '0') {
-    options->batch.max_batch = 4;
-    options->batch.max_linger_seconds = 5e-5;
-  }
-}
-
 TEST(OverloadChaosTest, AbusiveTenantThrottledVictimIsolatedNoOom) {
   // Mixed sizes: small fields are the common case, the large field is what
   // makes memory contention real (its reservation is 64x a small one's).
@@ -101,7 +88,6 @@ TEST(OverloadChaosTest, AbusiveTenantThrottledVictimIsolatedNoOom) {
   abusive.max_queued_bytes = 512 * 1024;
   abusive.max_inflight_requests = 4;
   options.quota.per_tenant["abuser"] = abusive;
-  ApplyChaosBatchEnv(&options);
   FxrzServer server(fxrz, options);
 
   // Isolated victim baseline: the victim's end-to-end latency on the

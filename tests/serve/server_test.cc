@@ -379,5 +379,63 @@ TEST_F(ServerTest, ServerDeadlineAppliesToQueuedRequests) {
   EXPECT_EQ(reply.attempts, 1);  // expired before any backend work
 }
 
+// A request whose caller-held token is already cancelled when it reaches
+// dispatch resolves Cancelled on its first attempt without compressing
+// anything, and the requests queued before and after it still serve.
+TEST_F(ServerTest, CallerCancelledRequestDoesNotPoisonQueuedNeighbors) {
+  FxrzServer server(*fxrz_);
+  server.Pause();
+
+  CancelToken cancelled;
+  cancelled.Cancel();
+  std::mutex mu;
+  std::map<uint64_t, ServeReply> replies;
+  std::map<uint64_t, int> fire_counts;
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < 4; ++i) {
+    ServeRequest request = Request(fields_[i % fields_.size()]);
+    if (i == 1) request.cancel = &cancelled;
+    request.callback = [&mu, &replies, &fire_counts](ServeReply reply) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++fire_counts[reply.request_id];
+      replies[reply.request_id] = std::move(reply);
+    };
+    const StatusOr<uint64_t> id = server.Submit(std::move(request));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+  metrics::Counter& codec_runs = metrics::GetCounter(
+      "fxrz_codec_compress_total{codec=\"" + fxrz_->compressor().name() +
+      "\"}");
+  const uint64_t runs_before = codec_runs.Value();
+  server.Resume();
+  EXPECT_TRUE(server.Shutdown().clean);
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(replies.size(), 4u);
+  uint64_t served_runs = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(fire_counts[ids[i]], 1) << i;
+    const ServeReply& reply = replies[ids[i]];
+    EXPECT_EQ(reply.batch_members, 1u) << i;
+    if (i == 1) {
+      EXPECT_EQ(reply.status.code(), StatusCode::kCancelled)
+          << reply.status.ToString();
+      EXPECT_EQ(reply.attempts, 1);  // cancellation is terminal, no retries
+      EXPECT_EQ(reply.result.compressions, 0);
+      EXPECT_TRUE(reply.result.compressed.empty());
+    } else {
+      EXPECT_TRUE(reply.status.ok()) << i << ": " << reply.status.ToString();
+      EXPECT_FALSE(reply.result.compressed.empty()) << i;
+      served_runs += static_cast<uint64_t>(reply.result.compressions);
+    }
+  }
+  // Every codec run belongs to a served neighbor: the cancelled request
+  // never reached the codec.
+  if (metrics::Enabled()) {
+    EXPECT_EQ(codec_runs.Value() - runs_before, served_runs);
+  }
+}
+
 }  // namespace
 }  // namespace fxrz

@@ -137,7 +137,7 @@ run_config fault-inject build-ci-fault \
 unset FXRZ_CHAOS_REQUESTS
 
 # Serving-layer coverage gate: an instrumented build runs the serve suites
-# (fault injection on, so the retry/breaker/batched-dispatch paths count)
+# (fault injection on, so the retry and breaker paths count)
 # and tools/coverage.sh fails the stage when src/serve/ line coverage
 # drops below 85%. Skips with a message where gcov is unavailable (e.g. a
 # clang-only box whose gcov does not match the compiler).

@@ -42,11 +42,11 @@ find "$BUILD_DIR" -name '*.gcda' -delete
 
 echo "=== [coverage] serving-layer suites ==="
 # Everything that drives src/serve/: the unit/property suites, the chaos
-# storms (scaled down -- -O0 instrumented builds are slow), their batched
-# re-runs, and the closed-loop bench gates (batched + unbatched).
+# storms (scaled down -- -O0 instrumented builds are slow), and the
+# closed-loop bench gates.
 FXRZ_CHAOS_REQUESTS=2000 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -j "$JOBS" \
-  -R 'Serve|Server|Batch|Chaos|Drain|Quota|Breaker|Retry|NoisyNeighbor|serve_'
+  -R 'Serve|Server|Chaos|Drain|Quota|Breaker|Retry|NoisyNeighbor|serve_'
 
 echo "=== [coverage] gcov aggregation (src/serve/) ==="
 gcov_out="$BUILD_DIR/coverage-gcov.txt"
