@@ -51,8 +51,9 @@ int main() {
       const auto probe = MakeCompressor("sz");
       const auto targets = ProbeValidTargetRatios(*probe, test, 6);
       for (double tcr : targets) {
-        errs[idx] += EstimationError(
-            tcr, fxrz.CompressToRatio(test, tcr).value().measured_ratio);
+        const auto r =
+            fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
+        errs[idx] += EstimationError(tcr, r.measured_ratio);
       }
       errs[idx] /= targets.size();
       ++idx;
@@ -88,8 +89,9 @@ int main() {
       double err = 0.0;
       const auto targets = ProbeValidTargetRatios(*probe, test, 6);
       for (double tcr : targets) {
-        err += EstimationError(
-            tcr, fxrz.CompressToRatio(test, tcr).value().measured_ratio);
+        const auto r =
+            fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
+        err += EstimationError(tcr, r.measured_ratio);
       }
       std::printf("%-14s %15.1f%%\n", mask ? "all five" : "ratio only",
                   100 * err / targets.size());

@@ -41,8 +41,10 @@ int main() {
       double compressions = 0;
       const auto targets = ProbeValidTargetRatios(*comp, test, 6);
       for (double tcr : targets) {
-        const auto plain = fxrz.CompressToRatio(test, tcr).value();
-        const auto refined = fxrz.CompressToRatioRefined(test, tcr).value();
+        const auto plain =
+            fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
+        const auto refined =
+            fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy(1)).value();
         FrazOptions o15;
         o15.total_max_iterations = 15;
         const FrazResult fraz = FrazSearch(*comp, test, tcr, o15);

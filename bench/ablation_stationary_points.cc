@@ -35,8 +35,9 @@ int main() {
 
     double err = 0.0;
     for (double tcr : targets) {
-      err += EstimationError(
-          tcr, fxrz.CompressToRatio(test, tcr).value().measured_ratio);
+      const auto r =
+          fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
+      err += EstimationError(tcr, r.measured_ratio);
     }
     std::printf("%-10d %13.2fs %14zu %13.1f%%\n", points, b.total_seconds(),
                 b.compressor_runs, 100.0 * err / targets.size());

@@ -54,8 +54,10 @@ int main() {
       double err_ca = 0, err_nca = 0;
       int n = 0;
       for (double tcr : ProbeValidTargetRatios(*probe, test, 6)) {
-        const auto a = fxrz_ca.CompressToRatio(test, tcr).value();
-        const auto b = fxrz_nca.CompressToRatio(test, tcr).value();
+        const auto a =
+            fxrz_ca.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
+        const auto b =
+            fxrz_nca.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
         std::printf("  %15.1f %12.1f %12.1f %9.1f%% %9.1f%%\n", tcr,
                     a.measured_ratio, b.measured_ratio,
                     100 * EstimationError(tcr, a.measured_ratio),

@@ -62,7 +62,8 @@ int main() {
 
       double err_fx = 0, err_f6 = 0, err_f15 = 0;
       for (double tcr : targets) {
-        const auto fx = fxrz.CompressToRatio(test, tcr).value();
+        const auto fx =
+            fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
         FrazOptions o6;
         o6.total_max_iterations = 6;
         FrazOptions o15;

@@ -51,7 +51,8 @@ int main() {
     double err_fx = 0, err_fraz = 0;
     int n = 0;
     for (double tcr : ProbeValidTargetRatios(*comp, test, 8)) {
-      const auto fx = fxrz.CompressToRatio(test, tcr).value();
+      const auto fx =
+          fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
       FrazOptions o15;
       o15.total_max_iterations = 15;
       const FrazResult fr = FrazSearch(*comp, test, tcr, o15);

@@ -60,10 +60,12 @@ int main() {
         opts.target_ratio = target;
         opts.event_driven_io = event_driven;
         ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
-        const DumpMethodResult fx = experiment.RunFxrz(fxrz.model(), variants);
+        const DumpMethodResult fx =
+            experiment.RunFxrz(fxrz.model(), variants).value();
         FrazOptions fraz15;
         fraz15.total_max_iterations = 15;
-        const DumpMethodResult fr = experiment.RunFraz(fraz15, variants);
+        const DumpMethodResult fr =
+            experiment.RunFraz(fraz15, variants).value();
         std::printf("%8d %-7s %14.3f %14.3f %14.3f %14.3f %9.2fx\n", ranks,
                     event_driven ? "event" : "phased",
                     fx.timing.total_seconds, fr.timing.total_seconds,

@@ -49,8 +49,8 @@ int main() {
         int n = 0;
         for (double tcr :
              ProbeValidTargetRatios(*probe, b.bundle.test[0].data, 8)) {
-          const auto result =
-              fxrz.CompressToRatio(b.bundle.test[0].data, tcr).value();
+          const auto result = fxrz.GuardedCompressToRatio(
+              b.bundle.test[0].data, tcr, PaperPolicy()).value();
           total += EstimationError(tcr, result.measured_ratio);
           ++n;
         }

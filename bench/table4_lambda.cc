@@ -46,8 +46,8 @@ int main() {
         int n = 0;
         for (double tcr :
              ProbeValidTargetRatios(*probe, e.bundle.test[0].data, 8)) {
-          const auto result =
-              fxrz.CompressToRatio(e.bundle.test[0].data, tcr).value();
+          const auto result = fxrz.GuardedCompressToRatio(
+              e.bundle.test[0].data, tcr, PaperPolicy()).value();
           total += EstimationError(tcr, result.measured_ratio);
           ++n;
         }

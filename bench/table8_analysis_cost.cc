@@ -50,17 +50,22 @@ int main() {
       const Tensor& test = e.bundle.test[0].data;
       const auto comp = MakeCompressor(comp_name);
 
-      // Reference compression time (one run at a mid-range config).
+      // Reference compression time: one run at the config the paper's
+      // policy picks for the mid-range target.
       const auto targets = ProbeValidTargetRatios(*comp, test, 5);
-      double compress_seconds = 0.0;
-      {
-        const auto mid = fxrz.CompressToRatio(test, targets[2]).value();
-        compress_seconds = mid.compress_seconds;
-      }
+      const double mid_config =
+          fxrz.GuardedCompressToRatio(test, targets[2], PaperPolicy())
+              .value()
+              .config;
+      WallTimer compress_timer;
+      (void)fxrz.compressor().Compress(test, mid_config).value();
+      const double compress_seconds = compress_timer.Seconds();
 
       double fxrz_analysis = 0.0, fraz_analysis = 0.0;
       for (double tcr : targets) {
-        fxrz_analysis += fxrz.EstimateConfig(test, tcr).analysis_seconds;
+        WallTimer analysis_timer;
+        (void)fxrz.model().EstimateConfig(test, tcr);
+        fxrz_analysis += analysis_timer.Seconds();
         FrazOptions o15;
         o15.total_max_iterations = 15;
         fraz_analysis += FrazSearch(*comp, test, tcr, o15).search_seconds;

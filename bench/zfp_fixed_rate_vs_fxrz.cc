@@ -43,7 +43,8 @@ int main() {
     const double rate_psnr = ComputeDistortion(test, rate_rec).psnr;
 
     // FXRZ: estimate the accuracy-mode error bound for the same ratio.
-    const auto result = fxrz.CompressToRatioRefined(test, target).value();
+    const auto result =
+        fxrz.GuardedCompressToRatio(test, target, PaperPolicy(1)).value();
     Tensor fxrz_rec;
     if (!zfp.Decompress(result.compressed.data(), result.compressed.size(),
                         &fxrz_rec)

@@ -79,8 +79,8 @@ int main() {
                                    0.9 * pipelines[i]->model().max_trained_ratio());
     // The hybrid refinement mode verifies the estimate with one extra
     // compression when needed -- worth it when a hard quota is at stake.
-    const auto refined =
-        pipelines[i]->CompressToRatioRefined(fields[i], target);
+    const auto refined = pipelines[i]->GuardedCompressToRatio(
+        fields[i], target, PaperPolicy(1));
     const Status st =
         refined.ok() ? archive.AddFieldFixedConfig(allocations[i].name,
                                                    fields[i],

@@ -175,12 +175,11 @@ int CmdCompress(const std::map<std::string, std::string>& args) {
 
   // --refine spends one corrective recompression whenever the estimate
   // missed the target at all.
-  Fxrz::RefinementOptions refine;
-  refine.error_threshold = 0.0;
-  refine.max_extra_compressions =
-      Get(args, "refine", "") == "true" || args.count("refine") ? 1 : 0;
-  StatusOr<Fxrz::FixedRatioResult> result =
-      fxrz.CompressToRatioRefined(data, target, refine);
+  GuardOptions policy = PaperPolicy(
+      Get(args, "refine", "") == "true" || args.count("refine") ? 1 : 0);
+  policy.accept_error = 0.0;
+  StatusOr<GuardedResult> result =
+      fxrz.GuardedCompressToRatio(data, target, policy);
   if (!result.ok()) return Fail(result.status().ToString());
   std::vector<uint8_t> bytes = std::move(result.value().compressed);
   const double ratio = result.value().measured_ratio;

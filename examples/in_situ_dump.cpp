@@ -48,10 +48,20 @@ int main() {
     opts.target_ratio = target;
     ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
 
-    const DumpMethodResult fx = experiment.RunFxrz(fxrz.model(), ranks);
+    const StatusOr<DumpMethodResult> fxrz_dump =
+        experiment.RunFxrz(fxrz.model(), ranks);
     FrazOptions fraz;
     fraz.total_max_iterations = 15;
-    const DumpMethodResult fr = experiment.RunFraz(fraz, ranks);
+    const StatusOr<DumpMethodResult> fraz_dump =
+        experiment.RunFraz(fraz, ranks);
+    for (const Status& st : {fxrz_dump.status(), fraz_dump.status()}) {
+      if (!st.ok()) {
+        std::fprintf(stderr, "dump error: %s\n", st.ToString().c_str());
+        return 1;
+      }
+    }
+    const DumpMethodResult& fx = fxrz_dump.value();
+    const DumpMethodResult& fr = fraz_dump.value();
 
     std::printf("%8d %14.3f %14.3f %13.2fx %9.1fx\n", num_ranks,
                 fx.timing.total_seconds, fr.timing.total_seconds,

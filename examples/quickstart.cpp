@@ -14,6 +14,7 @@
 #include "src/compressors/compressor.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/nyx.h"
+#include "src/util/timer.h"
 
 int main() {
   using namespace fxrz;
@@ -53,17 +54,21 @@ int main() {
     //    preview tells the user what quality the ratio will cost *before*
     //    anything is compressed.
     const double preview = fxrz.model().EstimatePsnr(snapshot, target);
-    const auto compressed = fxrz.CompressToRatio(snapshot, target);
+    WallTimer analysis_timer;
+    (void)fxrz.model().EstimateConfig(snapshot, target);
+    const double analysis_seconds = analysis_timer.Seconds();
+    const auto compressed =
+        fxrz.GuardedCompressToRatio(snapshot, target, PaperPolicy());
     if (!compressed.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    compressed.status().ToString().c_str());
       return 1;
     }
-    const Fxrz::FixedRatioResult& result = compressed.value();
+    const GuardedResult& result = compressed.value();
     std::printf("%8.0f %14.6g %14.2f %9.1f%% %10.2fms %12.1fdB\n", target,
                 result.config, result.measured_ratio,
                 100.0 * EstimationError(target, result.measured_ratio),
-                result.analysis_seconds * 1e3, preview);
+                analysis_seconds * 1e3, preview);
   }
   std::printf(
       "\nThe 'analysis' column is the entire cost of deciding the error\n"

@@ -114,10 +114,9 @@ Status ValidateGuardOptions(const GuardOptions& options) {
     return Status::InvalidArgument(
         "guard options: confidence-gate thresholds must be finite");
   }
-  if (options.max_refine_compressions < 0 ||
-      options.max_polish_compressions < 0) {
+  if (options.max_refine_compressions < 0) {
     return Status::InvalidArgument(
-        "guard options: tier compression budgets must be >= 0");
+        "guard options: max_refine_compressions must be >= 0");
   }
   if (!std::isfinite(options.fraz.tolerance) ||
       options.fraz.tolerance < 0.0) {
@@ -125,6 +124,15 @@ Status ValidateGuardOptions(const GuardOptions& options) {
         "guard options: fraz.tolerance must be finite and >= 0");
   }
   return Status::Ok();
+}
+
+GuardOptions PaperPolicy(int refine_compressions) {
+  GuardOptions options;
+  options.max_refine_compressions = refine_compressions;
+  options.fallback = GuardFallback::kServeBest;
+  options.max_knob_spread = std::numeric_limits<double>::max();
+  options.envelope_slack = std::numeric_limits<double>::max();
+  return options;
 }
 
 AdmissionReport AdmitTensor(const Tensor& data, double target_ratio) {
@@ -171,6 +179,9 @@ AdmissionReport AdmitTensor(const Tensor& data, double target_ratio) {
 
 namespace {
 
+// Bisection compressions PolishTowardTarget may spend.
+constexpr int kMaxPolishCompressions = 10;
+
 // One guarded compressor run: clamp the config into the space, compress,
 // measure the achieved ratio.
 struct Attempt {
@@ -202,7 +213,7 @@ StatusOr<Attempt> AttemptCompress(const Compressor& compressor,
 Attempt PolishTowardTarget(const Compressor& compressor, const Tensor& data,
                            const ConfigSpace& space, Attempt seed,
                            double target_ratio, double accept_error,
-                           int max_iters, int* compressions,
+                           int* compressions,
                            const Deadline& deadline,
                            const CancelToken* cancel) {
   const auto to_knob = [&space](double config) {
@@ -221,7 +232,7 @@ Attempt PolishTowardTarget(const Compressor& compressor, const Tensor& data,
     hi = to_knob(seed.config);
   }
   Attempt best = std::move(seed);
-  for (int i = 0; i < max_iters && lo < hi; ++i) {
+  for (int i = 0; i < kMaxPolishCompressions && lo < hi; ++i) {
     if (!CheckCancel(deadline, cancel, "polish").ok()) break;
     if (space.integer && hi - lo < 1.0) break;  // knob resolution exhausted
     const double mid = 0.5 * (lo + hi);
@@ -473,8 +484,9 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
           if (verified(best, "model tier")) {
             return accept(ServingTier::kModelEstimate, std::move(best));
           }
-          // Verification failed: skip refinement (the knob is fine, the
-          // archive is not) and escalate to FRaZ.
+          // Verification failed: the archive is never served; skip
+          // refinement (the knob is fine, the archive is not), escalate.
+          have_best = false;
         } else {
           for (int extra = 0; extra < options.max_refine_compressions;
                ++extra) {
@@ -504,10 +516,11 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
               if (verified(best, "refine tier")) {
                 return accept(ServingTier::kRefined, std::move(best));
               }
+              have_best = false;
               break;
             }
           }
-          if (miss(best) > accept_error) {
+          if (have_best && miss(best) > accept_error) {
             std::ostringstream msg;
             msg << "refine tier: best rel err " << miss(best);
             note(msg.str());
@@ -519,7 +532,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
 
   // Tier 3: bounded FRaZ trial-and-error fallback.
   bool fraz_memory_skipped = false;
-  if (!options.allow_fraz_fallback) {
+  if (options.fallback != GuardFallback::kFraz) {
     note("fraz tier: fallback disabled");
   } else if (options.memory != nullptr && !memory.TryGrow(tensor_bytes)) {
     // The search keeps its best-so-far archive live alongside each probe's;
@@ -558,23 +571,21 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
       // FRaZ kept its best probe's archive: polish from it, no extra run.
       Attempt attempt{found.config, found.achieved_ratio,
                       std::move(found.compressed)};
-      if (miss(attempt) > accept_error && options.max_polish_compressions > 0) {
+      if (miss(attempt) > accept_error) {
         attempt = PolishTowardTarget(*compressor_, data, space,
                                      std::move(attempt), target_ratio,
-                                     accept_error,
-                                     options.max_polish_compressions,
-                                     &result.compressions, options.deadline,
-                                     options.cancel);
+                                     accept_error, &result.compressions,
+                                     options.deadline, options.cancel);
       }
-      if (miss(attempt) <= accept_error &&
-          verified(attempt, "fraz tier")) {
+      const bool met = miss(attempt) <= accept_error;
+      if (met && verified(attempt, "fraz tier")) {
         return accept(ServingTier::kFrazFallback, std::move(attempt));
       }
       std::ostringstream msg;
       msg << "fraz tier: best achievable ratio " << attempt.ratio
           << " (rel err " << miss(attempt) << ")";
       note(msg.str());
-      if (!have_best || miss(attempt) < miss(best)) {
+      if (!met && (!have_best || miss(attempt) < miss(best))) {
         best = std::move(attempt);
         have_best = true;
         best_tier = ServingTier::kFrazFallback;
@@ -587,6 +598,10 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
 
   // Ladder exhausted: no tier met the target.
   GMetrics().exhausted.Increment();
+  if (options.fallback == GuardFallback::kServeBest && have_best &&
+      verified(best, "best archive")) {
+    return accept(best_tier, std::move(best));
+  }
   GMetrics().compressions.Increment(result.compressions);
   std::ostringstream msg;
   msg << "guarded compress: target ratio " << target_ratio

@@ -12,9 +12,9 @@
 //                           EstimateWithConfidence) flag out-of-
 //                           distribution queries before compressing;
 //   3. escalation ladder -- model estimate -> RefineConfig recompression
-//                           -> bounded FRaZ trial-and-error search
-//                           (Underwood et al., IPDPS'20), recording which
-//                           tier produced the archive;
+//                           -> the GuardOptions::fallback tier (default: a
+//                           bounded FRaZ search, Underwood et al.,
+//                           IPDPS'20), recording which tier produced it;
 //   4. fault tolerance   -- every codec run (each tier's attempt and
 //                           each FRaZ probe) goes through the Status-
 //                           returning Compressor::Compress/Decompress;
@@ -25,7 +25,8 @@
 //
 // The ladder preserves FXRZ's value proposition: the fast path is still
 // one model query and one compression; the expensive tiers only run when
-// the cheap ones demonstrably failed.
+// the cheap ones demonstrably failed. The paper's own fixed-ratio path is
+// this ladder under PaperPolicy(k) below.
 
 #ifndef FXRZ_CORE_GUARD_H_
 #define FXRZ_CORE_GUARD_H_
@@ -72,30 +73,34 @@ struct AdmissionReport {
 // aborts.
 AdmissionReport AdmitTensor(const Tensor& data, double target_ratio);
 
+// The ladder's final tier, run once the model tiers missed accept_error.
+enum class GuardFallback {
+  kFraz,       // bounded FRaZ search, then a monotone polish toward target
+  kFail,       // return the exhaustion Status
+  kServeBest,  // serve the best model-tier archive, whatever its error
+};
+
 // Serving policy knobs.
 struct GuardOptions {
   // Relative ratio error (|target - measured| / target) at or below which
-  // a tier's archive is accepted. Matches RefinementOptions'
-  // error_threshold default.
+  // a tier's archive is accepted.
   double accept_error = 0.08;
   // Extra compressions the RefineConfig tier may spend.
   int max_refine_compressions = 1;
-  // Confidence gate: skip the model tiers and escalate straight to FRaZ
-  // when the per-tree knob spread (stddev, knob units) exceeds
+  // Confidence gate: skip the model tiers and go straight to the final
+  // tier when the per-tree knob spread (stddev, knob units) exceeds
   // max_knob_spread, or the query leaves the training envelope by more
   // than envelope_slack (normalized units, see
   // FxrzModel::ConfidentEstimate::envelope_excess).
   double max_knob_spread = 0.5;
   double envelope_slack = 0.25;
-  // Tier-3 policy. With the fallback disabled, requests the model tiers
-  // cannot serve return a Status instead.
-  bool allow_fraz_fallback = true;
+  // kServeBest still counts the request as exhausted; with no archive in
+  // hand it returns the exhaustion Status, like kFail.
+  GuardFallback fallback = GuardFallback::kFraz;
+  // The kFraz tier's search. Ratio-vs-knob is monotone for every built-in
+  // codec, so up to 10 bisection compressions from FRaZ's best probe then
+  // close the gap its budgeted search can leave.
   FrazOptions fraz;
-  // FRaZ's budgeted black-box search can stop short of accept_error; since
-  // ratio-vs-knob is monotone for every built-in codec, the fallback tier
-  // finishes with up to this many bisection compressions from FRaZ's best
-  // probe (whose archive the search keeps) toward the target.
-  int max_polish_compressions = 10;
   // Verify every archive before serving it: a tier whose archive fails
   // verification is invalidated and the ladder escalates, so a corrupt
   // stream is never returned as a success. Verification itself is a
@@ -168,6 +173,12 @@ struct GuardedResult {
   bool memory_degraded = false;
   std::vector<uint8_t> compressed;
 };
+
+// The paper's fixed-ratio policy, plus its Sec. VI refinement: compress at
+// the clamped model estimate, refine up to `refine_compressions` times, and
+// serve the best archive whatever its error (kServeBest, no FRaZ). The
+// confidence gate is open: its thresholds are the largest finite double.
+GuardOptions PaperPolicy(int refine_compressions = 0);
 
 // Rejects GuardOptions carrying values no ladder tier can act on (NaN
 // thresholds, negative tier budgets) with InvalidArgument instead of

@@ -2,11 +2,13 @@
 //
 //   auto fxrz = Fxrz(MakeCompressor("sz"));
 //   fxrz.Train(training_tensors);
-//   auto result = fxrz.CompressToRatio(new_snapshot, /*target_ratio=*/100);
+//   auto result = fxrz.GuardedCompressToRatio(new_snapshot, 100,
+//                                             PaperPolicy());
 //   if (result.ok()) Write(result.value().compressed);
 //
-// Inference never runs the compressor to *search* -- it extracts features,
-// adjusts the target ratio, queries the model, and compresses exactly once.
+// Inference never runs the compressor to *search* -- under PaperPolicy() it
+// extracts features, adjusts the target ratio, queries the model, and
+// compresses exactly once.
 
 #ifndef FXRZ_CORE_PIPELINE_H_
 #define FXRZ_CORE_PIPELINE_H_
@@ -32,52 +34,13 @@ class Fxrz {
   // Trains the model; returns the time breakdown (paper Table VI).
   TrainingBreakdown Train(const std::vector<const Tensor*>& datasets);
 
-  // Estimated config plus the analysis time it took (paper Table VIII's
-  // "analysis time": features + block scan + model query).
-  struct Estimate {
-    double config = 0.0;
-    double analysis_seconds = 0.0;
-  };
-  Estimate EstimateConfig(const Tensor& data, double target_ratio) const;
-
-  // Full fixed-ratio compression: estimate, then compress once. Fails with
-  // the codec's Status when that compression fails.
-  struct FixedRatioResult {
-    double config = 0.0;
-    double measured_ratio = 0.0;
-    double analysis_seconds = 0.0;
-    double compress_seconds = 0.0;
-    int compressions = 1;
-    std::vector<uint8_t> compressed;
-  };
-  StatusOr<FixedRatioResult> CompressToRatio(const Tensor& data,
-                                             double target_ratio) const;
-
-  // EXTENSION (paper future work): hybrid mode. Compresses at the model
-  // estimate; if the measured ratio misses the target by more than
-  // `error_threshold`, corrects the knob via FxrzModel::RefineConfig and
-  // recompresses (at most `max_extra_compressions` times, default 1).
-  // Worst case cost: 1 + max_extra_compressions compressions -- still far
-  // below FRaZ's iteration counts. A failed recompression fails the call.
-  struct RefinementOptions {
-    double error_threshold = 0.08;
-    int max_extra_compressions = 1;
-  };
-  StatusOr<FixedRatioResult> CompressToRatioRefined(
-      const Tensor& data, double target_ratio,
-      const RefinementOptions& options) const;
-  StatusOr<FixedRatioResult> CompressToRatioRefined(
-      const Tensor& data, double target_ratio) const {
-    return CompressToRatioRefined(data, target_ratio, RefinementOptions());
-  }
-
-  // Guarded serving entry point (implemented in core/guard.cc; see
+  // The fixed-ratio entry point (implemented in core/guard.cc; see
   // core/guard.h for the admission rules, confidence gate, and escalation
   // ladder). Never aborts: every request either yields a valid archive
   // whose relative ratio error is within options.accept_error (constant
-  // fields excepted -- they always over-achieve), or a non-OK Status whose
-  // message identifies the tier that failed. Works on an untrained model
-  // too (serves via the FRaZ fallback tier).
+  // fields and GuardFallback::kServeBest excepted), or a non-OK Status whose
+  // message identifies the tier that failed. With the default options it
+  // works on an untrained model too (serves via the FRaZ fallback tier).
   StatusOr<GuardedResult> GuardedCompressToRatio(
       const Tensor& data, double target_ratio,
       const GuardOptions& options = {}) const;

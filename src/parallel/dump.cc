@@ -12,15 +12,26 @@ namespace fxrz {
 
 namespace {
 
-// A rank's final compression; returns its ratio. Aborts if the run fails.
-double TimedCompress(const Compressor& compressor, const Tensor& data,
-                     double config, RankTiming* timing) {
+// A rank's final compression: records its timing and ratio, or returns the
+// codec's Status.
+Status TimedCompress(const Compressor& compressor, const Tensor& data,
+                     double config, RankTiming* timing, double* ratio) {
   WallTimer compress_timer;
-  const std::vector<uint8_t> bytes = compressor.Compress(data, config).value();
+  FXRZ_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                        compressor.Compress(data, config));
   timing->compress_seconds = compress_timer.Seconds();
   timing->compressed_bytes = bytes.size();
-  return static_cast<double>(data.size_bytes()) /
-         static_cast<double>(bytes.size());
+  *ratio = static_cast<double>(data.size_bytes()) /
+           static_cast<double>(bytes.size());
+  return Status::Ok();
+}
+
+// The first failed rank's Status, in rank order, or OK.
+Status FirstFailure(const std::vector<Status>& statuses) {
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -56,12 +67,13 @@ DumpMethodResult ParallelDumpExperiment::Combine(
   return result;
 }
 
-DumpMethodResult ParallelDumpExperiment::RunFxrz(
+StatusOr<DumpMethodResult> ParallelDumpExperiment::RunFxrz(
     const FxrzModel& model, const std::vector<const Tensor*>& rank_variants) {
   FXRZ_CHECK(!rank_variants.empty());
   FXRZ_CHECK(model.trained());
   std::vector<RankTiming> timings(rank_variants.size());
   std::vector<double> ratios(rank_variants.size());
+  std::vector<Status> statuses(rank_variants.size());
 
   const size_t threads = options_.measure_threads > 0
                              ? options_.measure_threads
@@ -72,17 +84,20 @@ DumpMethodResult ParallelDumpExperiment::RunFxrz(
     WallTimer analysis_timer;
     const double config = model.EstimateConfig(data, options_.target_ratio);
     timings[i].analysis_seconds = analysis_timer.Seconds();
-    ratios[i] = TimedCompress(*compressor_, data, config, &timings[i]);
+    statuses[i] =
+        TimedCompress(*compressor_, data, config, &timings[i], &ratios[i]);
   });
+  FXRZ_RETURN_IF_ERROR(FirstFailure(statuses));
   return Combine(timings, ratios);
 }
 
-DumpMethodResult ParallelDumpExperiment::RunFraz(
+StatusOr<DumpMethodResult> ParallelDumpExperiment::RunFraz(
     const FrazOptions& fraz_options,
     const std::vector<const Tensor*>& rank_variants) {
   FXRZ_CHECK(!rank_variants.empty());
   std::vector<RankTiming> timings(rank_variants.size());
   std::vector<double> ratios(rank_variants.size());
+  std::vector<Status> statuses(rank_variants.size());
 
   const size_t threads = options_.measure_threads > 0
                              ? options_.measure_threads
@@ -93,9 +108,12 @@ DumpMethodResult ParallelDumpExperiment::RunFraz(
     const FrazResult search =
         FrazSearch(*compressor_, data, options_.target_ratio, fraz_options);
     timings[i].analysis_seconds = search.search_seconds;
-    ratios[i] =
-        TimedCompress(*compressor_, data, search.config, &timings[i]);
+    statuses[i] = search.status.ok()
+                      ? TimedCompress(*compressor_, data, search.config,
+                                      &timings[i], &ratios[i])
+                      : search.status;
   });
+  FXRZ_RETURN_IF_ERROR(FirstFailure(statuses));
   return Combine(timings, ratios);
 }
 

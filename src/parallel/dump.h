@@ -17,6 +17,7 @@
 #include "src/core/model.h"
 #include "src/fraz/fraz.h"
 #include "src/parallel/io_model.h"
+#include "src/util/status.h"
 
 namespace fxrz {
 
@@ -45,12 +46,15 @@ class ParallelDumpExperiment {
                          DumpExperimentOptions options);
 
   // FXRZ policy: per-rank cost = model estimate + one compression.
-  DumpMethodResult RunFxrz(const FxrzModel& model,
-                           const std::vector<const Tensor*>& rank_variants);
+  // A failed codec run in any rank fails the experiment with its Status.
+  StatusOr<DumpMethodResult> RunFxrz(
+      const FxrzModel& model, const std::vector<const Tensor*>& rank_variants);
 
   // FRaZ policy: per-rank cost = iterative search + final compression.
-  DumpMethodResult RunFraz(const FrazOptions& fraz_options,
-                           const std::vector<const Tensor*>& rank_variants);
+  // A failed search or codec run fails the experiment with its Status.
+  StatusOr<DumpMethodResult> RunFraz(
+      const FrazOptions& fraz_options,
+      const std::vector<const Tensor*>& rank_variants);
 
  private:
   DumpMethodResult Combine(const std::vector<RankTiming>& variant_timings,

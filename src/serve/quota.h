@@ -41,9 +41,9 @@
 
 namespace fxrz {
 
-// Request priority classes for adaptive overload shedding: when the server
-// is congested (queue depth / estimated queue latency over threshold), low
-// priority sheds first, normal next, high only at the hard queue bound.
+// Request priority classes for overload shedding: when the server is
+// congested (queue depth over threshold), low priority sheds first, normal
+// next, high only at the hard queue bound.
 enum class RequestPriority {
   kLow = 0,
   kNormal = 1,

@@ -1,6 +1,5 @@
 #include "src/serve/server.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -226,27 +225,18 @@ Status FxrzServer::ShedDecisionLocked(RequestPriority priority) {
   const bool low = priority == RequestPriority::kLow;
   const double depth_threshold = low ? shed.low_priority_depth_fraction
                                      : shed.normal_priority_depth_fraction;
-  const double latency_threshold = low ? shed.low_priority_latency_seconds
-                                       : shed.normal_priority_latency_seconds;
-  // Both signals count this submission itself, so a threshold of 1.0 on
-  // depth is exactly the hard bound (i.e. disabled as an EARLY shed).
-  const char* signal = nullptr;
+  // The depth counts this submission itself, so a threshold of 1.0 is
+  // exactly the hard bound (i.e. disabled as an EARLY shed).
   const double depth_fraction =
       static_cast<double>(queued_ + 1) /
       static_cast<double>(options_.max_queue_depth);
-  if (depth_threshold < 1.0 && depth_fraction >= depth_threshold) {
-    signal = "queue depth";
-  } else if (latency_threshold > 0.0 && max_concurrency_ > 0) {
-    const double estimated = static_cast<double>(queued_ + 1) *
-                             ewma_service_seconds_ /
-                             static_cast<double>(max_concurrency_);
-    if (estimated >= latency_threshold) signal = "queue latency";
+  if (!(depth_threshold < 1.0 && depth_fraction >= depth_threshold)) {
+    return Status::Ok();
   }
-  if (signal == nullptr) return Status::Ok();
   OverloadShedCounter(priority).Increment();
-  return Status::ResourceExhausted(std::string("serve: overload shed (") +
-                                   signal + ", priority " +
-                                   RequestPriorityName(priority) + ")");
+  return Status::ResourceExhausted(
+      std::string("serve: overload shed (queue depth, priority ") +
+      RequestPriorityName(priority) + ")");
 }
 
 bool FxrzServer::PopNextLocked(Pending* out) {
@@ -322,15 +312,13 @@ void FxrzServer::Process(Pending item) {
     inflight_[item.id] = &effective;
   }
 
-  double compute_seconds = 0.0;
-  reply.status = RunAttempts(item, effective, &reply, &compute_seconds);
+  reply.status = RunAttempts(item, effective, &reply);
   reply.serve_seconds = SecondsBetween(dispatched, Clock::now());
   SMetrics().latency_seconds.Observe(reply.serve_seconds);
   OutcomeCounter(reply.status, reply.result.deadline_degraded).Increment();
 
   const bool cancelled_terminal =
       reply.status.code() == StatusCode::kCancelled;
-  const bool sample_service = reply.status.ok();
   // The callback is the contract's "resolved exactly once" moment; it must
   // fire before the drain accounting below lets Shutdown return.
   item.request.callback(std::move(reply));
@@ -342,18 +330,6 @@ void FxrzServer::Process(Pending item) {
     // Free the tenant's worker slot BEFORE this worker re-loops into
     // PopNextLocked, so its own completion unblocks its queued work.
     quota_.OnComplete(item.request.tenant);
-    // Service-time EWMA feeding the shed policy's queue-latency estimate.
-    // Only successful requests' backend-compute time is sampled: backoff
-    // sleeps would inflate the estimate, and drain-cancelled or fast-
-    // failed requests' near-zero times would deflate it.
-    if (sample_service) {
-      const double alpha = std::clamp(options_.shed.ewma_alpha, 1e-3, 1.0);
-      ewma_service_seconds_ =
-          ewma_service_seconds_ == 0.0
-              ? compute_seconds
-              : alpha * compute_seconds +
-                    (1.0 - alpha) * ewma_service_seconds_;
-    }
     SMetrics().inflight.Set(static_cast<double>(processing_));
     if (draining_) {
       if (cancelled_terminal) {
@@ -367,7 +343,7 @@ void FxrzServer::Process(Pending item) {
 }
 
 Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
-                               ServeReply* reply, double* compute_seconds) {
+                               ServeReply* reply) {
   GuardOptions guard = options_.guard;
   guard.deadline = item.deadline;
   guard.cancel = &cancel;
@@ -388,10 +364,8 @@ Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
     if (last.ok()) {
       last = backend.breaker->Allow();
       if (last.ok()) {
-        const Clock::time_point compute_start = Clock::now();
         StatusOr<GuardedResult> served = backend.fxrz->GuardedCompressToRatio(
             *item.request.data, item.request.target_ratio, guard);
-        *compute_seconds += SecondsBetween(compute_start, Clock::now());
         if (served.ok()) {
           backend.breaker->RecordSuccess();
           reply->result = std::move(served).value();

@@ -68,15 +68,11 @@
 
 namespace fxrz {
 
-// Adaptive overload shedding policy: refuse work at Submit BEFORE the hard
-// queue bound is hit, lowest priority class first, so that when congestion
-// builds the queue capacity left is spent on the traffic that matters. Two
-// congestion signals, either sheds:
-//
-//   depth    -- queued requests as a fraction of max_queue_depth;
-//   latency  -- estimated queueing delay (queued x EWMA service seconds /
-//               worker slots), which adapts to how expensive the current
-//               request mix actually is.
+// Overload shedding policy: refuse work at Submit BEFORE the hard queue
+// bound is hit, lowest priority class first, so that when congestion builds
+// the queue capacity left is spent on the traffic that matters. The
+// congestion signal is queue depth: queued requests as a fraction of
+// max_queue_depth.
 //
 // High-priority requests never early-shed; they only see the hard
 // backpressure bound. A shed is an immediate ResourceExhausted at Submit,
@@ -88,13 +84,6 @@ struct ShedOptions {
   // exactly the PR 8 backpressure contract unless the operator opts in.
   double low_priority_depth_fraction = 0.5;
   double normal_priority_depth_fraction = 1.0;
-  // Estimated queue latency (seconds) at/above which the class sheds;
-  // 0 disables latency-based shedding for that class.
-  double low_priority_latency_seconds = 0.0;
-  double normal_priority_latency_seconds = 0.0;
-  // Smoothing for the per-request service-time EWMA feeding the latency
-  // estimate (0 < alpha <= 1; clamped).
-  double ewma_alpha = 0.2;
 };
 
 struct ServeOptions {
@@ -254,13 +243,11 @@ class FxrzServer {
   bool PopNextLocked(Pending* out) FXRZ_REQUIRES(mu_);
   // Serves one dispatched request: registers its cancel token, runs the
   // attempt loop, then fires the exactly-once callback and releases its
-  // quota slot, EWMA sample and drain accounting.
+  // quota slot and drain accounting.
   void Process(Pending item);
   // Attempt loop (breaker -> guard -> retry/backoff) for one request.
-  // *compute_seconds accumulates the time spent inside the guard ladder
-  // (backend compute only -- no backoff sleeps, no breaker fast-fails).
   Status RunAttempts(const Pending& item, const CancelToken& cancel,
-                     ServeReply* reply, double* compute_seconds);
+                     ServeReply* reply);
 
   const ServeOptions options_;
   ThreadPool* const pool_;
@@ -280,8 +267,6 @@ class FxrzServer {
   size_t rr_cursor_ FXRZ_GUARDED_BY(mu_) = 0;
   size_t queued_ FXRZ_GUARDED_BY(mu_) = 0;
   size_t processing_ FXRZ_GUARDED_BY(mu_) = 0;
-  // Smoothed per-request service time feeding the shed latency estimate.
-  double ewma_service_seconds_ FXRZ_GUARDED_BY(mu_) = 0.0;
   size_t active_slots_ FXRZ_GUARDED_BY(mu_) = 0;
   // Effective cancel token of every dispatched request, for force-cancel.
   std::map<uint64_t, CancelToken*> inflight_ FXRZ_GUARDED_BY(mu_);

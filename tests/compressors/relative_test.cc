@@ -61,7 +61,8 @@ TEST(RelativeErrorTest, FxrzRunsOnTopOfAdapter) {
 
   Fxrz fxrz(std::make_unique<RelativeErrorCompressor>(MakeCompressor("sz")));
   fxrz.Train(train);
-  const auto result = fxrz.CompressToRatio(fields[2], 15.0).value();
+  const auto result =
+      fxrz.GuardedCompressToRatio(fields[2], 15.0, PaperPolicy()).value();
   EXPECT_GE(result.config, 1e-6);
   EXPECT_LE(result.config, 0.3);
   EXPECT_LT(EstimationError(15.0, result.measured_ratio), 0.6);

@@ -134,13 +134,12 @@ class PipelineAnalysisCountTest : public ::testing::Test {
 
 TEST_F(PipelineAnalysisCountTest, RefinedCompressionAnalyzesOnce) {
   const Tensor& test = fields_[3];
-  Fxrz::RefinementOptions opts;
-  opts.error_threshold = 0.0;  // force the refinement path: 3+ model queries
-  opts.max_extra_compressions = 2;
+  GuardOptions opts = PaperPolicy(2);
+  opts.accept_error = 0.0;  // force the refinement path: 3+ model queries
 
   const uint64_t extractions = FeatureExtractionCount();
   const uint64_t scans = ConstantBlockScanCount();
-  const auto result = fxrz_->CompressToRatioRefined(test, 30.0, opts).value();
+  const auto result = fxrz_->GuardedCompressToRatio(test, 30.0, opts).value();
   EXPECT_GE(result.compressions, 2);  // refinement actually ran
   EXPECT_EQ(FeatureExtractionCount() - extractions, 1u);
   EXPECT_EQ(ConstantBlockScanCount() - scans, 1u);
@@ -148,11 +147,11 @@ TEST_F(PipelineAnalysisCountTest, RefinedCompressionAnalyzesOnce) {
 
 TEST_F(PipelineAnalysisCountTest, RepeatedEstimatesReuseTheAnalysis) {
   const Tensor& test = fields_[3];
-  (void)fxrz_->EstimateConfig(test, 20.0);  // warm the cache
+  (void)fxrz_->model().EstimateConfig(test, 20.0);  // warm the cache
   const uint64_t extractions = FeatureExtractionCount();
   const uint64_t scans = ConstantBlockScanCount();
   for (double tcr : {10.0, 25.0, 50.0, 80.0}) {
-    (void)fxrz_->EstimateConfig(test, tcr);
+    (void)fxrz_->model().EstimateConfig(test, tcr);
   }
   EXPECT_EQ(FeatureExtractionCount(), extractions);
   EXPECT_EQ(ConstantBlockScanCount(), scans);
@@ -161,8 +160,8 @@ TEST_F(PipelineAnalysisCountTest, RepeatedEstimatesReuseTheAnalysis) {
 
 TEST_F(PipelineAnalysisCountTest, DistinctTensorsAnalyzedSeparately) {
   const uint64_t extractions = FeatureExtractionCount();
-  (void)fxrz_->EstimateConfig(fields_[3], 30.0);
-  (void)fxrz_->EstimateConfig(fields_[0], 30.0);
+  (void)fxrz_->model().EstimateConfig(fields_[3], 30.0);
+  (void)fxrz_->model().EstimateConfig(fields_[0], 30.0);
   // Training already cached fields_[0..2] under the same options, so only
   // the unseen test tensor costs an extraction.
   EXPECT_EQ(FeatureExtractionCount() - extractions, 1u);

@@ -153,7 +153,7 @@ TEST_F(FaultLadderTest, PersistentCompressFaultSurfacesAsStatus) {
 TEST_F(FaultLadderTest, CompressFaultWithFallbackDisabledNamesModelTier) {
   fault::Arm(Site::kCompressorCompress, /*skip=*/0, /*count=*/1000000);
   GuardOptions options = OpenGate();
-  options.allow_fraz_fallback = false;
+  options.fallback = GuardFallback::kFail;
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
   ASSERT_FALSE(r.ok());
@@ -185,6 +185,30 @@ TEST_F(FaultLadderTest, VerifyArchiveCatchesDecodeFaultAndEscalates) {
               std::string::npos)
         << r.status().message();
   }
+}
+
+TEST_F(FaultLadderTest, ArchiveFailingVerificationIsNeverDegradeServed) {
+  // The model-tier archive meets the (loose) target but fails its decode
+  // check, so it is invalid. The request is then cancelled before FRaZ's
+  // first probe: degrade_on_expiry has no valid archive to fall back on,
+  // and the request must resolve Cancelled rather than serve it.
+  fault::Arm(Site::kArchiveDecode, /*skip=*/0, /*count=*/1);
+  GuardOptions options = OpenGate();
+  options.verify_archive = true;
+  options.accept_error = 10.0;
+  CancelToken cancel;
+  options.cancel = &cancel;
+  options.fraz.should_stop = [&cancel] {
+    cancel.Cancel();
+    return true;
+  };
+  const StatusOr<GuardedResult> r =
+      fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
+  EXPECT_EQ(fault::TriggeredCount(Site::kArchiveDecode), 1u);
+  ASSERT_FALSE(r.ok()) << "served tier "
+                       << ServingTierName(r.value().tier);
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+      << r.status().ToString();
 }
 
 TEST_F(FaultLadderTest, ChecksumOnlyVerificationNeverDecodes) {

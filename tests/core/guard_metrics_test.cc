@@ -110,6 +110,35 @@ TEST_F(GuardMetricsTest, ServedRequestCountsExactlyOneTier) {
   EXPECT_DOUBLE_EQ(measured->sum, r.value().measured_ratio);
 }
 
+TEST_F(GuardMetricsTest, PaperPolicyServesBestArchiveWhenModelTiersMiss) {
+  // A 16^3 field cannot reach ratio 1e6 (the archive header alone caps
+  // it), so both model tiers miss accept_error. PaperPolicy serves the best
+  // archive anyway, with its real error, and counts the request as served
+  // and as exhausted -- without running FRaZ.
+  const double target = 1e6;
+  const GuardOptions policy = PaperPolicy(1);
+  const StatusOr<GuardedResult> r =
+      fxrz_->GuardedCompressToRatio((*fields_)[3], target, policy);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const GuardedResult& served = r.value();
+  EXPECT_GT(served.relative_error, policy.accept_error);
+  EXPECT_DOUBLE_EQ(served.relative_error,
+                   EstimationError(target, served.measured_ratio));
+  EXPECT_LE(served.compressions, 2);
+  EXPECT_TRUE(served.tier == ServingTier::kModelEstimate ||
+              served.tier == ServingTier::kRefined)
+      << ServingTierName(served.tier);
+
+  const MetricsSnapshot delta = Delta();
+  EXPECT_EQ(delta.CounterValue(TierCounterName(served.tier)), 1u);
+  EXPECT_EQ(TotalServed(delta), 1u);
+  EXPECT_EQ(delta.CounterValue("fxrz_guard_exhausted_total"), 1u);
+  EXPECT_EQ(delta.CounterValue("fxrz_guard_compressions_total"),
+            static_cast<uint64_t>(served.compressions));
+  EXPECT_EQ(delta.CounterValue(kSzCompressions),
+            static_cast<uint64_t>(served.compressions));
+}
+
 TEST_F(GuardMetricsTest, FrazTierCountsEveryProbe) {
   // An untrained pipeline serves through the FRaZ tier: its search probes
   // and polish steps all reach the codec counter.

@@ -216,7 +216,7 @@ TEST_F(GuardedServingTest, FrazDisabledReportsFailingTier) {
   const Tensor& test = (*fields_)[3];
   GuardOptions options;
   options.max_knob_spread = 0.0;  // force the gate
-  options.allow_fraz_fallback = false;
+  options.fallback = GuardFallback::kFail;
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio(test, 20.0, options);
   ASSERT_FALSE(r.ok());
@@ -256,9 +256,21 @@ TEST(GuardedUntrainedTest, UntrainedWithoutFallbackIsAnError) {
   const Tensor field = SmallField(22);
   const Fxrz fxrz(MakeCompressor("sz"));
   GuardOptions options;
-  options.allow_fraz_fallback = false;
+  options.fallback = GuardFallback::kFail;
   const StatusOr<GuardedResult> r =
       fxrz.GuardedCompressToRatio(field, 20.0, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("model not trained"),
+            std::string::npos)
+      << r.status().message();
+}
+
+TEST(GuardedUntrainedTest, PaperPolicyWithoutArchiveIsAnError) {
+  // kServeBest has no model-tier archive to serve: exhaustion Status.
+  const Tensor field = SmallField(24);
+  const Fxrz fxrz(MakeCompressor("sz"));
+  const StatusOr<GuardedResult> r =
+      fxrz.GuardedCompressToRatio(field, 20.0, PaperPolicy(1));
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("model not trained"),
             std::string::npos)

@@ -102,7 +102,8 @@ TEST(PsnrAdapterTest, FxrzRunsOnPsnrKnob) {
   }
   Fxrz fxrz(std::make_unique<PsnrBoundCompressor>(MakeCompressor("sz")));
   fxrz.Train({&fields[0], &fields[1]});
-  const auto result = fxrz.CompressToRatio(fields[2], 10.0).value();
+  const auto result =
+      fxrz.GuardedCompressToRatio(fields[2], 10.0, PaperPolicy()).value();
   EXPECT_GE(result.config, 20.0);
   EXPECT_LE(result.config, 120.0);
   EXPECT_LT(EstimationError(10.0, result.measured_ratio), 0.6);

@@ -47,7 +47,8 @@ TEST(FxrzEndToEndTest, NyxBaryonDensitySzCapabilityLevel2) {
   double total_err = 0.0;
   int n = 0;
   for (double tcr : {10.0, 30.0, 60.0, 100.0}) {
-    const auto result = fxrz.CompressToRatio(test, tcr).value();
+    const auto result =
+        fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
     total_err += EstimationError(tcr, result.measured_ratio);
     ++n;
   }
@@ -68,7 +69,8 @@ TEST(FxrzEndToEndTest, HurricaneTcZfpCapabilityLevel1) {
   double total_err = 0.0;
   int n = 0;
   for (double tcr : fxrz.model().ValidTargetRatios(4, 0.15)) {
-    const auto result = fxrz.CompressToRatio(test, tcr).value();
+    const auto result =
+        fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();
     total_err += EstimationError(tcr, result.measured_ratio);
     ++n;
   }
@@ -81,11 +83,11 @@ TEST(FxrzEndToEndTest, FpzipIntegerConfigSpace) {
   fxrz.Train(Pointers(bundle.train));
   const Tensor& test = bundle.test[0].data;
 
-  const auto est = fxrz.EstimateConfig(test, 4.0);
+  const double config = fxrz.model().EstimateConfig(test, 4.0);
   // Precision must come back as an integer within the knob range.
-  EXPECT_EQ(est.config, std::round(est.config));
-  EXPECT_GE(est.config, 4.0);
-  EXPECT_LE(est.config, 32.0);
+  EXPECT_EQ(config, std::round(config));
+  EXPECT_GE(config, 4.0);
+  EXPECT_LE(config, 32.0);
 }
 
 TEST(FxrzEndToEndTest, AnalysisIsCompressionFree) {
@@ -102,12 +104,11 @@ TEST(FxrzEndToEndTest, AnalysisIsCompressionFree) {
 
   const uint64_t extractions = FeatureExtractionCount();
   const uint64_t scans = ConstantBlockScanCount();
-  const auto result = fxrz.CompressToRatio(test, 40.0).value();
+  const auto result =
+      fxrz.GuardedCompressToRatio(test, 40.0, PaperPolicy()).value();
   EXPECT_EQ(FeatureExtractionCount() - extractions, 1u);
   EXPECT_EQ(ConstantBlockScanCount() - scans, 1u);
   EXPECT_EQ(result.compressions, 1);
-  EXPECT_GE(result.analysis_seconds, 0.0);
-  EXPECT_GT(result.compress_seconds, 0.0);
 }
 
 TEST(FrazBaselineTest, FindsAccurateConfigWithManyIterations) {

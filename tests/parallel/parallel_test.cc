@@ -7,6 +7,7 @@
 #include "src/data/generators/grf.h"
 #include "src/parallel/dump.h"
 #include "src/parallel/io_model.h"
+#include "src/util/fault_injection.h"
 
 namespace fxrz {
 namespace {
@@ -66,11 +67,12 @@ TEST_F(DumpExperimentTest, FxrzBeatsFrazEndToEnd) {
   opts.measure_threads = 2;
   ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
 
-  const DumpMethodResult fx = experiment.RunFxrz(fxrz.model(), variants_);
+  const DumpMethodResult fx =
+      experiment.RunFxrz(fxrz.model(), variants_).value();
   FrazOptions fraz;
   fraz.total_max_iterations = 15;
   fraz.tolerance = 0.0;  // no early exit: full search cost
-  const DumpMethodResult fr = experiment.RunFraz(fraz, variants_);
+  const DumpMethodResult fr = experiment.RunFraz(fraz, variants_).value();
 
   // FRaZ's per-rank analysis runs the compressor ~15x; FXRZ's does not.
   EXPECT_LT(fx.mean_analysis_seconds, fr.mean_analysis_seconds);
@@ -95,11 +97,35 @@ TEST_F(DumpExperimentTest, RankCountScalesIoNotCompute) {
 
   const DumpMethodResult a =
       ParallelDumpExperiment(&fxrz.compressor(), small)
-          .RunFxrz(fxrz.model(), variants_);
+          .RunFxrz(fxrz.model(), variants_)
+          .value();
   const DumpMethodResult b =
       ParallelDumpExperiment(&fxrz.compressor(), large)
-          .RunFxrz(fxrz.model(), variants_);
+          .RunFxrz(fxrz.model(), variants_)
+          .value();
   EXPECT_NEAR(b.timing.io_seconds / a.timing.io_seconds, 64.0, 10.0);
+}
+
+TEST_F(DumpExperimentTest, FailedRankCompressionPropagatesItsStatus) {
+  if (!fault::Enabled()) GTEST_SKIP() << "built without FXRZ_FAULT_INJECT";
+  Fxrz fxrz(MakeCompressor("sz"));
+  fxrz.Train(train_);
+  DumpExperimentOptions opts;
+  opts.target_ratio = 20.0;
+  opts.measure_threads = 2;
+  ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
+
+  // One injected codec failure, in whichever rank compresses first: a
+  // final compression for FXRZ, a search probe for FRaZ.
+  fault::ResetAll();
+  fault::Arm(fault::Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
+  const Status fx = experiment.RunFxrz(fxrz.model(), variants_).status();
+  fault::Arm(fault::Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
+  const Status fr = experiment.RunFraz(FrazOptions(), variants_).status();
+  fault::ResetAll();
+  EXPECT_EQ(fx.code(), StatusCode::kUnavailable) << fx.ToString();
+  EXPECT_EQ(fr.code(), StatusCode::kUnavailable) << fr.ToString();
+  EXPECT_TRUE(experiment.RunFxrz(fxrz.model(), variants_).ok());
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ TEST_F(ServeRetryTest, RetriesTransientFaultsThenSucceeds) {
     GTEST_SKIP() << "needs -DFXRZ_FAULT_INJECT=ON";
   }
   ServeOptions options;
-  options.guard.allow_fraz_fallback = false;
+  options.guard.fallback = GuardFallback::kFail;
   options.retry.max_attempts = 3;
   options.retry.initial_backoff_seconds = 1e-4;  // fast test
   FxrzServer server(*fxrz_, options);
@@ -132,7 +132,7 @@ TEST_F(ServeRetryTest, ExhaustsAttemptBudgetOnPersistentFaults) {
     GTEST_SKIP() << "needs -DFXRZ_FAULT_INJECT=ON";
   }
   ServeOptions options;
-  options.guard.allow_fraz_fallback = false;
+  options.guard.fallback = GuardFallback::kFail;
   options.retry.max_attempts = 2;
   options.retry.initial_backoff_seconds = 1e-4;
   // Keep the breaker out of the picture for this test.
@@ -157,7 +157,7 @@ TEST_F(ServeRetryTest, PersistentFaultsTripTheBreaker) {
     GTEST_SKIP() << "needs -DFXRZ_FAULT_INJECT=ON";
   }
   ServeOptions options;
-  options.guard.allow_fraz_fallback = false;
+  options.guard.fallback = GuardFallback::kFail;
   options.retry.max_attempts = 1;  // isolate the breaker from retries
   options.breaker.failure_threshold = 2;
   options.breaker.open_seconds = 3600.0;
@@ -201,7 +201,7 @@ TEST_F(ServeRetryTest, MemoryDenialDuringHalfOpenProbeReleasesTheSlot) {
       2 * EstimatePeakBytes(fxrz_->compressor().name(),
                             fields_[0].size_bytes()));
   ServeOptions options;
-  options.guard.allow_fraz_fallback = false;
+  options.guard.fallback = GuardFallback::kFail;
   options.retry.max_attempts = 1;  // isolate the breaker from retries
   options.breaker.failure_threshold = 2;
   options.breaker.open_seconds = 0.0;  // next Allow() after a trip probes
