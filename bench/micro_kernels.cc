@@ -5,8 +5,9 @@
 // Two modes:
 //   * default: the google-benchmark suite (./micro_kernels [--benchmark_*]).
 //   * --kernels: the per-kernel throughput harness. Times every codec's
-//     compress/decompress path and both entropy coders at 64^3 and 256^3,
-//     reports GB/s of uncompressed data moved, optionally writes the
+//     compress/decompress path, both entropy coders, and zlite over the
+//     body sz hands it, at 64^3 and 256^3; reports GB/s of uncompressed
+//     data moved (for zlite, of its input body), optionally writes the
 //     results as JSON (--json FILE) and gates them against a checked-in
 //     baseline (--gate FILE [--tolerance T]). The gate compares only when
 //     the baseline was recorded at the same SIMD dispatch level, and fails
@@ -32,6 +33,7 @@
 #include "src/data/fft.h"
 #include "src/data/generators/grf.h"
 #include "src/encoding/arith.h"
+#include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
 #include "src/util/check.h"
@@ -277,6 +279,13 @@ double BestSeconds(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+// Every harness codec runs at the geometric middle of its config space
+// (precision 16 for integer knobs).
+double BenchConfig(const Compressor& comp, const Tensor& data) {
+  const ConfigSpace space = comp.config_space(data);
+  return space.integer ? 16 : std::sqrt(space.min * space.max);
+}
+
 std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
   std::vector<KernelResult> results;
   const char* codecs[] = {"sz", "sz3", "zfp", "fpzip", "mgard", "relative"};
@@ -289,9 +298,7 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
 
     for (const char* name : codecs) {
       const auto comp = MakeBenchCompressor(name);
-      const ConfigSpace space = comp->config_space(data);
-      const double config =
-          space.integer ? 16 : std::sqrt(space.min * space.max);
+      const double config = BenchConfig(*comp, data);
       const std::vector<uint8_t> archive = comp->Compress(data, config).value();
       const double enc_s = BestSeconds(reps, [&] {
         benchmark::DoNotOptimize(comp->Compress(data, config).value());
@@ -308,6 +315,40 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
           {std::string(name) + "_decompress", grid, bytes / dec_s / 1e9});
       std::fprintf(stderr, "  %-22s %zu^3  enc %7.4f GB/s  dec %7.4f GB/s\n",
                    name, grid, bytes / enc_s / 1e9, bytes / dec_s / 1e9);
+    }
+
+    // zlite over the body sz hands it (the archive minus its header), so
+    // the rows track the lossless pass on the stream it really sees.
+    {
+      const auto sz = MakeCompressor("sz");
+      const std::vector<uint8_t> archive =
+          sz->Compress(data, BenchConfig(*sz, data)).value();
+      std::vector<size_t> dims;
+      size_t pos = 0;
+      FXRZ_CHECK(compressor_internal::ParseHeader(
+                     archive.data(), archive.size(), ReadUint32(archive.data()),
+                     &dims, &pos)
+                     .ok());
+      std::vector<uint8_t> body;
+      FXRZ_CHECK(ZliteDecompress(archive.data() + pos, archive.size() - pos,
+                                 &body)
+                     .ok());
+      const double body_bytes = static_cast<double>(body.size());
+      const double zl_enc_s = BestSeconds(
+          reps, [&] { benchmark::DoNotOptimize(ZliteCompress(body)); });
+      const std::vector<uint8_t> packed = ZliteCompress(body);
+      std::vector<uint8_t> unpacked;
+      const double zl_dec_s = BestSeconds(reps, [&] {
+        benchmark::DoNotOptimize(
+            ZliteDecompress(packed.data(), packed.size(), &unpacked));
+      });
+      FXRZ_CHECK(unpacked == body);
+      results.push_back({"zlite_compress", grid, body_bytes / zl_enc_s / 1e9});
+      results.push_back(
+          {"zlite_decompress", grid, body_bytes / zl_dec_s / 1e9});
+      std::fprintf(stderr, "  %-22s %zu^3  enc %7.4f GB/s  dec %7.4f GB/s\n",
+                   "zlite (sz body)", grid, body_bytes / zl_enc_s / 1e9,
+                   body_bytes / zl_dec_s / 1e9);
     }
 
     const std::vector<uint32_t> symbols = MakeCodeStream(data.size(), 9);

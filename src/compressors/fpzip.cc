@@ -241,8 +241,10 @@ ConfigSpace FpzipCompressor::config_space(const Tensor& data) const {
 
 StatusOr<std::vector<uint8_t>> FpzipCompressor::DoCompress(
     const Tensor& data, double config) const {
+  if (!(config >= kMinPrecision - 0.5 && config < kMaxPrecision + 0.5)) {
+    return Status::InvalidArgument("fpzip: precision out of range");
+  }
   const int p = static_cast<int>(std::lround(config));
-  FXRZ_CHECK(p >= kMinPrecision && p <= kMaxPrecision) << "precision " << p;
 
   // Precision-reduce the whole field first; both sides of the codec then
   // agree on the exact integer stream.

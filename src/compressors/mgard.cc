@@ -163,7 +163,10 @@ ConfigSpace MgardCompressor::config_space(const Tensor& data) const {
 
 StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
     const Tensor& data, double eb) const {
-  FXRZ_CHECK_GT(eb, 0.0);
+  if (!std::isfinite(eb) || eb <= 0.0) {
+    return Status::InvalidArgument(
+        "mgard: error bound must be finite and > 0");
+  }
 
   const SummaryStats stats = ComputeSummary(data);
   const double offset = stats.min;
@@ -183,14 +186,20 @@ StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
   std::vector<uint32_t> codes(v.size());
   const double max_code = simd::QuantizeZigZag(v.data(), v.size(), q,
                                                codes.data());
-  FXRZ_CHECK(max_code < 1e9)
-      << "mgard: quantization overflow; eb too small for this data";
+  if (!(max_code < 1e9)) {
+    return Status::InvalidArgument(
+        "mgard: quantization overflow; error bound too small for this data");
+  }
 
+  std::vector<double>().swap(v);
+
+  const std::vector<uint8_t> huff = HuffmanEncode(codes);
+  std::vector<uint32_t>().swap(codes);
   std::vector<uint8_t> body;
+  body.reserve(8 + 8 + 1 + 8 + huff.size());
   AppendDouble(&body, eb);
   AppendDouble(&body, offset);
   body.push_back(static_cast<uint8_t>(levels));
-  const std::vector<uint8_t> huff = HuffmanEncode(codes);
   AppendUint64(&body, huff.size());
   body.insert(body.end(), huff.begin(), huff.end());
 

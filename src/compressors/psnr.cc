@@ -28,7 +28,9 @@ ConfigSpace PsnrBoundCompressor::config_space(const Tensor& data) const {
 
 StatusOr<std::vector<uint8_t>> PsnrBoundCompressor::DoCompress(
     const Tensor& data, double config) const {
-  FXRZ_CHECK(config >= 1.0 && config <= 200.0) << "PSNR " << config;
+  if (!(config >= 1.0 && config <= 200.0)) {
+    return Status::InvalidArgument("psnr: target must lie in [1, 200] dB");
+  }
   const SummaryStats stats = ComputeSummary(data);
   const double range = stats.value_range > 0 ? stats.value_range : 1.0;
   const ConfigSpace base_space = base_->config_space(data);

@@ -1,6 +1,7 @@
 #include "src/compressors/relative.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/data/statistics.h"
 #include "src/util/check.h"
@@ -28,7 +29,10 @@ ConfigSpace RelativeErrorCompressor::config_space(const Tensor& data) const {
 
 StatusOr<std::vector<uint8_t>> RelativeErrorCompressor::DoCompress(
     const Tensor& data, double config) const {
-  FXRZ_CHECK_GT(config, 0.0);
+  if (!std::isfinite(config) || config <= 0.0) {
+    return Status::InvalidArgument(
+        "relative: error bound must be finite and > 0");
+  }
   const SummaryStats stats = ComputeSummary(data);
   const double range = stats.value_range > 0 ? stats.value_range : 1.0;
   const ConfigSpace base_space = base_->config_space(data);

@@ -1,17 +1,20 @@
 #include "src/compressors/sz.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "src/data/statistics.h"
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
-#include "src/util/check.h"
 #include "src/util/simd.h"
+#include "src/util/thread_pool.h"
 
 namespace fxrz {
 
@@ -239,6 +242,237 @@ void ForEachBlock(const SliceLayout& lay, Fn&& fn) {
   }
 }
 
+// Parallel work units depend only on the input's shape: selection takes
+// 32 blocks per unit, quantization one row of blocks. A field below
+// kMinSplitPoints is one unit per stage: its stages are too short to gain
+// from other threads.
+constexpr size_t kSelectGrain = 32;
+constexpr size_t kMinSplitPoints = size_t{1} << 16;
+
+// The blocks of every slice, numbered slice-major and then (z, y, x): the
+// order the archive stores them in.
+struct BlockGrid {
+  explicit BlockGrid(const SliceLayout& lay) : lay(lay) {
+    for (int d = 0; d < 3; ++d) n[d] = (lay.dims[d] + kBlock - 1) / kBlock;
+    per_slice = n[0] * n[1] * n[2];
+    total = per_slice * lay.num_slices;
+  }
+
+  // Sets the block's bounds within its slice and returns the slice's first
+  // element.
+  size_t Bounds(size_t b, size_t* lo, size_t* hi) const {
+    const size_t s = b / per_slice;
+    const size_t r = b % per_slice;
+    const size_t idx[3] = {r / (n[1] * n[2]), (r / n[2]) % n[1], r % n[2]};
+    for (int d = 0; d < 3; ++d) {
+      lo[d] = idx[d] * kBlock;
+      hi[d] = std::min(lo[d] + kBlock, lay.dims[d]);
+    }
+    return s * lay.slice_elems;
+  }
+
+  size_t Elements(size_t b) const {
+    size_t lo[3], hi[3];
+    Bounds(b, lo, hi);
+    return (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
+  }
+
+  // Rows of blocks along x: row r holds blocks [r * n[2], (r + 1) * n[2]).
+  size_t rows() const { return total / n[2]; }
+
+  const SliceLayout& lay;
+  size_t n[3];
+  size_t per_slice = 0;
+  size_t total = 0;
+};
+
+// The order in which rows of blocks are quantized. A Lorenzo prediction
+// reads reconstructed neighbours at offsets (dz, dy, dx) in {0, 1}^3, which
+// lie in the point's own block or in a block whose index is the same or one
+// lower along each axis; a regression block reads no reconstructed values
+// at all. A row of blocks along x, quantized in x order, keeps the
+// dependencies along x inside the row, so row (bz, by) of a slice needs
+// only rows (bz - 1, by), (bz, by - 1) and (bz - 1, by - 1) done, and the
+// last of these is a dependency of each of the first two. Each row counts
+// its unfinished dependencies; the row that finishes a dependent's last one
+// publishes it in the next free slot of `ready_`. Whoever takes slot i
+// quantizes that row. No row waits for rows it does not read, so a thread
+// that stalls (its vCPU descheduled by the host) holds back only the rows
+// below and right of its own, not a whole diagonal.
+class RowSchedule {
+ public:
+  static constexpr size_t kAbandoned = std::numeric_limits<size_t>::max();
+
+  explicit RowSchedule(const BlockGrid& grid)
+      : nz_(grid.n[0]), ny_(grid.n[1]), pending_(grid.rows()),
+        ready_(grid.rows()) {
+    for (size_t r = 0; r < pending_.size(); ++r) {
+      const size_t in_slice = r % (nz_ * ny_);
+      pending_[r].store((in_slice >= ny_ ? 1 : 0) + (in_slice % ny_ ? 1 : 0),
+                        std::memory_order_relaxed);
+      if (in_slice == 0) Publish(r);
+    }
+  }
+
+  // The row published in slot i; waits until some thread publishes it.
+  // Returns kAbandoned once Abandon() was called.
+  size_t Take(size_t i) const {
+    for (unsigned spins = 1;; ++spins) {
+      const size_t slot = ready_[i].load(std::memory_order_acquire);
+      if (slot != 0) return slot - 1;
+      if (abandoned_.load(std::memory_order_relaxed)) return kAbandoned;
+      if (spins % 64 == 0) std::this_thread::yield();
+    }
+  }
+
+  // Row r is quantized: counts it off its dependents' pending dependencies.
+  void Finish(size_t r) {
+    const size_t in_slice = r % (nz_ * ny_);
+    if (in_slice % ny_ + 1 < ny_) Release(r + 1);    // row (bz, by + 1)
+    if (in_slice / ny_ + 1 < nz_) Release(r + ny_);  // row (bz + 1, by)
+  }
+
+  // A row failed: every waiting Take returns kAbandoned, since the rows
+  // that depend on it will never be published.
+  void Abandon() { abandoned_.store(true, std::memory_order_relaxed); }
+
+ private:
+  void Release(size_t r) {
+    if (pending_[r].fetch_sub(1, std::memory_order_acq_rel) == 1) Publish(r);
+  }
+
+  void Publish(size_t r) {
+    const size_t slot = published_.fetch_add(1, std::memory_order_relaxed);
+    ready_[slot].store(r + 1, std::memory_order_release);
+  }
+
+  const size_t nz_, ny_;
+  // lock-free: per-row countdown; the acq_rel decrements chain the writes
+  // of both dependencies to the thread that publishes the row.
+  std::vector<std::atomic<uint8_t>> pending_;
+  // lock-free: slot i holds row + 1 once published (release), 0 before;
+  // Take's acquire load pairs with it.
+  std::vector<std::atomic<size_t>> ready_;
+  // lock-free: next free slot of ready_; each slot is claimed exactly once.
+  std::atomic<size_t> published_{0};
+  // lock-free: set once on failure, read by waiting threads; it carries no
+  // data.
+  std::atomic<bool> abandoned_{false};
+};
+
+// Calls fn(idx, i, lin) for each point of a block in (z, y, x) order: idx
+// is the point's coordinates in its slice, i counts points within the
+// block, lin is the point's offset within the slice.
+template <typename Fn>
+void ForEachPoint(const SliceLayout& lay, const size_t* lo, const size_t* hi,
+                  Fn&& fn) {
+  size_t i = 0;
+  for (size_t z = lo[0]; z < hi[0]; ++z) {
+    for (size_t y = lo[1]; y < hi[1]; ++y) {
+      size_t lin =
+          z * lay.strides[0] + y * lay.strides[1] + lo[2] * lay.strides[2];
+      for (size_t x = lo[2]; x < hi[2]; ++x, ++i, ++lin) {
+        const size_t idx[3] = {z, y, x};
+        fn(idx, i, lin);
+      }
+    }
+  }
+}
+
+// One block's predictor: regression with quantized coefficients qc, or
+// Lorenzo.
+struct BlockChoice {
+  bool regression = false;
+  int64_t qc[4] = {0, 0, 0, 0};
+};
+
+RegressionCoefs Dequantize(const int64_t* qc, const double* coef_steps) {
+  RegressionCoefs dq;
+  dq.c0 = static_cast<double>(qc[0]) * coef_steps[0];
+  dq.cz = static_cast<double>(qc[1]) * coef_steps[1];
+  dq.cy = static_cast<double>(qc[2]) * coef_steps[2];
+  dq.cx = static_cast<double>(qc[3]) * coef_steps[3];
+  return dq;
+}
+
+// Picks the block's predictor by mean absolute prediction error on the
+// original data. Lorenzo is estimated with original neighbours (the
+// standard SZ2 approximation of its online behaviour); the regression
+// plane is judged after coefficient quantization, as the decoder sees it.
+BlockChoice SelectPredictor(const float* in, const SliceLayout& lay,
+                            const size_t* lo, const size_t* hi,
+                            const double* coef_steps, BlockScratch* scratch) {
+  const size_t n = FillBlockCoords(lo, hi, scratch);
+  GatherBlockValues(in, lay.strides, lo, hi, scratch);
+  const RegressionCoefs coefs = FitBlock(scratch, n, lo, hi);
+  BlockChoice choice;
+  const double raw_coefs[4] = {coefs.c0, coefs.cz, coefs.cy, coefs.cx};
+  bool coef_ok = true;
+  for (int k = 0; k < 4; ++k) {
+    const double q = std::round(raw_coefs[k] / coef_steps[k]);
+    if (!(std::fabs(q) < 1e18)) {
+      coef_ok = false;
+      break;
+    }
+    choice.qc[k] = static_cast<int64_t>(q);
+    if (std::llabs(choice.qc[k]) > (1ll << 30)) {
+      coef_ok = false;
+      break;
+    }
+  }
+  if (!coef_ok) return BlockChoice{};
+
+  double err_lorenzo = 0.0;
+  const LorenzoSlice lorenzo_orig(in, lay.nd, lay.strides);
+  ForEachPoint(lay, lo, hi, [&](const size_t* idx, size_t, size_t lin) {
+    err_lorenzo += std::fabs(in[lin] - lorenzo_orig.Predict(idx, lin));
+  });
+  const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
+  const double err_reg = simd::PlaneAbsErr(
+      scratch->vals.data(), scratch->cz.data(), scratch->cy.data(),
+      scratch->cx.data(), n, dq.c0, dq.cz, dq.cy, dq.cx);
+  choice.regression = err_reg < err_lorenzo;
+  return choice;
+}
+
+// Quantizes one block against its chosen predictor, writing its codes to
+// `codes` (block-local order) and its reconstruction to `out`. Returns the
+// number of unpredictable points (code 0), stored verbatim.
+uint32_t QuantizeBlock(const float* in, float* out, const SliceLayout& lay,
+                       const size_t* lo, const size_t* hi,
+                       const BlockChoice& choice, const double* coef_steps,
+                       double eb, double bin, BlockScratch* scratch,
+                       uint32_t* codes) {
+  if (choice.regression) {
+    const size_t n = FillBlockCoords(lo, hi, scratch);
+    const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
+    simd::PlanePredict(scratch->cz.data(), scratch->cy.data(),
+                       scratch->cx.data(), n, dq.c0, dq.cz, dq.cy, dq.cx,
+                       scratch->pred.data());
+  }
+  const LorenzoSlice lorenzo(out, lay.nd, lay.strides);
+  uint32_t raw = 0;
+  ForEachPoint(lay, lo, hi, [&](const size_t* idx, size_t i, size_t lin) {
+    const double pred =
+        choice.regression ? scratch->pred[i] : lorenzo.Predict(idx, lin);
+    const double val = in[lin];
+    const double code_d = std::round((val - pred) / bin);
+    if (std::fabs(code_d) < static_cast<double>(kRadius)) {
+      const float r = static_cast<float>(pred + code_d * bin);
+      if (std::isfinite(r) && std::fabs(r - val) <= eb) {
+        codes[i] =
+            static_cast<uint32_t>(static_cast<int64_t>(code_d) + kRadius);
+        out[lin] = r;
+        return;
+      }
+    }
+    codes[i] = 0;  // reserved: unpredictable
+    out[lin] = in[lin];
+    ++raw;
+  });
+  return raw;
+}
+
 }  // namespace
 
 ConfigSpace SzCompressor::config_space(const Tensor& data) const {
@@ -255,124 +489,133 @@ ConfigSpace SzCompressor::config_space(const Tensor& data) const {
 
 StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
     const Tensor& data, double eb) const {
-  FXRZ_CHECK_GT(eb, 0.0);
+  if (!std::isfinite(eb) || eb <= 0.0) {
+    return Status::InvalidArgument("sz: error bound must be finite and > 0");
+  }
   const double bin = 2.0 * eb;
   double coef_steps[4];
   CoefSteps(eb, coef_steps);
 
-  std::vector<float> recon(data.size());
-  std::vector<uint32_t> codes;
-  codes.reserve(data.size());
-  std::vector<uint32_t> coef_codes;
-  std::vector<uint8_t> raw;  // verbatim floats for unpredictable points
-  BitWriter selection;       // 1 bit per block: 1 = regression predictor
-
   const SliceLayout lay = MakeSliceLayout(data.dims());
-  BlockScratch scratch;
-  for (size_t s = 0; s < lay.num_slices; ++s) {
-    const size_t base = s * lay.slice_elems;
-    const float* in = data.data() + base;
-    float* out = recon.data() + base;
-    LorenzoSlice lorenzo(out, lay.nd, lay.strides);
+  const BlockGrid grid(lay);
+  ThreadPool* pool = SharedThreadPool();
+  const bool split = data.size() >= kMinSplitPoints;
+  const size_t select_grain = split ? kSelectGrain : grid.total;
 
-    ForEachBlock(lay, [&](const size_t* lo, const size_t* hi) {
-      const size_t n = FillBlockCoords(lo, hi, &scratch);
-      GatherBlockValues(in, lay.strides, lo, hi, &scratch);
-      // --- Predictor selection on original data (like SZ2) ---
-      RegressionCoefs coefs = FitBlock(&scratch, n, lo, hi);
-      // Quantize coefficients; the decoder sees only the dequantized plane.
-      int64_t qc[4];
-      const double raw_coefs[4] = {coefs.c0, coefs.cz, coefs.cy, coefs.cx};
-      bool coef_ok = true;
-      RegressionCoefs dq;
-      double* dq_fields[4] = {&dq.c0, &dq.cz, &dq.cy, &dq.cx};
-      for (int k = 0; k < 4; ++k) {
-        const double q = std::round(raw_coefs[k] / coef_steps[k]);
-        if (!(std::fabs(q) < 1e18)) {
-          coef_ok = false;
-          break;
+  // --- Phase 1: predictor selection on the original data (like SZ2). It
+  // reads only the input, so every block is independent.
+  std::vector<BlockChoice> choice(grid.total);
+  ParallelForBlocked(
+      pool, 0, grid.total,
+      [&](size_t first, size_t last) {
+        BlockScratch scratch;
+        for (size_t b = first; b < last; ++b) {
+          size_t lo[3], hi[3];
+          const float* in = data.data() + grid.Bounds(b, lo, hi);
+          choice[b] = SelectPredictor(in, lay, lo, hi, coef_steps, &scratch);
         }
-        qc[k] = static_cast<int64_t>(q);
-        if (std::llabs(qc[k]) > (1ll << 30)) {
-          coef_ok = false;
-          break;
-        }
-        *dq_fields[k] = static_cast<double>(qc[k]) * coef_steps[k];
-      }
+      },
+      select_grain);
 
-      // Compare mean absolute prediction error of the two predictors.
-      // Lorenzo is estimated with original neighbors (the standard SZ2
-      // approximation of its online behaviour).
-      double err_lorenzo = 0.0;
-      LorenzoSlice lorenzo_orig(in, lay.nd, lay.strides);
-      for (size_t z = lo[0]; z < hi[0]; ++z) {
-        for (size_t y = lo[1]; y < hi[1]; ++y) {
-          size_t lin =
-              z * lay.strides[0] + y * lay.strides[1] + lo[2] * lay.strides[2];
-          for (size_t x = lo[2]; x < hi[2]; ++x, ++lin) {
-            const size_t idx[3] = {z, y, x};
-            err_lorenzo += std::fabs(in[lin] - lorenzo_orig.Predict(idx, lin));
-          }
-        }
-      }
-      const double err_reg =
-          coef_ok ? simd::PlaneAbsErr(scratch.vals.data(), scratch.cz.data(),
-                                      scratch.cy.data(), scratch.cx.data(), n,
-                                      dq.c0, dq.cz, dq.cy, dq.cx)
-                  : 0.0;
-      const bool use_regression = coef_ok && err_reg < err_lorenzo;
-      selection.WriteBit(use_regression ? 1u : 0u);
-      if (use_regression) {
-        for (int k = 0; k < 4; ++k) coef_codes.push_back(ZigZag(qc[k]));
-        simd::PlanePredict(scratch.cz.data(), scratch.cy.data(),
-                           scratch.cx.data(), n, dq.c0, dq.cz, dq.cy, dq.cx,
-                           scratch.pred.data());
-      }
-
-      // --- Quantize the block ---
-      size_t i = 0;
-      for (size_t z = lo[0]; z < hi[0]; ++z) {
-        for (size_t y = lo[1]; y < hi[1]; ++y) {
-          size_t lin =
-              z * lay.strides[0] + y * lay.strides[1] + lo[2] * lay.strides[2];
-          for (size_t x = lo[2]; x < hi[2]; ++x, ++i, ++lin) {
-            const size_t idx[3] = {z, y, x};
-            const double pred =
-                use_regression ? scratch.pred[i] : lorenzo.Predict(idx, lin);
-            const double val = in[lin];
-            const double code_d = std::round((val - pred) / bin);
-            bool predictable =
-                std::fabs(code_d) < static_cast<double>(kRadius);
-            if (predictable) {
-              const int64_t code = static_cast<int64_t>(code_d);
-              const float r = static_cast<float>(pred + code_d * bin);
-              if (std::isfinite(r) && std::fabs(r - val) <= eb) {
-                codes.push_back(static_cast<uint32_t>(code + kRadius));
-                out[lin] = r;
-              } else {
-                predictable = false;
-              }
-            }
-            if (!predictable) {
-              codes.push_back(0);  // reserved: unpredictable
-              out[lin] = in[lin];
-              AppendUint32(&raw, std::bit_cast<uint32_t>(in[lin]));
-            }
-          }
-        }
-      }
-    });
+  // Every block's codes start at a fixed offset: blocks are stored in
+  // block order, each point in (z, y, x) order within its block.
+  std::vector<size_t> code_offset(grid.total + 1, 0);
+  for (size_t b = 0; b < grid.total; ++b) {
+    code_offset[b + 1] = code_offset[b] + grid.Elements(b);
   }
 
+  // --- Phase 2: quantization, one row of blocks per unit, each row once
+  // the rows it reads are done (see RowSchedule). Each block writes only
+  // its own codes (at its fixed offset) and its own reconstructed points,
+  // so the codes come out exactly as a serial pass in block order writes
+  // them, whatever order the rows run in.
+  //
+  // recon and codes live until the archive is built. Freeing them early
+  // lets the archive, which the caller keeps, land in their freed space
+  // and split it; under glibc that raised the steady-state resident size
+  // of a serving loop by ~3 MB at 128^3.
+  std::vector<float> recon(data.size());
+  std::vector<uint32_t> codes(data.size());
+  std::vector<uint32_t> raw_count(grid.total, 0);
+  // ParallelForBlocked hands out slot indices in increasing order, so
+  // every slot below a claimed one is claimed by a running thread and a
+  // waiting Take always ends.
+  RowSchedule schedule(grid);
+  ParallelForBlocked(
+      pool, 0, grid.rows(),
+      [&](size_t first, size_t last) {
+        BlockScratch scratch;
+        for (size_t k = first; k < last; ++k) {
+          const size_t row = schedule.Take(k);
+          if (row == RowSchedule::kAbandoned) return;
+          try {
+            const size_t row_end = (row + 1) * grid.n[2];
+            for (size_t b = row_end - grid.n[2]; b < row_end; ++b) {
+              size_t lo[3], hi[3];
+              const size_t base = grid.Bounds(b, lo, hi);
+              raw_count[b] = QuantizeBlock(
+                  data.data() + base, recon.data() + base, lay, lo, hi,
+                  choice[b], coef_steps, eb, bin, &scratch,
+                  codes.data() + code_offset[b]);
+            }
+          } catch (...) {
+            schedule.Abandon();
+            throw;
+          }
+          schedule.Finish(row);
+        }
+      },
+      split ? 1 : grid.rows());
+
+  // Verbatim floats for unpredictable points, in block order.
+  std::vector<size_t> raw_offset(grid.total + 1, 0);
+  for (size_t b = 0; b < grid.total; ++b) {
+    raw_offset[b + 1] = raw_offset[b] + raw_count[b];
+  }
+  std::vector<uint8_t> raw(raw_offset.back() * 4);
+  if (!raw.empty()) {
+    ParallelForBlocked(
+        pool, 0, grid.total,
+        [&](size_t first, size_t last) {
+          for (size_t b = first; b < last; ++b) {
+            if (raw_count[b] == 0) continue;
+            size_t lo[3], hi[3];
+            const float* in = data.data() + grid.Bounds(b, lo, hi);
+            const uint32_t* c = codes.data() + code_offset[b];
+            uint8_t* dst = raw.data() + raw_offset[b] * 4;
+            auto copy_raw = [&](const size_t*, size_t i, size_t lin) {
+              if (c[i] != 0) return;
+              const uint32_t bits = std::bit_cast<uint32_t>(in[lin]);
+              for (int k = 0; k < 4; ++k) {
+                *dst++ = static_cast<uint8_t>(bits >> (8 * k));
+              }
+            };
+            ForEachPoint(lay, lo, hi, copy_raw);
+          }
+        },
+        select_grain);
+  }
+
+  // Selection bits (1 = regression predictor) and coefficient codes.
+  BitWriter selection;
+  std::vector<uint32_t> coef_codes;
+  for (const BlockChoice& c : choice) {
+    selection.WriteBit(c.regression ? 1u : 0u);
+    if (!c.regression) continue;
+    for (int k = 0; k < 4; ++k) coef_codes.push_back(ZigZag(c.qc[k]));
+  }
+
+  const std::vector<uint8_t> sel_bytes = std::move(selection).Take();
+  const std::vector<uint8_t> coef_huff = HuffmanEncode(coef_codes);
+  const std::vector<uint8_t> huff = HuffmanEncode(codes);
   std::vector<uint8_t> body;
+  body.reserve(8 + 8 + sel_bytes.size() + 8 + coef_huff.size() + 8 +
+               huff.size() + 8 + raw.size());
   AppendDouble(&body, eb);
-  const std::vector<uint8_t>& sel_bytes = selection.buffer();
   AppendUint64(&body, sel_bytes.size());
   body.insert(body.end(), sel_bytes.begin(), sel_bytes.end());
-  const std::vector<uint8_t> coef_huff = HuffmanEncode(coef_codes);
   AppendUint64(&body, coef_huff.size());
   body.insert(body.end(), coef_huff.begin(), coef_huff.end());
-  const std::vector<uint8_t> huff = HuffmanEncode(codes);
   AppendUint64(&body, huff.size());
   body.insert(body.end(), huff.begin(), huff.end());
   AppendUint64(&body, raw.size());

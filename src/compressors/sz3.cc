@@ -235,7 +235,9 @@ ConfigSpace Sz3Compressor::config_space(const Tensor& data) const {
 
 StatusOr<std::vector<uint8_t>> Sz3Compressor::DoCompress(
     const Tensor& data, double eb) const {
-  FXRZ_CHECK_GT(eb, 0.0);
+  if (!std::isfinite(eb) || eb <= 0.0) {
+    return Status::InvalidArgument("sz3: error bound must be finite and > 0");
+  }
   const double bin = 2.0 * eb;
 
   std::vector<float> recon(data.size());
@@ -274,9 +276,13 @@ StatusOr<std::vector<uint8_t>> Sz3Compressor::DoCompress(
         << "interpolation schedule must cover every point exactly once";
   }
 
-  std::vector<uint8_t> body;
-  AppendDouble(&body, eb);
+  std::vector<float>().swap(recon);
+
   const std::vector<uint8_t> huff = HuffmanEncode(codes);
+  std::vector<uint32_t>().swap(codes);
+  std::vector<uint8_t> body;
+  body.reserve(8 + 8 + huff.size() + 8 + raw.size());
+  AppendDouble(&body, eb);
   AppendUint64(&body, huff.size());
   body.insert(body.end(), huff.begin(), huff.end());
   AppendUint64(&body, raw.size());

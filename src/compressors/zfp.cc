@@ -390,7 +390,9 @@ ConfigSpace ZfpCompressor::config_space(const Tensor& data) const {
 
 StatusOr<std::vector<uint8_t>> ZfpCompressor::DoCompress(
     const Tensor& data, double config) const {
-  FXRZ_CHECK_GT(config, 0.0);
+  if (!std::isfinite(config) || config <= 0.0) {
+    return Status::InvalidArgument("zfp: tolerance must be finite and > 0");
+  }
   return CompressImpl(data, Mode::kFixedAccuracy, config, 0.0);
 }
 

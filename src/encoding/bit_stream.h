@@ -11,51 +11,78 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/util/check.h"
 
 namespace fxrz {
 
-// Append-only bit sink.
+// Append-only bit sink. Bits collect in a 64-bit accumulator that is
+// stored to the byte buffer eight bytes at a time.
 class BitWriter {
  public:
   BitWriter() = default;
 
+  // Continues after the bytes of `prefix` (its capacity is kept, so a
+  // caller that knows the final size can reserve it up front).
+  explicit BitWriter(std::vector<uint8_t> prefix)
+      : buffer_(std::move(prefix)), size_(buffer_.size()) {}
+
   // Writes the low `count` bits of `bits` (count <= 64), LSB first.
-  // Batched: fills the current partial byte, then appends whole bytes.
   void WriteBits(uint64_t bits, size_t count) {
     FXRZ_DCHECK(count <= 64);
-    if (count < 64) bits &= (~0ull >> (64 - count));
-    while (count > 0) {
-      if (bit_pos_ == 0) buffer_.push_back(0);
-      const size_t take = std::min<size_t>(8 - bit_pos_, count);
-      buffer_.back() |= static_cast<uint8_t>(
-          (bits & ((1u << take) - 1u)) << bit_pos_);
-      bit_pos_ = (bit_pos_ + take) & 7;
-      bits >>= take;
-      count -= take;
+    if (count < 64) bits &= (1ull << count) - 1;
+    acc_ |= bits << fill_;
+    const size_t total = fill_ + count;
+    if (total < 64) {
+      fill_ = total;
+      return;
     }
+    Store(8);
+    // The bits of `bits` that did not fit above the previous fill.
+    acc_ = fill_ == 0 ? 0 : bits >> (64 - fill_);
+    fill_ = total - 64;
   }
 
-  void WriteBit(uint32_t bit) {
-    if (bit_pos_ == 0) buffer_.push_back(0);
-    if (bit) buffer_.back() |= static_cast<uint8_t>(1u << bit_pos_);
-    bit_pos_ = (bit_pos_ + 1) & 7;
-  }
+  void WriteBit(uint32_t bit) { WriteBits(bit != 0 ? 1 : 0, 1); }
 
-  // Total bits written so far.
-  size_t bit_count() const {
-    return buffer_.size() * 8 - (bit_pos_ == 0 ? 0 : (8 - bit_pos_));
-  }
+  // Total bits in the buffer so far, prefix included.
+  size_t bit_count() const { return size_ * 8 + fill_; }
 
   // Finalizes and returns the byte buffer (trailing bits zero-padded).
-  std::vector<uint8_t> Take() && { return std::move(buffer_); }
-  const std::vector<uint8_t>& buffer() const { return buffer_; }
+  std::vector<uint8_t> Take() && {
+    Store((fill_ + 7) / 8);
+    buffer_.resize(size_);
+    acc_ = 0;
+    fill_ = 0;
+    return std::move(buffer_);
+  }
 
  private:
-  std::vector<uint8_t> buffer_;
-  size_t bit_pos_ = 0;  // next free bit within buffer_.back(); 0 = byte full
+  // Appends the low `nbytes` bytes of the accumulator, least significant
+  // first. Always copies eight bytes, so the buffer keeps eight bytes of
+  // slack past size_; it grows a page at a time within its capacity, so
+  // untouched capacity never becomes resident.
+  void Store(size_t nbytes) {
+    if (buffer_.size() < size_ + 8) {
+      if (buffer_.capacity() < size_ + 8) {
+        buffer_.reserve(std::max<size_t>(2 * buffer_.capacity(), 64));
+      }
+      buffer_.resize(std::min(buffer_.capacity(), size_ + 4096));
+    }
+    uint64_t v = acc_;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    std::memcpy(buffer_.data() + size_, &v, 8);
+    size_ += nbytes;
+  }
+
+  std::vector<uint8_t> buffer_;  // size_ valid bytes, then slack
+  size_t size_ = 0;
+  uint64_t acc_ = 0;  // pending bits, LSB first
+  size_t fill_ = 0;   // number of pending bits in acc_ (< 64)
 };
 
 // Sequential bit source over a byte span. Does not own the data.

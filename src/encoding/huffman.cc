@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
+#include <cstring>
 #include <queue>
 #include <unordered_map>
 
 #include "src/encoding/bit_stream.h"
 #include "src/util/byte_reader.h"
 #include "src/util/check.h"
+#include "src/util/thread_pool.h"
 
 namespace fxrz {
 
@@ -21,6 +22,74 @@ constexpr size_t kMaxCodeLength = 48;
 // majority of real code lengths in one probe.
 constexpr size_t kTableBits = 11;
 constexpr size_t kTableSize = 1u << kTableBits;
+
+// Parallel encoder work units; they depend only on the input's length and
+// alphabet.
+constexpr size_t kEncodeRange = size_t{1} << 16;  // symbols per encode range
+constexpr size_t kHistogramUnits = 8;  // most partial histograms
+constexpr size_t kMinHistogramUnit = size_t{1} << 16;
+// Alphabets below kDenseLimit count and look up through dense tables,
+// unless the input is too short to pay for zeroing them (more than
+// kMaxBinsPerSymbol bins per input symbol).
+constexpr size_t kDenseLimit = size_t{1} << 20;
+constexpr size_t kMaxBinsPerSymbol = 16;
+
+// Writes one encode range's codes straight into the payload, which holds
+// every range's bits back to back with no padding. A range that starts
+// mid-byte shares that byte with the range before it, so the writer hands
+// its bits of that byte back from Finish() for the caller to OR in once
+// every range is done; every other byte it stores is its own.
+class RangeBitWriter {
+ public:
+  RangeBitWriter(uint8_t* payload, size_t bit_offset)
+      : dst_(payload + bit_offset / 8),
+        fill_(bit_offset % 8),
+        shares_first_(fill_ != 0) {}
+
+  // Writes the low `count` (< 64) bits of `bits`; the higher bits are zero.
+  void WriteBits(uint64_t bits, size_t count) {
+    acc_ |= bits << fill_;
+    const size_t total = fill_ + count;
+    if (total < 64) {
+      fill_ = total;
+      return;
+    }
+    Store(8);
+    acc_ = fill_ == 0 ? 0 : bits >> (64 - fill_);
+    fill_ = total - 64;
+  }
+
+  // Stores the tail and returns the range's bits of the shared first byte
+  // (0 when the range starts on a byte boundary).
+  uint8_t Finish() {
+    Store((fill_ + 7) / 8);
+    return first_;
+  }
+
+ private:
+  void Store(size_t nbytes) {
+    uint64_t v = acc_;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    uint8_t bytes[8];
+    std::memcpy(bytes, &v, 8);
+    size_t skip = 0;
+    if (shares_first_ && nbytes > 0) {
+      first_ = bytes[0];
+      shares_first_ = false;
+      skip = 1;
+    }
+    std::memcpy(dst_ + skip, bytes + skip, nbytes - skip);
+    dst_ += nbytes;
+  }
+
+  uint8_t* dst_;
+  uint64_t acc_ = 0;
+  size_t fill_;
+  bool shares_first_;
+  uint8_t first_ = 0;
+};
 
 struct SymbolLength {
   uint32_t symbol;
@@ -218,31 +287,75 @@ std::vector<uint8_t> HuffmanEncode(const std::vector<uint32_t>& symbols) {
     return out;
   }
 
-  std::unordered_map<uint32_t, uint64_t> freq_map;
-  for (uint32_t s : symbols) ++freq_map[s];
-  std::vector<std::pair<uint32_t, uint64_t>> freqs(freq_map.begin(),
-                                                   freq_map.end());
-  std::sort(freqs.begin(), freqs.end());  // determinism
+  ThreadPool* pool = SharedThreadPool();
+  const size_t n = symbols.size();
+  const uint32_t* sym = symbols.data();
+  const size_t ranges = (n + kEncodeRange - 1) / kEncodeRange;
+  std::vector<uint32_t> range_max(ranges, 0);
+  ParallelFor(
+      pool, 0, ranges,
+      [&](size_t r) {
+        const size_t lo = r * kEncodeRange;
+        const size_t hi = std::min(n, lo + kEncodeRange);
+        range_max[r] = *std::max_element(sym + lo, sym + hi);
+      },
+      1);
+  const uint32_t max_symbol =
+      *std::max_element(range_max.begin(), range_max.end());
+
+  // Frequencies sorted by symbol. Compact alphabets (the quantization-code
+  // case) count into per-unit dense histograms, merged in unit order; other
+  // inputs count into a hash map.
+  std::vector<std::pair<uint32_t, uint64_t>> freqs;
+  const bool use_dense =
+      max_symbol < kDenseLimit && max_symbol / kMaxBinsPerSymbol < n;
+  if (use_dense) {
+    const size_t bins = static_cast<size_t>(max_symbol) + 1;
+    // At most kHistogramUnits units, each at least eight symbols per bin,
+    // so the partial histograms never outweigh the input.
+    const size_t unit_len =
+        std::max({kMinHistogramUnit, 8 * bins,
+                  (n + kHistogramUnits - 1) / kHistogramUnits});
+    const size_t units = (n + unit_len - 1) / unit_len;
+    // One block on the calling thread holds every partial histogram.
+    std::vector<uint64_t> partial(units * bins, 0);
+    ParallelFor(
+        pool, 0, units,
+        [&](size_t u) {
+          uint64_t* h = partial.data() + u * bins;
+          const size_t lo = u * unit_len, hi = std::min(n, lo + unit_len);
+          for (size_t i = lo; i < hi; ++i) ++h[sym[i]];
+        },
+        1);
+    for (size_t u = 1; u < units; ++u) {
+      for (size_t b = 0; b < bins; ++b) partial[b] += partial[u * bins + b];
+    }
+    for (size_t b = 0; b < bins; ++b) {
+      if (partial[b] != 0) {
+        freqs.emplace_back(static_cast<uint32_t>(b), partial[b]);
+      }
+    }
+  } else {
+    std::unordered_map<uint32_t, uint64_t> freq_map;
+    for (uint32_t s : symbols) ++freq_map[s];
+    freqs.assign(freq_map.begin(), freq_map.end());
+    std::sort(freqs.begin(), freqs.end());
+  }
 
   const CanonicalTable table = BuildCanonical(ComputeCodeLengths(freqs));
 
   // Header: entry count, then (symbol: u32, length: u8) pairs.
   AppendUint32(&out, static_cast<uint32_t>(table.sorted.size()));
-  uint32_t max_symbol = 0;
   for (const SymbolLength& e : table.sorted) {
     AppendUint32(&out, e.symbol);
     out.push_back(e.length);
-    max_symbol = std::max(max_symbol, e.symbol);
   }
 
-  // Symbol -> (bit-reversed code | length << 56) lookup. Dense direct-index
-  // table for compact alphabets (the quantization-code case), hash map
-  // otherwise.
-  constexpr size_t kDenseLimit = 1u << 20;
+  // Symbol -> (bit-reversed code | length << 56) lookup: direct-index for
+  // compact alphabets, hash map otherwise.
   constexpr uint64_t kLenShift = 56;
   std::vector<uint64_t> dense;
   std::unordered_map<uint32_t, uint64_t> sparse;
-  const bool use_dense = max_symbol < kDenseLimit;
   if (use_dense) {
     dense.assign(static_cast<size_t>(max_symbol) + 1, 0);
   } else {
@@ -259,14 +372,49 @@ std::vector<uint8_t> HuffmanEncode(const std::vector<uint32_t>& symbols) {
     }
   }
 
-  BitWriter bw;
-  for (uint32_t s : symbols) {
-    const uint64_t packed = use_dense ? dense[s] : sparse.at(s);
-    bw.WriteBits(packed, static_cast<size_t>(packed >> kLenShift));
+  // Fixed-size symbol ranges encode in parallel straight into the payload:
+  // a first pass sums each range's code lengths, so every range knows the
+  // bit offset it starts at, and the second writes the codes.
+  auto packed_code = [&](uint32_t s) {
+    return use_dense ? dense[s] : sparse.at(s);
+  };
+  std::vector<size_t> range_start(ranges + 1, 0);
+  ParallelFor(
+      pool, 0, ranges,
+      [&](size_t r) {
+        const size_t lo = r * kEncodeRange;
+        const size_t hi = std::min(n, lo + kEncodeRange);
+        size_t bits = 0;
+        for (size_t i = lo; i < hi; ++i) {
+          bits += packed_code(sym[i]) >> kLenShift;
+        }
+        range_start[r + 1] = bits;
+      },
+      1);
+  for (size_t r = 0; r < ranges; ++r) range_start[r + 1] += range_start[r];
+  const size_t payload_bytes = (range_start[ranges] + 7) / 8;
+  AppendUint64(&out, payload_bytes);
+  const size_t payload_at = out.size();
+  out.resize(payload_at + payload_bytes, 0);
+  uint8_t* payload = out.data() + payload_at;
+  std::vector<uint8_t> first_byte(ranges, 0);
+  ParallelFor(
+      pool, 0, ranges,
+      [&](size_t r) {
+        const size_t lo = r * kEncodeRange;
+        const size_t hi = std::min(n, lo + kEncodeRange);
+        RangeBitWriter w(payload, range_start[r]);
+        for (size_t i = lo; i < hi; ++i) {
+          const uint64_t packed = packed_code(sym[i]);
+          w.WriteBits(packed & ((uint64_t{1} << kLenShift) - 1),
+                      static_cast<size_t>(packed >> kLenShift));
+        }
+        first_byte[r] = w.Finish();
+      },
+      1);
+  for (size_t r = 0; r < ranges; ++r) {
+    payload[range_start[r] / 8] |= first_byte[r];
   }
-  const std::vector<uint8_t> payload = std::move(bw).Take();
-  AppendUint64(&out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 

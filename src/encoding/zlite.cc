@@ -1,10 +1,12 @@
 #include "src/encoding/zlite.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/encoding/bit_stream.h"
 #include "src/util/byte_reader.h"
+#include "src/util/thread_pool.h"
 
 namespace fxrz {
 
@@ -16,12 +18,122 @@ constexpr size_t kWindow = 1 << 16;
 constexpr size_t kHashBits = 15;
 constexpr size_t kHashSize = 1 << kHashBits;
 constexpr int kMaxChainProbes = 16;
+// Stream header: raw size, then payload size (both u64).
+constexpr size_t kHeaderBytes = 16;
+// Positions per parallel match-marking range: a fixed size, so the split
+// depends only on the input length, and a multiple of 64, so each range
+// owns whole words of the mark bitmap.
+constexpr size_t kMarkRange = size_t{1} << 17;
 
-uint32_t Hash4(const uint8_t* p) {
+uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
-  return (v * 2654435761u) >> (32 - kHashBits);
+  return v;
 }
+
+uint32_t Hash4(const uint8_t* p) {
+  return (Load32(p) * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of a and b, at most max_len, compared eight
+// bytes at a time. The caller guarantees max_len readable bytes at both.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
+  size_t len = 0;
+  while (len + 8 <= max_len) {
+    uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const uint64_t diff = x ^ y; diff != 0) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+      return len + (std::countl_zero(diff) >> 3);
+#else
+      return len + (std::countr_zero(diff) >> 3);
+#endif
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
+// Hash chains over the input. head[h]: most recent inserted position with
+// hash h; chain[p % kWindow]: how far back the position inserted before p
+// with the same hash lies, or 0 when it is kWindow or more back (no search
+// from p onwards could reach it) or there is none.
+//
+// The compressor inserts every position in increasing order, inside
+// matches as well as at literals, so when position i is searched the chains
+// hold exactly "all positions before i" whatever the parse did. A search
+// follows links only while they stay inside the window, and a link to a
+// position older than i - kWindow ends it, so chains warmed with just the
+// kWindow positions before some start answer every search at or after that
+// start exactly as the full chains do. That is what lets disjoint ranges
+// mark match positions in parallel.
+class HashChains {
+ public:
+  HashChains(const uint8_t* in, size_t n)
+      : in_(in), n_(n), head_(kHashSize, -1), chain_(kWindow, 0) {}
+
+  void Insert(size_t pos) {
+    if (pos + 4 > n_) return;
+    const uint32_t h = Hash4(in_ + pos);
+    const int64_t prev = head_[h];
+    chain_[pos % kWindow] =
+        prev >= 0 && pos - static_cast<size_t>(prev) < kWindow
+            ? static_cast<uint16_t>(pos - static_cast<size_t>(prev))
+            : 0;
+    head_[h] = static_cast<int64_t>(pos);
+  }
+
+  // Whether one of the first kMaxChainProbes in-window candidates for
+  // position i (with i + kMinMatch <= n) starts a match of kMinMatch bytes.
+  bool HasMatch(size_t i) const {
+    const uint32_t key = Load32(in_ + i);
+    int64_t cand = head_[Hash4(in_ + i)];
+    int probes = kMaxChainProbes;
+    while (cand >= 0 && probes-- > 0 &&
+           i - static_cast<size_t>(cand) < kWindow) {
+      const size_t c = static_cast<size_t>(cand);
+      if (Load32(in_ + c) == key) return true;
+      cand = Previous(c);
+    }
+    return false;
+  }
+
+  // The longest match over the same candidates; the first (most recent)
+  // wins ties. Sets *len to 0 when there is none.
+  void Longest(size_t i, size_t* len, size_t* off) const {
+    *len = 0;
+    *off = 0;
+    const size_t max_len = std::min(kMaxMatch, n_ - i);
+    int64_t cand = head_[Hash4(in_ + i)];
+    int probes = kMaxChainProbes;
+    while (cand >= 0 && probes-- > 0 &&
+           i - static_cast<size_t>(cand) < kWindow) {
+      const size_t c = static_cast<size_t>(cand);
+      const size_t l = MatchLength(in_ + c, in_ + i, max_len);
+      if (l > *len) {
+        *len = l;
+        *off = i - c;
+        if (l == max_len) return;
+      }
+      cand = Previous(c);
+    }
+  }
+
+ private:
+  // The position inserted before c with the same hash, or -1 when a search
+  // could not reach it.
+  int64_t Previous(size_t c) const {
+    const uint16_t back = chain_[c % kWindow];
+    return back == 0 ? -1 : static_cast<int64_t>(c - back);
+  }
+
+  const uint8_t* in_;
+  size_t n_;
+  std::vector<int64_t> head_;
+  std::vector<uint16_t> chain_;
+};
 
 }  // namespace
 
@@ -32,60 +144,63 @@ std::vector<uint8_t> ZliteCompress(const std::vector<uint8_t>& input) {
     AppendUint64(&out, 0);
     return out;
   }
-
-  BitWriter bw;
-  // head[h]: most recent position with hash h; chain[i % kWindow]: previous
-  // position with the same hash as position i.
-  std::vector<int64_t> head(kHashSize, -1);
-  std::vector<int64_t> chain(kWindow, -1);
-
+  const uint8_t* in = input.data();
   const size_t n = input.size();
-  size_t i = 0;
-  auto insert = [&](size_t pos) {
-    if (pos + 4 > n) return;
-    const uint32_t h = Hash4(&input[pos]);
-    chain[pos % kWindow] = head[h];
-    head[h] = static_cast<int64_t>(pos);
-  };
 
-  while (i < n) {
-    size_t best_len = 0;
-    size_t best_off = 0;
-    if (i + kMinMatch <= n) {
-      int64_t cand = head[Hash4(&input[i])];
-      int probes = kMaxChainProbes;
-      while (cand >= 0 && probes-- > 0 &&
-             i - static_cast<size_t>(cand) < kWindow) {
-        const size_t c = static_cast<size_t>(cand);
-        const size_t max_len = std::min(kMaxMatch, n - i);
-        size_t len = 0;
-        while (len < max_len && input[c + len] == input[i + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_off = i - c;
-          if (len == max_len) break;
+  // Parallel pass: mark every position whose search would find a match.
+  // Each range warms its own chains from kWindow bytes back (see
+  // HashChains), so a mark never depends on the range split.
+  std::vector<uint64_t> marks((n + 63) / 64, 0);
+  ParallelFor(
+      SharedThreadPool(), 0, (n + kMarkRange - 1) / kMarkRange,
+      [&](size_t r) {
+        const size_t lo = r * kMarkRange;
+        const size_t hi = std::min(n, lo + kMarkRange);
+        HashChains chains(in, n);
+        for (size_t p = lo > kWindow ? lo - kWindow : 0; p < lo; ++p) {
+          chains.Insert(p);
         }
-        cand = chain[c % kWindow];
-      }
-    }
+        for (size_t i = lo; i < hi; ++i) {
+          if (i + kMinMatch <= n && chains.HasMatch(i)) {
+            marks[i / 64] |= uint64_t{1} << (i % 64);
+          }
+          chains.Insert(i);
+        }
+      },
+      1);
 
-    if (best_len >= kMinMatch) {
-      bw.WriteBit(1);
-      bw.WriteBits(best_off - 1, 16);
-      bw.WriteBits(best_len - kMinMatch, 8);
-      for (size_t k = 0; k < best_len; ++k) insert(i + k);
-      i += best_len;
+  // Sequential greedy parse: a literal at each unmarked position, the
+  // longest match at each marked one. Tokens: literal = flag 0 + 8 bits,
+  // match = flag 1 + 16-bit offset-1 + 8-bit length-kMinMatch.
+  // The tokens go straight after the header, into a buffer reserved for
+  // the worst case (all literals); its payload size is patched in after.
+  AppendUint64(&out, 0);
+  out.reserve(kHeaderBytes + n / 8 * 9 + 16);
+  BitWriter bw(std::move(out));
+  HashChains chains(in, n);
+  size_t i = 0;
+  while (i < n) {
+    if ((marks[i / 64] >> (i % 64)) & 1) {
+      size_t len = 0, off = 0;
+      chains.Longest(i, &len, &off);
+      FXRZ_DCHECK(len >= kMinMatch);
+      bw.WriteBits(1 | (uint64_t{off - 1} << 1) |
+                       (uint64_t{len - kMinMatch} << 17),
+                   25);
+      for (size_t k = 0; k < len; ++k) chains.Insert(i + k);
+      i += len;
     } else {
-      bw.WriteBit(0);
-      bw.WriteBits(input[i], 8);
-      insert(i);
+      bw.WriteBits(uint64_t{in[i]} << 1, 9);
+      chains.Insert(i);
       ++i;
     }
   }
 
-  const std::vector<uint8_t> payload = std::move(bw).Take();
-  AppendUint64(&out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
+  out = std::move(bw).Take();
+  const uint64_t payload_bytes = out.size() - kHeaderBytes;
+  for (int k = 0; k < 8; ++k) {
+    out[8 + k] = static_cast<uint8_t>(payload_bytes >> (8 * k));
+  }
   return out;
 }
 

@@ -4,6 +4,7 @@
 #ifndef FXRZ_UTIL_THREAD_POOL_H_
 #define FXRZ_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -16,7 +17,9 @@
 namespace fxrz {
 
 // A minimal work-queue thread pool. Tasks are std::function<void()>; use
-// ParallelFor / ParallelForBlocked for the common indexed-loop case.
+// ParallelFor / ParallelForBlocked for the common indexed-loop case. An
+// idle worker spins for up to 5 ms before it blocks, so back-to-back
+// parallel sections do not wait for sleeping threads to wake.
 class ThreadPool {
  public:
   // Creates `num_threads` workers (at least 1).
@@ -48,6 +51,10 @@ class ThreadPool {
   CondVar all_done_;
   std::exception_ptr first_error_ FXRZ_GUARDED_BY(mu_);
   size_t in_flight_ FXRZ_GUARDED_BY(mu_) = 0;
+  // lock-free: copy of queue_.size(), stored under mu_ and read without it
+  // by idle workers that spin before they block; a stale read only ends a
+  // spin early or late, since the task itself is taken under mu_.
+  std::atomic<size_t> queued_{0};
   bool shutdown_ FXRZ_GUARDED_BY(mu_) = false;
 };
 

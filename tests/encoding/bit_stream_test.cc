@@ -111,24 +111,43 @@ TEST(BitStreamTest, PeekAdvanceMatchesReadBits) {
 }
 
 TEST(BitStreamTest, BatchedWritesMatchPerBitReference) {
-  // The batched WriteBits must produce the exact byte stream of the
-  // bit-at-a-time path for any interleaving of widths.
+  // The accumulator-backed writer must produce the exact byte stream of a
+  // plain bit-by-bit packer for any interleaving of widths, including
+  // writes that straddle the 64-bit accumulator boundary.
   Rng rng(18);
   for (int rep = 0; rep < 20; ++rep) {
     BitWriter batched;
-    BitWriter reference;
+    std::vector<uint8_t> reference;
+    size_t bits = 0;
     for (int i = 0; i < 200; ++i) {
-      const size_t width = 1 + rng.NextBelow(64);
-      const uint64_t value =
-          rng.NextUint64() & ((width == 64) ? ~0ull : ((1ull << width) - 1));
+      const size_t width = rng.NextBelow(65);
+      const uint64_t value = rng.NextUint64();
       batched.WriteBits(value, width);
-      for (size_t b = 0; b < width; ++b) {
-        reference.WriteBit(static_cast<uint32_t>((value >> b) & 1));
+      for (size_t b = 0; b < width; ++b, ++bits) {
+        if (bits % 8 == 0) reference.push_back(0);
+        const unsigned bit = (value >> b) & 1;
+        reference.back() |= static_cast<uint8_t>(bit << (bits % 8));
       }
     }
-    EXPECT_EQ(batched.bit_count(), reference.bit_count());
-    EXPECT_EQ(std::move(batched).Take(), std::move(reference).Take());
+    EXPECT_EQ(batched.bit_count(), bits);
+    EXPECT_EQ(std::move(batched).Take(), reference);
   }
+}
+
+TEST(BitStreamTest, ContinuesAfterPrefix) {
+  BitWriter bw(std::vector<uint8_t>{0xAA, 0xBB});
+  EXPECT_EQ(bw.bit_count(), 16u);
+  bw.WriteBits(0x5, 3);
+  bw.WriteBits(0x1FF, 9);
+  EXPECT_EQ(bw.bit_count(), 28u);
+  const std::vector<uint8_t> bytes = std::move(bw).Take();
+  ASSERT_EQ(bytes.size(), 4u);
+  EXPECT_EQ(bytes[0], 0xAA);
+  EXPECT_EQ(bytes[1], 0xBB);
+  BitReader br(bytes.data() + 2, 2);
+  EXPECT_EQ(br.ReadBits(3), 0x5u);
+  EXPECT_EQ(br.ReadBits(9), 0x1FFu);
+  EXPECT_EQ(br.ReadBits(4), 0u);  // zero padding
 }
 
 TEST(LittleEndianHelpersTest, RoundTrip) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI matrix: a build-artifact hygiene check, release build +
-# tests, a standalone build of the perfbench/ benchmark (fxrz_perfbench)
+# tests (plus the memory-table gate, bench/mem_calibration --gate), a
+# standalone build of the perfbench/ benchmark (fxrz_perfbench)
 # against the library, an FXRZ_METRICS=OFF build proving the observability
 # layer strips cleanly, an FXRZ_SIMD=OFF build proving the scalar kernel
 # paths stand on their own, ThreadSanitizer build + tests, ASan+UBSan build
@@ -56,6 +57,13 @@ run_config release build-ci-release \
 # filtered ctest.
 echo "=== serve_load smoke ==="
 (cd build-ci-release && ./bench/serve_load --requests 400 --clients 4 --gate 1.0)
+
+# Memory-table gate: every codec's measured peak-RSS multiplier on a 128^3
+# round trip must stay under its admission-control table entry
+# (CodecMemoryMultiplier). Codecs that run parallel sections inside one
+# call must not outgrow the table the memory budget admits them by.
+echo "=== mem_calibration gate ==="
+(cd build-ci-release && ./bench/mem_calibration --gate)
 
 # Benchmark build: perfbench/ is a standalone CMake package (the library
 # from src/ plus fxrz_perfbench.cc), built the way perfbench/run.py builds
