@@ -7,9 +7,12 @@
 // UNDER-states a codec's peak silently re-opens the overload hole the
 // governance layer closed.
 //
-// Measurement: Linux VmHWM from /proc/self/status, reset per codec by
-// writing "5" to /proc/self/clear_refs, against a VmRSS baseline taken
-// after the input tensor is resident. The working grid is large (128^3
+// Measurement: each codec runs in a fresh child process (this binary
+// re-executed with --codec NAME), so no codec's reading depends on what
+// an earlier one left in the allocator. The child takes Linux VmHWM from
+// /proc/self/status, reset by writing "5" to /proc/self/clear_refs,
+// against a VmRSS baseline taken after the input tensor is resident and a
+// small warmup has settled code pages. The working grid is large (128^3
 // floats, 8 MiB) so the codec's transient buffers sit far above the
 // allocator's mmap threshold: they are mapped on use and unmapped on
 // free, which makes the RSS delta track the true transient peak instead
@@ -22,6 +25,10 @@
 // with a message -- the table stays authoritative.
 //
 // Usage: mem_calibration [--dim N] [--gate]
+//        mem_calibration --dim N --codec NAME   (one measurement; prints
+//                                                "multiplier <x>")
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -65,16 +72,73 @@ bool ResetPeakRss() {
   return ok;
 }
 
+// One codec's round trip in this process: the peak-RSS multiplier, or a
+// negative value (after a message) when a codec run failed.
+double MeasureCodec(const std::string& name, size_t dim) {
+  const Tensor field = GaussianRandomField3D(dim, dim, dim, 2.0, 11);
+  const auto compressor = MakeCompressor(name);
+  const double config = compressor->config_space(field).min;
+  // Settle allocator arenas and code pages outside the measured window,
+  // on a small probe so the warmup's freed buffers cannot mask the real
+  // run's large transients.
+  const Tensor probe = GaussianRandomField3D(8, 8, 8, 2.0, 3);
+  if (!compressor->Compress(probe, compressor->config_space(probe).min)
+           .ok()) {
+    std::fprintf(stderr, "%s: warmup compress failed\n", name.c_str());
+    return -1.0;
+  }
+  const uint64_t baseline_kb = ReadStatusKb("VmRSS");
+  if (!ResetPeakRss()) return -1.0;
+  {
+    const StatusOr<std::vector<uint8_t>> archive =
+        compressor->Compress(field, config);
+    if (!archive.ok()) {
+      std::fprintf(stderr, "%s: compress failed\n", name.c_str());
+      return -1.0;
+    }
+    Tensor decoded;
+    if (!compressor
+             ->Decompress(archive.value().data(), archive.value().size(),
+                          &decoded)
+             .ok()) {
+      std::fprintf(stderr, "%s: decompress failed\n", name.c_str());
+      return -1.0;
+    }
+  }
+  const uint64_t peak_kb = ReadStatusKb("VmHWM");
+  const double delta_bytes =
+      peak_kb > baseline_kb
+          ? static_cast<double>(peak_kb - baseline_kb) * 1024.0
+          : 0.0;
+  return 1.0 + delta_bytes / static_cast<double>(field.size_bytes());
+}
+
+// Runs `exe --dim dim --codec name` and parses its "multiplier <x>" line;
+// negative when the child failed.
+double MeasureInChild(const std::string& exe, const std::string& name,
+                      size_t dim) {
+  const std::string command = "'" + exe + "' --dim " + std::to_string(dim) +
+                              " --codec " + name;
+  std::FILE* child = popen(command.c_str(), "r");
+  if (child == nullptr) return -1.0;
+  double measured = -1.0;
+  if (std::fscanf(child, "multiplier %lf", &measured) != 1) measured = -1.0;
+  return pclose(child) == 0 ? measured : -1.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   size_t dim = 128;
   bool gate = false;
+  std::string codec;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dim") == 0 && i + 1 < argc) {
       dim = static_cast<size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--gate") == 0) {
       gate = true;
+    } else if (std::strcmp(argv[i], "--codec") == 0 && i + 1 < argc) {
+      codec = argv[++i];
     }
   }
   if (dim < 32) dim = 32;
@@ -85,11 +149,26 @@ int main(int argc, char** argv) {
                 "measurement skipped, table stays authoritative.\n");
     return 0;
   }
+  if (!codec.empty()) {
+    const double measured = MeasureCodec(codec, dim);
+    if (measured < 0.0) return 1;
+    std::printf("multiplier %.6f\n", measured);
+    return 0;
+  }
 
-  const Tensor field = GaussianRandomField3D(dim, dim, dim, 2.0, 11);
-  const double tensor_bytes = static_cast<double>(field.size_bytes());
-  std::printf("mem_calibration: %zu^3 grid, %.1f MiB input\n", dim,
-              tensor_bytes / (1024.0 * 1024.0));
+  char exe[4096];
+  const ssize_t exe_len = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  if (exe_len <= 0) {
+    std::printf("mem_calibration: cannot locate this binary to re-run it\n");
+    return 1;
+  }
+  exe[exe_len] = '\0';
+
+  const double tensor_bytes = static_cast<double>(dim * dim * dim) *
+                              static_cast<double>(sizeof(float));
+  std::printf("mem_calibration: %zu^3 grid, %.1f MiB input, one process "
+              "per codec\n",
+              dim, tensor_bytes / (1024.0 * 1024.0));
 
   struct Row {
     std::string codec;
@@ -99,42 +178,12 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   bool pass = true;
   for (const std::string& name : ExtendedCompressorNames()) {
-    const auto compressor = MakeCompressor(name);
-    const double config = compressor->config_space(field).min;
-    // Settle allocator arenas and code pages outside the measured window,
-    // on a small probe so the warmup's freed buffers cannot mask the real
-    // run's large transients.
-    const Tensor probe = GaussianRandomField3D(8, 8, 8, 2.0, 3);
-    if (!compressor->Compress(probe, compressor->config_space(probe).min)
-             .ok()) {
-      std::printf("  %-8s warmup compress failed, skipped\n", name.c_str());
+    const double measured = MeasureInChild(exe, name, dim);
+    if (measured < 0.0) {
+      std::printf("  %-8s measurement failed\n", name.c_str());
+      pass = false;
       continue;
     }
-
-    const uint64_t baseline_kb = ReadStatusKb("VmRSS");
-    if (!ResetPeakRss()) break;
-    {
-      const StatusOr<std::vector<uint8_t>> archive =
-          compressor->Compress(field, config);
-      if (!archive.ok()) {
-        std::printf("  %-8s compress failed, skipped\n", name.c_str());
-        continue;
-      }
-      Tensor decoded;
-      if (!compressor
-               ->Decompress(archive.value().data(), archive.value().size(),
-                            &decoded)
-               .ok()) {
-        std::printf("  %-8s decompress failed, skipped\n", name.c_str());
-        continue;
-      }
-    }
-    const uint64_t peak_kb = ReadStatusKb("VmHWM");
-    const double delta_bytes =
-        peak_kb > baseline_kb
-            ? static_cast<double>(peak_kb - baseline_kb) * 1024.0
-            : 0.0;
-    const double measured = 1.0 + delta_bytes / tensor_bytes;
     const double table = CodecMemoryMultiplier(name);
     const bool ok = measured <= table;
     if (!ok) pass = false;

@@ -3,7 +3,7 @@
 // Every compressor exposes a single scalar control knob ("config"): an
 // absolute error bound for SZ/ZFP/MGARD, an integer precision for FPZIP.
 // The ConfigSpace descriptor tells FXRZ and FRaZ how to search/interpolate
-// the knob (log vs linear scale, integer vs continuous, and whether the
+// the knob (log vs linear scale, where its steps fall, and whether the
 // compression ratio increases or decreases with the knob) -- this is what
 // makes the framework genuinely compressor-agnostic.
 
@@ -28,6 +28,7 @@ struct ConfigSpace {
   bool log_scale = true;     // search/interpolate in log10 of the knob
   bool integer = false;      // knob must be rounded to an integer
   bool ratio_increases = true;  // CR grows with the knob (false for FPZIP)
+  bool power_of_two_steps = false;  // size depends on floor(log2(knob)) only
 };
 
 // Abstract error-controlled lossy compressor. Every codec run -- guard

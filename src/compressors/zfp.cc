@@ -385,6 +385,7 @@ ConfigSpace ZfpCompressor::config_space(const Tensor& data) const {
   space.log_scale = true;
   space.integer = false;
   space.ratio_increases = true;
+  space.power_of_two_steps = true;  // see min_plane in CompressImpl
   return space;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -50,7 +51,7 @@ struct GuardMetrics {
       "codec's base reservation (retryable: reservations free over time)");
   metrics::Counter& memory_degraded = metrics::GetCounter(
       "fxrz_guard_memory_degraded_total",
-      "Requests that skipped a memory-heavy tier (FRaZ search or "
+      "Requests that skipped a memory-heavy tier (knob search or "
       "decode-verify) because the memory budget was tight");
   metrics::Counter& compressions = metrics::GetCounter(
       "fxrz_guard_compressions_total",
@@ -71,24 +72,20 @@ GuardMetrics& GMetrics() {
   return *m;
 }
 
+// One series per serving tier (rejected requests never serve), all
+// registered on first use so a scrape shows idle tiers as 0.
 metrics::Counter& ServedCounter(ServingTier tier) {
-  auto make = [](const char* name) -> metrics::Counter* {
-    return &metrics::GetCounter(
-        std::string("fxrz_guard_served_total{tier=\"") + name + "\"}",
-        "Served requests by escalation-ladder tier");
-  };
-  static metrics::Counter* constant = make("constant-field");
-  static metrics::Counter* model = make("model-estimate");
-  static metrics::Counter* refined = make("refined");
-  static metrics::Counter* fraz = make("fraz-fallback");
-  switch (tier) {
-    case ServingTier::kConstantField: return *constant;
-    case ServingTier::kModelEstimate: return *model;
-    case ServingTier::kRefined: return *refined;
-    case ServingTier::kFrazFallback: return *fraz;
-    case ServingTier::kRejected: break;
-  }
-  return *constant;  // unreachable: rejected requests never serve
+  static const std::vector<metrics::Counter*> served = [] {
+    std::vector<metrics::Counter*> counters;
+    for (int t = 1; t <= static_cast<int>(ServingTier::kKnobSearch); ++t) {
+      counters.push_back(&metrics::GetCounter(
+          std::string("fxrz_guard_served_total{tier=\"") +
+              ServingTierName(static_cast<ServingTier>(t)) + "\"}",
+          "Served requests by escalation-ladder tier"));
+    }
+    return counters;
+  }();
+  return *served[static_cast<size_t>(tier) - 1];
 }
 
 }  // namespace
@@ -99,7 +96,7 @@ const char* ServingTierName(ServingTier tier) {
     case ServingTier::kConstantField: return "constant-field";
     case ServingTier::kModelEstimate: return "model-estimate";
     case ServingTier::kRefined: return "refined";
-    case ServingTier::kFrazFallback: return "fraz-fallback";
+    case ServingTier::kKnobSearch: return "knob-search";
   }
   return "?";
 }
@@ -117,11 +114,6 @@ Status ValidateGuardOptions(const GuardOptions& options) {
   if (options.max_refine_compressions < 0) {
     return Status::InvalidArgument(
         "guard options: max_refine_compressions must be >= 0");
-  }
-  if (!std::isfinite(options.fraz.tolerance) ||
-      options.fraz.tolerance < 0.0) {
-    return Status::InvalidArgument(
-        "guard options: fraz.tolerance must be finite and >= 0");
   }
   return Status::Ok();
 }
@@ -179,11 +171,12 @@ AdmissionReport AdmitTensor(const Tensor& data, double target_ratio) {
 
 namespace {
 
-// Bisection compressions PolishTowardTarget may spend.
-constexpr int kMaxPolishCompressions = 10;
+// Compressions the knob search may spend beyond the model tiers' own.
+constexpr int kMaxSearchCompressions = 8;
 
 // One guarded compressor run: clamp the config into the space, compress,
-// measure the achieved ratio.
+// measure the achieved ratio. The search's bracket keeps measurements
+// without their bytes.
 struct Attempt {
   double config = 0.0;
   double ratio = 0.0;
@@ -203,56 +196,54 @@ StatusOr<Attempt> AttemptCompress(const Compressor& compressor,
   return attempt;
 }
 
-// Monotone polish for the FRaZ tier: ratio-vs-knob is monotone for every
-// built-in codec, so a bounded bisection from FRaZ's best probe closes the
-// gap its budgeted black-box search left open (when the target is
-// reachable at all). A compressor failure mid-polish keeps the best
-// archive found so far -- this path must never turn a good attempt into
-// an error. Deadline/cancel expiry likewise just stops polishing (the
-// caller's post-tier checkpoint decides whether to degrade-serve).
-Attempt PolishTowardTarget(const Compressor& compressor, const Tensor& data,
-                           const ConfigSpace& space, Attempt seed,
-                           double target_ratio, double accept_error,
-                           int* compressions,
-                           const Deadline& deadline,
-                           const CancelToken* cancel) {
-  const auto to_knob = [&space](double config) {
-    return space.log_scale ? std::log10(config) : config;
-  };
-  const auto to_config = [&space](double knob) {
-    return space.log_scale ? std::pow(10.0, knob) : knob;
-  };
-  double lo = to_knob(space.min);
-  double hi = to_knob(space.max);
-  // Replace the endpoint on the seed's side of the target: when the seed's
-  // ratio is low and ratios grow toward hi, the answer lies above it.
-  if ((seed.ratio < target_ratio) == space.ratio_increases) {
-    lo = to_knob(seed.config);
-  } else {
-    hi = to_knob(seed.config);
+double MidConfig(const ConfigSpace& space) {
+  return space.log_scale ? std::sqrt(space.min * space.max)
+                         : 0.5 * (space.min + space.max);
+}
+
+// A number as an ostream prints it (6 significant digits).
+std::string Describe(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+std::string Describe(const Attempt& p) {
+  return Describe(p.ratio) + " (config " + Describe(p.config) + ")";
+}
+
+// The knob search's coordinate. On a stepped knob (integer, or power-of-two
+// stairs) it is the step index, so two probes one unit apart sit on
+// adjacent steps with no reachable ratio between them; otherwise it is the
+// knob on its search scale.
+bool Stepped(const ConfigSpace& space) {
+  return space.integer || space.power_of_two_steps;
+}
+double KnobStep(const ConfigSpace& space, double config) {
+  if (space.power_of_two_steps) return std::floor(std::log2(config));
+  if (space.integer) return std::round(config);
+  return space.log_scale ? std::log10(config) : config;
+}
+
+// Next config inside the bracket: a secant step on (knob, log ratio), kept
+// off the bracket's ends, or a bisection when the same end moved twice in
+// a row. A stepped knob lands on a step strictly between the two, at the
+// step's tightest config.
+double SecantConfig(const ConfigSpace& space, const Attempt& below,
+                    const Attempt& above, double target, bool bisect) {
+  const double f_below = std::log(below.ratio / target);
+  const double f_above = std::log(above.ratio / target);
+  const double t =
+      bisect ? 0.5 : std::clamp(f_below / (f_below - f_above), 0.1, 0.9);
+  const double u_below = KnobStep(space, below.config);
+  const double u_above = KnobStep(space, above.config);
+  double u = u_below + t * (u_above - u_below);
+  if (Stepped(space)) {
+    u = std::clamp(std::round(u), std::min(u_below, u_above) + 1.0,
+                   std::max(u_below, u_above) - 1.0);
   }
-  Attempt best = std::move(seed);
-  for (int i = 0; i < kMaxPolishCompressions && lo < hi; ++i) {
-    if (!CheckCancel(deadline, cancel, "polish").ok()) break;
-    if (space.integer && hi - lo < 1.0) break;  // knob resolution exhausted
-    const double mid = 0.5 * (lo + hi);
-    StatusOr<Attempt> probe =
-        AttemptCompress(compressor, data, space, to_config(mid));
-    if (!probe.ok()) break;
-    ++*compressions;
-    Attempt attempt = std::move(probe).value();
-    if ((attempt.ratio < target_ratio) == space.ratio_increases) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (EstimationError(target_ratio, attempt.ratio) <
-        EstimationError(target_ratio, best.ratio)) {
-      best = std::move(attempt);
-      if (EstimationError(target_ratio, best.ratio) <= accept_error) break;
-    }
-  }
-  return best;
+  if (space.power_of_two_steps) u = std::ldexp(1.0, static_cast<int>(u));
+  if (!Stepped(space) && space.log_scale) u = std::pow(10.0, u);
+  return std::clamp(u, space.min, space.max);
 }
 
 }  // namespace
@@ -401,9 +392,8 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
   // enormous ratio, which can only over-achieve the target.
   if (admission.constant_field) {
     FXRZ_TRACE_SPAN("guard.constant_tier");
-    const double mid = space.log_scale ? std::sqrt(space.min * space.max)
-                                       : 0.5 * (space.min + space.max);
-    StatusOr<Attempt> attempt = AttemptCompress(*compressor_, data, space, mid);
+    StatusOr<Attempt> attempt =
+        AttemptCompress(*compressor_, data, space, MidConfig(space));
     if (!attempt.ok()) {
       // A transient backend fault on the only tier this request can use:
       // surface it retryably instead of burying it in an Internal wrapper.
@@ -443,6 +433,12 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
     GMetrics().compressions.Increment(result.compressions);
     return why;
   };
+  const bool search = options.fallback == GuardFallback::kSearch;
+  // Every ratio the model tiers measure brackets the search, even when its
+  // archive is dropped. When they measured nothing, the search's first
+  // probe is search_start: the estimate, or the config-space midpoint.
+  std::vector<Attempt> measured;
+  double search_start = MidConfig(space);
 
   // Tiers 1-2: model estimate, then one-measurement refinement -- gated on
   // a trained model that is confident about this query.
@@ -457,6 +453,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
     const bool spread_ok =
         !est.has_spread || est.knob_spread <= options.max_knob_spread;
     result.low_confidence = !spread_ok || result.out_of_distribution;
+    search_start = est.config;
     if (result.low_confidence) {
       GMetrics().low_confidence.Increment();
       std::ostringstream msg;
@@ -480,6 +477,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
         best = std::move(first).value();
         have_best = true;
         best_tier = ServingTier::kModelEstimate;
+        measured.push_back({best.config, best.ratio, {}});
         if (miss(best) <= accept_error) {
           if (verified(best, "model tier")) {
             return accept(ServingTier::kModelEstimate, std::move(best));
@@ -487,6 +485,12 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
           // Verification failed: the archive is never served; skip
           // refinement (the knob is fine, the archive is not), escalate.
           have_best = false;
+          measured.clear();  // the search re-probes this config first
+        } else if (search && (target_ratio > model_.max_trained_ratio() ||
+                              target_ratio < model_.min_trained_ratio())) {
+          // No training snapshot reached the target: refining would only
+          // interpolate toward the edge, so the search tests the edge.
+          note("refine tier: skipped, target outside trained ratios");
         } else {
           for (int extra = 0; extra < options.max_refine_compressions;
                ++extra) {
@@ -506,7 +510,9 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
               break;
             }
             ++result.compressions;
-            if (miss(again.value()) >= miss(best)) {
+            const Attempt& tried = again.value();
+            measured.push_back({tried.config, tried.ratio, {}});
+            if (miss(tried) >= miss(best)) {
               note("refine tier: correction did not improve");
               break;
             }
@@ -517,6 +523,8 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
                 return accept(ServingTier::kRefined, std::move(best));
               }
               have_best = false;
+              measured.clear();  // the search re-probes this config first
+              search_start = best.config;
               break;
             }
           }
@@ -530,68 +538,92 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
     }
   }
 
-  // Tier 3: bounded FRaZ trial-and-error fallback.
-  bool fraz_memory_skipped = false;
-  if (options.fallback != GuardFallback::kFraz) {
-    note("fraz tier: fallback disabled");
+  // Tier 3: bracketed monotone knob search (DESIGN.md, "Failure-handling
+  // model" item 3): the nearest measured ratio on each side brackets the
+  // target; the endpoint on its side or adjacent steps prove it unreachable.
+  bool search_memory_skipped = false;
+  if (!search) {
+    note("search tier: fallback disabled");
   } else if (options.memory != nullptr && !memory.TryGrow(tensor_bytes)) {
-    // The search keeps its best-so-far archive live alongside each probe's;
-    // without headroom for that the tier is skipped (memory_degraded)
-    // rather than allowed to breach the peak the budget promises.
-    fraz_memory_skipped = true;
+    // The search keeps its best archive live beside each probe's; without
+    // headroom for that the tier is skipped, flagged memory_degraded.
+    search_memory_skipped = true;
     memory_degrade();
-    note("fraz tier: skipped (memory budget exhausted)");
+    note("search tier: skipped (memory budget exhausted)");
   } else {
-    if (Status cp = checkpoint("guard: fraz tier"); !cp.ok()) {
-      return expire(std::move(cp));
-    }
-    FXRZ_TRACE_SPAN("guard.fraz_tier");
-    FrazOptions fraz = options.fraz;  // sanitize: never abort on bad knobs
-    fraz.num_bins = std::max(1, fraz.num_bins);
-    fraz.total_max_iterations =
-        std::max(fraz.num_bins, fraz.total_max_iterations);
-    // Overlay the request's deadline/cancel on any caller-provided stop
-    // hook so FRaZ's inner loop also honors the budget (within one
-    // compression, its poll granularity).
-    const std::function<bool()> caller_stop = std::move(fraz.should_stop);
-    fraz.should_stop = [&options, &caller_stop] {
-      if (caller_stop && caller_stop()) return true;
-      return (options.cancel != nullptr && options.cancel->cancelled()) ||
-             options.deadline.expired();
+    FXRZ_TRACE_SPAN("guard.search_tier");
+    std::optional<Attempt> below, above;  // nearest ratio under/over target
+    const std::optional<Attempt>* moved = nullptr;  // end the last probe moved
+    bool bisect = false;  // ... and the one before it moved the same end
+    auto bracket = [&](const Attempt& p) {
+      std::optional<Attempt>& side = p.ratio < target_ratio ? below : above;
+      bisect = moved == &side;
+      moved = &side;
+      if (!side || std::abs(p.ratio - target_ratio) <
+                       std::abs(side->ratio - target_ratio)) {
+        side = p;
+      }
     };
-    FrazResult found = FrazSearch(*compressor_, data, target_ratio, fraz);
-    result.compressions += found.compressor_runs;
-    if (!found.status.ok()) note(note_failure("fraz tier", found.status));
-    if (Status cp = checkpoint("guard: fraz tier"); !cp.ok()) {
-      return expire(std::move(cp));
-    }
-    if (found.compressed.empty()) {
-      if (found.status.ok()) note("fraz tier: search stopped before any probe");
-    } else {
-      // FRaZ kept its best probe's archive: polish from it, no extra run.
-      Attempt attempt{found.config, found.achieved_ratio,
-                      std::move(found.compressed)};
-      if (miss(attempt) > accept_error) {
-        attempt = PolishTowardTarget(*compressor_, data, space,
-                                     std::move(attempt), target_ratio,
-                                     accept_error, &result.compressions,
-                                     options.deadline, options.cancel);
+    for (const Attempt& p : measured) bracket(p);
+    auto out_of_range = [&](const std::string& why) -> Status {
+      GMetrics().exhausted.Increment();
+      GMetrics().compressions.Increment(result.compressions);
+      return Status::OutOfRange("guarded compress: target ratio " +
+                                Describe(target_ratio) + " " + why + " [" +
+                                trail + "]");
+    };
+    bool start_pending = measured.empty();
+    for (int spent = 0;; ++spent) {
+      double config = search_start;
+      if (start_pending) {
+        start_pending = false;
+      } else if (below && above) {
+        if (Stepped(space) && std::abs(KnobStep(space, above->config) -
+                                       KnobStep(space, below->config)) <= 1) {
+          return out_of_range("falls between adjacent knob steps: nearest "
+                              "reachable ratios " + Describe(*below) +
+                              " and " + Describe(*above));
+        }
+        if (spent == kMaxSearchCompressions) {
+          return out_of_range("not reached in " + std::to_string(spent) +
+                              " search compressions: nearest ratios " +
+                              Describe(*below) + " and " + Describe(*above));
+        }
+        config = SecantConfig(space, *below, *above, target_ratio, bisect);
+      } else {
+        // One side known: test the endpoint on the target's side.
+        const Attempt& known = below ? *below : *above;
+        config = below.has_value() == space.ratio_increases ? space.max
+                                                            : space.min;
+        if (KnobStep(space, known.config) == KnobStep(space, config)) {
+          return out_of_range(std::string("out of reach: ") +
+                              (below ? "highest" : "lowest") +
+                              " reachable ratio " + Describe(known));
+        }
       }
-      const bool met = miss(attempt) <= accept_error;
-      if (met && verified(attempt, "fraz tier")) {
-        return accept(ServingTier::kFrazFallback, std::move(attempt));
+      if (spent == kMaxSearchCompressions) break;
+      if (Status cp = checkpoint("guard: search tier"); !cp.ok()) {
+        return expire(std::move(cp));
       }
-      std::ostringstream msg;
-      msg << "fraz tier: best achievable ratio " << attempt.ratio
-          << " (rel err " << miss(attempt) << ")";
-      note(msg.str());
-      if (!met && (!have_best || miss(attempt) < miss(best))) {
+      StatusOr<Attempt> probe =
+          AttemptCompress(*compressor_, data, space, config);
+      if (!probe.ok()) {
+        note(note_failure("search tier", probe.status()));
+        break;
+      }
+      ++result.compressions;
+      Attempt attempt = std::move(probe).value();
+      if (miss(attempt) <= accept_error) {
+        if (verified(attempt, "search tier")) {
+          return accept(ServingTier::kKnobSearch, std::move(attempt));
+        }
+        break;
+      }
+      bracket({attempt.config, attempt.ratio, {}});
+      if (!have_best || miss(attempt) < miss(best)) {
         best = std::move(attempt);
         have_best = true;
-        best_tier = ServingTier::kFrazFallback;
-      }
-      if (Status cp = checkpoint("guard: post-fraz"); !cp.ok()) {
-        return expire(std::move(cp));
+        best_tier = ServingTier::kKnobSearch;
       }
     }
   }
@@ -614,7 +646,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
   // a memory-skipped tier: reservations free as other requests resolve,
   // so the skipped tier may run on a later attempt.
   if (transient_failure) return Status::Unavailable(msg.str());
-  if (fraz_memory_skipped) return Status::ResourceExhausted(msg.str());
+  if (search_memory_skipped) return Status::ResourceExhausted(msg.str());
   return Status::Internal(msg.str());
 }
 

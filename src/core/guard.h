@@ -13,10 +13,10 @@
 //                           distribution queries before compressing;
 //   3. escalation ladder -- model estimate -> RefineConfig recompression
 //                           -> the GuardOptions::fallback tier (default: a
-//                           bounded FRaZ search, Underwood et al.,
-//                           IPDPS'20), recording which tier produced it;
+//                           bracketed knob search, kOutOfRange when out of
+//                           reach), recording which tier produced it;
 //   4. fault tolerance   -- every codec run (each tier's attempt and
-//                           each FRaZ probe) goes through the Status-
+//                           each search probe) goes through the Status-
 //                           returning Compressor::Compress/Decompress;
 //                           codec runs and model queries carry the
 //                           deterministic fault-injection points of
@@ -51,7 +51,8 @@ enum class ServingTier {
   kConstantField,   // constant-field fast path (one compression)
   kModelEstimate,   // single model-estimated compression (the fast path)
   kRefined,         // model estimate + RefineConfig recompression
-  kFrazFallback,    // bounded FRaZ trial-and-error search
+  kKnobSearch,      // bracketed monotone search on the knob
+  kFrazFallback = kKnobSearch,  // former name; perfbench still reads it
 };
 
 const char* ServingTierName(ServingTier tier);
@@ -75,7 +76,7 @@ AdmissionReport AdmitTensor(const Tensor& data, double target_ratio);
 
 // The ladder's final tier, run once the model tiers missed accept_error.
 enum class GuardFallback {
-  kFraz,       // bounded FRaZ search, then a monotone polish toward target
+  kSearch,     // bracketed knob search; kOutOfRange when unreachable
   kFail,       // return the exhaustion Status
   kServeBest,  // serve the best model-tier archive, whatever its error
 };
@@ -85,22 +86,22 @@ struct GuardOptions {
   // Relative ratio error (|target - measured| / target) at or below which
   // a tier's archive is accepted.
   double accept_error = 0.08;
-  // Extra compressions the RefineConfig tier may spend.
+  // Extra compressions the RefineConfig tier may spend (none under kSearch
+  // when the target lies outside the model's trained ratio range).
   int max_refine_compressions = 1;
-  // Confidence gate: skip the model tiers and go straight to the final
-  // tier when the per-tree knob spread (stddev, knob units) exceeds
-  // max_knob_spread, or the query leaves the training envelope by more
-  // than envelope_slack (normalized units, see
+  // Confidence gate: skip the model tiers, and make the estimate the
+  // search's first probe, when the per-tree knob spread (stddev, knob
+  // units) exceeds max_knob_spread, or the query leaves the training
+  // envelope by more than envelope_slack (normalized units, see
   // FxrzModel::ConfidentEstimate::envelope_excess).
   double max_knob_spread = 0.5;
   double envelope_slack = 0.25;
   // kServeBest still counts the request as exhausted; with no archive in
   // hand it returns the exhaustion Status, like kFail.
-  GuardFallback fallback = GuardFallback::kFraz;
-  // The kFraz tier's search. Ratio-vs-knob is monotone for every built-in
-  // codec, so up to 10 bisection compressions from FRaZ's best probe then
-  // close the gap its budgeted search can leave.
-  FrazOptions fraz;
+  GuardFallback fallback = GuardFallback::kSearch;
+  // Not a serving knob (the ladder never runs FRaZ): read only by perfbench's
+  // traced FRaZ replay, until the benchmark reads per-request traces.
+  static inline const FrazOptions fraz{};
   // Verify every archive before serving it: a tier whose archive fails
   // verification is invalidated and the ladder escalates, so a corrupt
   // stream is never returned as a success. Verification itself is a
@@ -118,11 +119,9 @@ struct GuardOptions {
   // Optional: every archive-producing request is recorded here
   // (target vs measured ratio), feeding the retraining recommendation.
   DriftMonitor* drift = nullptr;
-  // Per-request time budget and cooperative cancel, checked at every tier
-  // boundary (admission -> model -> each refine compression -> FRaZ ->
-  // each polish bisection step) and inside the FRaZ search itself (via
-  // FrazOptions::should_stop, which the ladder overlays on any caller-set
-  // hook). Expiry between compressions -- never mid-compression; the
+  // Per-request time budget and cooperative cancel, checked before every
+  // compression the ladder runs (model tier, each refine compression, each
+  // search probe). Expiry between compressions -- never mid-compression; the
   // checkpoints are cooperative -- ends the ladder early. Defaults: no
   // deadline, no cancel.
   Deadline deadline;
@@ -132,7 +131,7 @@ struct GuardOptions {
   // anything -- a request the budget cannot cover returns ResourceExhausted
   // (retryable: reservations free as other requests resolve) instead of
   // risking an OOM. The memory-heavy extras -- the decode half of archive
-  // verification and the FRaZ fallback tier -- each need additional
+  // verification and the knob-search tier -- each need additional
   // headroom; when the budget cannot grant it they are skipped and the
   // request is served anyway, flagged GuardedResult::memory_degraded.
   // nullptr (default) disables memory accounting entirely.
@@ -154,7 +153,7 @@ struct GuardedResult {
   double measured_ratio = 0.0;
   // |target - measured| / target of the returned archive.
   double relative_error = 0.0;
-  // Total compressor invocations spent (all tiers, incl. FRaZ probes).
+  // Total compressor invocations spent (all tiers, incl. search probes).
   int compressions = 0;
   // Confidence diagnostics (meaningful when the model was consulted).
   bool low_confidence = false;       // gate tripped; model tiers skipped
@@ -166,7 +165,7 @@ struct GuardedResult {
   // request was served the best archive found so far (which may miss
   // accept_error); see GuardOptions::degrade_on_expiry.
   bool deadline_degraded = false;
-  // True when a memory-heavy tier (FRaZ search, decode-verify) was skipped
+  // True when a memory-heavy tier (knob search, decode-verify) was skipped
   // because GuardOptions::memory could not grant the extra headroom; the
   // served archive is valid but had fewer quality/verification tiers
   // applied than the policy asked for.
@@ -176,7 +175,7 @@ struct GuardedResult {
 
 // The paper's fixed-ratio policy, plus its Sec. VI refinement: compress at
 // the clamped model estimate, refine up to `refine_compressions` times, and
-// serve the best archive whatever its error (kServeBest, no FRaZ). The
+// serve the best archive whatever its error (kServeBest, no search). The
 // confidence gate is open: its thresholds are the largest finite double.
 GuardOptions PaperPolicy(int refine_compressions = 0);
 

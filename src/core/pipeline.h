@@ -40,7 +40,7 @@ class Fxrz {
   // whose relative ratio error is within options.accept_error (constant
   // fields and GuardFallback::kServeBest excepted), or a non-OK Status whose
   // message identifies the tier that failed. With the default options it
-  // works on an untrained model too (serves via the FRaZ fallback tier).
+  // works on an untrained model too (serves via the knob-search tier).
   StatusOr<GuardedResult> GuardedCompressToRatio(
       const Tensor& data, double target_ratio,
       const GuardOptions& options = {}) const;

@@ -28,12 +28,9 @@ FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
   };
 
   // One compressor run at `knob`; *err receives its relative ratio error.
-  // Returns false when the search must end: a stop request (polled before
-  // every run, the only expensive step, so it is honored within one
-  // compression), a failed run (its Status lands in result.status), or a
-  // best probe already within tolerance.
+  // Returns false when the search must end: a failed run (its Status lands
+  // in result.status), or a best probe already within tolerance.
   auto probe = [&](double knob, double* err) -> bool {
-    if (options.should_stop && options.should_stop()) return false;
     double config = space.log_scale ? std::pow(10.0, knob) : knob;
     config = std::clamp(config, space.min, space.max);
     if (space.integer) config = std::round(config);
@@ -50,7 +47,6 @@ FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
       best_err = *err;
       result.config = config;
       result.achieved_ratio = ratio;
-      result.compressed = std::move(archive).value();
     }
     return best_err > options.tolerance;
   };

@@ -11,10 +11,6 @@
 #ifndef FXRZ_FRAZ_FRAZ_H_
 #define FXRZ_FRAZ_FRAZ_H_
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
 #include "src/compressors/compressor.h"
 #include "src/data/tensor.h"
 #include "src/util/status.h"
@@ -26,12 +22,6 @@ struct FrazOptions {
   int total_max_iterations = 15;  // paper evaluates 6 and 15
   // Early-exit tolerance on |measured - target| / target.
   double tolerance = 0.01;
-  // Cooperative cancellation probe, polled before every compressor run.
-  // When it returns true the search stops and reports the best result so
-  // far (possibly zero runs). The guard ladder wires this to the request's
-  // deadline/cancel token so a slow FRaZ escalation cannot pin a serving
-  // worker past its budget.
-  std::function<bool()> should_stop;
 };
 
 struct FrazResult {
@@ -40,7 +30,6 @@ struct FrazResult {
   int compressor_runs = 0;  // successful probes
   double search_seconds = 0.0;
   Status status;  // the failed probe's Status, if one ended the search
-  std::vector<uint8_t> compressed;  // best probe's archive; empty if none
 };
 
 // Searches for the config whose measured ratio is closest to target_ratio.

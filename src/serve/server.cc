@@ -61,6 +61,7 @@ metrics::Counter& OutcomeCounter(const Status& status, bool degraded) {
   static metrics::Counter* deadline = make("deadline");
   static metrics::Counter* cancelled = make("cancelled");
   static metrics::Counter* unavailable = make("unavailable");
+  static metrics::Counter* out_of_range = make("out-of-range");
   static metrics::Counter* error = make("error");
   if (status.ok()) return degraded ? *deg : *ok;
   switch (status.code()) {
@@ -68,6 +69,7 @@ metrics::Counter& OutcomeCounter(const Status& status, bool degraded) {
     case StatusCode::kCancelled: return *cancelled;
     case StatusCode::kUnavailable:
     case StatusCode::kResourceExhausted: return *unavailable;
+    case StatusCode::kOutOfRange: return *out_of_range;
     default: return *error;
   }
 }
@@ -375,7 +377,7 @@ Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
         // Every successful Allow() pairs with exactly one RecordResult();
         // skipping it would leak a half-open probe slot and wedge the
         // breaker. Only transient failures are breaker-unhealthy: a
-        // permanent error (bad input, unreachable ratio, expired deadline)
+        // permanent error (bad input, kOutOfRange, expired deadline)
         // means the backend responded and says nothing about its health.
         // Resource exhaustion counts as healthy too -- a memory-budget
         // denial is governance working as intended, and counting it as a

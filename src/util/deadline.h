@@ -2,12 +2,11 @@
 //
 // The serving layer attaches a Deadline to every request and threads it --
 // together with an optional CancelToken -- through the guard escalation
-// ladder (core/guard.cc) and the FRaZ search (FrazOptions::should_stop).
-// Long-running work checks CheckCancel at natural boundaries (tier starts,
-// bisection iterations) so a slow request degrades or returns
-// DeadlineExceeded/Cancelled instead of pinning a worker thread. Nothing
-// here preempts: cancellation is purely cooperative, which is why the
-// checkpoints must sit between compressor runs, not inside them.
+// ladder (core/guard.cc). Long-running work checks CheckCancel at natural
+// boundaries (before every compression) so a slow request degrades or
+// returns DeadlineExceeded/Cancelled instead of pinning a worker thread.
+// Nothing here preempts: cancellation is purely cooperative, which is why
+// the checkpoints must sit between compressor runs, not inside them.
 //
 // Deadlines are std::chrono::steady_clock points (wall-clock jumps must not
 // expire requests). A default-constructed Deadline is infinite and costs

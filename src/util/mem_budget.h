@@ -3,8 +3,8 @@
 //
 // The serving path's scarce resource is not CPU but memory (SZx's design
 // point): one guarded request can hold the input tensor, quantized
-// intermediates, and one or more candidate archives at once, and the FRaZ
-// fallback multiplies that by its trial-and-error probes. Without a budget,
+// intermediates, and one or more candidate archives at once, and the knob
+// search keeps a best archive beside each probe. Without a budget,
 // a burst of large requests -- or one hostile tenant -- OOMs the process
 // even though the submission queue itself is bounded.
 //

@@ -1,7 +1,7 @@
 // Process-wide metrics for the serving path.
 //
 // The guarded pipeline makes tiered decisions (model estimate -> refine ->
-// FRaZ fallback) whose frequencies, byte volumes, and latencies an operator
+// knob search) whose frequencies, byte volumes, and latencies an operator
 // must be able to see before trusting any scaling change. This registry
 // holds three metric kinds:
 //

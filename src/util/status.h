@@ -30,6 +30,7 @@ enum class StatusCode {
   kDeadlineExceeded,   // the request's deadline expired before completion
   kUnavailable,        // transient backend failure / circuit breaker open
   kCancelled,          // cooperative cancellation (e.g. graceful drain)
+  kOutOfRange,         // target ratio beyond what the codec reaches
 };
 
 // Value-semantic result of a fallible operation. [[nodiscard]]: silently
@@ -65,6 +66,9 @@ class [[nodiscard]] Status {
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
   }
+  static Status OutOfRange(std::string msg) {
+    return Status(StatusCode::kOutOfRange, std::move(msg));
+  }
 
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -84,6 +88,7 @@ class [[nodiscard]] Status {
       case StatusCode::kDeadlineExceeded: name = "DeadlineExceeded"; break;
       case StatusCode::kUnavailable: name = "Unavailable"; break;
       case StatusCode::kCancelled: name = "Cancelled"; break;
+      case StatusCode::kOutOfRange: name = "OutOfRange"; break;
     }
     return std::string(name) + ": " + message_;
   }
@@ -150,9 +155,9 @@ class [[nodiscard]] StatusOr {
 //
 // Everything else is permanent for this request: the input is bad
 // (kInvalidArgument), the bytes are bad (kCorruption, kNotFound), the
-// request's own time budget is spent (kDeadlineExceeded, kCancelled), or
-// the failure is deterministic (kInternal -- e.g. a target ratio no ladder
-// tier can reach; retrying recomputes the same answer).
+// request's own time budget is spent (kDeadlineExceeded, kCancelled), the
+// codec cannot reach the target ratio (kOutOfRange; retrying recomputes
+// the same answer), or the failure is a deterministic fault (kInternal).
 inline bool StatusIsRetryable(StatusCode code) {
   return code == StatusCode::kUnavailable ||
          code == StatusCode::kResourceExhausted;

@@ -18,6 +18,7 @@
 #include "src/data/generators/grf.h"
 #include "src/serve/server.h"
 #include "src/util/fault_injection.h"
+#include "tests/core/hooked_compressor.h"
 
 namespace fxrz {
 namespace {
@@ -72,12 +73,12 @@ Fxrz* FaultLadderTest::fxrz_ = nullptr;
 
 TEST_F(FaultLadderTest, CompressFaultAtModelTierRecoversViaFraz) {
   // The single injected Compress failure lands on the model-tier attempt;
-  // FRaZ then serves the request.
+  // the knob search, whose first probe is the estimate, then serves it.
   fault::Arm(Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), OpenGate());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().tier, ServingTier::kFrazFallback);
+  EXPECT_EQ(r.value().tier, ServingTier::kKnobSearch);
   EXPECT_LE(r.value().relative_error, 0.08);
   // The ladder visits the compress site many times (HitCount counts every
   // visit); exactly one visit must have actually failed.
@@ -88,9 +89,10 @@ TEST_F(FaultLadderTest, CompressFaultAtModelTierRecoversViaFraz) {
 
 TEST_F(FaultLadderTest, CompressFaultOnFrazProbeIsSeenAndNamed) {
   // The model-tier attempt succeeds but misses an unmeetable accept_error
-  // (refinement is off), so the ladder's second compression is FRaZ's
-  // first probe -- and that is where the single fault lands: FRaZ probes
-  // run through the same instrumented Compress as every tier. Served
+  // (refinement is off), so the ladder's second compression is the
+  // search's first probe -- and that is where the single fault lands:
+  // search probes run through the same instrumented Compress as every
+  // tier. Served
   // through FxrzServer without retries so "resolved exactly once" is the
   // callback count.
   ServeOptions options;
@@ -120,7 +122,7 @@ TEST_F(FaultLadderTest, CompressFaultOnFrazProbeIsSeenAndNamed) {
   // The transient probe fault keeps exhaustion retryable, and the tier
   // trail names the tier it hit.
   EXPECT_EQ(reply.status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(reply.status.message().find("fraz tier: Unavailable: injected"),
+  EXPECT_NE(reply.status.message().find("search tier: Unavailable: injected"),
             std::string::npos)
       << reply.status.message();
 }
@@ -128,7 +130,7 @@ TEST_F(FaultLadderTest, CompressFaultOnFrazProbeIsSeenAndNamed) {
 TEST_F(FaultLadderTest, ForcedMisestimateIsCaughtByLadder) {
   // kModelQuery pushes the estimated knob to the far edge of the trained
   // range: the first compression misses the target, and refinement or
-  // FRaZ must still deliver an acceptable archive.
+  // the search must still deliver an acceptable archive.
   fault::Arm(Site::kModelQuery, /*skip=*/0, /*count=*/1);
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), OpenGate());
@@ -159,15 +161,15 @@ TEST_F(FaultLadderTest, CompressFaultWithFallbackDisabledNamesModelTier) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("model tier"), std::string::npos)
       << r.status().message();
-  EXPECT_NE(r.status().message().find("fraz tier: fallback disabled"),
+  EXPECT_NE(r.status().message().find("search tier: fallback disabled"),
             std::string::npos)
       << r.status().message();
 }
 
 TEST_F(FaultLadderTest, VerifyArchiveCatchesDecodeFaultAndEscalates) {
   // With verify_archive on, the first served archive is decode-checked;
-  // the injected decode fault invalidates that tier and FRaZ must serve a
-  // verified replacement.
+  // the injected decode fault invalidates that tier and the search must
+  // serve a verified replacement.
   fault::Arm(Site::kArchiveDecode, /*skip=*/0, /*count=*/1);
   GuardOptions options = OpenGate();
   options.verify_archive = true;
@@ -177,7 +179,7 @@ TEST_F(FaultLadderTest, VerifyArchiveCatchesDecodeFaultAndEscalates) {
       << "verification must have exercised the decode site";
   if (r.ok()) {
     // A lower tier replaced the failed archive with a verified one.
-    EXPECT_EQ(r.value().tier, ServingTier::kFrazFallback);
+    EXPECT_EQ(r.value().tier, ServingTier::kKnobSearch);
     EXPECT_TRUE(r.value().archive_verified);
   } else {
     // The fault landed on the last tier: the failure must be reported.
@@ -189,21 +191,29 @@ TEST_F(FaultLadderTest, VerifyArchiveCatchesDecodeFaultAndEscalates) {
 
 TEST_F(FaultLadderTest, ArchiveFailingVerificationIsNeverDegradeServed) {
   // The model-tier archive meets the (loose) target but fails its decode
-  // check, so it is invalid. The request is then cancelled before FRaZ's
-  // first probe: degrade_on_expiry has no valid archive to fall back on,
-  // and the request must resolve Cancelled rather than serve it.
+  // check, so it is invalid. The request is cancelled during that
+  // compression, so the checkpoint before the search's first probe fires:
+  // degrade_on_expiry has no valid archive to fall back on, and the
+  // request must resolve Cancelled rather than serve it.
+  auto hooked = std::make_unique<HookedCompressor>(MakeCompressor("sz"));
+  HookedCompressor* hook = hooked.get();
+  Fxrz pipeline(std::move(hooked));
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(fxrz_->model().SaveToBytes(&blob).ok());
+  ASSERT_TRUE(pipeline.model().LoadFromBytes(blob.data(), blob.size()).ok());
   fault::Arm(Site::kArchiveDecode, /*skip=*/0, /*count=*/1);
   GuardOptions options = OpenGate();
   options.verify_archive = true;
   options.accept_error = 10.0;
   CancelToken cancel;
   options.cancel = &cancel;
-  options.fraz.should_stop = [&cancel] {
+  hook->set_hook([&cancel](int) {
     cancel.Cancel();
-    return true;
-  };
+    return Status::Ok();
+  });
   const StatusOr<GuardedResult> r =
-      fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
+      pipeline.GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
+  EXPECT_EQ(hook->configs().size(), 1u) << "no search probe ran";
   EXPECT_EQ(fault::TriggeredCount(Site::kArchiveDecode), 1u);
   ASSERT_FALSE(r.ok()) << "served tier "
                        << ServingTierName(r.value().tier);

@@ -36,7 +36,7 @@ uint64_t TotalServed(const MetricsSnapshot& delta) {
   uint64_t total = 0;
   for (ServingTier tier :
        {ServingTier::kConstantField, ServingTier::kModelEstimate,
-        ServingTier::kRefined, ServingTier::kFrazFallback}) {
+        ServingTier::kRefined, ServingTier::kKnobSearch}) {
     total += delta.CounterValue(TierCounterName(tier));
   }
   return total;
@@ -114,7 +114,7 @@ TEST_F(GuardMetricsTest, PaperPolicyServesBestArchiveWhenModelTiersMiss) {
   // A 16^3 field cannot reach ratio 1e6 (the archive header alone caps
   // it), so both model tiers miss accept_error. PaperPolicy serves the best
   // archive anyway, with its real error, and counts the request as served
-  // and as exhausted -- without running FRaZ.
+  // and as exhausted -- without running the knob search.
   const double target = 1e6;
   const GuardOptions policy = PaperPolicy(1);
   const StatusOr<GuardedResult> r =
@@ -140,13 +140,13 @@ TEST_F(GuardMetricsTest, PaperPolicyServesBestArchiveWhenModelTiersMiss) {
 }
 
 TEST_F(GuardMetricsTest, FrazTierCountsEveryProbe) {
-  // An untrained pipeline serves through the FRaZ tier: its search probes
-  // and polish steps all reach the codec counter.
+  // An untrained pipeline serves through the knob search: every probe
+  // reaches the codec counter.
   Fxrz untrained(MakeCompressor("sz"));
   const StatusOr<GuardedResult> r =
       untrained.GuardedCompressToRatio((*fields_)[3], MidTarget());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r.value().tier, ServingTier::kFrazFallback);
+  ASSERT_EQ(r.value().tier, ServingTier::kKnobSearch);
   ASSERT_GT(r.value().compressions, 1);
 
   const MetricsSnapshot delta = Delta();
@@ -205,7 +205,7 @@ TEST_F(GuardMetricsTest, SpreadGateCountsLowConfidence) {
 
   const MetricsSnapshot delta = Delta();
   EXPECT_EQ(delta.CounterValue("fxrz_guard_low_confidence_total"), 1u);
-  EXPECT_EQ(delta.CounterValue(TierCounterName(ServingTier::kFrazFallback)),
+  EXPECT_EQ(delta.CounterValue(TierCounterName(ServingTier::kKnobSearch)),
             1u);
   EXPECT_EQ(TotalServed(delta), 1u);
 }
@@ -249,7 +249,7 @@ TEST_F(GuardMetricsTest, DriftObservationsFlowToMetrics) {
 }
 
 // Fault-injected escalation: the injected model-tier compression failure
-// must show up as exactly one fraz-fallback serve -- the tier counters are
+// must show up as exactly one knob-search serve -- the tier counters are
 // the operator-visible record of the recovery the fault ladder performed.
 TEST_F(GuardMetricsTest, FaultEscalationRecordsExactTierCounts) {
   if (!fault::Enabled()) {
@@ -265,11 +265,11 @@ TEST_F(GuardMetricsTest, FaultEscalationRecordsExactTierCounts) {
       fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
   fault::ResetAll();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r.value().tier, ServingTier::kFrazFallback);
+  ASSERT_EQ(r.value().tier, ServingTier::kKnobSearch);
 
   const MetricsSnapshot delta = Delta();
   EXPECT_EQ(delta.CounterValue("fxrz_guard_requests_total"), 1u);
-  EXPECT_EQ(delta.CounterValue(TierCounterName(ServingTier::kFrazFallback)),
+  EXPECT_EQ(delta.CounterValue(TierCounterName(ServingTier::kKnobSearch)),
             1u);
   EXPECT_EQ(TotalServed(delta), 1u);
   // The injected failure is visible on the codec's failure counter.

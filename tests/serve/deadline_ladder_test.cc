@@ -2,8 +2,9 @@
 // between compressions ends the ladder early, degrading to the best
 // archive in hand (GuardOptions::degrade_on_expiry) or returning
 // DeadlineExceeded/Cancelled when there is nothing to serve. All tests are
-// deterministic: they flip the cancel token from inside the ladder (via
-// the FRaZ should_stop hook) instead of racing wall-clock deadlines.
+// deterministic: they flip the cancel token from inside a compression (via
+// HookedCompressor), and the ladder's checkpoint before its next
+// compression sees it, instead of racing wall-clock deadlines.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/util/deadline.h"
 #include "src/util/metrics.h"
 #include "src/util/status.h"
+#include "tests/core/hooked_compressor.h"
 
 namespace fxrz {
 namespace {
@@ -23,14 +25,25 @@ class DeadlineLadderTest : public ::testing::Test {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       fields_.push_back(GaussianRandomField3D(16, 16, 16, 3.0, seed));
     }
-    fxrz_ = std::make_unique<Fxrz>(MakeCompressor("sz"));
+    auto hooked = std::make_unique<HookedCompressor>(MakeCompressor("sz"));
+    hooked_ = hooked.get();
+    fxrz_ = std::make_unique<Fxrz>(std::move(hooked));
     std::vector<const Tensor*> train;
     for (const Tensor& f : fields_) train.push_back(&f);
     fxrz_->Train(train);
     target_ = fxrz_->model().ValidTargetRatios(3)[1];
   }
 
+  // Cancels `cancel` during compression number `run` of the request.
+  void CancelDuringRun(CancelToken* cancel, int run) {
+    hooked_->set_hook([cancel, run](int r) {
+      if (r == run) cancel->Cancel();
+      return Status::Ok();
+    });
+  }
+
   std::vector<Tensor> fields_;
+  HookedCompressor* hooked_ = nullptr;  // owned by fxrz_
   std::unique_ptr<Fxrz> fxrz_;
   double target_ = 0.0;
 };
@@ -87,6 +100,7 @@ TEST(DeadlineTest, RetryableTaxonomy) {
   EXPECT_FALSE(StatusIsRetryable(Status::Cancelled("x")));
   EXPECT_FALSE(StatusIsRetryable(Status::InvalidArgument("x")));
   EXPECT_FALSE(StatusIsRetryable(Status::Internal("x")));
+  EXPECT_FALSE(StatusIsRetryable(Status::OutOfRange("x")));
   EXPECT_FALSE(StatusIsRetryable(Status::Ok()));
 }
 
@@ -111,9 +125,10 @@ TEST_F(DeadlineLadderTest, CancelledTokenFailsBeforeAnyCompression) {
 }
 
 // Mid-ladder expiry with an archive in hand: the model tier compresses but
-// misses the (absurdly tight) accept_error, the ladder escalates to FRaZ,
-// and the cancel token flips from inside the search. The post-search
-// checkpoint fires and the request degrades to the model-tier archive.
+// misses the (absurdly tight) accept_error, and the cancel token flips
+// during that compression, like a drain would. The checkpoint before the
+// search's first probe fires and the request degrades to the model-tier
+// archive.
 TEST_F(DeadlineLadderTest, MidLadderExpiryDegradesToBestArchive) {
   const uint64_t degraded_before =
       metrics::GetCounter("fxrz_guard_deadline_degraded_total").Value();
@@ -123,10 +138,7 @@ TEST_F(DeadlineLadderTest, MidLadderExpiryDegradesToBestArchive) {
   options.cancel = &cancel;
   options.accept_error = 1e-9;  // unmeetable: every tier "misses"
   options.max_refine_compressions = 0;
-  options.fraz.should_stop = [&cancel] {
-    cancel.Cancel();  // flips during the FRaZ search, like a drain would
-    return false;
-  };
+  CancelDuringRun(&cancel, 0);
 
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio(fields_[0], target_, options);
@@ -134,6 +146,7 @@ TEST_F(DeadlineLadderTest, MidLadderExpiryDegradesToBestArchive) {
   const GuardedResult& result = r.value();
   EXPECT_TRUE(result.deadline_degraded);
   EXPECT_EQ(result.tier, ServingTier::kModelEstimate);
+  EXPECT_EQ(hooked_->configs().size(), 1u) << "no search probe ran";
   EXPECT_FALSE(result.compressed.empty());
   EXPECT_GT(result.measured_ratio, 1.0);
   if (metrics::Enabled()) {
@@ -152,10 +165,7 @@ TEST_F(DeadlineLadderTest, MidLadderExpiryWithoutDegradeReturnsCancelled) {
   options.accept_error = 1e-9;
   options.max_refine_compressions = 0;
   options.degrade_on_expiry = false;
-  options.fraz.should_stop = [&cancel] {
-    cancel.Cancel();
-    return false;
-  };
+  CancelDuringRun(&cancel, 0);
 
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio(fields_[0], target_, options);
@@ -163,43 +173,42 @@ TEST_F(DeadlineLadderTest, MidLadderExpiryWithoutDegradeReturnsCancelled) {
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
-// An untrained pipeline has no model tier, so a cancel during FRaZ leaves
-// nothing to degrade to: the Status propagates even with degrade enabled.
+// The model tier's only compression fails while the request is cancelled,
+// so the checkpoint before the search finds nothing to degrade to: the
+// Status propagates even with degrade enabled.
 TEST_F(DeadlineLadderTest, ExpiryWithNoArchiveReturnsStatusDespiteDegrade) {
-  Fxrz untrained(MakeCompressor("sz"));
   CancelToken cancel;
   GuardOptions options;
   options.cancel = &cancel;
   options.degrade_on_expiry = true;
-  options.fraz.should_stop = [&cancel] {
+  hooked_->set_hook([&cancel](int) {
     cancel.Cancel();
-    return false;
-  };
-  const StatusOr<GuardedResult> r =
-      untrained.GuardedCompressToRatio(fields_[0], target_, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-}
-
-// A caller-set should_stop hook still works alongside the ladder's
-// deadline overlay: stopping the search through the caller hook (without
-// cancelling anything) just makes FRaZ report its best-so-far, and the
-// ladder finishes normally.
-TEST_F(DeadlineLadderTest, CallerShouldStopHookStillHonored) {
-  GuardOptions options;
-  options.accept_error = 1e-9;  // force the ladder into the FRaZ tier
-  options.max_refine_compressions = 0;
-  int polls = 0;
-  options.fraz.should_stop = [&polls] { return ++polls > 2; };
+    return Status::Unavailable("backend lost");
+  });
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio(fields_[0], target_, options);
-  // Either a tier served within accept_error or the ladder exhausted with
-  // a Status; the hook must not corrupt anything either way.
-  if (r.ok()) {
-    EXPECT_FALSE(r.value().compressed.empty());
-    EXPECT_FALSE(r.value().deadline_degraded);
-  }
-  EXPECT_GT(polls, 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(hooked_->configs().size(), 1u);
+}
+
+// The search checks the deadline/cancel token before every probe, not only
+// when it starts: a cancel during its second probe stops it there, and the
+// request degrades to the best archive measured so far.
+TEST_F(DeadlineLadderTest, SearchChecksCancelBeforeEveryProbe) {
+  CancelToken cancel;
+  GuardOptions options;
+  options.cancel = &cancel;
+  options.accept_error = 1e-9;  // no probe can be accepted
+  options.max_refine_compressions = 0;
+  CancelDuringRun(&cancel, 2);  // model tier, search probe 1, probe 2
+  const StatusOr<GuardedResult> r =
+      fxrz_->GuardedCompressToRatio(fields_[0], target_, options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().deadline_degraded);
+  EXPECT_FALSE(r.value().compressed.empty());
+  EXPECT_EQ(r.value().compressions, 3);
+  EXPECT_EQ(hooked_->configs().size(), 3u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
 #include "src/serve/server.h"
+#include "tests/core/hooked_compressor.h"
 
 namespace fxrz {
 namespace {
@@ -25,7 +26,9 @@ class DrainTest : public ::testing::Test {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       fields_.push_back(GaussianRandomField3D(16, 16, 16, 3.0, seed));
     }
-    fxrz_ = std::make_unique<Fxrz>(MakeCompressor("sz"));
+    auto hooked = std::make_unique<HookedCompressor>(MakeCompressor("sz"));
+    hooked_ = hooked.get();
+    fxrz_ = std::make_unique<Fxrz>(std::move(hooked));
     std::vector<const Tensor*> train;
     for (const Tensor& f : fields_) train.push_back(&f);
     fxrz_->Train(train);
@@ -33,6 +36,7 @@ class DrainTest : public ::testing::Test {
   }
 
   std::vector<Tensor> fields_;
+  HookedCompressor* hooked_ = nullptr;  // owned by fxrz_
   std::unique_ptr<Fxrz> fxrz_;
   double target_ = 0.0;
 };
@@ -110,21 +114,22 @@ TEST_F(DrainTest, QueuedStragglersResolveCancelled) {
   }
 }
 
-// An in-flight straggler: the request blocks inside the FRaZ search (via a
-// caller hook) past the drain deadline; the force phase cancels its token
-// and the search's cooperative checkpoint resolves it.
+// An in-flight straggler: the request blocks inside its model-tier
+// compression (via the codec hook) past the drain deadline; the force
+// phase cancels its token and the ladder's checkpoint before the search's
+// first probe resolves it.
 TEST_F(DrainTest, InFlightStragglerIsForceCancelled) {
   std::atomic<bool> release{false};
   ServeOptions options;
-  options.guard.accept_error = 1e-9;          // push into the FRaZ tier
+  options.guard.accept_error = 1e-9;          // push into the search tier
   options.guard.max_refine_compressions = 0;
   options.guard.degrade_on_expiry = false;    // cancel must surface as such
-  options.guard.fraz.should_stop = [&release] {
+  hooked_->set_hook([&release](int) {
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return false;  // defer to the ladder's deadline/cancel overlay
-  };
+    return Status::Ok();
+  });
   FxrzServer server(*fxrz_, options);
 
   std::atomic<bool> fired{false};
@@ -150,7 +155,7 @@ TEST_F(DrainTest, InFlightStragglerIsForceCancelled) {
   EXPECT_EQ(report.cancelled, 1u);
   EXPECT_TRUE(fired.load());
   // The request resolved terminally Cancelled: either force-cancelled
-  // mid-search (degrade disabled above, so the model-tier archive is not
+  // mid-ladder (degrade disabled above, so the model-tier archive is not
   // served) or, if dispatch raced the deadline, at the dispatch checkpoint.
   EXPECT_EQ(code.load(), static_cast<int>(StatusCode::kCancelled));
 }

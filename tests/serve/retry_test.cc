@@ -69,6 +69,7 @@ TEST(RetryTest, ShouldRetryClassification) {
   EXPECT_FALSE(ShouldRetry(options, Status::InvalidArgument("x"), 1));
   EXPECT_FALSE(ShouldRetry(options, Status::DeadlineExceeded("x"), 1));
   EXPECT_FALSE(ShouldRetry(options, Status::Cancelled("x"), 1));
+  EXPECT_FALSE(ShouldRetry(options, Status::OutOfRange("x"), 1));
   EXPECT_FALSE(ShouldRetry(options, Status::Ok(), 1));
 }
 
