@@ -44,7 +44,7 @@ int main() {
         // Analysis time: features + block scan + model query. Timed before
         // the request, which then reuses the cached analysis.
         WallTimer analysis_timer;
-        (void)fxrz.model().EstimateConfig(test, tcr);
+        (void)fxrz.model().EstimateWithConfidence(test, tcr);
         analysis_ms += analysis_timer.Seconds() * 1e3;
         const auto result =
             fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();

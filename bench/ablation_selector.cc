@@ -14,9 +14,10 @@
 
 #include "bench/bench_util.h"
 #include "src/core/augmentation.h"
+#include "src/core/pipeline.h"
 #include "src/core/selector.h"
-#include "src/core/verify.h"
 #include "src/data/generators/catalog.h"
+#include "src/data/statistics.h"
 
 int main() {
   using namespace fxrz;
@@ -39,13 +40,12 @@ int main() {
   opts.train_quality_model = true;
   opts.training_threads = 0;
   std::vector<std::string> names = {"sz", "zfp"};
-  std::vector<std::unique_ptr<FxrzModel>> models;
+  std::vector<std::unique_ptr<Fxrz>> pipelines;
   std::vector<SelectorCandidate> candidates;
   for (const std::string& name : names) {
-    const auto comp = MakeCompressor(name);
-    models.push_back(std::make_unique<FxrzModel>());
-    models.back()->Train(*comp, train, opts);
-    candidates.push_back({name, models.back().get()});
+    pipelines.push_back(std::make_unique<Fxrz>(MakeCompressor(name), opts));
+    pipelines.back()->Train(train);
+    candidates.push_back({name, &pipelines.back()->model()});
   }
   CompressorSelector selector(candidates);
 
@@ -59,9 +59,22 @@ int main() {
       const SelectionResult sel = selector.Select(test, tcr);
       double measured[2];
       for (size_t i = 0; i < names.size(); ++i) {
-        const auto comp = MakeCompressor(names[i]);
-        const double config = models[i]->EstimateConfig(test, tcr);
-        measured[i] = VerifyCompression(*comp, test, config).distortion.psnr;
+        // Quality of the archive the paper's policy serves.
+        const Fxrz& fxrz = *pipelines[i];
+        const StatusOr<GuardedResult> served =
+            fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy(0));
+        Tensor restored;
+        const Status st =
+            served.ok() ? fxrz.compressor().Decompress(
+                              served.value().compressed.data(),
+                              served.value().compressed.size(), &restored)
+                        : served.status();
+        if (!st.ok()) {
+          std::fprintf(stderr, "%s: %s\n", names[i].c_str(),
+                       st.ToString().c_str());
+          return 1;
+        }
+        measured[i] = ComputeDistortion(test, restored).psnr;
       }
       const size_t picked = sel.compressor_name == names[0] ? 0 : 1;
       const bool best = measured[picked] >= measured[1 - picked] - 1.0;

@@ -44,7 +44,7 @@ int main() {
         // Analysis time is timed before the request, which then reuses
         // the cached analysis.
         WallTimer analysis_timer;
-        (void)fxrz.model().EstimateConfig(test, tcr);
+        (void)fxrz.model().EstimateWithConfidence(test, tcr);
         analysis += analysis_timer.Seconds();
         const auto r =
             fxrz.GuardedCompressToRatio(test, tcr, PaperPolicy()).value();

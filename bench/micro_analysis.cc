@@ -1,7 +1,7 @@
 // Micro-benchmark: fused single-pass analysis kernels vs the legacy
 // multi-pass reference implementations.
 //
-// Covers the two kernels behind EstimateConfig's analysis cost: feature
+// Covers the two kernels behind the model query's analysis cost: feature
 // extraction (stride-4 sampled, paper Sec. IV-B) and the constant-block
 // scan of the Compressibility Adjustment (full tensor, Sec. IV-C). The
 // fused kernels walk memory once with flat-index arithmetic; the reference
@@ -94,7 +94,7 @@ int main() {
     checksum += ScanConstantBlocks(field, ca_parallel).non_constant_ratio;
   });
 
-  // EstimateConfig's analysis = features + scan; the end-to-end speedup is
+  // The model query's analysis = features + scan; the end-to-end speedup is
   // what the acceptance criterion cares about.
   const double analysis_ref = feat_ref + scan_ref;
   const double analysis_fused = feat_fused + scan_fused;

@@ -60,8 +60,7 @@ int main() {
         opts.target_ratio = target;
         opts.event_driven_io = event_driven;
         ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
-        const DumpMethodResult fx =
-            experiment.RunFxrz(fxrz.model(), variants).value();
+        const DumpMethodResult fx = experiment.RunFxrz(fxrz, variants).value();
         FrazOptions fraz15;
         fraz15.total_max_iterations = 15;
         const DumpMethodResult fr =

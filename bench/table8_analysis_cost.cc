@@ -64,7 +64,7 @@ int main() {
       double fxrz_analysis = 0.0, fraz_analysis = 0.0;
       for (double tcr : targets) {
         WallTimer analysis_timer;
-        (void)fxrz.model().EstimateConfig(test, tcr);
+        (void)fxrz.model().EstimateWithConfidence(test, tcr);
         fxrz_analysis += analysis_timer.Seconds();
         FrazOptions o15;
         o15.total_max_iterations = 15;

@@ -3,8 +3,9 @@
 //
 //   1. AllocateStorageBudget turns (fields, quota, quality weights) into
 //      per-field target compression ratios;
-//   2. a trained Fxrz model maps each target to an error bound;
-//   3. FieldStoreWriter packs all fields into one self-describing archive;
+//   2. each field's trained Fxrz pipeline serves an archive for its target;
+//   3. FieldStoreWriter packs the served archives into one self-describing
+//      archive, without compressing anything again;
 //   4. FieldStoreReader restores any field on demand.
 //
 // Run: ./example_fixed_ratio_archiver
@@ -66,12 +67,10 @@ int main() {
   std::printf("%-22s %8s %12s %12s %12s\n", "field", "weight", "quota KB",
               "target", "achieved");
 
-  // Build the archive. Each field uses its own model for the estimate; the
-  // store records the compressor, knob and achieved ratio per field.
-  std::vector<FieldStoreWriter> writers;  // one per model (same compressor)
-  FieldStoreWriter archive("sz", &pipelines[0]->model());
+  // Build the archive. Each field is served by its own pipeline; the store
+  // records the compressor, knob and achieved ratio per field.
+  FieldStoreWriter archive("sz");
   for (size_t i = 0; i < allocations.size(); ++i) {
-    // Estimate with the per-field model, then store at that explicit knob.
     // Targets beyond the compressor's achievable range (as learned in
     // training) are clamped -- asking SZ for more than it can deliver
     // would silently blow other fields' budgets instead.
@@ -79,13 +78,12 @@ int main() {
                                    0.9 * pipelines[i]->model().max_trained_ratio());
     // The hybrid refinement mode verifies the estimate with one extra
     // compression when needed -- worth it when a hard quota is at stake.
-    const auto refined = pipelines[i]->GuardedCompressToRatio(
-        fields[i], target, PaperPolicy(1));
+    auto served = pipelines[i]->GuardedCompressToRatio(fields[i], target,
+                                                       PaperPolicy(1));
     const Status st =
-        refined.ok() ? archive.AddFieldFixedConfig(allocations[i].name,
-                                                   fields[i],
-                                                   refined.value().config)
-                     : refined.status();
+        served.ok() ? archive.AddFieldFixedRatio(allocations[i].name, target,
+                                                 std::move(served).value())
+                    : served.status();
     if (!st.ok()) {
       std::fprintf(stderr, "archive error: %s\n", st.ToString().c_str());
       return 1;

@@ -156,7 +156,8 @@ int CmdEstimate(const std::map<std::string, std::string>& args) {
   if (!st.ok()) return Fail(st.ToString());
   const double target = std::atof(Get(args, "target", "0").c_str());
   if (target <= 0) return Fail("estimate needs --target > 0");
-  std::printf("estimated config: %.8g\n", model.EstimateConfig(data, target));
+  std::printf("estimated config: %.8g\n",
+              model.EstimateWithConfidence(data, target).config);
   return 0;
 }
 

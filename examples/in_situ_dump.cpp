@@ -49,7 +49,7 @@ int main() {
     ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
 
     const StatusOr<DumpMethodResult> fxrz_dump =
-        experiment.RunFxrz(fxrz.model(), ranks);
+        experiment.RunFxrz(fxrz, ranks);
     FrazOptions fraz;
     fraz.total_max_iterations = 15;
     const StatusOr<DumpMethodResult> fraz_dump =

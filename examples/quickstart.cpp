@@ -55,7 +55,7 @@ int main() {
     //    anything is compressed.
     const double preview = fxrz.model().EstimatePsnr(snapshot, target);
     WallTimer analysis_timer;
-    (void)fxrz.model().EstimateConfig(snapshot, target);
+    (void)fxrz.model().EstimateWithConfidence(snapshot, target);
     const double analysis_seconds = analysis_timer.Seconds();
     const auto compressed =
         fxrz.GuardedCompressToRatio(snapshot, target, PaperPolicy());

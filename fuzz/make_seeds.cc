@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    fxrz::FieldStoreWriter writer("sz", /*model=*/nullptr);
+    fxrz::FieldStoreWriter writer("sz");
     ok &= writer.AddFieldFixedConfig("density", small, 0.02).ok();
     ok &= WriteSeed(out_dir + "/field_store", "store.bin",
                     writer.Serialize());
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
                                           fxrz::MakeCompressor("sz")
                                               ->Compress(small, 0.02)
                                               .value()));
-    fxrz::FieldStoreWriter writer("sz", /*model=*/nullptr);
+    fxrz::FieldStoreWriter writer("sz");
     ok &= writer.AddFieldFixedConfig("density", small, 0.02).ok();
     ok &= WriteSeed(out_dir + "/container", "store.bin",
                     fxrz::WrapInContainer(fxrz::kSectionFieldStore,

@@ -630,8 +630,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
 
   // Ladder exhausted: no tier met the target.
   GMetrics().exhausted.Increment();
-  if (options.fallback == GuardFallback::kServeBest && have_best &&
-      verified(best, "best archive")) {
+  if (!search && have_best && verified(best, "best archive")) {
     return accept(best_tier, std::move(best));
   }
   GMetrics().compressions.Increment(result.compressions);

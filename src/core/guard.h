@@ -77,7 +77,6 @@ AdmissionReport AdmitTensor(const Tensor& data, double target_ratio);
 // The ladder's final tier, run once the model tiers missed accept_error.
 enum class GuardFallback {
   kSearch,     // bracketed knob search; kOutOfRange when unreachable
-  kFail,       // return the exhaustion Status
   kServeBest,  // serve the best model-tier archive, whatever its error
 };
 
@@ -97,7 +96,7 @@ struct GuardOptions {
   double max_knob_spread = 0.5;
   double envelope_slack = 0.25;
   // kServeBest still counts the request as exhausted; with no archive in
-  // hand it returns the exhaustion Status, like kFail.
+  // hand it returns the exhaustion Status.
   GuardFallback fallback = GuardFallback::kSearch;
   // Not a serving knob (the ladder never runs FRaZ): read only by perfbench's
   // traced FRaZ replay, until the benchmark reads per-request traces.

@@ -25,7 +25,7 @@ namespace {
 struct ModelMetrics {
   metrics::Counter& estimates = metrics::GetCounter(
       "fxrz_model_estimates_total",
-      "Model config estimates (EstimateConfig/EstimateWithConfidence)");
+      "Model knob queries (EstimateWithConfidence, two per RefineConfig)");
   metrics::Counter& refines = metrics::GetCounter(
       "fxrz_model_refines_total",
       "One-measurement RefineConfig corrections");
@@ -42,6 +42,9 @@ ModelMetrics& MMetrics() {
 }
 
 constexpr uint32_t kModelMagic = 0x46585A4D;  // "FXZM"
+
+// Folds of the hyperparameter grid search (tune_hyperparameters).
+constexpr size_t kCvFolds = 4;
 
 std::unique_ptr<Regressor> MakeModel(ModelType type, uint64_t seed) {
   switch (type) {
@@ -286,12 +289,11 @@ TrainingBreakdown FxrzModel::Train(const Compressor& compressor,
 
   // (3) Fit the regressor (optionally CV-tuned).
   WallTimer fit_timer;
-  if (options.tune_hyperparameters &&
-      x.size() >= static_cast<size_t>(2 * options.cv_folds)) {
+  if (options.tune_hyperparameters && x.size() >= 2 * kCvFolds) {
     const std::vector<RegressorFactory> grid =
         MakeGrid(options.model_type, options.seed);
     const size_t best =
-        GridSearchBest(grid, x, y, options.cv_folds, options.seed);
+        GridSearchBest(grid, x, y, kCvFolds, options.seed);
     model_ = grid[best]();
   } else {
     model_ = MakeModel(options.model_type, options.seed);
@@ -349,32 +351,19 @@ std::vector<double> FxrzModel::BuildInputs(const Tensor& data,
   return inputs;
 }
 
-double FxrzModel::EstimateConfig(const Tensor& data,
-                                 double target_ratio) const {
+double FxrzModel::QueryKnob(const Tensor& data, double target_ratio,
+                            ConfidentEstimate* est) const {
   FXRZ_TRACE_SPAN("model.estimate");
   MMetrics().estimates.Increment();
-  FXRZ_CHECK(trained()) << "EstimateConfig before Train/Load";
+  FXRZ_CHECK(trained()) << "model query before Train/Load";
   FXRZ_CHECK_GT(target_ratio, 0.0);
   const std::vector<double> inputs = BuildInputs(data, target_ratio);
-  double knob = model_->Predict(inputs);
-  knob = std::clamp(knob, knob_min_, knob_max_);
-  return FromKnob(knob);
-}
-
-FxrzModel::ConfidentEstimate FxrzModel::EstimateWithConfidence(
-    const Tensor& data, double target_ratio) const {
-  FXRZ_TRACE_SPAN("model.estimate");
-  MMetrics().estimates.Increment();
-  FXRZ_CHECK(trained()) << "EstimateWithConfidence before Train/Load";
-  FXRZ_CHECK_GT(target_ratio, 0.0);
-  const std::vector<double> inputs = BuildInputs(data, target_ratio);
-  ConfidentEstimate est;
   PredictionStats stats;
   double knob;
   if (model_->PredictWithStats(inputs, &stats)) {
     knob = stats.mean;
-    est.has_spread = true;
-    est.knob_spread = stats.stddev;
+    est->has_spread = true;
+    est->knob_spread = stats.stddev;
   } else {
     knob = model_->Predict(inputs);
   }
@@ -384,16 +373,22 @@ FxrzModel::ConfidentEstimate FxrzModel::EstimateWithConfidence(
       double excess = 0.0;
       if (inputs[i] < input_min_[i]) excess = input_min_[i] - inputs[i];
       if (inputs[i] > input_max_[i]) excess = inputs[i] - input_max_[i];
-      est.envelope_excess = std::max(est.envelope_excess, excess / scale);
+      est->envelope_excess = std::max(est->envelope_excess, excess / scale);
     }
-    est.in_envelope = est.envelope_excess == 0.0;
+    est->in_envelope = est->envelope_excess == 0.0;
   }
+  return std::clamp(knob, knob_min_, knob_max_);
+}
+
+FxrzModel::ConfidentEstimate FxrzModel::EstimateWithConfidence(
+    const Tensor& data, double target_ratio) const {
+  ConfidentEstimate est;
+  double knob = QueryKnob(data, target_ratio, &est);
   if (fault::Hit(fault::Site::kModelQuery)) {
     // Simulated mis-estimate: push the prediction to whichever edge of the
     // trained knob range is farther from it.
     knob = (knob - knob_min_ < knob_max_ - knob) ? knob_max_ : knob_min_;
   }
-  knob = std::clamp(knob, knob_min_, knob_max_);
   est.config = FromKnob(knob);
   return est;
 }
@@ -406,11 +401,14 @@ double FxrzModel::RefineConfig(const Tensor& data, double target_ratio,
   FXRZ_CHECK(trained());
   FXRZ_CHECK_GT(target_ratio, 0.0);
   FXRZ_CHECK_GT(measured_ratio, 0.0);
-  // Knob the model assigns to the ratio we actually observed.
+  // Knob the model assigns to the ratio we actually observed (round-tripped
+  // through the config, as the estimate a caller would see).
+  ConfidentEstimate unused;
   const double knob_for_measured =
-      ToKnob(EstimateConfig(data, measured_ratio));
+      ToKnob(FromKnob(QueryKnob(data, measured_ratio, &unused)));
   const double knob_tried = ToKnob(tried_config);
-  const double knob_for_target = ToKnob(EstimateConfig(data, target_ratio));
+  const double knob_for_target =
+      ToKnob(FromKnob(QueryKnob(data, target_ratio, &unused)));
   // Shift hypothesis: the real curve is the model curve displaced by
   // (knob_tried - knob_for_measured) in knob space.
   double corrected =

@@ -46,8 +46,7 @@ struct FxrzTrainingOptions {
   // Roughly doubles stationary-point collection cost.
   bool train_quality_model = false;
   ModelType model_type = ModelType::kRandomForest;
-  bool tune_hyperparameters = false;  // k-fold CV grid search
-  int cv_folds = 4;
+  bool tune_hyperparameters = false;  // 4-fold CV grid search
   // Threads for per-dataset stationary-point collection (the dominant
   // training cost); 1 = serial, 0 = hardware concurrency.
   int training_threads = 1;
@@ -77,14 +76,14 @@ class FxrzModel {
                           const std::vector<const Tensor*>& datasets,
                           const FxrzTrainingOptions& options = {});
 
-  // Estimates the config expected to reach `target_ratio` on `data`.
-  // Runtime cost is feature extraction + block scan + one model query; the
-  // compressor is never invoked.
-  double EstimateConfig(const Tensor& data, double target_ratio) const;
-
-  // EstimateConfig plus the confidence signals the guarded serving layer
-  // (core/guard.h) gates on: the per-tree knob spread of ensemble models
-  // and the query's position relative to the training feature envelope.
+  // Estimates the config expected to reach `target_ratio` on `data`, with
+  // the confidence signals the guarded serving layer (core/guard.h) gates
+  // on: the per-tree knob spread of ensemble models and the query's
+  // position relative to the training feature envelope. Runtime cost is
+  // feature extraction + block scan + one model query; the compressor is
+  // never invoked. The config is clamped to the trained knob range only:
+  // compress through Fxrz::GuardedCompressToRatio, which also clamps it
+  // into the codec's config space for `data`.
   // This is the instrumented "model query" fault site
   // (util/fault_injection.h): an injected fault forces a deliberate
   // mis-estimate at the far edge of the trained knob range.
@@ -149,6 +148,12 @@ class FxrzModel {
  private:
   std::vector<double> BuildInputs(const Tensor& data,
                                   double target_ratio) const;
+  // The model query shared by EstimateWithConfidence and RefineConfig:
+  // inputs -> prediction -> clamp to the trained knob range. Fills the
+  // confidence signals into `est` (config excepted) and returns the knob.
+  // Not a fault site.
+  double QueryKnob(const Tensor& data, double target_ratio,
+                   ConfidentEstimate* est) const;
   // Cached features + constant-block scan under the trained options.
   TensorAnalysis Analyze(const Tensor& data) const;
   double ToKnob(double config) const;
@@ -158,7 +163,7 @@ class FxrzModel {
   std::unique_ptr<Regressor> model_;
   std::unique_ptr<Regressor> quality_model_;  // optional PSNR preview
   // Memoized per-tensor analysis: one feature extraction + one CA scan per
-  // tensor, shared by EstimateConfig / RefineConfig / EstimatePsnr.
+  // tensor, shared by EstimateWithConfidence / RefineConfig / EstimatePsnr.
   mutable AnalysisCache analysis_cache_;
   // Config-space shape captured at training time.
   bool log_scale_ = true;

@@ -41,7 +41,8 @@ SelectionResult CompressorSelector::Select(const Tensor& data,
 
   result.compressor_name = candidates_[best].compressor_name;
   result.expected_psnr = result.candidate_psnrs[best];
-  result.config = candidates_[best].model->EstimateConfig(data, target_ratio);
+  const FxrzModel& picked = *candidates_[best].model;
+  result.config = picked.EstimateWithConfidence(data, target_ratio).config;
   return result;
 }
 

@@ -10,32 +10,6 @@
 
 namespace fxrz {
 
-namespace {
-
-// A rank's final compression: records its timing and ratio, or returns the
-// codec's Status.
-Status TimedCompress(const Compressor& compressor, const Tensor& data,
-                     double config, RankTiming* timing, double* ratio) {
-  WallTimer compress_timer;
-  FXRZ_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                        compressor.Compress(data, config));
-  timing->compress_seconds = compress_timer.Seconds();
-  timing->compressed_bytes = bytes.size();
-  *ratio = static_cast<double>(data.size_bytes()) /
-           static_cast<double>(bytes.size());
-  return Status::Ok();
-}
-
-// The first failed rank's Status, in rank order, or OK.
-Status FirstFailure(const std::vector<Status>& statuses) {
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 ParallelDumpExperiment::ParallelDumpExperiment(const Compressor* compressor,
                                                DumpExperimentOptions options)
     : compressor_(compressor), options_(options) {
@@ -67,54 +41,65 @@ DumpMethodResult ParallelDumpExperiment::Combine(
   return result;
 }
 
-StatusOr<DumpMethodResult> ParallelDumpExperiment::RunFxrz(
-    const FxrzModel& model, const std::vector<const Tensor*>& rank_variants) {
+StatusOr<DumpMethodResult> ParallelDumpExperiment::Measure(
+    const std::vector<const Tensor*>& rank_variants, const RankFn& rank) {
   FXRZ_CHECK(!rank_variants.empty());
-  FXRZ_CHECK(model.trained());
   std::vector<RankTiming> timings(rank_variants.size());
   std::vector<double> ratios(rank_variants.size());
   std::vector<Status> statuses(rank_variants.size());
-
   const size_t threads = options_.measure_threads > 0
                              ? options_.measure_threads
                              : std::thread::hardware_concurrency();
   ThreadPool pool(threads);
   ParallelFor(&pool, 0, rank_variants.size(), [&](size_t i) {
-    const Tensor& data = *rank_variants[i];
-    WallTimer analysis_timer;
-    const double config = model.EstimateConfig(data, options_.target_ratio);
-    timings[i].analysis_seconds = analysis_timer.Seconds();
-    statuses[i] =
-        TimedCompress(*compressor_, data, config, &timings[i], &ratios[i]);
+    statuses[i] = rank(*rank_variants[i], &timings[i], &ratios[i]);
   });
-  FXRZ_RETURN_IF_ERROR(FirstFailure(statuses));
+  for (const Status& status : statuses) FXRZ_RETURN_IF_ERROR(status);
   return Combine(timings, ratios);
+}
+
+StatusOr<DumpMethodResult> ParallelDumpExperiment::RunFxrz(
+    const Fxrz& fxrz, const std::vector<const Tensor*>& rank_variants) {
+  if (!fxrz.model().trained()) {
+    return Status::InvalidArgument("dump: FXRZ model not trained");
+  }
+  const double target = options_.target_ratio;
+  return Measure(rank_variants, [&](const Tensor& data, RankTiming* timing,
+                                    double* ratio) -> Status {
+    // The query fills the analysis cache the ladder's own query reuses.
+    WallTimer analysis_timer;
+    (void)fxrz.model().EstimateWithConfidence(data, target);
+    timing->analysis_seconds = analysis_timer.Seconds();
+    WallTimer compress_timer;
+    FXRZ_ASSIGN_OR_RETURN(
+        const GuardedResult served,
+        fxrz.GuardedCompressToRatio(data, target, PaperPolicy(0)));
+    timing->compress_seconds = compress_timer.Seconds();
+    timing->compressed_bytes = served.compressed.size();
+    *ratio = served.measured_ratio;
+    return Status::Ok();
+  });
 }
 
 StatusOr<DumpMethodResult> ParallelDumpExperiment::RunFraz(
     const FrazOptions& fraz_options,
     const std::vector<const Tensor*>& rank_variants) {
-  FXRZ_CHECK(!rank_variants.empty());
-  std::vector<RankTiming> timings(rank_variants.size());
-  std::vector<double> ratios(rank_variants.size());
-  std::vector<Status> statuses(rank_variants.size());
-
-  const size_t threads = options_.measure_threads > 0
-                             ? options_.measure_threads
-                             : std::thread::hardware_concurrency();
-  ThreadPool pool(threads);
-  ParallelFor(&pool, 0, rank_variants.size(), [&](size_t i) {
-    const Tensor& data = *rank_variants[i];
+  const double target = options_.target_ratio;
+  return Measure(rank_variants, [&](const Tensor& data, RankTiming* timing,
+                                    double* ratio) -> Status {
     const FrazResult search =
-        FrazSearch(*compressor_, data, options_.target_ratio, fraz_options);
-    timings[i].analysis_seconds = search.search_seconds;
-    statuses[i] = search.status.ok()
-                      ? TimedCompress(*compressor_, data, search.config,
-                                      &timings[i], &ratios[i])
-                      : search.status;
+        FrazSearch(*compressor_, data, target, fraz_options);
+    timing->analysis_seconds = search.search_seconds;
+    FXRZ_RETURN_IF_ERROR(search.status);
+    WallTimer compress_timer;
+    FXRZ_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                          compressor_->Compress(data, search.config));
+    timing->compress_seconds = compress_timer.Seconds();
+    timing->compressed_bytes = bytes.size();
+    *ratio = static_cast<double>(data.size_bytes()) /
+             static_cast<double>(bytes.size());
+    return Status::Ok();
   });
-  FXRZ_RETURN_IF_ERROR(FirstFailure(statuses));
-  return Combine(timings, ratios);
 }
 
 }  // namespace fxrz

@@ -10,11 +10,12 @@
 #ifndef FXRZ_PARALLEL_DUMP_H_
 #define FXRZ_PARALLEL_DUMP_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/compressors/compressor.h"
-#include "src/core/model.h"
+#include "src/core/pipeline.h"
 #include "src/fraz/fraz.h"
 #include "src/parallel/io_model.h"
 #include "src/util/status.h"
@@ -45,10 +46,14 @@ class ParallelDumpExperiment {
   ParallelDumpExperiment(const Compressor* compressor,
                          DumpExperimentOptions options);
 
-  // FXRZ policy: per-rank cost = model estimate + one compression.
-  // A failed codec run in any rank fails the experiment with its Status.
+  // FXRZ policy: each rank serves its block through
+  // fxrz.GuardedCompressToRatio under PaperPolicy(0) -- one model query and
+  // one compression. Analysis time is the model query (features + scan +
+  // query); compression time is the ladder call, admission scan included.
+  // A non-OK ladder Status in any rank fails the experiment with that
+  // Status; an untrained model is InvalidArgument.
   StatusOr<DumpMethodResult> RunFxrz(
-      const FxrzModel& model, const std::vector<const Tensor*>& rank_variants);
+      const Fxrz& fxrz, const std::vector<const Tensor*>& rank_variants);
 
   // FRaZ policy: per-rank cost = iterative search + final compression.
   // A failed search or codec run fails the experiment with its Status.
@@ -57,6 +62,13 @@ class ParallelDumpExperiment {
       const std::vector<const Tensor*>& rank_variants);
 
  private:
+  // Measures one rank's timing and achieved ratio, or returns why it failed.
+  using RankFn =
+      std::function<Status(const Tensor& data, RankTiming*, double* ratio)>;
+  // Runs `rank` on every variant concurrently (measure_threads); the first
+  // failed rank's Status, in rank order, fails the experiment.
+  StatusOr<DumpMethodResult> Measure(
+      const std::vector<const Tensor*>& rank_variants, const RankFn& rank);
   DumpMethodResult Combine(const std::vector<RankTiming>& variant_timings,
                            const std::vector<double>& ratios);
 

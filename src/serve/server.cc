@@ -74,19 +74,13 @@ metrics::Counter& OutcomeCounter(const Status& status, bool degraded) {
   }
 }
 
-// Early-shed counter, labeled by the refused priority class. High priority
-// never early-sheds (it only sees the hard queue bound, counted by
-// fxrz_serve_shed_total), so only low/normal labels exist.
-metrics::Counter& OverloadShedCounter(RequestPriority priority) {
-  auto make = [](const char* p) -> metrics::Counter* {
-    return &metrics::GetCounter(
-        std::string("fxrz_serve_overload_shed_total{priority=\"") + p +
-            "\"}",
-        "Submissions refused by the adaptive overload shed, by priority");
-  };
-  static metrics::Counter* low = make("low");
-  static metrics::Counter* normal = make("normal");
-  return priority == RequestPriority::kLow ? *low : *normal;
+// Early-shed counter. Only low priority sheds early; the hard queue bound
+// is counted by fxrz_serve_shed_total.
+metrics::Counter& LowPriorityShedCounter() {
+  static metrics::Counter* counter = &metrics::GetCounter(
+      "fxrz_serve_overload_shed_total{priority=\"low\"}",
+      "Submissions refused by the adaptive overload shed, by priority");
+  return *counter;
 }
 
 }  // namespace
@@ -222,23 +216,15 @@ Status FxrzServer::ShedDecisionLocked(RequestPriority priority) {
         "serve: submission queue full (" +
         std::to_string(options_.max_queue_depth) + " requests)");
   }
-  if (priority == RequestPriority::kHigh) return Status::Ok();
-  const ShedOptions& shed = options_.shed;
-  const bool low = priority == RequestPriority::kLow;
-  const double depth_threshold = low ? shed.low_priority_depth_fraction
-                                     : shed.normal_priority_depth_fraction;
-  // The depth counts this submission itself, so a threshold of 1.0 is
-  // exactly the hard bound (i.e. disabled as an EARLY shed).
-  const double depth_fraction =
-      static_cast<double>(queued_ + 1) /
-      static_cast<double>(options_.max_queue_depth);
-  if (!(depth_threshold < 1.0 && depth_fraction >= depth_threshold)) {
+  // Early shed: low priority only, once this submission would fill at
+  // least half of the queue.
+  if (priority != RequestPriority::kLow ||
+      2 * (queued_ + 1) < options_.max_queue_depth) {
     return Status::Ok();
   }
-  OverloadShedCounter(priority).Increment();
+  LowPriorityShedCounter().Increment();
   return Status::ResourceExhausted(
-      std::string("serve: overload shed (queue depth, priority ") +
-      RequestPriorityName(priority) + ")");
+      "serve: overload shed (queue depth, priority low)");
 }
 
 bool FxrzServer::PopNextLocked(Pending* out) {

@@ -68,27 +68,12 @@
 
 namespace fxrz {
 
-// Overload shedding policy: refuse work at Submit BEFORE the hard queue
-// bound is hit, lowest priority class first, so that when congestion builds
-// the queue capacity left is spent on the traffic that matters. The
-// congestion signal is queue depth: queued requests as a fraction of
-// max_queue_depth.
-//
-// High-priority requests never early-shed; they only see the hard
-// backpressure bound. A shed is an immediate ResourceExhausted at Submit,
-// identical in contract to queue-full backpressure.
-struct ShedOptions {
-  // Depth fraction at/above which the class sheds; >= 1.0 disables the
-  // early shed for that class (the hard bound still applies). The default
-  // policy sheds only low priority early, so normal-priority traffic sees
-  // exactly the PR 8 backpressure contract unless the operator opts in.
-  double low_priority_depth_fraction = 0.5;
-  double normal_priority_depth_fraction = 1.0;
-};
-
 struct ServeOptions {
   // Bound on requests queued but not yet dispatched (all tenants
-  // combined). Submit sheds with ResourceExhausted beyond it.
+  // combined). Submit sheds with ResourceExhausted beyond it, every
+  // priority class alike. Low priority sheds early, once a submission
+  // would fill half of it, so the capacity left under congestion goes to
+  // the traffic that matters; normal and high see only the hard bound.
   size_t max_queue_depth = 256;
   // Worker slots draining the queue; 0 sizes to the pool's thread count.
   size_t max_concurrency = 0;
@@ -105,8 +90,6 @@ struct ServeOptions {
   // are unlimited. Enforced at Submit (immediate ResourceExhausted) and at
   // dispatch (capped tenants wait, others run).
   QuotaOptions quota;
-  // Priority-aware overload shedding on top of the hard queue bound.
-  ShedOptions shed;
   // Memory budget for admission control in the guard ladder (reservations
   // sized by per-codec peak estimates; see util/mem_budget.h). nullptr
   // uses ProcessMemoryBudget(), whose capacity comes from FXRZ_MEM_BUDGET
@@ -145,7 +128,7 @@ using ServeCallback = std::function<void(ServeReply)>;
 struct ServeRequest {
   // Fairness key; "" is a valid (shared) tenant.
   std::string tenant;
-  // Shed class under overload (see ShedOptions). Priority orders SHEDDING
+  // Shed class under overload (see max_queue_depth). Priority orders SHEDDING
   // only -- dispatch among queued requests stays round-robin-fair, so a
   // flood of high-priority requests cannot starve admitted work.
   RequestPriority priority = RequestPriority::kNormal;

@@ -33,55 +33,60 @@ Status ReadString(ByteReader* reader, std::string* out) {
 
 }  // namespace
 
-FieldStoreWriter::FieldStoreWriter(std::string compressor_name,
-                                   const FxrzModel* model)
+FieldStoreWriter::FieldStoreWriter(std::string compressor_name)
     : compressor_name_(std::move(compressor_name)),
-      compressor_(MakeCompressor(compressor_name_)),
-      model_(model) {}
+      compressor_(MakeCompressor(compressor_name_)) {}
 
 Status FieldStoreWriter::AddFieldFixedRatio(const std::string& name,
-                                            const Tensor& data,
-                                            double target_ratio) {
-  if (model_ == nullptr || !model_->trained()) {
-    return Status::InvalidArgument(
-        "fixed-ratio writes need a trained FxrzModel");
-  }
-  if (target_ratio <= 0) {
+                                            double target_ratio,
+                                            GuardedResult served) {
+  FXRZ_RETURN_IF_ERROR(CheckNewName(name));
+  if (!(target_ratio > 0)) {
     return Status::InvalidArgument("target ratio must be positive");
   }
-  if (data.empty()) return Status::InvalidArgument("empty field: " + name);
-  const double config = model_->EstimateConfig(data, target_ratio);
-  return AddCompressed(name, data, target_ratio, config);
+  if (served.compressed.empty()) {
+    return Status::InvalidArgument("no served archive for field: " + name);
+  }
+  Append(name, target_ratio, served.config, served.measured_ratio,
+         std::move(served.compressed));
+  return Status::Ok();
 }
 
 Status FieldStoreWriter::AddFieldFixedConfig(const std::string& name,
                                              const Tensor& data,
                                              double config) {
-  return AddCompressed(name, data, /*target_ratio=*/0.0, config);
+  FXRZ_RETURN_IF_ERROR(CheckNewName(name));
+  FXRZ_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                        compressor_->Compress(data, config));
+  const double achieved_ratio =
+      static_cast<double>(data.size_bytes()) / payload.size();
+  Append(name, /*target_ratio=*/0.0, config, achieved_ratio,
+         std::move(payload));
+  return Status::Ok();
 }
 
-Status FieldStoreWriter::AddCompressed(const std::string& name,
-                                       const Tensor& data,
-                                       double target_ratio, double config) {
+Status FieldStoreWriter::CheckNewName(const std::string& name) const {
   if (name.empty()) return Status::InvalidArgument("empty field name");
   for (const FieldEntry& e : entries_) {
     if (e.name == name) {
       return Status::InvalidArgument("duplicate field: " + name);
     }
   }
-  FXRZ_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                        compressor_->Compress(data, config));
+  return Status::Ok();
+}
+
+void FieldStoreWriter::Append(const std::string& name, double target_ratio,
+                              double config, double achieved_ratio,
+                              std::vector<uint8_t> payload) {
   FieldEntry entry;
   entry.name = name;
   entry.compressor = compressor_name_;
   entry.target_ratio = target_ratio;
   entry.config = config;
-  entry.achieved_ratio =
-      static_cast<double>(data.size_bytes()) / payload.size();
+  entry.achieved_ratio = achieved_ratio;
   entry.compressed_bytes = payload.size();
   entries_.push_back(std::move(entry));
   payloads_.push_back(std::move(payload));
-  return Status::Ok();
 }
 
 uint64_t FieldStoreWriter::payload_bytes() const {

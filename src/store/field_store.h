@@ -3,9 +3,9 @@
 // The paper motivates FXRZ with scientific data libraries (HDF5/ADIOS2
 // filters such as HSZ and pNetCDF-SZ) that compress transparently on write.
 // FieldStore is that integration at library scale: a self-describing
-// archive of named fields where each field is compressed either at an
-// explicit knob value or -- when a trained FxrzModel is attached -- at
-// whatever knob FXRZ estimates for a requested target ratio.
+// archive of named fields where each field is either compressed at an
+// explicit knob value, or stored as the archive the guard ladder
+// (Fxrz::GuardedCompressToRatio) served for a requested target ratio.
 //
 // Format (little-endian):
 //   magic "FXST" | version u32 | field count u32 | per field:
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "src/compressors/compressor.h"
-#include "src/core/model.h"
+#include "src/core/guard.h"
 #include "src/data/tensor.h"
 #include "src/util/status.h"
 
@@ -46,17 +46,19 @@ struct FieldEntry {
 // Builds an archive in memory; write once, then serialize.
 class FieldStoreWriter {
  public:
-  // `model` may be null; then only AddFieldFixedConfig is available.
-  // The model, when provided, must have been trained for `compressor_name`.
-  FieldStoreWriter(std::string compressor_name, const FxrzModel* model);
+  explicit FieldStoreWriter(std::string compressor_name);
 
-  // Compresses `data` at the FXRZ-estimated knob for `target_ratio`.
-  // Requires a model. Duplicate names and empty tensors are rejected with
-  // InvalidArgument; a failed compression returns the codec's Status.
-  Status AddFieldFixedRatio(const std::string& name, const Tensor& data,
-                            double target_ratio);
+  // Stores the archive the guard ladder served for `target_ratio`, with its
+  // config and measured ratio; nothing is compressed again. `served` must
+  // come from a Fxrz built on this writer's compressor. Duplicate names,
+  // non-positive targets and results without an archive are rejected with
+  // InvalidArgument.
+  Status AddFieldFixedRatio(const std::string& name, double target_ratio,
+                            GuardedResult served);
 
-  // Compresses `data` at an explicit knob value (same rejections).
+  // Compresses `data` at an explicit knob value. Duplicate names and empty
+  // tensors are rejected with InvalidArgument; a failed compression returns
+  // the codec's Status.
   Status AddFieldFixedConfig(const std::string& name, const Tensor& data,
                              double config);
 
@@ -70,12 +72,13 @@ class FieldStoreWriter {
   Status WriteToFile(const std::string& path) const;
 
  private:
-  Status AddCompressed(const std::string& name, const Tensor& data,
-                       double target_ratio, double config);
+  // InvalidArgument for an empty or already-stored name.
+  Status CheckNewName(const std::string& name) const;
+  void Append(const std::string& name, double target_ratio, double config,
+              double achieved_ratio, std::vector<uint8_t> payload);
 
   std::string compressor_name_;
   std::unique_ptr<Compressor> compressor_;
-  const FxrzModel* model_;  // not owned
   std::vector<FieldEntry> entries_;
   std::vector<std::vector<uint8_t>> payloads_;
 };

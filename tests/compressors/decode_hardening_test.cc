@@ -207,7 +207,7 @@ TEST(EntropyCoderHardeningTest, ZlitePrefixesAndBitFlipsAreSafe) {
 
 TEST(FieldStoreHardeningTest, PrefixesAndBitFlipsAreSafe) {
   const Tensor data = GaussianRandomField3D(8, 8, 8, 3.0, 841);
-  FieldStoreWriter writer("sz", /*model=*/nullptr);
+  FieldStoreWriter writer("sz");
   ASSERT_TRUE(writer.AddFieldFixedConfig("rho", data, 0.02).ok());
   const std::vector<uint8_t> bytes = writer.Serialize();
 

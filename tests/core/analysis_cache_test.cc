@@ -147,11 +147,11 @@ TEST_F(PipelineAnalysisCountTest, RefinedCompressionAnalyzesOnce) {
 
 TEST_F(PipelineAnalysisCountTest, RepeatedEstimatesReuseTheAnalysis) {
   const Tensor& test = fields_[3];
-  (void)fxrz_->model().EstimateConfig(test, 20.0);  // warm the cache
+  (void)fxrz_->model().EstimateWithConfidence(test, 20.0);  // warm the cache
   const uint64_t extractions = FeatureExtractionCount();
   const uint64_t scans = ConstantBlockScanCount();
   for (double tcr : {10.0, 25.0, 50.0, 80.0}) {
-    (void)fxrz_->model().EstimateConfig(test, tcr);
+    (void)fxrz_->model().EstimateWithConfidence(test, tcr);
   }
   EXPECT_EQ(FeatureExtractionCount(), extractions);
   EXPECT_EQ(ConstantBlockScanCount(), scans);
@@ -160,8 +160,8 @@ TEST_F(PipelineAnalysisCountTest, RepeatedEstimatesReuseTheAnalysis) {
 
 TEST_F(PipelineAnalysisCountTest, DistinctTensorsAnalyzedSeparately) {
   const uint64_t extractions = FeatureExtractionCount();
-  (void)fxrz_->model().EstimateConfig(fields_[3], 30.0);
-  (void)fxrz_->model().EstimateConfig(fields_[0], 30.0);
+  (void)fxrz_->model().EstimateWithConfidence(fields_[3], 30.0);
+  (void)fxrz_->model().EstimateWithConfidence(fields_[0], 30.0);
   // Training already cached fields_[0..2] under the same options, so only
   // the unseen test tensor costs an extraction.
   EXPECT_EQ(FeatureExtractionCount() - extractions, 1u);

@@ -155,7 +155,7 @@ TEST_F(FaultLadderTest, PersistentCompressFaultSurfacesAsStatus) {
 TEST_F(FaultLadderTest, CompressFaultWithFallbackDisabledNamesModelTier) {
   fault::Arm(Site::kCompressorCompress, /*skip=*/0, /*count=*/1000000);
   GuardOptions options = OpenGate();
-  options.fallback = GuardFallback::kFail;
+  options.fallback = GuardFallback::kServeBest;  // no archive to serve
   const StatusOr<GuardedResult> r =
       fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
   ASSERT_FALSE(r.ok());

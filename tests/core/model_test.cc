@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/compressors/compressor.h"
@@ -45,7 +46,7 @@ TEST_F(FxrzModelTest, EstimateWithinConfigSpace) {
   model.Train(*sz, train_);
   const ConfigSpace space = sz->config_space(fields_[0]);
   for (double tcr : {3.0, 10.0, 50.0}) {
-    const double config = model.EstimateConfig(fields_[0], tcr);
+    const double config = model.EstimateWithConfidence(fields_[0], tcr).config;
     EXPECT_GE(config, space.min * 0.5);
     EXPECT_LE(config, space.max * 2.0);
   }
@@ -55,8 +56,8 @@ TEST_F(FxrzModelTest, HigherTargetRatioHigherErrorBound) {
   FxrzModel model;
   const auto sz = MakeCompressor("sz");
   model.Train(*sz, train_);
-  const double low = model.EstimateConfig(fields_[0], 5.0);
-  const double high = model.EstimateConfig(fields_[0], 200.0);
+  const double low = model.EstimateWithConfidence(fields_[0], 5.0).config;
+  const double high = model.EstimateWithConfidence(fields_[0], 200.0).config;
   EXPECT_LT(low, high);
 }
 
@@ -64,8 +65,8 @@ TEST_F(FxrzModelTest, FpzipDirectionInverted) {
   FxrzModel model;
   const auto fpzip = MakeCompressor("fpzip");
   model.Train(*fpzip, train_);
-  const double low = model.EstimateConfig(fields_[0], 2.0);
-  const double high = model.EstimateConfig(fields_[0], 6.0);
+  const double low = model.EstimateWithConfidence(fields_[0], 2.0).config;
+  const double high = model.EstimateWithConfidence(fields_[0], 6.0).config;
   // Higher ratio needs LOWER precision.
   EXPECT_GE(low, high);
   EXPECT_EQ(low, std::round(low));  // integer knob
@@ -106,8 +107,8 @@ TEST_F(FxrzModelTest, CaTogglesBehavior) {
   a.Train(*sz, train, with_ca);
   b.Train(*sz, train, without_ca);
   // Both produce valid estimates; they need not agree.
-  const double ea = a.EstimateConfig(sparse, 20.0);
-  const double eb = b.EstimateConfig(sparse, 20.0);
+  const double ea = a.EstimateWithConfidence(sparse, 20.0).config;
+  const double eb = b.EstimateWithConfidence(sparse, 20.0).config;
   EXPECT_GT(ea, 0.0);
   EXPECT_GT(eb, 0.0);
 }
@@ -122,7 +123,7 @@ TEST_F(FxrzModelTest, NonRfrModelsTrainButDontPersist) {
     const auto sz = MakeCompressor("sz");
     model.Train(*sz, train_, opts);
     EXPECT_TRUE(model.trained());
-    EXPECT_GT(model.EstimateConfig(fields_[0], 10.0), 0.0);
+    EXPECT_GT(model.EstimateWithConfidence(fields_[0], 10.0).config, 0.0);
     std::vector<uint8_t> bytes;
     EXPECT_FALSE(model.SaveToBytes(&bytes).ok());
   }
@@ -160,8 +161,8 @@ TEST_F(FxrzModelTest, FileRoundTrip) {
   ASSERT_TRUE(model.SaveToFile(path).ok());
   FxrzModel restored;
   ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_DOUBLE_EQ(restored.EstimateConfig(fields_[0], 25.0),
-                   model.EstimateConfig(fields_[0], 25.0));
+  EXPECT_DOUBLE_EQ(restored.EstimateWithConfidence(fields_[0], 25.0).config,
+                   model.EstimateWithConfidence(fields_[0], 25.0).config);
 }
 
 TEST_F(FxrzModelTest, EnvelopeSurvivesPersistence) {
@@ -206,15 +207,49 @@ TEST_F(FxrzModelTest, ParallelTrainingMatchesSerial) {
   parallel.Train(*sz, train_, parallel_opts);
   // Collection order does not feed the model: results are identical.
   for (double tcr : {5.0, 20.0, 80.0}) {
-    EXPECT_DOUBLE_EQ(serial.EstimateConfig(fields_[0], tcr),
-                     parallel.EstimateConfig(fields_[0], tcr));
+    EXPECT_DOUBLE_EQ(serial.EstimateWithConfidence(fields_[0], tcr).config,
+                     parallel.EstimateWithConfidence(fields_[0], tcr).config);
+  }
+}
+
+TEST_F(FxrzModelTest, EstimatesMatchPinnedPointEstimates) {
+  // EstimateWithConfidence's config, and RefineConfig's correction, are
+  // the values the former point query (Predict, then clamp) produced,
+  // pinned from it bit for bit: the forest's per-tree mean sums the trees
+  // in Predict's order.
+  struct Pin {
+    const char* codec;
+    std::vector<std::pair<double, double>> estimates;  // (target, config)
+    double refined;  // RefineConfig(field, 20, estimate(20), 30)
+  };
+  const Pin pins[] = {
+      {"sz",
+       {{5.0, 0.071769761112958116},
+        {20.0, 1.1596670802773528},
+        {80.0, 2.2265027298765547}},
+       0.79853947806963632},
+      {"zfp", {{4.0, 0.20398009542703577}, {16.0, 2.0381524482759934}},
+       2.0381524482759934},
+      {"fpzip", {{2.0, 18.0}, {4.0, 10.0}}, 4.0},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.codec);
+    FxrzModel model;
+    model.Train(*MakeCompressor(pin.codec), train_);
+    for (const auto& [target, config] : pin.estimates) {
+      EXPECT_EQ(model.EstimateWithConfidence(fields_[0], target).config,
+                config)
+          << "target " << target;
+    }
+    const double tried = model.EstimateWithConfidence(fields_[0], 20.0).config;
+    EXPECT_EQ(model.RefineConfig(fields_[0], 20.0, tried, 30.0), pin.refined);
   }
 }
 
 TEST(FxrzModelDeathTest, EstimateBeforeTrain) {
   FxrzModel model;
   Tensor t({4}, {1, 2, 3, 4});
-  EXPECT_DEATH(model.EstimateConfig(t, 10.0), "");
+  EXPECT_DEATH(model.EstimateWithConfidence(t, 10.0), "");
 }
 
 }  // namespace

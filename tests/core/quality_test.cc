@@ -62,7 +62,7 @@ TEST_F(QualityModelTest, PreviewTracksMeasuredPsnr) {
   const Tensor& test = fields_[3];
   for (double tcr : {8.0, 40.0}) {
     const double predicted = model.EstimatePsnr(test, tcr);
-    const double config = model.EstimateConfig(test, tcr);
+    const double config = model.EstimateWithConfidence(test, tcr).config;
     const std::vector<uint8_t> bytes = sz->Compress(test, config).value();
     Tensor rec;
     ASSERT_TRUE(sz->Decompress(bytes.data(), bytes.size(), &rec).ok());

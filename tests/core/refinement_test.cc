@@ -69,7 +69,7 @@ TEST_F(RefinementTest, SkipsRefinementWhenAlreadyAccurate) {
 TEST_F(RefinementTest, RefineConfigMovesInCorrectDirection) {
   const Tensor& test = fields_[3];
   const FxrzModel& model = fxrz_->model();
-  const double config = model.EstimateConfig(test, 50.0);
+  const double config = model.EstimateWithConfidence(test, 50.0).config;
   // Pretend the measured ratio overshot the target: the corrected error
   // bound must be smaller (compress less aggressively).
   const double corrected_down = model.RefineConfig(test, 50.0, config, 90.0);
@@ -102,7 +102,7 @@ TEST(PaperPolicyTest, MatchesOneClampedCompressionAcrossCodecs) {
     fxrz.Train({&fields[0], &fields[1]});
     const ConfigSpace space = fxrz.compressor().config_space(test);
     for (double tcr : fxrz.model().ValidTargetRatios(3)) {
-      double config = fxrz.model().EstimateConfig(test, tcr);
+      double config = fxrz.model().EstimateWithConfidence(test, tcr).config;
       if (space.integer) config = std::round(config);
       config = std::clamp(config, space.min, space.max);
       const std::vector<uint8_t> expected =

@@ -75,7 +75,7 @@ TEST_F(SelectorTest, SelectionTracksActualQualityOrdering) {
   double measured[2];
   for (size_t i = 0; i < names_.size(); ++i) {
     const auto comp = MakeCompressor(names_[i]);
-    const double config = models_[i]->EstimateConfig(test, 6.0);
+    const double config = models_[i]->EstimateWithConfidence(test, 6.0).config;
     measured[i] = VerifyCompression(*comp, test, config).distortion.psnr;
   }
   const size_t picked = sel.compressor_name == names_[0] ? 0 : 1;

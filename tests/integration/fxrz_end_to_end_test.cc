@@ -83,7 +83,7 @@ TEST(FxrzEndToEndTest, FpzipIntegerConfigSpace) {
   fxrz.Train(Pointers(bundle.train));
   const Tensor& test = bundle.test[0].data;
 
-  const double config = fxrz.model().EstimateConfig(test, 4.0);
+  const double config = fxrz.model().EstimateWithConfidence(test, 4.0).config;
   // Precision must come back as an integer within the knob range.
   EXPECT_EQ(config, std::round(config));
   EXPECT_GE(config, 4.0);
@@ -159,13 +159,13 @@ TEST(FxrzModelPersistenceTest, SaveLoadRoundTrip) {
   Fxrz fxrz(MakeCompressor("sz"));
   fxrz.Train(Pointers(bundle.train));
   const Tensor& test = bundle.test[0].data;
-  const double before = fxrz.model().EstimateConfig(test, 50.0);
+  const double before = fxrz.model().EstimateWithConfidence(test, 50.0).config;
 
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(fxrz.model().SaveToBytes(&bytes).ok());
   FxrzModel restored;
   ASSERT_TRUE(restored.LoadFromBytes(bytes.data(), bytes.size()).ok());
-  EXPECT_DOUBLE_EQ(restored.EstimateConfig(test, 50.0), before);
+  EXPECT_DOUBLE_EQ(restored.EstimateWithConfidence(test, 50.0).config, before);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <vector>
 
 #include "src/compressors/compressor.h"
+#include "src/core/compressibility.h"
+#include "src/core/features.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
 #include "src/parallel/dump.h"
@@ -67,8 +69,7 @@ TEST_F(DumpExperimentTest, FxrzBeatsFrazEndToEnd) {
   opts.measure_threads = 2;
   ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
 
-  const DumpMethodResult fx =
-      experiment.RunFxrz(fxrz.model(), variants_).value();
+  const DumpMethodResult fx = experiment.RunFxrz(fxrz, variants_).value();
   FrazOptions fraz;
   fraz.total_max_iterations = 15;
   fraz.tolerance = 0.0;  // no early exit: full search cost
@@ -97,11 +98,11 @@ TEST_F(DumpExperimentTest, RankCountScalesIoNotCompute) {
 
   const DumpMethodResult a =
       ParallelDumpExperiment(&fxrz.compressor(), small)
-          .RunFxrz(fxrz.model(), variants_)
+          .RunFxrz(fxrz, variants_)
           .value();
   const DumpMethodResult b =
       ParallelDumpExperiment(&fxrz.compressor(), large)
-          .RunFxrz(fxrz.model(), variants_)
+          .RunFxrz(fxrz, variants_)
           .value();
   EXPECT_NEAR(b.timing.io_seconds / a.timing.io_seconds, 64.0, 10.0);
 }
@@ -119,13 +120,67 @@ TEST_F(DumpExperimentTest, FailedRankCompressionPropagatesItsStatus) {
   // final compression for FXRZ, a search probe for FRaZ.
   fault::ResetAll();
   fault::Arm(fault::Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
-  const Status fx = experiment.RunFxrz(fxrz.model(), variants_).status();
+  const Status fx = experiment.RunFxrz(fxrz, variants_).status();
   fault::Arm(fault::Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
   const Status fr = experiment.RunFraz(FrazOptions(), variants_).status();
   fault::ResetAll();
   EXPECT_EQ(fx.code(), StatusCode::kUnavailable) << fx.ToString();
   EXPECT_EQ(fr.code(), StatusCode::kUnavailable) << fr.ToString();
-  EXPECT_TRUE(experiment.RunFxrz(fxrz.model(), variants_).ok());
+  EXPECT_TRUE(experiment.RunFxrz(fxrz, variants_).ok());
+}
+
+TEST_F(DumpExperimentTest, UntrainedFxrzIsAStatus) {
+  const Fxrz untrained(MakeCompressor("sz"));
+  DumpExperimentOptions opts;
+  opts.measure_threads = 2;
+  ParallelDumpExperiment experiment(&untrained.compressor(), opts);
+  const Status st = experiment.RunFxrz(untrained, variants_).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+TEST_F(DumpExperimentTest, FxrzAnalyzesEachVariantOnce) {
+  // The timed model query fills the analysis cache; the ladder's own
+  // query reuses it.
+  Fxrz fxrz(MakeCompressor("sz"));
+  fxrz.Train(train_);
+  DumpExperimentOptions opts;
+  opts.target_ratio = 20.0;
+  opts.measure_threads = 2;
+  ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
+  const uint64_t extractions = FeatureExtractionCount();
+  const uint64_t scans = ConstantBlockScanCount();
+  ASSERT_TRUE(experiment.RunFxrz(fxrz, variants_).ok());
+  EXPECT_EQ(FeatureExtractionCount() - extractions, variants_.size());
+  EXPECT_EQ(ConstantBlockScanCount() - scans, variants_.size());
+}
+
+TEST(DumpClampTest, FxrzDumpsTheLaddersArchiveInsideTheConfigSpace) {
+  // Trained on unit-scale fields, dumping one 1000x smaller: the model's
+  // estimate lies far above the field's error-bound range. The dump must
+  // compress what the ladder serves, clamped into config_space.
+  std::vector<Tensor> fields;
+  for (uint64_t s : {401, 402, 403, 404}) {
+    fields.push_back(GaussianRandomField3D(16, 16, 16, 3.0, s));
+  }
+  Fxrz fxrz(MakeCompressor("sz"));
+  fxrz.Train({&fields[0], &fields[1], &fields[2]});
+  Tensor scaled = fields[3];
+  for (size_t i = 0; i < scaled.size(); ++i) scaled[i] *= 1e-3f;
+  const ConfigSpace space = fxrz.compressor().config_space(scaled);
+  ASSERT_GT(fxrz.model().EstimateWithConfidence(scaled, 20.0).config,
+            space.max);
+  const GuardedResult served =
+      fxrz.GuardedCompressToRatio(scaled, 20.0, PaperPolicy(0)).value();
+  EXPECT_LE(served.config, space.max);
+
+  DumpExperimentOptions opts;
+  opts.num_ranks = 4;
+  opts.target_ratio = 20.0;
+  opts.measure_threads = 1;
+  ParallelDumpExperiment experiment(&fxrz.compressor(), opts);
+  const DumpMethodResult fx = experiment.RunFxrz(fxrz, {&scaled}).value();
+  EXPECT_EQ(fx.mean_achieved_ratio, served.measured_ratio);
+  EXPECT_EQ(fx.timing.total_bytes, 4 * served.compressed.size());
 }
 
 }  // namespace

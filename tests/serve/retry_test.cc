@@ -93,15 +93,15 @@ class ServeRetryTest : public ::testing::Test {
   double target_ = 0.0;
 };
 
-// Two injected transient backend faults, then health: with the FRaZ
-// fallback disabled the first two guard attempts exhaust retryably
+// Two injected transient backend faults, then health: with the search
+// tier disabled the first two guard attempts exhaust retryably
 // (Unavailable), and the server's third attempt serves the request.
 TEST_F(ServeRetryTest, RetriesTransientFaultsThenSucceeds) {
   if (!fault::Enabled()) {
     GTEST_SKIP() << "needs -DFXRZ_FAULT_INJECT=ON";
   }
   ServeOptions options;
-  options.guard.fallback = GuardFallback::kFail;
+  options.guard.fallback = GuardFallback::kServeBest;
   options.retry.max_attempts = 3;
   options.retry.initial_backoff_seconds = 1e-4;  // fast test
   FxrzServer server(*fxrz_, options);
@@ -133,7 +133,7 @@ TEST_F(ServeRetryTest, ExhaustsAttemptBudgetOnPersistentFaults) {
     GTEST_SKIP() << "needs -DFXRZ_FAULT_INJECT=ON";
   }
   ServeOptions options;
-  options.guard.fallback = GuardFallback::kFail;
+  options.guard.fallback = GuardFallback::kServeBest;
   options.retry.max_attempts = 2;
   options.retry.initial_backoff_seconds = 1e-4;
   // Keep the breaker out of the picture for this test.
@@ -158,7 +158,7 @@ TEST_F(ServeRetryTest, PersistentFaultsTripTheBreaker) {
     GTEST_SKIP() << "needs -DFXRZ_FAULT_INJECT=ON";
   }
   ServeOptions options;
-  options.guard.fallback = GuardFallback::kFail;
+  options.guard.fallback = GuardFallback::kServeBest;
   options.retry.max_attempts = 1;  // isolate the breaker from retries
   options.breaker.failure_threshold = 2;
   options.breaker.open_seconds = 3600.0;
@@ -202,7 +202,7 @@ TEST_F(ServeRetryTest, MemoryDenialDuringHalfOpenProbeReleasesTheSlot) {
       2 * EstimatePeakBytes(fxrz_->compressor().name(),
                             fields_[0].size_bytes()));
   ServeOptions options;
-  options.guard.fallback = GuardFallback::kFail;
+  options.guard.fallback = GuardFallback::kServeBest;
   options.retry.max_attempts = 1;  // isolate the breaker from retries
   options.breaker.failure_threshold = 2;
   options.breaker.open_seconds = 0.0;  // next Allow() after a trip probes

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
+#include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 #include "src/util/fault_injection.h"
 #include "src/util/file_io.h"
+#include "src/util/metrics.h"
 
 namespace fxrz {
 namespace {
@@ -21,16 +25,22 @@ class FieldStoreTest : public ::testing::Test {
     }
     std::vector<const Tensor*> train;
     for (size_t i = 0; i < 3; ++i) train.push_back(&fields_[i]);
-    const auto sz = MakeCompressor("sz");
-    model_.Train(*sz, train);
+    fxrz_ = std::make_unique<Fxrz>(MakeCompressor("sz"));
+    fxrz_->Train(train);
+  }
+
+  // The archive the paper's policy serves for `target` on `data`.
+  GuardedResult Serve(const Tensor& data, double target) const {
+    return fxrz_->GuardedCompressToRatio(data, target, PaperPolicy(0))
+        .value();
   }
 
   std::vector<Tensor> fields_;
-  FxrzModel model_;
+  std::unique_ptr<Fxrz> fxrz_;
 };
 
 TEST_F(FieldStoreTest, FixedConfigRoundTrip) {
-  FieldStoreWriter writer("sz", nullptr);
+  FieldStoreWriter writer("sz");
   const auto sz = MakeCompressor("sz");
   const double eb = sz->config_space(fields_[3]).min * 100;
   ASSERT_TRUE(writer.AddFieldFixedConfig("density", fields_[3], eb).ok());
@@ -48,34 +58,79 @@ TEST_F(FieldStoreTest, FixedConfigRoundTrip) {
 }
 
 TEST_F(FieldStoreTest, FixedRatioUsesModel) {
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("f0", fields_[3], 20.0).ok());
+  const GuardedResult served = Serve(fields_[3], 20.0);
+  const metrics::MetricsSnapshot before = metrics::MetricsSnapshot::Capture();
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(writer.AddFieldFixedRatio("f0", 20.0, served).ok());
+  // The store keeps the served archive: no codec run across the add.
+  EXPECT_EQ(metrics::MetricsSnapshot::Delta(
+                before, metrics::MetricsSnapshot::Capture())
+                .CounterValue("fxrz_codec_compress_total{codec=\"sz\"}"),
+            0u);
   const FieldEntry& e = writer.entries()[0];
   EXPECT_EQ(e.target_ratio, 20.0);
-  EXPECT_GT(e.config, 0.0);
+  EXPECT_EQ(e.config, served.config);
+  EXPECT_EQ(e.achieved_ratio, served.measured_ratio);
   // Achieved ratio lands in the target's neighborhood.
   EXPECT_GT(e.achieved_ratio, 20.0 * 0.4);
   EXPECT_LT(e.achieved_ratio, 20.0 * 2.5);
+  ASSERT_EQ(e.compressed_bytes, served.compressed.size());
+  // A one-field store ends with its payload: the served bytes, verbatim.
+  const std::vector<uint8_t> bytes = writer.Serialize();
+  ASSERT_GE(bytes.size(), served.compressed.size());
+  EXPECT_TRUE(std::equal(served.compressed.begin(), served.compressed.end(),
+                         bytes.end() - served.compressed.size()));
 }
 
 TEST_F(FieldStoreTest, FixedRatioWithoutModelFails) {
-  FieldStoreWriter writer("sz", nullptr);
-  EXPECT_FALSE(writer.AddFieldFixedRatio("x", fields_[0], 10.0).ok());
+  // An untrained pipeline serves no archive under the paper's policy, and
+  // the store refuses a result that carries none.
+  const Fxrz untrained(MakeCompressor("sz"));
+  EXPECT_FALSE(
+      untrained.GuardedCompressToRatio(fields_[0], 10.0, PaperPolicy(0)).ok());
+  FieldStoreWriter writer("sz");
+  EXPECT_EQ(writer.AddFieldFixedRatio("x", 10.0, GuardedResult()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(writer.entries().empty());
+}
+
+TEST_F(FieldStoreTest, FixedRatioConfigStaysInTheFieldsConfigSpace) {
+  // A field 1000x smaller than the training data: the model's estimate
+  // lies far above the field's error-bound range, and the ladder clamps it
+  // into config_space before compressing.
+  Tensor scaled = fields_[3];
+  for (size_t i = 0; i < scaled.size(); ++i) scaled[i] *= 1e-3f;
+  const ConfigSpace space = fxrz_->compressor().config_space(scaled);
+  ASSERT_GT(fxrz_->model().EstimateWithConfidence(scaled, 20.0).config,
+            space.max);
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(writer.AddFieldFixedRatio("s", 20.0, Serve(scaled, 20.0)).ok());
+  EXPECT_LE(writer.entries()[0].config, space.max);
+
+  FieldStoreReader reader;
+  ASSERT_TRUE(reader.FromBytes(writer.Serialize()).ok());
+  Tensor restored;
+  ASSERT_TRUE(reader.ReadField("s", &restored).ok());
+  EXPECT_LE(ComputeDistortion(scaled, restored).max_abs_error,
+            space.max * 1.001);
 }
 
 TEST_F(FieldStoreTest, DuplicateNamesRejected) {
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 10.0).ok());
-  EXPECT_FALSE(writer.AddFieldFixedRatio("a", fields_[1], 10.0).ok());
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("a", 10.0, Serve(fields_[0], 10.0)).ok());
+  EXPECT_FALSE(
+      writer.AddFieldFixedRatio("a", 10.0, Serve(fields_[1], 10.0)).ok());
 }
 
 TEST_F(FieldStoreTest, EmptyTensorIsInvalidArgument) {
   // A caller's empty tensor is a bad argument, not a reason to abort.
-  FieldStoreWriter writer("sz", &model_);
+  FieldStoreWriter writer("sz");
   const Tensor empty;
   const Status fixed = writer.AddFieldFixedConfig("e", empty, 0.01);
   EXPECT_EQ(fixed.code(), StatusCode::kInvalidArgument) << fixed.ToString();
-  const Status ratio = writer.AddFieldFixedRatio("e", empty, 10.0);
+  const Status ratio =
+      fxrz_->GuardedCompressToRatio(empty, 10.0, PaperPolicy(0)).status();
   EXPECT_EQ(ratio.code(), StatusCode::kInvalidArgument) << ratio.ToString();
   EXPECT_TRUE(writer.entries().empty());
 }
@@ -84,7 +139,7 @@ TEST_F(FieldStoreTest, FailedCompressionPropagatesItsStatus) {
   if (!fault::Enabled()) GTEST_SKIP() << "built without FXRZ_FAULT_INJECT";
   fault::ResetAll();
   fault::Arm(fault::Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
-  FieldStoreWriter writer("sz", nullptr);
+  FieldStoreWriter writer("sz");
   const Status st = writer.AddFieldFixedConfig("f", fields_[3], 0.01);
   fault::ResetAll();
   EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
@@ -94,7 +149,7 @@ TEST_F(FieldStoreTest, FailedCompressionPropagatesItsStatus) {
 }
 
 TEST_F(FieldStoreTest, MultipleFieldsIndependentlyReadable) {
-  FieldStoreWriter writer("zfp", nullptr);
+  FieldStoreWriter writer("zfp");
   const auto zfp = MakeCompressor("zfp");
   for (size_t i = 0; i < fields_.size(); ++i) {
     const double eb = zfp->config_space(fields_[i]).min * 50;
@@ -115,8 +170,9 @@ TEST_F(FieldStoreTest, MultipleFieldsIndependentlyReadable) {
 }
 
 TEST_F(FieldStoreTest, MissingFieldIsNotFound) {
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 10.0).ok());
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("a", 10.0, Serve(fields_[0], 10.0)).ok());
   FieldStoreReader reader;
   ASSERT_TRUE(reader.FromBytes(writer.Serialize()).ok());
   Tensor t;
@@ -124,8 +180,9 @@ TEST_F(FieldStoreTest, MissingFieldIsNotFound) {
 }
 
 TEST_F(FieldStoreTest, CorruptArchiveRejected) {
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 10.0).ok());
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("a", 10.0, Serve(fields_[0], 10.0)).ok());
   std::vector<uint8_t> bytes = writer.Serialize();
 
   FieldStoreReader reader;
@@ -140,8 +197,9 @@ TEST_F(FieldStoreTest, CorruptArchiveRejected) {
 
 TEST_F(FieldStoreTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/store_test.fxst";
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 15.0).ok());
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("a", 15.0, Serve(fields_[0], 15.0)).ok());
   ASSERT_TRUE(writer.WriteToFile(path).ok());
 
   FieldStoreReader reader;
@@ -153,8 +211,9 @@ TEST_F(FieldStoreTest, FileRoundTrip) {
 }
 
 TEST_F(FieldStoreTest, WriteToFileToUnwritableDirectoryReportsStatus) {
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 15.0).ok());
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("a", 15.0, Serve(fields_[0], 15.0)).ok());
   const Status st = writer.WriteToFile("/no-such-dir/sub/store.fxst");
   ASSERT_FALSE(st.ok());
   EXPECT_FALSE(st.message().empty());
@@ -166,9 +225,11 @@ TEST_F(FieldStoreTest, FlippedFileByteAtEveryStrideIsDetected) {
   // whole file at a 64-byte stride (plus the final byte).
   const std::string path = ::testing::TempDir() + "/store_sweep.fxst";
   const std::string bad_path = ::testing::TempDir() + "/store_sweep_bad.fxst";
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 15.0).ok());
-  ASSERT_TRUE(writer.AddFieldFixedRatio("b", fields_[1], 25.0).ok());
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("a", 15.0, Serve(fields_[0], 15.0)).ok());
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("b", 25.0, Serve(fields_[1], 25.0)).ok());
   ASSERT_TRUE(writer.WriteToFile(path).ok());
 
   std::vector<uint8_t> bytes;
@@ -193,8 +254,9 @@ TEST_F(FieldStoreTest, VersionZeroRawFileStillOpens) {
   // Files written before the container layer are raw FieldStore bytes;
   // OpenFile must keep loading them (without integrity protection).
   const std::string path = ::testing::TempDir() + "/store_v0.fxst";
-  FieldStoreWriter writer("sz", &model_);
-  ASSERT_TRUE(writer.AddFieldFixedRatio("a", fields_[0], 15.0).ok());
+  FieldStoreWriter writer("sz");
+  ASSERT_TRUE(
+      writer.AddFieldFixedRatio("a", 15.0, Serve(fields_[0], 15.0)).ok());
   ASSERT_TRUE(AtomicWriteFile(path, writer.Serialize()).ok());
 
   FieldStoreReader reader;

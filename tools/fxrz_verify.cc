@@ -137,7 +137,7 @@ int MakeFixtures(const std::string& dir) {
   const Tensor b = GaussianRandomField3D(16, 16, 16, 3.0, 7002);
 
   {
-    FieldStoreWriter writer("sz", /*model=*/nullptr);
+    FieldStoreWriter writer("sz");
     Status st = writer.AddFieldFixedConfig("density", a, 0.02);
     if (st.ok()) st = writer.AddFieldFixedConfig("pressure", b, 0.05);
     if (st.ok()) st = writer.WriteToFile(dir + "/store.fxs");
