@@ -9,10 +9,10 @@
 //     body sz hands it, at 64^3 and 256^3; reports GB/s of uncompressed
 //     data moved (for zlite, of its input body), optionally writes the
 //     results as JSON (--json FILE) and gates them against a checked-in
-//     baseline (--gate FILE [--tolerance T]). The gate compares only when
-//     the baseline was recorded at the same SIMD dispatch level, and fails
-//     a kernel only when it drops below tolerance * baseline -- it exists
-//     to catch lost vectorization and algorithmic regressions, not noise.
+//     baseline (--gate FILE [--tolerance T]). The gate fails a kernel only
+//     when it drops below tolerance * baseline -- it exists to catch
+//     algorithmic regressions, not noise -- and fails outright when it
+//     compared nothing.
 
 #include <benchmark/benchmark.h>
 
@@ -38,7 +38,6 @@
 #include "src/encoding/zlite.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
-#include "src/util/simd.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -387,15 +386,13 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
 
 std::string ResultsToJson(const std::vector<KernelResult>& results) {
   std::ostringstream out;
-  const char* level = simd::LevelName(simd::ActiveLevel());
   out << "[\n";
   for (size_t i = 0; i < results.size(); ++i) {
     char line[256];
     std::snprintf(line, sizeof(line),
-                  "{\"kernel\":\"%s\",\"grid\":%zu,\"gbps\":%.6f,"
-                  "\"simd_level\":\"%s\"}%s",
+                  "{\"kernel\":\"%s\",\"grid\":%zu,\"gbps\":%.6f}%s",
                   results[i].name.c_str(), results[i].grid, results[i].gbps,
-                  level, i + 1 < results.size() ? "," : "");
+                  i + 1 < results.size() ? "," : "");
     out << line << "\n";
   }
   out << "]\n";
@@ -425,8 +422,8 @@ bool ExtractNumber(const std::string& line, const std::string& key,
 }
 
 // Gates live results against a baseline file. Returns the number of
-// failures. Baseline entries recorded at a different SIMD level are
-// skipped: absolute GB/s only compare on like-for-like dispatch.
+// failures; a baseline with no readable entry counts as one, so the gate
+// cannot pass having compared nothing.
 int GateAgainstBaseline(const std::vector<KernelResult>& results,
                         const std::string& baseline_path, double tolerance) {
   std::ifstream in(baseline_path);
@@ -435,21 +432,15 @@ int GateAgainstBaseline(const std::vector<KernelResult>& results,
                  baseline_path.c_str());
     return 1;
   }
-  const std::string live_level = simd::LevelName(simd::ActiveLevel());
   int failures = 0;
-  size_t compared = 0, skipped = 0;
+  size_t compared = 0;
   std::string line;
   while (std::getline(in, line)) {
-    std::string kernel, level;
+    std::string kernel;
     double grid = 0, gbps = 0;
     if (!ExtractString(line, "kernel", &kernel) ||
         !ExtractNumber(line, "grid", &grid) ||
         !ExtractNumber(line, "gbps", &gbps)) {
-      continue;
-    }
-    ExtractString(line, "simd_level", &level);
-    if (level != live_level) {
-      ++skipped;
       continue;
     }
     const KernelResult* live = nullptr;
@@ -476,10 +467,14 @@ int GateAgainstBaseline(const std::vector<KernelResult>& results,
       ++failures;
     }
   }
+  if (compared == 0) {
+    std::fprintf(stderr, "gate: FAIL no baseline entry in %s\n",
+                 baseline_path.c_str());
+    ++failures;
+  }
   std::fprintf(stderr,
-               "gate: %zu kernels compared, %zu skipped (level mismatch), "
-               "%d failed (tolerance %.2f, level %s)\n",
-               compared, skipped, failures, tolerance, live_level.c_str());
+               "gate: %zu kernels compared, %d failed (tolerance %.2f)\n",
+               compared, failures, tolerance);
   return failures;
 }
 
@@ -505,8 +500,7 @@ int KernelHarnessMain(int argc, char** argv) {
       return 2;
     }
   }
-  std::fprintf(stderr, "kernel throughput harness (simd level: %s)\n",
-               simd::LevelName(simd::ActiveLevel()));
+  std::fprintf(stderr, "kernel throughput harness\n");
   const std::vector<KernelResult> results = RunKernelHarness(grids);
   const std::string json = ResultsToJson(results);
   if (!json_path.empty()) {

@@ -36,7 +36,14 @@ int main() {
   for (double target : {4.0, 6.0, 8.0}) {
     // Fixed-rate: bits/value chosen to hit the ratio exactly.
     const double rate = 32.0 / target;
-    const std::vector<uint8_t> rate_bytes = zfp.CompressFixedRate(test, rate);
+    const StatusOr<std::vector<uint8_t>> rate_out =
+        zfp.CompressFixedRate(test, rate);
+    if (!rate_out.ok()) {
+      std::fprintf(stderr, "fixed-rate %.3f: %s\n", rate,
+                   rate_out.status().ToString().c_str());
+      return 1;
+    }
+    const std::vector<uint8_t>& rate_bytes = rate_out.value();
     Tensor rate_rec;
     if (!zfp.Decompress(rate_bytes.data(), rate_bytes.size(), &rate_rec).ok())
       return 1;

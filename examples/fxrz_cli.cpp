@@ -4,7 +4,7 @@
 //   fxrz_cli info      --data f.fts
 //   fxrz_cli train     --compressor sz --data a.fts,b.fts,c.fts --model m.fxm
 //   fxrz_cli estimate  --model m.fxm --compressor sz --data f.fts --target 100
-//   fxrz_cli compress  --model m.fxm --compressor sz --data f.fts --target 100 \
+//   fxrz_cli compress  --model m.fxm --compressor sz --data f.fts --target 100
 //                      --out f.sz [--refine]
 //   fxrz_cli decompress --compressor sz --in f.sz --out f_rec.fts
 //

@@ -9,7 +9,6 @@
 #include "src/encoding/arith.h"
 #include "src/encoding/bit_stream.h"
 #include "src/util/check.h"
-#include "src/util/simd.h"
 
 namespace fxrz {
 
@@ -23,7 +22,10 @@ uint32_t FloatToOrdered(float f) {
   return (u & 0x80000000u) ? ~u : (u | 0x80000000u);
 }
 
-// The inverse map (OrderedToFloat) lives in simd::OrderedToFloats.
+// Inverse of FloatToOrdered.
+float OrderedToFloat(uint32_t o) {
+  return std::bit_cast<float>((o & 0x80000000u) ? (o & 0x7FFFFFFFu) : ~o);
+}
 
 // Precision reduction: keep the top `p` bits of the ordered representation.
 uint32_t Truncate(uint32_t o, int p) {
@@ -248,11 +250,10 @@ StatusOr<std::vector<uint8_t>> FpzipCompressor::DoCompress(
 
   // Precision-reduce the whole field first; both sides of the codec then
   // agree on the exact integer stream.
-  const uint32_t keep_mask =
-      p >= 32 ? 0xFFFFFFFFu : ~((1u << (32 - p)) - 1u);
   std::vector<uint32_t> ordered(data.size());
-  simd::FloatToOrderedTrunc(data.data(), data.size(), keep_mask,
-                            ordered.data());
+  for (size_t i = 0; i < data.size(); ++i) {
+    ordered[i] = Truncate(FloatToOrdered(data[i]), p);
+  }
 
   ArithEncoder enc;
   ResidualModel model;
@@ -336,7 +337,9 @@ Status FpzipCompressor::DoDecompress(const uint8_t* data, size_t size,
     }
   }
 
-  simd::OrderedToFloats(ordered.data(), ordered.size(), result.data());
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    result[i] = OrderedToFloat(ordered[i]);
+  }
   *out = std::move(result);
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/data/statistics.h"
@@ -9,13 +10,78 @@
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
 #include "src/util/check.h"
-#include "src/util/simd.h"
 
 namespace fxrz {
 
 namespace {
 
 constexpr uint32_t kMagic = 0x4D475231;  // "MGR1"
+
+// Element-wise kernels of the transform's input, output and quantizer.
+
+// out[i] = double(in[i]) - offset.
+void ShiftToDouble(const float* in, size_t n, double offset, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<double>(in[i]) - offset;
+  }
+}
+
+// out[i] = float(in[i] + offset).
+void ShiftToFloat(const double* in, size_t n, double offset, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<float>(in[i] + offset);
+  }
+}
+
+inline int32_t UnZigZag32(uint32_t u) {
+  return static_cast<int32_t>((u >> 1) ^ (~(u & 1u) + 1u));
+}
+
+// out[i] = UnZigZag(codes[i]) * step, as double.
+void DequantizeZigZag(const uint32_t* codes, size_t n, double step,
+                      double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<double>(UnZigZag32(codes[i])) * step;
+  }
+}
+
+// codes[i] = ZigZag(rint(v[i] / step)). Returns max_i |rint(v[i] / step)| so
+// the caller can reject an out-of-range quantizer before trusting the codes.
+double QuantizeZigZag(const double* v, size_t n, double step, uint32_t* out) {
+  double max_code = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double r = std::rint(v[i] / step);
+    max_code = std::max(max_code, std::fabs(r));
+    // A round outside int32 (or a NaN) codes as the INT32_MIN sentinel
+    // rather than through an undefined cast. The caller rejects any field
+    // whose max_code reaches 1e9, so no sentinel lands in an archive.
+    const int32_t c = std::fabs(r) < 2147483648.0 ? static_cast<int32_t>(r)
+                                                  : INT32_MIN;
+    const uint32_t u = static_cast<uint32_t>(c);
+    out[i] = (u << 1) ^ static_cast<uint32_t>(c >> 31);
+  }
+  return max_code;
+}
+
+// The lifting predict step over a contiguous run of detail points (the
+// inner stride is 1): for p = lin0 + i, i in [0, count),
+//   pred = has_right ? 0.5*(v[p-nbr] + v[p+nbr]) : v[p-nbr];
+//   v[p] -= pred (forward) or v[p] += pred (inverse).
+// The caller guarantees nbr >= count, so the run never overlaps a
+// neighbor read.
+void LiftPredictContiguous(double* v, size_t lin0, size_t nbr, size_t count,
+                           bool has_right, bool forward) {
+  for (size_t i = 0; i < count; ++i) {
+    const size_t p = lin0 + i;
+    const double left = v[p - nbr];
+    const double pred = has_right ? 0.5 * (left + v[p + nbr]) : left;
+    if (forward) {
+      v[p] -= pred;
+    } else {
+      v[p] += pred;
+    }
+  }
+}
 
 int NumLevels(const std::vector<size_t>& dims) {
   // Levels are limited by the smallest extent > 2 and capped at 4.
@@ -72,8 +138,8 @@ class MultilevelTransform {
   // is valid because same-pass detail points are never each other's
   // neighbors: a neighbor sits at +/- half along `axis`, which lands on a
   // coordinate that is 0 mod step, never half mod step. Updates within a
-  // pass are therefore independent and any order (including the vector
-  // kernel's) produces bit-identical results.
+  // pass are therefore independent and any order produces bit-identical
+  // results.
   void LiftAxis(int l, size_t axis, bool forward) {
     const size_t step = 1ull << l;
     const size_t half = step >> 1;
@@ -86,7 +152,7 @@ class MultilevelTransform {
 
     // Outer odometer over axes 0..rank_-2; the inner loop walks the last
     // axis. When `axis` is an outer axis and the inner stride is 1 (level
-    // 1), whole rows are contiguous detail runs and go to the SIMD kernel.
+    // 1), whole rows are contiguous detail runs and go to one kernel call.
     std::vector<size_t> coord(rank_, 0);
     std::vector<size_t> inc(rank_);
     for (size_t b = 0; b < rank_; ++b) {
@@ -111,7 +177,7 @@ class MultilevelTransform {
       } else {
         const bool has_right = coord[axis] + half < dims_[axis];
         if (half == 1) {
-          simd::LiftPredictContiguous(v, base, nbr, row, has_right, forward);
+          LiftPredictContiguous(v, base, nbr, row, has_right, forward);
         } else {
           for (size_t c = 0; c < row; c += half) {
             const size_t lin = base + c;
@@ -168,11 +234,15 @@ StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
         "mgard: error bound must be finite and > 0");
   }
 
+  // A NaN or Inf anywhere makes the sum behind the mean non-finite.
   const SummaryStats stats = ComputeSummary(data);
+  if (!std::isfinite(stats.mean)) {
+    return Status::InvalidArgument("mgard: input has NaN/Inf values");
+  }
   const double offset = stats.min;
 
   std::vector<double> v(data.size());
-  simd::ShiftToDouble(data.data(), data.size(), offset, v.data());
+  ShiftToDouble(data.data(), data.size(), offset, v.data());
 
   const int levels = NumLevels(data.dims());
   MultilevelTransform transform(&v, data.dims());
@@ -184,7 +254,7 @@ StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
       2.0 * eb / (static_cast<double>(levels) * data.rank() + 1.0);
 
   std::vector<uint32_t> codes(v.size());
-  const double max_code = simd::QuantizeZigZag(v.data(), v.size(), q,
+  const double max_code = QuantizeZigZag(v.data(), v.size(), q,
                                                codes.data());
   if (!(max_code < 1e9)) {
     return Status::InvalidArgument(
@@ -250,12 +320,12 @@ Status MgardCompressor::DoDecompress(const uint8_t* data, size_t size,
   const double q =
       2.0 * eb / (static_cast<double>(levels) * dims.size() + 1.0);
   std::vector<double> v(codes.size());
-  simd::DequantizeZigZag(codes.data(), codes.size(), q, v.data());
+  DequantizeZigZag(codes.data(), codes.size(), q, v.data());
 
   MultilevelTransform transform(&v, dims);
   transform.Inverse(levels);
 
-  simd::ShiftToFloat(v.data(), v.size(), offset, result.data());
+  ShiftToFloat(v.data(), v.size(), offset, result.data());
   *out = std::move(result);
   return Status::Ok();
 }

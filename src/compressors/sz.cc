@@ -13,7 +13,6 @@
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
-#include "src/util/simd.h"
 #include "src/util/thread_pool.h"
 
 namespace fxrz {
@@ -124,7 +123,7 @@ struct RegressionCoefs {
 
 // Per-block scratch reused across blocks: values gathered contiguous
 // (x-fastest) plus block-local coordinates as doubles, so the plane-fit and
-// prediction kernels in util/simd.h run unstrided. Capacity is kBlock^3.
+// prediction kernels run unstrided. Capacity is kBlock^3.
 struct BlockScratch {
   std::vector<float> vals;
   std::vector<double> cz, cy, cx;     // block-local coords (0-based)
@@ -173,10 +172,59 @@ void GatherBlockValues(const float* data, const size_t* strides,
   }
 }
 
+// Regression plane kernels over a gathered block: vals[i] with centered
+// coordinates (cz[i], cy[i], cx[i]). The sums are lane-partitioned: lane j
+// accumulates elements j, j+4, j+8, ... and the lanes fold as
+// (l0+l2)+(l1+l3). The archive bytes depend on that order (the fitted
+// coefficients are quantized into the stream, and the error sum picks each
+// block's predictor), so it must not change.
+inline double ReduceLanes4(const double l[4]) {
+  return (l[0] + l[2]) + (l[1] + l[3]);
+}
+
+// sums[0..6] = {sum v, sum cz*v, sum cy*v, sum cx*v,
+//               sum cz*cz, sum cy*cy, sum cx*cx}.
+void PlaneFitSums(const float* vals, const double* cz, const double* cy,
+                  const double* cx, size_t n, double sums[7]) {
+  double acc[7][4] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const size_t l = i & 3;
+    const double v = vals[i];
+    acc[0][l] += v;
+    acc[1][l] += cz[i] * v;
+    acc[2][l] += cy[i] * v;
+    acc[3][l] += cx[i] * v;
+    acc[4][l] += cz[i] * cz[i];
+    acc[5][l] += cy[i] * cy[i];
+    acc[6][l] += cx[i] * cx[i];
+  }
+  for (int k = 0; k < 7; ++k) sums[k] = ReduceLanes4(acc[k]);
+}
+
+// pred[i] = c0 + az*cz[i] + ay*cy[i] + ax*cx[i], evaluated left to right.
+// Encode and decode evaluate whole blocks through it.
+void PlanePredict(const double* cz, const double* cy, const double* cx,
+                  size_t n, double c0, double az, double ay, double ax,
+                  double* pred) {
+  for (size_t i = 0; i < n; ++i) {
+    pred[i] = c0 + az * cz[i] + ay * cy[i] + ax * cx[i];
+  }
+}
+
+// sum_i |vals[i] - (c0 + az*cz[i] + ay*cy[i] + ax*cx[i])|, lane-partitioned.
+double PlaneAbsErr(const float* vals, const double* cz, const double* cy,
+                   const double* cx, size_t n, double c0, double az, double ay,
+                   double ax) {
+  double acc[4] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const double p = c0 + az * cz[i] + ay * cy[i] + ax * cx[i];
+    acc[i & 3] += std::fabs(static_cast<double>(vals[i]) - p);
+  }
+  return ReduceLanes4(acc);
+}
+
 // Least-squares plane fit over one gathered block. On a regular grid the
-// normal equations decouple: each slope is cov(coord, v) / var(coord). The
-// reductions run through the lane-partitioned kernel so scalar and vector
-// dispatch produce bit-identical coefficients.
+// normal equations decouple: each slope is cov(coord, v) / var(coord).
 RegressionCoefs FitBlock(BlockScratch* s, size_t n, const size_t* lo,
                          const size_t* hi) {
   const double mz = (static_cast<double>(hi[0] - lo[0]) - 1) / 2.0;
@@ -191,8 +239,8 @@ RegressionCoefs FitBlock(BlockScratch* s, size_t n, const size_t* lo,
     s->ccx[i] = s->cx[i] - mx;
   }
   double sums[7];
-  simd::PlaneFitSums(s->vals.data(), s->ccz.data(), s->ccy.data(),
-                     s->ccx.data(), n, sums);
+  PlaneFitSums(s->vals.data(), s->ccz.data(), s->ccy.data(), s->ccx.data(),
+               n, sums);
   RegressionCoefs c;
   const double mean = sums[0] / static_cast<double>(n);
   c.cz = sums[4] > 0 ? sums[1] / sums[4] : 0.0;
@@ -202,9 +250,6 @@ RegressionCoefs FitBlock(BlockScratch* s, size_t n, const size_t* lo,
   c.c0 = mean - c.cz * mz - c.cy * my - c.cx * mx;
   return c;
 }
-
-// Plane evaluation (c0 + cz*dz + cy*dy + cx*dx) lives in simd::PlanePredict;
-// both encode and decode evaluate whole blocks through it.
 
 uint32_t ZigZag(int64_t v) {
   return static_cast<uint32_t>(v >= 0 ? 2 * v : -2 * v - 1);
@@ -428,7 +473,7 @@ BlockChoice SelectPredictor(const float* in, const SliceLayout& lay,
     err_lorenzo += std::fabs(in[lin] - lorenzo_orig.Predict(idx, lin));
   });
   const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
-  const double err_reg = simd::PlaneAbsErr(
+  const double err_reg = PlaneAbsErr(
       scratch->vals.data(), scratch->cz.data(), scratch->cy.data(),
       scratch->cx.data(), n, dq.c0, dq.cz, dq.cy, dq.cx);
   choice.regression = err_reg < err_lorenzo;
@@ -446,9 +491,8 @@ uint32_t QuantizeBlock(const float* in, float* out, const SliceLayout& lay,
   if (choice.regression) {
     const size_t n = FillBlockCoords(lo, hi, scratch);
     const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
-    simd::PlanePredict(scratch->cz.data(), scratch->cy.data(),
-                       scratch->cx.data(), n, dq.c0, dq.cz, dq.cy, dq.cx,
-                       scratch->pred.data());
+    PlanePredict(scratch->cz.data(), scratch->cy.data(), scratch->cx.data(),
+                 n, dq.c0, dq.cz, dq.cy, dq.cx, scratch->pred.data());
   }
   const LorenzoSlice lorenzo(out, lay.nd, lay.strides);
   uint32_t raw = 0;
@@ -713,9 +757,8 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
         // Regression predictions are data-independent within the block, so
         // the whole plane is evaluated in one kernel call.
         const size_t n = FillBlockCoords(lo, hi, &scratch);
-        simd::PlanePredict(scratch.cz.data(), scratch.cy.data(),
-                           scratch.cx.data(), n, dq.c0, dq.cz, dq.cy, dq.cx,
-                           scratch.pred.data());
+        PlanePredict(scratch.cz.data(), scratch.cy.data(), scratch.cx.data(),
+                     n, dq.c0, dq.cz, dq.cy, dq.cx, scratch.pred.data());
       }
       size_t i = 0;
       for (size_t z = lo[0]; z < hi[0] && !corrupt; ++z) {

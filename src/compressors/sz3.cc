@@ -10,7 +10,6 @@
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
 #include "src/util/check.h"
-#include "src/util/simd.h"
 
 namespace fxrz {
 
@@ -52,6 +51,31 @@ size_t MaxHalfStep(const SliceLayout& lay) {
   size_t h = 1;
   while (h * 4 < max_dim) h *= 2;
   return h;
+}
+
+// Row kernels over points p_i = lin0 + i*pt_step, with neighbors at +/- nbr
+// (and +/- 3*nbr for cubic) in the same flat array. Each repeats
+// InterpolatePrediction's arithmetic exactly, down to the linear predictor
+// adding its two neighbors in float before widening: the archive bytes
+// depend on it.
+
+// pred[i] = -1/16*rec[p-3s] + 9/16*rec[p-s] + 9/16*rec[p+s] - 1/16*rec[p+3s].
+void CubicPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
+                  size_t count, double* pred) {
+  for (size_t i = 0; i < count; ++i) {
+    const size_t p = lin0 + i * pt_step;
+    pred[i] = -1.0 / 16.0 * rec[p - 3 * nbr] + 9.0 / 16.0 * rec[p - nbr] +
+              9.0 / 16.0 * rec[p + nbr] - 1.0 / 16.0 * rec[p + 3 * nbr];
+  }
+}
+
+// pred[i] = 0.5 * (rec[p-s] + rec[p+s]).
+void LinearPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
+                   size_t count, double* pred) {
+  for (size_t i = 0; i < count; ++i) {
+    const size_t p = lin0 + i * pt_step;
+    pred[i] = 0.5 * (rec[p - nbr] + rec[p + nbr]);
+  }
 }
 
 // Cubic (4-point spline) interpolation along `axis` at spacing `h`, reading
@@ -116,8 +140,8 @@ void ForEachPredictedPoint(const float* rec, const SliceLayout& lay, Fn&& fn) {
   // grid). A same-pass point is never another's interpolation neighbor
   // (neighbors sit at coord +/- h or +/- 3h along the prediction axis,
   // which is 0 mod 2h, not h mod 2h), so a whole row's predictions can be
-  // computed from `rec` up front and handed to the vector kernels before
-  // fn() consumes them in the original point order.
+  // computed from `rec` up front by the row kernels before fn() consumes
+  // them in the original point order.
   const size_t last = lay.nd - 1;
   std::vector<double> pred(lay.dims[last] / 2 + 2);
 
@@ -132,9 +156,9 @@ void ForEachPredictedPoint(const float* rec, const SliceLayout& lay, Fn&& fn) {
     const bool has_l1 = coord >= h;
     const bool has_r1 = coord + h < extent;
     if (coord >= 3 * h && coord + 3 * h < extent) {
-      simd::CubicPredict(rec, lin0, pt_step, nbr, count, pred.data());
+      CubicPredict(rec, lin0, pt_step, nbr, count, pred.data());
     } else if (has_l1 && has_r1) {
-      simd::LinearPredict(rec, lin0, pt_step, nbr, count, pred.data());
+      LinearPredict(rec, lin0, pt_step, nbr, count, pred.data());
     } else if (has_l1) {
       for (size_t k = 0; k < count; ++k) {
         pred[k] = rec[lin0 + k * pt_step - nbr];
@@ -164,7 +188,7 @@ void ForEachPredictedPoint(const float* rec, const SliceLayout& lay, Fn&& fn) {
         extent > 4 * h ? (extent - 4 * h - 1) / pt_step : 0;
     if (n_cubic > 0) {
       const size_t lin0 = row_base + 3 * h;
-      simd::CubicPredict(rec, lin0, pt_step, h, n_cubic, pred.data());
+      CubicPredict(rec, lin0, pt_step, h, n_cubic, pred.data());
       for (size_t k = 0; k < n_cubic; ++k) fn(lin0 + k * pt_step, pred[k]);
     }
     for (size_t c = h + (n_cubic + 1) * pt_step; c < extent; c += pt_step) {

@@ -9,7 +9,6 @@
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/negabinary.h"
 #include "src/util/check.h"
-#include "src/util/simd.h"
 
 namespace fxrz {
 
@@ -23,8 +22,87 @@ constexpr int kTotalPlanes = 32;         // bitplanes kept per coefficient
 // accumulation of per-plane truncation.
 constexpr int kGuardBits = 5;
 
-// The 4-point lifting transform lives in src/util/simd.h
-// (ZfpForwardTransform / ZfpInverseTransform) with a vectorized variant.
+// max_i |in[i]|, or NaN as soon as an element is NaN, so a NaN anywhere in
+// a block reaches the caller's finiteness check instead of being skipped.
+float MaxAbs(const float* in, size_t n) {
+  float m = 0.0f;
+  for (size_t i = 0; i < n; ++i) {
+    const float a = std::fabs(in[i]);
+    if (std::isnan(a)) return a;
+    m = std::max(m, a);
+  }
+  return m;
+}
+
+// out[i] = int64(rint(double(in[i]) * scale)). The caller has checked the
+// block is finite, so every product fits the block-floating-point range.
+void QuantizeFixedPoint(const float* in, size_t n, double scale,
+                        int64_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<int64_t>(
+        std::rint(static_cast<double>(in[i]) * scale));
+  }
+}
+
+// zfp's 4-point lifting steps along stride `s`.
+inline void FwdLift4(int64_t* p, size_t s) {
+  int64_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
+  x += w; x >>= 1; w -= x;
+  z += y; z >>= 1; y -= z;
+  x += z; x >>= 1; z -= x;
+  w += y; w >>= 1; y -= w;
+  w += y >> 1; y -= w >> 1;
+  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
+}
+
+inline void InvLift4(int64_t* p, size_t s) {
+  int64_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
+  y += w >> 1; w -= y >> 1;
+  y += w; w <<= 1; w -= y;
+  z += x; x <<= 1; x -= z;
+  y += z; z <<= 1; z -= y;
+  w += x; x <<= 1; x -= w;
+  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
+}
+
+// The lifting transform along every axis of a 4^nd block (x-fastest,
+// nd in [1, 3]): x, then y, then z (strides 1, 4, 16); the inverse runs the
+// axes in reverse.
+void ZfpForwardTransform(int64_t* b, size_t nd) {
+  const size_t n = 1ull << (2 * nd);
+  if (nd >= 1) {
+    for (size_t row = 0; row < n; row += 4) FwdLift4(b + row, 1);
+  }
+  if (nd >= 2) {
+    const size_t planes = nd == 3 ? 4 : 1;
+    for (size_t z = 0; z < planes; ++z) {
+      for (size_t x = 0; x < 4; ++x) FwdLift4(b + z * 16 + x, 4);
+    }
+  }
+  if (nd >= 3) {
+    for (size_t y = 0; y < 4; ++y) {
+      for (size_t x = 0; x < 4; ++x) FwdLift4(b + y * 4 + x, 16);
+    }
+  }
+}
+
+void ZfpInverseTransform(int64_t* b, size_t nd) {
+  const size_t n = 1ull << (2 * nd);
+  if (nd >= 3) {
+    for (size_t y = 0; y < 4; ++y) {
+      for (size_t x = 0; x < 4; ++x) InvLift4(b + y * 4 + x, 16);
+    }
+  }
+  if (nd >= 2) {
+    const size_t planes = nd == 3 ? 4 : 1;
+    for (size_t z = 0; z < planes; ++z) {
+      for (size_t x = 0; x < 4; ++x) InvLift4(b + z * 16 + x, 4);
+    }
+  }
+  if (nd >= 1) {
+    for (size_t row = 0; row < n; row += 4) InvLift4(b + row, 1);
+  }
+}
 
 // Coefficient traversal order: by total degree i+j+k (low-frequency first),
 // matching ZFP's permutation tables.
@@ -112,30 +190,24 @@ void ScatterBlock(float* slice, const BlockLayout& lay, size_t bz, size_t by,
   }
 }
 
-// Forward transform of one block: float -> common exponent + negabinary
-// coefficients in traversal order. Returns false for an all-zero block.
-bool ForwardBlock(const float* block, const BlockLayout& lay,
-                  const std::vector<size_t>& order, int* exponent,
-                  uint64_t* coeffs) {
+// Forward transform of one block whose largest magnitude `maxabs` is
+// finite and nonzero: float -> common exponent + negabinary coefficients in
+// traversal order.
+void ForwardBlock(const float* block, const BlockLayout& lay,
+                  const std::vector<size_t>& order, double maxabs,
+                  int* exponent, uint64_t* coeffs) {
   const size_t n = lay.block_elems;
-  const double maxabs = static_cast<double>(simd::MaxAbs(block, n));
-  if (maxabs == 0.0 || !std::isfinite(maxabs)) return false;
-
   int e;
   std::frexp(maxabs, &e);  // maxabs = m * 2^e, m in [0.5, 1)
   *exponent = e;
   const double scale = std::ldexp(1.0, kFixedPointBits - e);
 
   int64_t fixed[64];
-  simd::QuantizeFixedPoint(block, n, scale, fixed);
-
-  // Transform along x, then y, then z (strides 1, 4, 16).
-  simd::ZfpForwardTransform(fixed, lay.nd);
-
+  QuantizeFixedPoint(block, n, scale, fixed);
+  ZfpForwardTransform(fixed, lay.nd);
   for (size_t i = 0; i < n; ++i) {
     coeffs[i] = Int64ToNegabinary(fixed[order[i]]);
   }
-  return true;
 }
 
 // Inverse of ForwardBlock given (possibly truncated) negabinary coeffs.
@@ -148,7 +220,7 @@ void InverseBlock(const uint64_t* coeffs, const BlockLayout& lay,
     fixed[order[i]] = NegabinaryToInt64(coeffs[i]);
   }
 
-  simd::ZfpInverseTransform(fixed, lay.nd);
+  ZfpInverseTransform(fixed, lay.nd);
 
   const double scale = std::ldexp(1.0, exponent - kFixedPointBits);
   for (size_t i = 0; i < n; ++i) {
@@ -295,8 +367,8 @@ size_t DecodePlanes(BitReader* br, uint64_t* coeffs, size_t n, int min_plane,
 
 enum class Mode : uint8_t { kFixedAccuracy = 0, kFixedRate = 1 };
 
-std::vector<uint8_t> CompressImpl(const Tensor& data, Mode mode, double eb,
-                                  double bits_per_value) {
+StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
+                                            double eb, double bits_per_value) {
   FXRZ_CHECK(!data.empty());
   const BlockLayout lay = MakeBlockLayout(data.dims());
   const std::vector<size_t> order = CoefficientOrder(lay.nd);
@@ -319,9 +391,15 @@ std::vector<uint8_t> CompressImpl(const Tensor& data, Mode mode, double eb,
       for (size_t by = 0; by < lay.blocks[1]; ++by) {
         for (size_t bx = 0; bx < lay.blocks[2]; ++bx) {
           GatherBlock(slice, lay, bz, by, bx, block);
+          const float maxabs = MaxAbs(block, lay.block_elems);
+          if (!std::isfinite(maxabs)) {
+            return Status::InvalidArgument("zfp: input has NaN/Inf values");
+          }
+          const bool nonzero = maxabs != 0.0f;
           int exponent = 0;
-          const bool nonzero =
-              ForwardBlock(block, lay, order, &exponent, coeffs);
+          if (nonzero) {
+            ForwardBlock(block, lay, order, maxabs, &exponent, coeffs);
+          }
 
           if (mode == Mode::kFixedAccuracy) {
             if (!nonzero) {
@@ -397,9 +475,12 @@ StatusOr<std::vector<uint8_t>> ZfpCompressor::DoCompress(
   return CompressImpl(data, Mode::kFixedAccuracy, config, 0.0);
 }
 
-std::vector<uint8_t> ZfpCompressor::CompressFixedRate(
+StatusOr<std::vector<uint8_t>> ZfpCompressor::CompressFixedRate(
     const Tensor& data, double bits_per_value) const {
-  FXRZ_CHECK(bits_per_value > 0.0 && bits_per_value <= 34.0);
+  if (!(bits_per_value > 0.0 && bits_per_value <= 34.0)) {
+    return Status::InvalidArgument("zfp: fixed rate must be in (0, 34]");
+  }
+  if (data.empty()) return Status::InvalidArgument("zfp: empty tensor");
   return CompressImpl(data, Mode::kFixedRate, 0.0, bits_per_value);
 }
 

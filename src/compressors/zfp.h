@@ -34,9 +34,10 @@ class ZfpCompressor : public Compressor {
   ConfigSpace config_space(const Tensor& data) const override;
 
   // Fixed-rate compression: exactly `bits_per_value` bits per element
-  // (rounded up to whole bits per block). bits_per_value in (0, 32].
-  std::vector<uint8_t> CompressFixedRate(const Tensor& data,
-                                         double bits_per_value) const;
+  // (rounded up to whole bits per block). A rate outside (0, 34], an empty
+  // tensor or a NaN/Inf value fails as InvalidArgument.
+  StatusOr<std::vector<uint8_t>> CompressFixedRate(
+      const Tensor& data, double bits_per_value) const;
 
  private:
   // Fixed-accuracy compression with absolute error bound `config`.

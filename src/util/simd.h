@@ -1,148 +1,18 @@
-// Portable SIMD shim: runtime-dispatched vector kernels for the codec hot
-// loops, with a scalar fallback that is bit-identical to every vector path.
-//
-// Design rules (enforced by tests/util/simd_test.cc and the archive-level
-// equivalence suite in tests/compressors/simd_equivalence_test.cc):
-//
-//  * Every kernel's semantics are defined by its scalar variant. Vector
-//    variants must produce byte-identical output for all inputs, so archives
-//    written on an AVX2 machine decode bit-exactly on a scalar-only one.
-//  * Floating-point reductions are lane-partitioned: lane j accumulates
-//    elements j, j+4, j+8, ... and the final reduce is (l0+l2)+(l1+l3),
-//    matching how a 256-bit accumulator folds. The scalar variant uses the
-//    same 4-lane schedule, so both paths round identically.
-//  * simd.cc is compiled with -ffp-contract=off so the compiler cannot fuse
-//    a*b+c into an FMA in one path but not the other.
-//  * Rounding uses rint() semantics (round-half-to-even, the hardware
-//    default), which maps 1:1 onto vector rounding instructions.
-//
-// Dispatch: DetectedLevel() probes the CPU once (__builtin_cpu_supports on
-// x86; NEON is baseline on aarch64). ForceLevel() clamps to the detected
-// level and exists so tests can pin the scalar path on vector hardware.
-// Building with -DFXRZ_SIMD=OFF defines FXRZ_SIMD_DISABLED and compiles the
-// vector variants out entirely.
+// Kernel dispatch level. Every codec kernel is scalar and lives in its
+// codec's .cc file; this stub only names the one level for the benchmark
+// provenance line that still stamps it.
 
 #ifndef FXRZ_UTIL_SIMD_H_
 #define FXRZ_UTIL_SIMD_H_
 
-#include <cstddef>
-#include <cstdint>
-
 namespace fxrz {
 namespace simd {
 
-enum class Level : int {
-  kScalar = 0,
-  kSSE42 = 1,
-  kAVX2 = 2,
-  kNEON = 3,
-};
+enum class Level : int { kScalar = 0 };
 
-// Best level this CPU supports (kScalar when FXRZ_SIMD=OFF).
-Level DetectedLevel();
+inline Level ActiveLevel() { return Level::kScalar; }
 
-// Level the kernels currently dispatch to. Defaults to DetectedLevel().
-Level ActiveLevel();
-
-// Pins dispatch to min(level, DetectedLevel()) and returns the level that
-// actually took effect. Used by tests and the bench harness to compare
-// scalar and vector paths on the same machine.
-Level ForceLevel(Level level);
-
-// Human-readable name ("scalar", "sse4.2", "avx2", "neon").
-const char* LevelName(Level level);
-
-// ---------------------------------------------------------------------------
-// Quantization / dequantization (sz, sz3, mgard).
-// ---------------------------------------------------------------------------
-
-// out[i] = UnZigZag(codes[i]) * step, as double.
-void DequantizeZigZag(const uint32_t* codes, size_t n, double step,
-                      double* out);
-
-// codes[i] = ZigZag(rint(v[i] / step)). Returns max_i |rint(v[i] / step)| as
-// a double so callers can validate the quantizer stayed in int32 range
-// BEFORE trusting the codes (codes are garbage for out-of-range lanes).
-double QuantizeZigZag(const double* v, size_t n, double step, uint32_t* out);
-
-// out[i] = double(in[i]) - offset.
-void ShiftToDouble(const float* in, size_t n, double offset, double* out);
-
-// out[i] = float(in[i] + offset).
-void ShiftToFloat(const double* in, size_t n, double offset, float* out);
-
-// max_i |in[i]| over floats (0.0f for n == 0). Order-independent, so any
-// vector schedule is exact.
-float MaxAbs(const float* in, size_t n);
-
-// ---------------------------------------------------------------------------
-// Ordered-integer float maps (fpzip).
-// ---------------------------------------------------------------------------
-
-// out[i] = FloatToOrdered(in[i]) & keep_mask (monotone sign-magnitude map).
-void FloatToOrderedTrunc(const float* in, size_t n, uint32_t keep_mask,
-                         uint32_t* out);
-
-// out[i] = OrderedToFloat(in[i]).
-void OrderedToFloats(const uint32_t* in, size_t n, float* out);
-
-// ---------------------------------------------------------------------------
-// zfp block kernels. Blocks are 4^d coefficients in x-fastest layout.
-// ---------------------------------------------------------------------------
-
-// out[i] = int64(rint(double(in[i]) * scale)) for the 4^nd block.
-void QuantizeFixedPoint(const float* in, size_t n, double scale, int64_t* out);
-
-// Forward / inverse 4-point lifting transform applied along every axis of a
-// 4^nd block (nd in [1,3]), exactly mirroring zfp's FwdLift/InvLift order.
-void ZfpForwardTransform(int64_t* block, size_t nd);
-void ZfpInverseTransform(int64_t* block, size_t nd);
-
-// ---------------------------------------------------------------------------
-// Interpolation prediction (sz3). Points p_i = lin0 + i*pt_step; neighbors
-// at +/- nbr (and +/- 3*nbr for cubic) in the same flat array.
-// ---------------------------------------------------------------------------
-
-// pred[i] = -1/16*rec[p-3s] + 9/16*rec[p-s] + 9/16*rec[p+s] - 1/16*rec[p+3s]
-// evaluated left-to-right in double.
-void CubicPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
-                  size_t count, double* pred);
-
-// pred[i] = 0.5 * (rec[p-s] + rec[p+s]) in double.
-void LinearPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
-                   size_t count, double* pred);
-
-// ---------------------------------------------------------------------------
-// MGARD lifting (contiguous detail runs, pt_step == 1).
-// ---------------------------------------------------------------------------
-
-// For i in [0, count): p = lin0 + i;
-//   pred = has_right ? 0.5*(v[p-nbr] + v[p+nbr]) : v[p-nbr];
-//   v[p] -= pred (forward) or v[p] += pred (inverse).
-// Caller guarantees nbr >= count so the written run never overlaps a
-// neighbor read.
-void LiftPredictContiguous(double* v, size_t lin0, size_t nbr, size_t count,
-                           bool has_right, bool forward);
-
-// ---------------------------------------------------------------------------
-// Regression plane fit (sz). Lane-partitioned reductions over a gathered
-// block: vals[i] with centered coordinates (cz[i], cy[i], cx[i]).
-// ---------------------------------------------------------------------------
-
-// sums[0..6] = {sum v, sum cz*v, sum cy*v, sum cx*v,
-//               sum cz*cz, sum cy*cy, sum cx*cx}.
-void PlaneFitSums(const float* vals, const double* cz, const double* cy,
-                  const double* cx, size_t n, double sums[7]);
-
-// pred[i] = c0 + az*cz[i] + ay*cy[i] + ax*cx[i], evaluated left to right.
-void PlanePredict(const double* cz, const double* cy, const double* cx,
-                  size_t n, double c0, double az, double ay, double ax,
-                  double* pred);
-
-// sum_i |vals[i] - (c0 + az*cz[i] + ay*cy[i] + ax*cx[i])|, lane-partitioned.
-double PlaneAbsErr(const float* vals, const double* cz, const double* cy,
-                   const double* cx, size_t n, double c0, double az, double ay,
-                   double ax);
+inline const char* LevelName(Level) { return "scalar"; }
 
 }  // namespace simd
 }  // namespace fxrz

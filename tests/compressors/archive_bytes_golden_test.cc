@@ -1,16 +1,17 @@
 // Archive byte identity: the codecs' output bytes are frozen by hash. The
-// hashes below were recorded from the single-threaded codecs, so any change
-// to how a compression is split into parallel work units (sz's block
+// archive hashes below were recorded from the single-threaded codecs, so any
+// change to how a compression is split into parallel work units (sz's block
 // selection and wavefront quantization, Huffman's histogram and range
 // encoding, zlite's match marking) must reproduce those archives exactly,
-// at any thread count and under any scheduling.
+// at any thread count and under any scheduling. Each case also pins the
+// bytes its archive decodes to, so a kernel change that keeps the archive
+// but moves a reconstructed float is caught too.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,26 +26,10 @@
 #include "src/util/random.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
+#include "tests/compressors/golden_hash.h"
 
 namespace fxrz {
 namespace {
-
-// FNV-1a over the bytes, folded with the length.
-uint64_t Hash(const std::vector<uint8_t>& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h ^ bytes.size();
-}
-
-std::string Hex(uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 // ------------------------------------------------------------ codec archives
 
@@ -84,69 +69,75 @@ struct ArchiveCase {
   int field;
   int config;
   uint64_t hash;
+  uint64_t decoded;
 };
 
-// codec, field, config index, FNV-1a of the archive.
+// codec, field, config index, FNV-1a of the archive, FNV-1a of the floats
+// it decodes to.
 constexpr ArchiveCase kArchives[] = {
-    {"sz", 0, 0, 0x9b216f8de65c6c6d},
-    {"sz", 0, 1, 0x6a066059cd39384f},
-    {"sz", 0, 2, 0x038c07d5b1f4115a},
-    {"sz", 0, 3, 0x4ee5b2140f9005af},
-    {"sz", 0, 4, 0xef18e5769724f47d},
-    {"sz", 1, 0, 0x5af0a2c788e7a9bc},
-    {"sz", 1, 1, 0x71d4c2fd99b5cf00},
-    {"sz", 1, 2, 0xf68a4f9706a7204a},
-    {"sz", 1, 3, 0x82cdda62c0671ee9},
-    {"sz", 1, 4, 0xb1fd1fb796752018},
-    {"sz3", 0, 0, 0x71d2eaf759a770df},
-    {"sz3", 0, 1, 0x561a9cdcd3cf4c71},
-    {"sz3", 0, 2, 0xe7f951197b15f99e},
-    {"sz3", 0, 3, 0x6c836bb88b32e1f0},
-    {"sz3", 0, 4, 0x8575136b7dc6c94d},
-    {"sz3", 1, 0, 0x14eca166440788f4},
-    {"sz3", 1, 1, 0x2b32ab7e3e5d5a4d},
-    {"sz3", 1, 2, 0x4abfa6bc6c4dee4a},
-    {"sz3", 1, 3, 0x456d9a22a1a53717},
-    {"sz3", 1, 4, 0xaddb49b26d2f6c56},
-    {"mgard", 0, 0, 0xe0031a3b287fbbf9},
-    {"mgard", 0, 1, 0x5e78edc1ef62c28e},
-    {"mgard", 0, 2, 0xecfb882a95c908fe},
-    {"mgard", 0, 3, 0x28cdf20421f05ca4},
-    {"mgard", 0, 4, 0xb5b5ff829dc6687d},
-    {"mgard", 1, 0, 0x1642a1a363880409},
-    {"mgard", 1, 1, 0x29c67d62bb0fba0d},
-    {"mgard", 1, 2, 0xf75823d95764e62c},
-    {"mgard", 1, 3, 0x0a9ebc4259bf0ab2},
-    {"mgard", 1, 4, 0x436541e36988f1ff},
-    {"zfp", 0, 0, 0xbbad6ddf716ead97},
-    {"zfp", 0, 1, 0xc729cc44c6849e8e},
-    {"zfp", 0, 2, 0xdb9a2df7f4d01820},
-    {"zfp", 0, 3, 0xae71deb77e03fbae},
-    {"zfp", 0, 4, 0xdb95dcfb0bc7501a},
-    {"zfp", 1, 0, 0x1db81f2eb185c5b2},
-    {"zfp", 1, 1, 0x4ac3c5f7bf066277},
-    {"zfp", 1, 2, 0xf69d1a1120262112},
-    {"zfp", 1, 3, 0x566c277c5cdc529f},
-    {"zfp", 1, 4, 0xde3d9e70967f3362},
-    {"fpzip", 0, 0, 0x9c54273ca189a125},
-    {"fpzip", 0, 1, 0x727fdf3d3ed38da7},
-    {"fpzip", 0, 2, 0xb25d21fdc2ec6848},
-    {"fpzip", 0, 3, 0x3160fb36d9266fe9},
-    {"fpzip", 0, 4, 0xdb414374dae88349},
-    {"fpzip", 1, 0, 0x4fffe856b59aebff},
-    {"fpzip", 1, 1, 0x0f9f4745f2dc9424},
-    {"fpzip", 1, 2, 0x1d962974aad5f6d7},
-    {"fpzip", 1, 3, 0xec2306046905fd15},
-    {"fpzip", 1, 4, 0x9ecf825bfc3db6fe},
+    {"sz", 0, 0, 0x9b216f8de65c6c6d, 0x56c36749d5b91416},
+    {"sz", 0, 1, 0x6a066059cd39384f, 0xec7194509b31bc07},
+    {"sz", 0, 2, 0x038c07d5b1f4115a, 0xaf16cb49bcb86b0a},
+    {"sz", 0, 3, 0x4ee5b2140f9005af, 0x9d0e5d49a0f8ede0},
+    {"sz", 0, 4, 0xef18e5769724f47d, 0x38ce1369ab5e4932},
+    {"sz", 1, 0, 0x5af0a2c788e7a9bc, 0x33107a9c7b9a8b93},
+    {"sz", 1, 1, 0x71d4c2fd99b5cf00, 0x751654b899464a4b},
+    {"sz", 1, 2, 0xf68a4f9706a7204a, 0x1057080080a894ff},
+    {"sz", 1, 3, 0x82cdda62c0671ee9, 0xb9111cb248161189},
+    {"sz", 1, 4, 0xb1fd1fb796752018, 0xd3a43e7d4158ecbe},
+    {"sz3", 0, 0, 0x71d2eaf759a770df, 0x240f6b30b6962d91},
+    {"sz3", 0, 1, 0x561a9cdcd3cf4c71, 0xf3cdaface56ff94a},
+    {"sz3", 0, 2, 0xe7f951197b15f99e, 0xab8af639bc99589a},
+    {"sz3", 0, 3, 0x6c836bb88b32e1f0, 0xd0d7dc2c58fedaff},
+    {"sz3", 0, 4, 0x8575136b7dc6c94d, 0x3098bd384a68e8d1},
+    {"sz3", 1, 0, 0x14eca166440788f4, 0x0630538828545aeb},
+    {"sz3", 1, 1, 0x2b32ab7e3e5d5a4d, 0xe1dd348cd45e2f52},
+    {"sz3", 1, 2, 0x4abfa6bc6c4dee4a, 0xdf28bbed01b84e5c},
+    {"sz3", 1, 3, 0x456d9a22a1a53717, 0xc8dbe01c29c8d8a4},
+    {"sz3", 1, 4, 0xaddb49b26d2f6c56, 0x9f49b58eb290e8da},
+    {"mgard", 0, 0, 0xe0031a3b287fbbf9, 0x6942781131b572f7},
+    {"mgard", 0, 1, 0x5e78edc1ef62c28e, 0x8135f0f762a41bc7},
+    {"mgard", 0, 2, 0xecfb882a95c908fe, 0x12aea2c4468d536b},
+    {"mgard", 0, 3, 0x28cdf20421f05ca4, 0x59e88dbb29331363},
+    {"mgard", 0, 4, 0xb5b5ff829dc6687d, 0x00637b5b034b940f},
+    {"mgard", 1, 0, 0x1642a1a363880409, 0xcdeaec51f405c99c},
+    {"mgard", 1, 1, 0x29c67d62bb0fba0d, 0x27e85797d86982f4},
+    {"mgard", 1, 2, 0xf75823d95764e62c, 0x4843b0c9830cca68},
+    {"mgard", 1, 3, 0x0a9ebc4259bf0ab2, 0x7d594edfaa414b30},
+    {"mgard", 1, 4, 0x436541e36988f1ff, 0x879eccd19d9d96c4},
+    {"zfp", 0, 0, 0xbbad6ddf716ead97, 0x0e8d0cec42c1357c},
+    {"zfp", 0, 1, 0xc729cc44c6849e8e, 0xc96d6cbd28d0750d},
+    {"zfp", 0, 2, 0xdb9a2df7f4d01820, 0x4d06f536dcbb90a4},
+    {"zfp", 0, 3, 0xae71deb77e03fbae, 0x1ada974b5e05fad1},
+    {"zfp", 0, 4, 0xdb95dcfb0bc7501a, 0x545342446633c026},
+    {"zfp", 1, 0, 0x1db81f2eb185c5b2, 0x797a7716aae2d9df},
+    {"zfp", 1, 1, 0x4ac3c5f7bf066277, 0x1ba1a3185d604e3e},
+    {"zfp", 1, 2, 0xf69d1a1120262112, 0xa42359662f6b6019},
+    {"zfp", 1, 3, 0x566c277c5cdc529f, 0x502bad0bac3d3ed6},
+    {"zfp", 1, 4, 0xde3d9e70967f3362, 0x0c04c9db2220da94},
+    {"fpzip", 0, 0, 0x9c54273ca189a125, 0x41d2578b592167d3},
+    {"fpzip", 0, 1, 0x727fdf3d3ed38da7, 0x5a8b62bf1e942ef4},
+    {"fpzip", 0, 2, 0xb25d21fdc2ec6848, 0x253dd74638037adc},
+    {"fpzip", 0, 3, 0x3160fb36d9266fe9, 0x4c379c0e123868a4},
+    {"fpzip", 0, 4, 0xdb414374dae88349, 0x89d88f5167a0a8cc},
+    {"fpzip", 1, 0, 0x4fffe856b59aebff, 0x99463115844d0383},
+    {"fpzip", 1, 1, 0x0f9f4745f2dc9424, 0xa33833b4e0c56678},
+    {"fpzip", 1, 2, 0x1d962974aad5f6d7, 0xa5839130c132b8ae},
+    {"fpzip", 1, 3, 0xec2306046905fd15, 0xcd08ad172b70ca54},
+    {"fpzip", 1, 4, 0x9ecf825bfc3db6fe, 0xa98d1da901803f95},
 };
+
+std::vector<uint8_t> Archive(const Compressor& comp, const ArchiveCase& c) {
+  const Tensor& data = Field(c.field);
+  const double config = ConfigAt(comp.config_space(data), c.config);
+  StatusOr<std::vector<uint8_t>> out = comp.Compress(data, config);
+  EXPECT_TRUE(out.ok()) << c.codec << ": " << out.status().ToString();
+  return out.ok() ? std::move(out).value() : std::vector<uint8_t>();
+}
 
 uint64_t ArchiveHash(const ArchiveCase& c) {
-  const std::unique_ptr<Compressor> comp = MakeCompressor(c.codec);
-  const Tensor& data = Field(c.field);
-  const double config = ConfigAt(comp->config_space(data), c.config);
-  StatusOr<std::vector<uint8_t>> out = comp->Compress(data, config);
-  EXPECT_TRUE(out.ok()) << c.codec << ": " << out.status().ToString();
-  return out.ok() ? Hash(out.value()) : 0;
+  const std::vector<uint8_t> archive = Archive(*MakeCompressor(c.codec), c);
+  return archive.empty() ? 0 : Hash(archive);
 }
 
 std::string Describe(const ArchiveCase& c) {
@@ -156,8 +147,15 @@ std::string Describe(const ArchiveCase& c) {
 
 TEST(ArchiveBytesGoldenTest, CodecArchivesMatchRecordedHashes) {
   for (const ArchiveCase& c : kArchives) {
-    const uint64_t h = ArchiveHash(c);
-    EXPECT_EQ(Hex(h), Hex(c.hash)) << Describe(c);
+    const std::unique_ptr<Compressor> comp = MakeCompressor(c.codec);
+    const std::vector<uint8_t> archive = Archive(*comp, c);
+    EXPECT_EQ(Hex(Hash(archive)), Hex(c.hash)) << Describe(c);
+    Tensor decoded;
+    const Status st = comp->Decompress(archive.data(), archive.size(),
+                                       &decoded);
+    ASSERT_TRUE(st.ok()) << Describe(c) << ": " << st.ToString();
+    EXPECT_EQ(Hex(HashTensor(decoded)), Hex(c.decoded))
+        << Describe(c) << " (decoded floats)";
   }
 }
 

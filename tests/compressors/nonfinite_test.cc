@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -55,6 +56,54 @@ TEST(NonFiniteTensorTest, GuardedPathRejectsCleanlyForAllCompressors) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find("NaN/Inf"), std::string::npos)
         << r.status().message();
+  }
+}
+
+// Each codec called directly, without the guard's admission scan: a NaN or
+// Inf either fails as InvalidArgument, or the archive decodes with every
+// finite point inside the codec's bound.
+TEST(NonFiniteTensorTest, DirectCompressRejectsOrKeepsFinitePointsInBound) {
+  const Tensor poisoned = PoisonedField();
+  const Tensor clean = GaussianRandomField3D(16, 16, 16, 3.0, 77);
+  const SummaryStats stats = ComputeSummary(clean);
+  const double slack =
+      1e-5 * std::max(std::fabs(stats.min), std::fabs(stats.max));
+  for (const char* name : {"sz", "sz3", "zfp", "fpzip", "mgard"}) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Compressor> comp = MakeCompressor(name);
+    const ConfigSpace space = comp->config_space(clean);
+    const double config = space.integer
+                              ? std::round(0.5 * (space.min + space.max))
+                              : std::sqrt(space.min * space.max);
+    const StatusOr<std::vector<uint8_t>> out =
+        comp->Compress(poisoned, config);
+    if (!out.ok()) {
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+          << out.status().ToString();
+      continue;
+    }
+    Tensor rec;
+    const Status st =
+        comp->Decompress(out.value().data(), out.value().size(), &rec);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(rec.dims(), poisoned.dims());
+    size_t violations = 0;
+    double worst = 0.0;
+    for (size_t i = 0; i < poisoned.size(); ++i) {
+      const double x = poisoned[i];
+      if (!std::isfinite(x)) continue;
+      // fpzip keeps the top `config` bits of each value's ordered integer:
+      // a relative bound. The others take an absolute bound.
+      const double bound = space.integer
+                               ? std::fabs(x) * std::ldexp(1.0, 10 - config)
+                               : config + slack;
+      const double err = std::fabs(static_cast<double>(rec[i]) - x);
+      if (!(err <= bound)) {
+        ++violations;
+        worst = std::max(worst, err);
+      }
+    }
+    EXPECT_EQ(violations, 0u) << "worst error " << worst;
   }
 }
 

@@ -18,7 +18,7 @@ TEST(ZfpFixedRateTest, HitsRequestedRate) {
   const Tensor g = GaussianRandomField3D(16, 16, 16, 3.0, 101);
   ZfpCompressor zfp;
   for (double rate : {4.0, 8.0, 16.0}) {
-    const std::vector<uint8_t> bytes = zfp.CompressFixedRate(g, rate);
+    const std::vector<uint8_t> bytes = zfp.CompressFixedRate(g, rate).value();
     const double actual_rate = 8.0 * bytes.size() / g.size();
     // Header overhead aside, the payload is exactly rate bits/value.
     EXPECT_NEAR(actual_rate, rate, 1.0) << rate;
@@ -30,7 +30,7 @@ TEST(ZfpFixedRateTest, RoundTripsAtEveryRate) {
   ZfpCompressor zfp;
   double prev_rmse = 1e9;
   for (double rate : {2.0, 6.0, 12.0, 24.0}) {
-    const std::vector<uint8_t> bytes = zfp.CompressFixedRate(g, rate);
+    const std::vector<uint8_t> bytes = zfp.CompressFixedRate(g, rate).value();
     Tensor rec;
     ASSERT_TRUE(zfp.Decompress(bytes.data(), bytes.size(), &rec).ok());
     const double rmse = ComputeDistortion(g, rec).rmse;
@@ -55,7 +55,7 @@ TEST(ZfpFixedRateTest, FixedAccuracyBeatsFixedRateAtEqualDistortion) {
   // Find the rate that matches the accuracy-mode distortion.
   double matching_rate = 32.0;
   for (double rate = 1.0; rate <= 32.0; rate += 1.0) {
-    const std::vector<uint8_t> bytes = zfp.CompressFixedRate(g, rate);
+    const std::vector<uint8_t> bytes = zfp.CompressFixedRate(g, rate).value();
     Tensor rec;
     ASSERT_TRUE(zfp.Decompress(bytes.data(), bytes.size(), &rec).ok());
     if (ComputeDistortion(g, rec).rmse <= acc_rmse) {
@@ -93,8 +93,12 @@ TEST(ZfpStairwiseTest, RatioCurveHasFlatSteps) {
 TEST(ZfpFixedRateTest, RejectsBadRate) {
   const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 105);
   ZfpCompressor zfp;
-  EXPECT_DEATH(zfp.CompressFixedRate(g, 0.0), "");
-  EXPECT_DEATH(zfp.CompressFixedRate(g, 100.0), "");
+  for (double rate : {0.0, -1.0, 34.5, 100.0, std::nan("")}) {
+    const StatusOr<std::vector<uint8_t>> out = zfp.CompressFixedRate(g, rate);
+    ASSERT_FALSE(out.ok()) << rate;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << rate;
+  }
+  EXPECT_TRUE(zfp.CompressFixedRate(g, 34.0).ok());
 }
 
 }  // namespace

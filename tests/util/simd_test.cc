@@ -1,376 +1,16 @@
-// Property tests for the runtime-dispatched SIMD kernels: every vector
-// variant must be bit-identical to the scalar reference for all inputs.
-// Sweeps cover odd lengths, unaligned starting offsets, and tail remainders
-// so partially-filled vectors and cleanup loops are exercised.
+// The kernel-level stub: every kernel is scalar, and the name stamped into
+// benchmark provenance lines says so.
 
 #include "src/util/simd.h"
 
-#include <bit>
-#include <cmath>
-#include <cstring>
-#include <limits>
-#include <vector>
-
 #include "gtest/gtest.h"
-#include "src/util/random.h"
 
 namespace fxrz {
 namespace {
 
-using simd::Level;
-
-// Levels this machine can actually run (always includes kScalar).
-std::vector<Level> SupportedLevels() {
-  std::vector<Level> levels = {Level::kScalar};
-  for (Level cand : {Level::kSSE42, Level::kAVX2, Level::kNEON}) {
-    if (simd::ForceLevel(cand) == cand) levels.push_back(cand);
-  }
-  simd::ForceLevel(simd::DetectedLevel());
-  return levels;
-}
-
-// Restores the default dispatch level when a test exits.
-struct LevelGuard {
-  ~LevelGuard() { simd::ForceLevel(simd::DetectedLevel()); }
-};
-
-// Lengths chosen to hit empty input, sub-vector sizes, exact multiples of
-// 4/8, and ragged tails.
-const size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 31, 33, 64, 101};
-
-// Bitwise comparison helpers: NaNs and signed zeros must match exactly.
-::testing::AssertionResult BitsEqual(const std::vector<double>& a,
-                                     const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure() << "size mismatch";
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
-      return ::testing::AssertionFailure()
-             << "element " << i << ": " << a[i] << " vs " << b[i];
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-::testing::AssertionResult BitsEqualF(const std::vector<float>& a,
-                                      const std::vector<float>& b) {
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure() << "size mismatch";
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<uint32_t>(a[i]) != std::bit_cast<uint32_t>(b[i])) {
-      return ::testing::AssertionFailure()
-             << "element " << i << ": " << a[i] << " vs " << b[i];
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-TEST(SimdDispatchTest, ForceLevelClampsToDetected) {
-  LevelGuard guard;
-  const Level detected = simd::DetectedLevel();
-  EXPECT_EQ(simd::ForceLevel(detected), detected);
-  EXPECT_EQ(simd::ActiveLevel(), detected);
-  EXPECT_EQ(simd::ForceLevel(Level::kScalar), Level::kScalar);
-  EXPECT_EQ(simd::ActiveLevel(), Level::kScalar);
-  // Requesting more than the hardware supports clamps, never lies.
-  const Level got = simd::ForceLevel(Level::kAVX2);
-  EXPECT_LE(static_cast<int>(got), static_cast<int>(Level::kAVX2));
-}
-
 TEST(SimdDispatchTest, LevelNamesAreStable) {
-  EXPECT_STREQ(simd::LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(simd::LevelName(Level::kSSE42), "sse4.2");
-  EXPECT_STREQ(simd::LevelName(Level::kAVX2), "avx2");
-  EXPECT_STREQ(simd::LevelName(Level::kNEON), "neon");
-}
-
-TEST(SimdKernelTest, DequantizeZigZagMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(101);
-  for (size_t n : kLengths) {
-    for (size_t offset = 0; offset < 4; ++offset) {
-      std::vector<uint32_t> codes(n + offset);
-      for (auto& c : codes) {
-        // Mix small codes with extreme ones (incl. the UINT32_MAX edge).
-        const double r = rng.NextDouble();
-        c = r < 0.7 ? static_cast<uint32_t>(rng.NextBelow(65536))
-                    : static_cast<uint32_t>(rng.NextUint64());
-      }
-      const double step = rng.Uniform(1e-8, 10.0);
-      std::vector<double> ref(n), got(n);
-      simd::ForceLevel(Level::kScalar);
-      simd::DequantizeZigZag(codes.data() + offset, n, step, ref.data());
-      for (Level lvl : SupportedLevels()) {
-        simd::ForceLevel(lvl);
-        simd::DequantizeZigZag(codes.data() + offset, n, step, got.data());
-        EXPECT_TRUE(BitsEqual(ref, got))
-            << "level=" << simd::LevelName(lvl) << " n=" << n
-            << " offset=" << offset;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, QuantizeZigZagMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(102);
-  for (size_t n : kLengths) {
-    for (size_t offset = 0; offset < 4; ++offset) {
-      std::vector<double> v(n + offset);
-      for (auto& x : v) {
-        const double r = rng.NextDouble();
-        if (r < 0.8) {
-          x = rng.Uniform(-1000.0, 1000.0);
-        } else if (r < 0.9) {
-          x = rng.Uniform(-0.5, 0.5);  // ties around the rounding boundary
-        } else {
-          x = rng.Uniform(-1e12, 1e12);  // out of int32 range: saturates
-        }
-      }
-      const double step = rng.Uniform(1e-3, 2.0);
-      std::vector<uint32_t> ref(n, 0xA5A5A5A5u), got(n, 0x5A5A5A5Au);
-      simd::ForceLevel(Level::kScalar);
-      const double ref_max =
-          simd::QuantizeZigZag(v.data() + offset, n, step, ref.data());
-      for (Level lvl : SupportedLevels()) {
-        simd::ForceLevel(lvl);
-        const double got_max =
-            simd::QuantizeZigZag(v.data() + offset, n, step, got.data());
-        EXPECT_EQ(std::bit_cast<uint64_t>(ref_max),
-                  std::bit_cast<uint64_t>(got_max))
-            << "level=" << simd::LevelName(lvl) << " n=" << n;
-        EXPECT_EQ(ref, got)
-            << "level=" << simd::LevelName(lvl) << " n=" << n
-            << " offset=" << offset;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, ShiftKernelsMatchScalar) {
-  LevelGuard guard;
-  Rng rng(103);
-  for (size_t n : kLengths) {
-    std::vector<float> in_f(n);
-    std::vector<double> in_d(n);
-    for (size_t i = 0; i < n; ++i) {
-      in_f[i] = static_cast<float>(rng.Uniform(-1e6, 1e6));
-      in_d[i] = rng.Uniform(-1e6, 1e6);
-    }
-    const double offset = rng.Uniform(-1e5, 1e5);
-    std::vector<double> ref_d(n), got_d(n);
-    std::vector<float> ref_f(n), got_f(n);
-    simd::ForceLevel(Level::kScalar);
-    simd::ShiftToDouble(in_f.data(), n, offset, ref_d.data());
-    simd::ShiftToFloat(in_d.data(), n, offset, ref_f.data());
-    for (Level lvl : SupportedLevels()) {
-      simd::ForceLevel(lvl);
-      simd::ShiftToDouble(in_f.data(), n, offset, got_d.data());
-      simd::ShiftToFloat(in_d.data(), n, offset, got_f.data());
-      EXPECT_TRUE(BitsEqual(ref_d, got_d)) << simd::LevelName(lvl);
-      EXPECT_TRUE(BitsEqualF(ref_f, got_f)) << simd::LevelName(lvl);
-    }
-  }
-}
-
-TEST(SimdKernelTest, MaxAbsMatchesScalarIncludingNaN) {
-  LevelGuard guard;
-  Rng rng(104);
-  for (size_t n : kLengths) {
-    for (int with_nan = 0; with_nan < 2; ++with_nan) {
-      std::vector<float> in(n);
-      for (auto& x : in) x = static_cast<float>(rng.Uniform(-1e9, 1e9));
-      if (with_nan && n > 2) {
-        in[n / 2] = std::numeric_limits<float>::quiet_NaN();
-        in[n - 1] = -std::numeric_limits<float>::infinity();
-      }
-      simd::ForceLevel(Level::kScalar);
-      const float ref = simd::MaxAbs(in.data(), n);
-      for (Level lvl : SupportedLevels()) {
-        simd::ForceLevel(lvl);
-        const float got = simd::MaxAbs(in.data(), n);
-        EXPECT_EQ(std::bit_cast<uint32_t>(ref), std::bit_cast<uint32_t>(got))
-            << "level=" << simd::LevelName(lvl) << " n=" << n
-            << " nan=" << with_nan;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, OrderedFloatMapsMatchScalarAndRoundTrip) {
-  LevelGuard guard;
-  Rng rng(105);
-  const uint32_t masks[] = {0xFFFFFFFFu, 0xFFFF0000u, 0xFFFFFF00u, 0x80000000u};
-  for (size_t n : kLengths) {
-    std::vector<float> in(n);
-    for (auto& x : in) {
-      // Random bit patterns, cleaned of NaN/Inf which the codec never feeds.
-      uint32_t bits = static_cast<uint32_t>(rng.NextUint64());
-      if ((bits & 0x7F800000u) == 0x7F800000u) bits &= ~0x00800000u;
-      x = std::bit_cast<float>(bits);
-    }
-    for (uint32_t mask : masks) {
-      std::vector<uint32_t> ref(n), got(n);
-      simd::ForceLevel(Level::kScalar);
-      simd::FloatToOrderedTrunc(in.data(), n, mask, ref.data());
-      std::vector<float> ref_back(n), got_back(n);
-      simd::OrderedToFloats(ref.data(), n, ref_back.data());
-      for (Level lvl : SupportedLevels()) {
-        simd::ForceLevel(lvl);
-        simd::FloatToOrderedTrunc(in.data(), n, mask, got.data());
-        EXPECT_EQ(ref, got) << simd::LevelName(lvl) << " mask=" << mask;
-        simd::OrderedToFloats(ref.data(), n, got_back.data());
-        EXPECT_TRUE(BitsEqualF(ref_back, got_back)) << simd::LevelName(lvl);
-      }
-      // Full-precision mask must round-trip exactly.
-      if (mask == 0xFFFFFFFFu) {
-        EXPECT_TRUE(BitsEqualF(in, ref_back)) << "n=" << n;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, ZfpBlockKernelsMatchScalar) {
-  LevelGuard guard;
-  Rng rng(106);
-  for (size_t nd = 1; nd <= 3; ++nd) {
-    const size_t n = 1ull << (2 * nd);  // 4^nd
-    for (int rep = 0; rep < 50; ++rep) {
-      std::vector<float> in(n);
-      for (auto& x : in) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
-      const double scale = std::ldexp(1.0, static_cast<int>(rng.NextBelow(40)));
-      std::vector<int64_t> ref(n), got(n);
-      simd::ForceLevel(Level::kScalar);
-      simd::QuantizeFixedPoint(in.data(), n, scale, ref.data());
-      std::vector<int64_t> ref_fwd = ref;
-      simd::ZfpForwardTransform(ref_fwd.data(), nd);
-      std::vector<int64_t> ref_inv = ref_fwd;
-      simd::ZfpInverseTransform(ref_inv.data(), nd);
-      for (Level lvl : SupportedLevels()) {
-        simd::ForceLevel(lvl);
-        simd::QuantizeFixedPoint(in.data(), n, scale, got.data());
-        EXPECT_EQ(ref, got) << simd::LevelName(lvl) << " nd=" << nd;
-        std::vector<int64_t> fwd = ref;
-        simd::ZfpForwardTransform(fwd.data(), nd);
-        EXPECT_EQ(ref_fwd, fwd) << simd::LevelName(lvl) << " nd=" << nd;
-        std::vector<int64_t> inv = ref_fwd;
-        simd::ZfpInverseTransform(inv.data(), nd);
-        EXPECT_EQ(ref_inv, inv) << simd::LevelName(lvl) << " nd=" << nd;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, InterpolationPredictorsMatchScalar) {
-  LevelGuard guard;
-  Rng rng(107);
-  const size_t pt_steps[] = {2, 4, 6, 16, 34};
-  for (size_t pt_step : pt_steps) {
-    for (size_t count : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
-                         size_t{9}, size_t{17}, size_t{32}}) {
-      const size_t nbr = pt_step / 2;
-      const size_t lin0 = 3 * nbr + rng.NextBelow(3);
-      std::vector<float> rec(lin0 + count * pt_step + 3 * nbr + 8);
-      for (auto& x : rec) x = static_cast<float>(rng.Uniform(-100.0, 100.0));
-      std::vector<double> ref(count), got(count);
-      simd::ForceLevel(Level::kScalar);
-      simd::CubicPredict(rec.data(), lin0, pt_step, nbr, count, ref.data());
-      for (Level lvl : SupportedLevels()) {
-        simd::ForceLevel(lvl);
-        simd::CubicPredict(rec.data(), lin0, pt_step, nbr, count, got.data());
-        EXPECT_TRUE(BitsEqual(ref, got))
-            << "cubic level=" << simd::LevelName(lvl) << " step=" << pt_step
-            << " count=" << count;
-      }
-      simd::ForceLevel(Level::kScalar);
-      simd::LinearPredict(rec.data(), lin0, pt_step, nbr, count, ref.data());
-      for (Level lvl : SupportedLevels()) {
-        simd::ForceLevel(lvl);
-        simd::LinearPredict(rec.data(), lin0, pt_step, nbr, count, got.data());
-        EXPECT_TRUE(BitsEqual(ref, got))
-            << "linear level=" << simd::LevelName(lvl) << " step=" << pt_step
-            << " count=" << count;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, LiftPredictContiguousMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(108);
-  for (size_t count : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{8},
-                       size_t{13}, size_t{64}, size_t{100}}) {
-    for (int has_right = 0; has_right < 2; ++has_right) {
-      for (int forward = 0; forward < 2; ++forward) {
-        const size_t nbr = count + 3;  // caller guarantees nbr >= count
-        const size_t lin0 = nbr + 2;
-        std::vector<double> base(lin0 + count + nbr + 4);
-        for (auto& x : base) x = rng.Uniform(-50.0, 50.0);
-        std::vector<double> ref = base, got = base;
-        simd::ForceLevel(Level::kScalar);
-        simd::LiftPredictContiguous(ref.data(), lin0, nbr, count,
-                                    has_right != 0, forward != 0);
-        for (Level lvl : SupportedLevels()) {
-          got = base;
-          simd::ForceLevel(lvl);
-          simd::LiftPredictContiguous(got.data(), lin0, nbr, count,
-                                      has_right != 0, forward != 0);
-          EXPECT_TRUE(BitsEqual(ref, got))
-              << "level=" << simd::LevelName(lvl) << " count=" << count
-              << " has_right=" << has_right << " forward=" << forward;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, PlaneKernelsMatchScalar) {
-  LevelGuard guard;
-  Rng rng(109);
-  for (size_t n : kLengths) {
-    std::vector<float> vals(n);
-    std::vector<double> cz(n), cy(n), cx(n);
-    for (size_t i = 0; i < n; ++i) {
-      vals[i] = static_cast<float>(rng.Uniform(-1e4, 1e4));
-      cz[i] = std::floor(rng.Uniform(-3.0, 3.0));
-      cy[i] = std::floor(rng.Uniform(-3.0, 3.0));
-      cx[i] = std::floor(rng.Uniform(-3.0, 3.0));
-    }
-    const double c0 = rng.Uniform(-10.0, 10.0);
-    const double az = rng.Uniform(-5.0, 5.0);
-    const double ay = rng.Uniform(-5.0, 5.0);
-    const double ax = rng.Uniform(-5.0, 5.0);
-    double ref_sums[7], got_sums[7];
-    std::vector<double> ref_pred(n), got_pred(n);
-    simd::ForceLevel(Level::kScalar);
-    simd::PlaneFitSums(vals.data(), cz.data(), cy.data(), cx.data(), n,
-                       ref_sums);
-    simd::PlanePredict(cz.data(), cy.data(), cx.data(), n, c0, az, ay, ax,
-                       ref_pred.data());
-    const double ref_err = simd::PlaneAbsErr(vals.data(), cz.data(), cy.data(),
-                                             cx.data(), n, c0, az, ay, ax);
-    for (Level lvl : SupportedLevels()) {
-      simd::ForceLevel(lvl);
-      simd::PlaneFitSums(vals.data(), cz.data(), cy.data(), cx.data(), n,
-                         got_sums);
-      for (int k = 0; k < 7; ++k) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(ref_sums[k]),
-                  std::bit_cast<uint64_t>(got_sums[k]))
-            << "level=" << simd::LevelName(lvl) << " n=" << n << " k=" << k;
-      }
-      simd::PlanePredict(cz.data(), cy.data(), cx.data(), n, c0, az, ay, ax,
-                         got_pred.data());
-      EXPECT_TRUE(BitsEqual(ref_pred, got_pred))
-          << "level=" << simd::LevelName(lvl) << " n=" << n;
-      const double got_err = simd::PlaneAbsErr(
-          vals.data(), cz.data(), cy.data(), cx.data(), n, c0, az, ay, ax);
-      EXPECT_EQ(std::bit_cast<uint64_t>(ref_err),
-                std::bit_cast<uint64_t>(got_err))
-          << "level=" << simd::LevelName(lvl) << " n=" << n;
-    }
-  }
+  EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
+  EXPECT_STREQ(simd::LevelName(simd::ActiveLevel()), "scalar");
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 # tests (plus the memory-table gate, bench/mem_calibration --gate), a
 # standalone build of the perfbench/ benchmark (fxrz_perfbench)
 # against the library, an FXRZ_METRICS=OFF build proving the observability
-# layer strips cleanly, an FXRZ_SIMD=OFF build proving the scalar kernel
-# paths stand on their own, ThreadSanitizer build + tests, ASan+UBSan build
+# layer strips cleanly, ThreadSanitizer build + tests, ASan+UBSan build
 # + tests (including the fuzz-corpus replay harnesses), an overload-chaos
 # re-run of the resource-governance suite under ASan with a finite
 # FXRZ_MEM_BUDGET, an ASan+UBSan FXRZ_FAULT_INJECT build running the
@@ -79,16 +78,6 @@ cmake --build build-ci-perfbench -j "$JOBS"
 # layer without behavioral drift.
 run_config metrics-off build-ci-nometrics \
   -DFXRZ_METRICS=OFF \
-  -DFXRZ_BUILD_BENCHMARKS=OFF -DFXRZ_BUILD_EXAMPLES=OFF
-
-# Scalar-dispatch configuration: FXRZ_SIMD=OFF compiles the vector kernel
-# variants out entirely, pinning every codec to the scalar reference path.
-# The suite must pass unchanged (the SIMD/scalar archive-equivalence tests
-# GTEST_SKIP), proving archives and results do not depend on the vector
-# unit. The sanitizer configs below keep SIMD on, so the vector paths get
-# the same TSan/ASan/UBSan coverage as the rest of the library.
-run_config simd-off build-ci-scalar \
-  -DFXRZ_SIMD=OFF \
   -DFXRZ_BUILD_BENCHMARKS=OFF -DFXRZ_BUILD_EXAMPLES=OFF
 
 # Sanitizer stages run the chaos storm at a reduced (still multi-thousand)
