@@ -12,6 +12,7 @@
 #include "src/core/augmentation.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/catalog.h"
+#include "src/data/statistics.h"
 #include "src/util/timer.h"
 
 int main() {
@@ -34,7 +35,7 @@ int main() {
       fxrz.Train(Pointers(bundle.train));
       const Tensor& test = bundle.test[0].data;
       const auto comp = MakeCompressor(comp_name);
-      const ConfigSpace space = comp->config_space(test);
+      const ConfigSpace space = comp->config_space(ValueRange(test));
       const double mid = std::sqrt(space.min * space.max);
       const double mid_ratio = MeasuredRatio(*comp, test, mid);
 

@@ -17,6 +17,7 @@
 #include "src/compressors/compressor.h"
 #include "src/core/augmentation.h"
 #include "src/data/generators/nyx.h"
+#include "src/data/statistics.h"
 
 int main() {
   using namespace fxrz;
@@ -55,7 +56,8 @@ int main() {
     AugmentationOptions opts;
     opts.num_stationary_points = 25;
     const auto points = CollectStationaryPoints(*comp, baryon, opts);
-    const RatioConfigCurve curve(points, comp->config_space(baryon));
+    const RatioConfigCurve curve(points,
+                                 comp->config_space(ValueRange(baryon)));
 
     double total = 0.0;
     int count = 0;

@@ -20,6 +20,7 @@
 #include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/util/checksum.h"
 
 namespace {
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : {"sz", "zfp"}) {
     ChunkedCompressor comp(MakeCompressor(name));
-    const ConfigSpace space = comp.config_space(data);
+    const ConfigSpace space = comp.config_space(ValueRange(data));
     const double config = space.integer ? 16 : space.min * 100;
 
     std::vector<uint8_t> bytes;

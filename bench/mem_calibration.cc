@@ -39,6 +39,7 @@
 
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/util/mem_budget.h"
 
 namespace {
@@ -77,13 +78,14 @@ bool ResetPeakRss() {
 double MeasureCodec(const std::string& name, size_t dim) {
   const Tensor field = GaussianRandomField3D(dim, dim, dim, 2.0, 11);
   const auto compressor = MakeCompressor(name);
-  const double config = compressor->config_space(field).min;
+  const double config = compressor->config_space(ValueRange(field)).min;
   // Settle allocator arenas and code pages outside the measured window,
   // on a small probe so the warmup's freed buffers cannot mask the real
   // run's large transients.
   const Tensor probe = GaussianRandomField3D(8, 8, 8, 2.0, 3);
-  if (!compressor->Compress(probe, compressor->config_space(probe).min)
-           .ok()) {
+  const double probe_config =
+      compressor->config_space(ValueRange(probe)).min;
+  if (!compressor->Compress(probe, probe_config).ok()) {
     std::fprintf(stderr, "%s: warmup compress failed\n", name.c_str());
     return -1.0;
   }

@@ -31,6 +31,7 @@
 
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/util/metrics.h"
 #include "src/util/trace.h"
 
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
   // inflates neither side of the ratio.
   const Tensor data = GaussianRandomField3D(64, 64, 64, 3.0, 515);
   const std::unique_ptr<Compressor> comp = MakeCompressor("sz");
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.min * 100;
   double compress_s = 1e30;
   for (int rep = 0; rep < 3; ++rep) {

@@ -32,6 +32,7 @@
 #include "src/core/features.h"
 #include "src/data/fft.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/encoding/arith.h"
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
@@ -128,7 +129,7 @@ void ArithDecode16(const uint8_t* data, size_t size, size_t count,
 void BM_Compress(benchmark::State& state, const std::string& name) {
   const auto comp = MakeBenchCompressor(name);
   const Tensor& data = TestField();
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.integer ? 16 : std::sqrt(space.min * space.max);
   for (auto _ : state) {
     benchmark::DoNotOptimize(comp->Compress(data, config).value());
@@ -139,7 +140,7 @@ void BM_Compress(benchmark::State& state, const std::string& name) {
 void BM_Decompress(benchmark::State& state, const std::string& name) {
   const auto comp = MakeBenchCompressor(name);
   const Tensor& data = TestField();
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.integer ? 16 : std::sqrt(space.min * space.max);
   const std::vector<uint8_t> bytes = comp->Compress(data, config).value();
   Tensor out;
@@ -281,7 +282,7 @@ double BestSeconds(int reps, const std::function<void()>& fn) {
 // Every harness codec runs at the geometric middle of its config space
 // (precision 16 for integer knobs).
 double BenchConfig(const Compressor& comp, const Tensor& data) {
-  const ConfigSpace space = comp.config_space(data);
+  const ConfigSpace space = comp.config_space(ValueRange(data));
   return space.integer ? 16 : std::sqrt(space.min * space.max);
 }
 
@@ -291,9 +292,10 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
   for (size_t grid : grids) {
     const Tensor data = MakeCubeField(grid);
     const double bytes = static_cast<double>(data.size_bytes());
-    // Large grids take ~1s per pass; two timed reps keep the gate fast
-    // while the warmup pass absorbs first-touch effects.
-    const int reps = grid >= 128 ? 2 : 3;
+    // One rep count at every grid, so a row's timing depends on its code
+    // and not on how much host noise a short best-of-N lets through; the
+    // warmup pass absorbs first-touch effects.
+    constexpr int reps = 5;
 
     for (const char* name : codecs) {
       const auto comp = MakeBenchCompressor(name);

@@ -63,7 +63,7 @@ int main() {
       for (double rel : rel_ebs) {
         std::vector<double> ratios(sets.size());
         for (size_t i = 0; i < sets.size(); ++i) {
-          const ConfigSpace space = comp->config_space(*sets[i]);
+          const ConfigSpace space = comp->config_space(ValueRange(*sets[i]));
           double config;
           if (space.integer) {
             const double f = (std::log10(rel) + 4.0) / 3.0;  // 0..1

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : AllCompressorNames()) {
     const auto comp = MakeCompressor(name);
-    const ConfigSpace space = comp->config_space(data);
+    const ConfigSpace space = comp->config_space(ValueRange(data));
     std::printf("--- %s (knob: %s%s in [%.4g, %.4g]) ---\n", name.c_str(),
                 space.integer ? "integer " : "",
                 space.log_scale ? "log-scale" : "linear", space.min,

@@ -15,6 +15,7 @@
 #include "src/compressors/compressor.h"
 #include "src/core/model.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
 #include "src/store/container.h"
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const std::string& name : fxrz::ExtendedCompressorNames()) {
     const auto comp = fxrz::MakeCompressor(name);
-    const fxrz::ConfigSpace space = comp->config_space(data);
+    const fxrz::ConfigSpace space = comp->config_space(fxrz::ValueRange(data));
     const double config = space.integer ? 12.0 : 0.01;
     ok &= WriteSeed(out_dir + "/" + name, "roundtrip.bin",
                     comp->Compress(data, config).value());

@@ -66,8 +66,8 @@ class ChunkedCompressor : public Compressor {
                              int threads = 0);
 
   std::string name() const override { return base_->name() + "-chunked"; }
-  ConfigSpace config_space(const Tensor& data) const override {
-    return base_->config_space(data);
+  ConfigSpace config_space(double value_range) const override {
+    return base_->config_space(value_range);
   }
   // Checksum-only integrity audit: validates the framing and index
   // checksum, then every per-chunk CRC32C -- without entropy-decoding

@@ -202,6 +202,14 @@ std::vector<std::string> ExtendedCompressorNames() {
 
 namespace compressor_internal {
 
+ConfigSpace ErrorBoundSpace(double value_range) {
+  const double range = value_range > 0 ? value_range : 1.0;
+  ConfigSpace space;
+  space.min = 1e-6 * range;
+  space.max = 0.3 * range;
+  return space;
+}
+
 void AppendHeader(std::vector<uint8_t>* out, uint32_t magic,
                   const Tensor& data) {
   AppendUint32(out, magic);

@@ -43,8 +43,10 @@ class Compressor {
   // Short identifier: "sz", "zfp", "fpzip", "mgard".
   virtual std::string name() const = 0;
 
-  // Sensible knob range for this dataset (depends on its value range).
-  virtual ConfigSpace config_space(const Tensor& data) const = 0;
+  // Sensible knob range for data whose max - min is `value_range` (see
+  // ValueRange in data/statistics.h). The knob range depends only on the
+  // value range; fpzip's on nothing.
+  virtual ConfigSpace config_space(double value_range) const = 0;
 
   // Compresses `data` under knob value `config` into a self-describing
   // stream (shape is embedded). `config` must lie inside config_space;
@@ -94,8 +96,12 @@ std::vector<std::string> AllCompressorNames();
 // The evaluation set plus "sz3" (interpolation-based SZ3-like design).
 std::vector<std::string> ExtendedCompressorNames();
 
-// Shared helpers for stream headers (magic + shape).
+// Shared helpers: the error-bound knob space and stream headers.
 namespace compressor_internal {
+
+// The absolute-error-bound space of sz, sz3, zfp and mgard: log-scale,
+// continuous, [1e-6, 0.3] x value_range (x 1 for a zero range).
+ConfigSpace ErrorBoundSpace(double value_range);
 
 // Appends magic (4 bytes) + rank + dims.
 void AppendHeader(std::vector<uint8_t>* out, uint32_t magic,

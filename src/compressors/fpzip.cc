@@ -230,8 +230,7 @@ bool ForEachLorenzoPoint(const uint32_t* slice, const SliceLayout& lay,
 
 }  // namespace
 
-ConfigSpace FpzipCompressor::config_space(const Tensor& data) const {
-  (void)data;
+ConfigSpace FpzipCompressor::config_space(double /*value_range*/) const {
   ConfigSpace space;
   space.min = kMinPrecision;
   space.max = kMaxPrecision;

@@ -26,7 +26,7 @@ class FpzipCompressor : public Compressor {
   static constexpr int kMaxPrecision = 32;
 
   std::string name() const override { return "fpzip"; }
-  ConfigSpace config_space(const Tensor& data) const override;
+  ConfigSpace config_space(double value_range) const override;
 
  private:
   StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/data/statistics.h"
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
@@ -215,18 +214,6 @@ class MultilevelTransform {
 
 }  // namespace
 
-ConfigSpace MgardCompressor::config_space(const Tensor& data) const {
-  const SummaryStats s = ComputeSummary(data);
-  ConfigSpace space;
-  const double range = s.value_range > 0 ? s.value_range : 1.0;
-  space.min = 1e-6 * range;
-  space.max = 0.3 * range;
-  space.log_scale = true;
-  space.integer = false;
-  space.ratio_increases = true;
-  return space;
-}
-
 StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
     const Tensor& data, double eb) const {
   if (!std::isfinite(eb) || eb <= 0.0) {
@@ -234,12 +221,15 @@ StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
         "mgard: error bound must be finite and > 0");
   }
 
-  // A NaN or Inf anywhere makes the sum behind the mean non-finite.
-  const SummaryStats stats = ComputeSummary(data);
-  if (!std::isfinite(stats.mean)) {
-    return Status::InvalidArgument("mgard: input has NaN/Inf values");
+  // One pass: refuse any NaN or Inf, and take the minimum as the offset.
+  double offset = data[0];
+  for (size_t i = 0; i < data.size(); ++i) {
+    const double v = data[i];
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("mgard: input has NaN/Inf values");
+    }
+    offset = std::min(offset, v);
   }
-  const double offset = stats.min;
 
   std::vector<double> v(data.size());
   ShiftToDouble(data.data(), data.size(), offset, v.data());

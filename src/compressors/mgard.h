@@ -21,7 +21,9 @@ namespace fxrz {
 class MgardCompressor : public Compressor {
  public:
   std::string name() const override { return "mgard"; }
-  ConfigSpace config_space(const Tensor& data) const override;
+  ConfigSpace config_space(double value_range) const override {
+    return compressor_internal::ErrorBoundSpace(value_range);
+  }
 
  private:
   StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,

@@ -13,8 +13,8 @@ PsnrBoundCompressor::PsnrBoundCompressor(std::unique_ptr<Compressor> base)
   FXRZ_CHECK(base_ != nullptr);
 }
 
-ConfigSpace PsnrBoundCompressor::config_space(const Tensor& data) const {
-  const ConfigSpace base_space = base_->config_space(data);
+ConfigSpace PsnrBoundCompressor::config_space(double value_range) const {
+  const ConfigSpace base_space = base_->config_space(value_range);
   FXRZ_CHECK(!base_space.integer)
       << "PSNR adapter needs a continuous error-bound knob";
   ConfigSpace space;
@@ -31,9 +31,9 @@ StatusOr<std::vector<uint8_t>> PsnrBoundCompressor::DoCompress(
   if (!(config >= 1.0 && config <= 200.0)) {
     return Status::InvalidArgument("psnr: target must lie in [1, 200] dB");
   }
-  const SummaryStats stats = ComputeSummary(data);
-  const double range = stats.value_range > 0 ? stats.value_range : 1.0;
-  const ConfigSpace base_space = base_->config_space(data);
+  const double value_range = ValueRange(data);
+  const double range = value_range > 0 ? value_range : 1.0;
+  const ConfigSpace base_space = base_->config_space(value_range);
   const double eb = std::clamp(
       std::sqrt(3.0) * range * std::pow(10.0, -config / 20.0),
       base_space.min, base_space.max);

@@ -24,7 +24,7 @@ class PsnrBoundCompressor : public Compressor {
   explicit PsnrBoundCompressor(std::unique_ptr<Compressor> base);
 
   std::string name() const override { return base_->name() + "-psnr"; }
-  ConfigSpace config_space(const Tensor& data) const override;
+  ConfigSpace config_space(double value_range) const override;
 
  private:
   StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,

@@ -14,8 +14,8 @@ RelativeErrorCompressor::RelativeErrorCompressor(
   FXRZ_CHECK(base_ != nullptr);
 }
 
-ConfigSpace RelativeErrorCompressor::config_space(const Tensor& data) const {
-  const ConfigSpace base_space = base_->config_space(data);
+ConfigSpace RelativeErrorCompressor::config_space(double value_range) const {
+  const ConfigSpace base_space = base_->config_space(value_range);
   FXRZ_CHECK(!base_space.integer)
       << "relative adapter needs a continuous error-bound knob";
   ConfigSpace space;
@@ -33,9 +33,9 @@ StatusOr<std::vector<uint8_t>> RelativeErrorCompressor::DoCompress(
     return Status::InvalidArgument(
         "relative: error bound must be finite and > 0");
   }
-  const SummaryStats stats = ComputeSummary(data);
-  const double range = stats.value_range > 0 ? stats.value_range : 1.0;
-  const ConfigSpace base_space = base_->config_space(data);
+  const double value_range = ValueRange(data);
+  const double range = value_range > 0 ? value_range : 1.0;
+  const ConfigSpace base_space = base_->config_space(value_range);
   const double abs_eb =
       std::clamp(config * range, base_space.min, base_space.max);
   return base_->Compress(data, abs_eb);

@@ -23,7 +23,7 @@ class RelativeErrorCompressor : public Compressor {
   explicit RelativeErrorCompressor(std::unique_ptr<Compressor> base);
 
   std::string name() const override { return base_->name() + "-rel"; }
-  ConfigSpace config_space(const Tensor& data) const override;
+  ConfigSpace config_space(double value_range) const override;
 
  private:
   StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/data/statistics.h"
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
@@ -244,18 +243,6 @@ void ForEachPredictedPoint(const float* rec, const SliceLayout& lay, Fn&& fn) {
 }
 
 }  // namespace
-
-ConfigSpace Sz3Compressor::config_space(const Tensor& data) const {
-  const SummaryStats s = ComputeSummary(data);
-  ConfigSpace space;
-  const double range = s.value_range > 0 ? s.value_range : 1.0;
-  space.min = 1e-6 * range;
-  space.max = 0.3 * range;
-  space.log_scale = true;
-  space.integer = false;
-  space.ratio_increases = true;
-  return space;
-}
 
 StatusOr<std::vector<uint8_t>> Sz3Compressor::DoCompress(
     const Tensor& data, double eb) const {

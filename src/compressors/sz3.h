@@ -22,7 +22,9 @@ namespace fxrz {
 class Sz3Compressor : public Compressor {
  public:
   std::string name() const override { return "sz3"; }
-  ConfigSpace config_space(const Tensor& data) const override;
+  ConfigSpace config_space(double value_range) const override {
+    return compressor_internal::ErrorBoundSpace(value_range);
+  }
 
  private:
   StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,

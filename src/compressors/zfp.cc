@@ -5,7 +5,6 @@
 #include <numeric>
 #include <vector>
 
-#include "src/data/statistics.h"
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/negabinary.h"
 #include "src/util/check.h"
@@ -454,15 +453,8 @@ StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
 
 }  // namespace
 
-ConfigSpace ZfpCompressor::config_space(const Tensor& data) const {
-  const SummaryStats s = ComputeSummary(data);
-  ConfigSpace space;
-  const double range = s.value_range > 0 ? s.value_range : 1.0;
-  space.min = 1e-6 * range;
-  space.max = 0.3 * range;
-  space.log_scale = true;
-  space.integer = false;
-  space.ratio_increases = true;
+ConfigSpace ZfpCompressor::config_space(double value_range) const {
+  ConfigSpace space = compressor_internal::ErrorBoundSpace(value_range);
   space.power_of_two_steps = true;  // see min_plane in CompressImpl
   return space;
 }

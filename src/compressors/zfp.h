@@ -31,7 +31,7 @@ namespace fxrz {
 class ZfpCompressor : public Compressor {
  public:
   std::string name() const override { return "zfp"; }
-  ConfigSpace config_space(const Tensor& data) const override;
+  ConfigSpace config_space(double value_range) const override;
 
   // Fixed-rate compression: exactly `bits_per_value` bits per element
   // (rounded up to whole bits per block). A rate outside (0, 34], an empty

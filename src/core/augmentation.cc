@@ -12,7 +12,7 @@ std::vector<StationaryPoint> CollectStationaryPoints(
     const Compressor& compressor, const Tensor& data,
     const AugmentationOptions& options) {
   FXRZ_CHECK_GE(options.num_stationary_points, 2);
-  const ConfigSpace space = compressor.config_space(data);
+  const ConfigSpace space = compressor.config_space(ValueRange(data));
 
   std::vector<StationaryPoint> points;
   points.reserve(options.num_stationary_points);

@@ -164,7 +164,7 @@ AdmissionReport AdmitTensor(const Tensor& data, double target_ratio) {
     report.status = Status::InvalidArgument(msg.str());
     return report;
   }
-  report.constant_field = lo == hi;
+  report.value_range = hi - lo;
   report.admitted = true;
   return report;
 }
@@ -286,7 +286,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
   GMetrics().target_ratio.Observe(target_ratio);
 
   const uint64_t tensor_bytes = data.size_bytes();
-  const ConfigSpace space = compressor_->config_space(data);
+  const ConfigSpace space = compressor_->config_space(admission.value_range);
   const double accept_error = std::max(options.accept_error, 0.0);
   GuardedResult result;
   // First skip of a memory-heavy tier marks the request degraded (once).
@@ -350,7 +350,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
   // fails invalidates its tier and the ladder escalates. The cheap
   // checksum tier (Compressor::VerifyIntegrity) runs first -- bitrot-class
   // corruption is caught without paying for a decode -- then the full
-  // decode check unless verify_checksum_only stops there.
+  // decode check when the memory budget allows it.
   auto verified = [&](const Attempt& attempt, const char* tier) -> bool {
     if (!options.verify_archive) return true;
     FXRZ_TRACE_SPAN("guard.verify");
@@ -360,8 +360,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
     // The decode half needs budget headroom for the decoded tensor; when
     // the budget is tight the verification degrades to checksum-only
     // rather than risking the very OOM the budget exists to prevent.
-    if (status.ok() && !options.verify_checksum_only &&
-        decode_verify_allowed()) {
+    if (status.ok() && decode_verify_allowed()) {
       Tensor decoded;
       status = compressor_->Decompress(attempt.bytes.data(),
                                        attempt.bytes.size(), &decoded);
@@ -390,7 +389,7 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
   // Constant-field fast path: the features are degenerate (zero range), so
   // the model has nothing to say -- any mid-range config reaches an
   // enormous ratio, which can only over-achieve the target.
-  if (admission.constant_field) {
+  if (admission.value_range == 0) {
     FXRZ_TRACE_SPAN("guard.constant_tier");
     StatusOr<Attempt> attempt =
         AttemptCompress(*compressor_, data, space, MidConfig(space));
@@ -418,14 +417,14 @@ StatusOr<GuardedResult> Fxrz::GuardedCompressToRatio(
   auto miss = [&](const Attempt& a) {
     return EstimationError(target_ratio, a.ratio);
   };
-  // Deadline/cancel fired mid-ladder. With an archive in hand and
-  // degrade_on_expiry set, serve it (flagged) rather than waste the work;
-  // otherwise propagate the checkpoint Status.
+  // Deadline/cancel fired mid-ladder. With an archive in hand, serve it
+  // (flagged) rather than waste the work; otherwise propagate the
+  // checkpoint Status.
   auto expire = [&](Status why) -> StatusOr<GuardedResult> {
     (why.code() == StatusCode::kCancelled ? GMetrics().cancelled
                                           : GMetrics().deadline_exceeded)
         .Increment();
-    if (options.degrade_on_expiry && have_best) {
+    if (have_best) {
       GMetrics().deadline_degraded.Increment();
       result.deadline_degraded = true;
       return accept(best_tier, std::move(best));

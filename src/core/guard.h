@@ -60,11 +60,12 @@ const char* ServingTierName(ServingTier tier);
 // Outcome of the admission scan.
 struct AdmissionReport {
   bool admitted = false;
-  // All finite values identical (incl. single-element tensors). Admitted,
-  // but served by the constant-field fast path: its degenerate features
-  // (zero range) are meaningless to the model, and any config reaches an
-  // enormous ratio anyway.
-  bool constant_field = false;
+  // max - min of the admitted tensor, bit-identical to ValueRange (data/
+  // statistics.h); the ladder's config_space reads it. Zero is a constant
+  // field (incl. single-element tensors): admitted, but served by the
+  // constant-field fast path, since its degenerate features are
+  // meaningless to the model and any config reaches an enormous ratio.
+  double value_range = 0.0;
   size_t nonfinite_values = 0;  // NaN/Inf sample count (rejected when > 0)
   Status status;                // why not admitted (OK when admitted)
 };
@@ -111,18 +112,17 @@ struct GuardOptions {
   // Costs one decompression per served request; off by default to keep
   // the fast path at exactly one compression.
   bool verify_archive = false;
-  // Stop verification after the cheap checksum tier and skip the decode
-  // check. Catches bitrot-class corruption at a fraction of the decode
-  // cost; only meaningful with verify_archive set.
-  bool verify_checksum_only = false;
   // Optional: every archive-producing request is recorded here
   // (target vs measured ratio), feeding the retraining recommendation.
   DriftMonitor* drift = nullptr;
   // Per-request time budget and cooperative cancel, checked before every
   // compression the ladder runs (model tier, each refine compression, each
   // search probe). Expiry between compressions -- never mid-compression; the
-  // checkpoints are cooperative -- ends the ladder early. Defaults: no
-  // deadline, no cancel.
+  // checkpoints are cooperative -- ends the ladder early: a request holding
+  // a lower tier's archive is served it, possibly outside accept_error and
+  // flagged GuardedResult::deadline_degraded, since a worse ratio beats no
+  // archive; a request holding none returns DeadlineExceeded/Cancelled.
+  // Defaults: no deadline, no cancel.
   Deadline deadline;
   const CancelToken* cancel = nullptr;
   // Memory admission control (see util/mem_budget.h). When set, the ladder
@@ -132,17 +132,10 @@ struct GuardOptions {
   // risking an OOM. The memory-heavy extras -- the decode half of archive
   // verification and the knob-search tier -- each need additional
   // headroom; when the budget cannot grant it they are skipped and the
-  // request is served anyway, flagged GuardedResult::memory_degraded.
+  // request is served anyway, flagged GuardedResult::memory_degraded
+  // (verification then stops after the checksum tier).
   // nullptr (default) disables memory accounting entirely.
   MemoryBudget* memory = nullptr;
-  // What expiry means when a lower tier already produced an archive: with
-  // degrade_on_expiry set (default) the request is served that archive --
-  // possibly outside accept_error, flagged via
-  // GuardedResult::deadline_degraded -- on the theory that a worse ratio
-  // beats no archive. Cleared, expiry always returns
-  // DeadlineExceeded/Cancelled. With no archive in hand the Status is
-  // returned either way.
-  bool degrade_on_expiry = true;
 };
 
 // A served request. Only produced together with a valid archive.
@@ -158,11 +151,12 @@ struct GuardedResult {
   bool low_confidence = false;       // gate tripped; model tiers skipped
   bool out_of_distribution = false;  // envelope component of the gate
   double knob_spread = 0.0;
-  // True when GuardOptions::verify_archive decode-checked this archive.
+  // True when GuardOptions::verify_archive verified this archive: always
+  // its checksum tier, and its decode check unless memory_degraded.
   bool archive_verified = false;
   // True when the deadline/cancel checkpoint ended the ladder early and the
   // request was served the best archive found so far (which may miss
-  // accept_error); see GuardOptions::degrade_on_expiry.
+  // accept_error); see GuardOptions::deadline.
   bool deadline_degraded = false;
   // True when a memory-heavy tier (knob search, decode-verify) was skipped
   // because GuardOptions::memory could not grant the extra headroom; the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <thread>
 
+#include "src/data/statistics.h"
 #include "src/encoding/bit_stream.h"
 #include "src/ml/adaboost.h"
 #include "src/store/container.h"
@@ -197,7 +198,7 @@ TrainingBreakdown FxrzModel::Train(const Compressor& compressor,
   for (size_t dataset_index = 0; dataset_index < datasets.size();
        ++dataset_index) {
     const Tensor* data = datasets[dataset_index];
-    const ConfigSpace space = compressor.config_space(*data);
+    const ConfigSpace space = compressor.config_space(ValueRange(*data));
     if (!space_shape_set) {
       log_scale_ = space.log_scale;
       integer_ = space.integer;

@@ -41,12 +41,12 @@ VerificationReport VerifyCompression(const Compressor& compressor,
   report.round_trip_ok = true;
   report.distortion = ComputeDistortion(data, rec);
 
-  const ConfigSpace space = compressor.config_space(data);
+  const SummaryStats stats = ComputeSummary(data);
+  const ConfigSpace space = compressor.config_space(stats.value_range);
   if (space.integer || !space.ratio_increases) {
     // Precision/PSNR-style knobs have no absolute-error contract here.
     report.error_bound_ok = true;
   } else {
-    const SummaryStats stats = ComputeSummary(data);
     const double slack =
         1e-5 * std::max(std::fabs(stats.min), std::fabs(stats.max)) + 1e-12;
     report.error_bound_ok = report.distortion.max_abs_error <= config + slack;

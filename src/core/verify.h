@@ -2,7 +2,7 @@
 //
 // One call that compresses, decompresses, and measures everything a user
 // (or a test) wants to assert about a (compressor, dataset, config) triple.
-// Used by the CLI and by integration tests.
+// Used by the tests.
 
 #ifndef FXRZ_CORE_VERIFY_H_
 #define FXRZ_CORE_VERIFY_H_

@@ -33,6 +33,17 @@ SummaryStats ComputeSummary(const Tensor& t) {
   return s;
 }
 
+double ValueRange(const Tensor& t) {
+  FXRZ_CHECK(!t.empty());
+  double lo = t[0], hi = t[0];
+  for (size_t i = 0; i < t.size(); ++i) {
+    const double v = t[i];
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  return hi - lo;
+}
+
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y) {
   FXRZ_CHECK_EQ(x.size(), y.size());

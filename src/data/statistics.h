@@ -27,6 +27,10 @@ struct SummaryStats {
 // Computes SummaryStats over all elements. Requires a non-empty tensor.
 SummaryStats ComputeSummary(const Tensor& t);
 
+// max - min over all elements in one pass, bit-identical to
+// ComputeSummary(t).value_range. Requires a non-empty tensor.
+double ValueRange(const Tensor& t);
+
 // Pearson product-moment correlation coefficient of two equal-length series.
 // Returns 0 when either series is constant.
 double PearsonCorrelation(const std::vector<double>& x,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/data/statistics.h"
 #include "src/util/check.h"
 #include "src/util/timer.h"
 
@@ -14,7 +15,7 @@ FrazResult FrazSearch(const Compressor& compressor, const Tensor& data,
   FXRZ_CHECK_GE(options.num_bins, 1);
   FXRZ_CHECK_GE(options.total_max_iterations, options.num_bins);
 
-  const ConfigSpace space = compressor.config_space(data);
+  const ConfigSpace space = compressor.config_space(ValueRange(data));
   const double knob_lo = space.log_scale ? std::log10(space.min) : space.min;
   const double knob_hi = space.log_scale ? std::log10(space.max) : space.max;
 

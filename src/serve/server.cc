@@ -161,11 +161,6 @@ StatusOr<uint64_t> FxrzServer::Submit(ServeRequest request) {
   Pending item;
   item.request = std::move(request);
   item.backend = &backend_it->second;
-  item.deadline = options_.default_deadline_seconds > 0.0
-                      ? Deadline::Earlier(
-                            item.request.deadline,
-                            Deadline::After(options_.default_deadline_seconds))
-                      : item.request.deadline;
   item.enqueued = Clock::now();
   item.bytes = item.request.data->size_bytes();
 
@@ -333,7 +328,7 @@ void FxrzServer::Process(Pending item) {
 Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
                                ServeReply* reply) {
   GuardOptions guard = options_.guard;
-  guard.deadline = item.deadline;
+  guard.deadline = item.request.deadline;
   guard.cancel = &cancel;
   // Memory admission: every attempt reserves the codec's estimated peak
   // working set against the server's budget (ResourceExhausted when it
@@ -345,7 +340,7 @@ Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
   Status last;
   for (;;) {
     ++reply->attempts;
-    last = CheckCancel(item.deadline, &cancel, "serve: dispatch");
+    last = CheckCancel(item.request.deadline, &cancel, "serve: dispatch");
     if (last.ok() && fault::Hit(fault::Site::kServeDispatch)) {
       last = Status::Unavailable("injected fault: serve dispatch");
     }
@@ -379,7 +374,7 @@ Status FxrzServer::RunAttempts(const Pending& item, const CancelToken& cancel,
         RetryBackoffSeconds(options_.retry, item.id, reply->attempts);
     // A backoff the deadline cannot cover would just convert this
     // (informative) transient failure into DeadlineExceeded; stop here.
-    if (backoff >= item.deadline.remaining_seconds()) return last;
+    if (backoff >= item.request.deadline.remaining_seconds()) return last;
     SMetrics().retries.Increment();
     if (backoff > 0.0) {
       const Clock::time_point until =

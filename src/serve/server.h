@@ -12,10 +12,10 @@
 //   fairness     -- requests carry a tenant key; dispatch round-robins
 //       across tenants with queued work, so one chatty tenant cannot
 //       starve the rest no matter how deep its backlog.
-//   deadlines    -- each request's Deadline (combined with the server-wide
-//       default) and cancel token thread through the guard escalation
-//       ladder via cooperative checkpoints; an expired request degrades or
-//       fails between compressions instead of pinning a worker.
+//   deadlines    -- each request's Deadline and cancel token thread
+//       through the guard escalation ladder via cooperative checkpoints;
+//       an expired request degrades or fails between compressions instead
+//       of pinning a worker.
 //   retries      -- transient failures (StatusIsRetryable: injected
 //       backend faults, tripped breakers, overload) are retried up to
 //       RetryOptions::max_attempts with deterministic exponential backoff;
@@ -77,10 +77,6 @@ struct ServeOptions {
   size_t max_queue_depth = 256;
   // Worker slots draining the queue; 0 sizes to the pool's thread count.
   size_t max_concurrency = 0;
-  // Deadline applied to every request (from submission time) when the
-  // request itself carries none, or tightened to whichever is earlier when
-  // it does. 0 = no server-wide deadline.
-  double default_deadline_seconds = 0.0;
   // Base guard policy. The per-request deadline/cancel fields are
   // overwritten by the server; everything else applies as-is.
   GuardOptions guard;
@@ -138,9 +134,9 @@ struct ServeRequest {
   // Borrowed; must stay alive until the callback runs.
   const Tensor* data = nullptr;
   double target_ratio = 0.0;
-  // Optional per-request deadline (combined with the server default) and
-  // caller-held cancel token (chained with the server's force-cancel
-  // drain control via a per-request child token).
+  // Optional per-request deadline and caller-held cancel token (chained
+  // with the server's force-cancel drain control via a per-request child
+  // token).
   Deadline deadline;
   const CancelToken* cancel = nullptr;
   ServeCallback callback;
@@ -214,7 +210,6 @@ class FxrzServer {
     uint64_t id = 0;
     ServeRequest request;
     Backend* backend = nullptr;
-    Deadline deadline;  // request deadline combined with the server default
     Clock::time_point enqueued{};
     size_t bytes = 0;  // tensor bytes, the unit the byte quota charges in
   };

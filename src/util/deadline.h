@@ -55,13 +55,6 @@ class Deadline {
   // triggers overflow bugs in some standard libraries).
   Clock::time_point time_point() const { return when_; }
 
-  // The earlier of the two deadlines.
-  static Deadline Earlier(const Deadline& a, const Deadline& b) {
-    if (a.infinite_) return b;
-    if (b.infinite_) return a;
-    return a.when_ <= b.when_ ? a : b;
-  }
-
  private:
   explicit Deadline(Clock::time_point when) : infinite_(false), when_(when) {}
 

@@ -20,6 +20,7 @@
 
 #include "src/compressors/compressor.h"
 #include "src/data/generators/nyx.h"
+#include "src/data/statistics.h"
 #include "src/data/tensor.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
@@ -129,7 +130,7 @@ constexpr ArchiveCase kArchives[] = {
 
 std::vector<uint8_t> Archive(const Compressor& comp, const ArchiveCase& c) {
   const Tensor& data = Field(c.field);
-  const double config = ConfigAt(comp.config_space(data), c.config);
+  const double config = ConfigAt(comp.config_space(ValueRange(data)), c.config);
   StatusOr<std::vector<uint8_t>> out = comp.Compress(data, config);
   EXPECT_TRUE(out.ok()) << c.codec << ": " << out.status().ToString();
   return out.ok() ? std::move(out).value() : std::vector<uint8_t>();

@@ -12,6 +12,7 @@
 
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/util/random.h"
 
 namespace fxrz {
@@ -22,7 +23,7 @@ class CorruptionFuzzTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(CorruptionFuzzTest, RandomBitFlipsNeverCrash) {
   const auto comp = MakeCompressor(GetParam());
   const Tensor data = GaussianRandomField3D(16, 16, 16, 3.0, 701);
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config =
       space.integer ? 12 : std::sqrt(space.min * space.max);
   const std::vector<uint8_t> bytes = comp->Compress(data, config).value();
@@ -48,7 +49,7 @@ TEST_P(CorruptionFuzzTest, RandomBitFlipsNeverCrash) {
 TEST_P(CorruptionFuzzTest, EveryTruncationLengthHandled) {
   const auto comp = MakeCompressor(GetParam());
   const Tensor data = GaussianRandomField3D(8, 8, 8, 3.0, 703);
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config =
       space.integer ? 12 : std::sqrt(space.min * space.max);
   const std::vector<uint8_t> bytes = comp->Compress(data, config).value();

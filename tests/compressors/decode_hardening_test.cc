@@ -16,6 +16,7 @@
 #include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
 #include "src/store/field_store.h"
@@ -47,7 +48,7 @@ class DecodeHardeningTest : public ::testing::TestWithParam<std::string> {
 
   std::vector<uint8_t> CompressSample(Compressor& comp,
                                       const Tensor& data) const {
-    const ConfigSpace space = comp.config_space(data);
+    const ConfigSpace space = comp.config_space(ValueRange(data));
     const double config =
         space.integer ? 12 : std::sqrt(space.min * space.max);
     return comp.Compress(data, config).value();

@@ -71,7 +71,7 @@ TEST(NonFiniteTensorTest, DirectCompressRejectsOrKeepsFinitePointsInBound) {
   for (const char* name : {"sz", "sz3", "zfp", "fpzip", "mgard"}) {
     SCOPED_TRACE(name);
     const std::unique_ptr<Compressor> comp = MakeCompressor(name);
-    const ConfigSpace space = comp->config_space(clean);
+    const ConfigSpace space = comp->config_space(ValueRange(clean));
     const double config = space.integer
                               ? std::round(0.5 * (space.min + space.max))
                               : std::sqrt(space.min * space.max);

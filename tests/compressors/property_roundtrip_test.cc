@@ -111,7 +111,7 @@ TEST_P(PropertyRoundTripTest, SeededSweepHonorsContractAndMetrics) {
                  std::to_string(case_seed));
     Rng rng(case_seed);
     const Tensor data = RandomTensor(rng);
-    const ConfigSpace space = codec->config_space(data);
+    const ConfigSpace space = codec->config_space(ValueRange(data));
     const double config = RandomConfig(rng, space);
     const SummaryStats stats = ComputeSummary(data);
 

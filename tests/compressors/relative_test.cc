@@ -33,7 +33,7 @@ TEST(RelativeErrorTest, NameAndSpace) {
   RelativeErrorCompressor rel(MakeCompressor("mgard"));
   EXPECT_EQ(rel.name(), "mgard-rel");
   const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 502);
-  const ConfigSpace space = rel.config_space(g);
+  const ConfigSpace space = rel.config_space(ValueRange(g));
   EXPECT_EQ(space.min, 1e-6);
   EXPECT_EQ(space.max, 0.3);
   EXPECT_TRUE(space.log_scale);
@@ -71,7 +71,7 @@ TEST(RelativeErrorTest, FxrzRunsOnTopOfAdapter) {
 TEST(RelativeErrorDeathTest, RejectsIntegerKnobBase) {
   RelativeErrorCompressor rel(MakeCompressor("fpzip"));
   const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 507);
-  EXPECT_DEATH(rel.config_space(g), "");
+  EXPECT_DEATH(rel.config_space(ValueRange(g)), "");
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #include <tuple>
 #include <vector>
 
+#include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
+#include "src/compressors/psnr.h"
+#include "src/compressors/relative.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 #include "src/data/tensor.h"
@@ -98,7 +101,7 @@ class CompressorRoundTripTest
 TEST_P(CompressorRoundTripTest, ShapeAndFiniteness) {
   const auto comp = compressor();
   const Tensor data = dataset();
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.integer
                             ? std::round((space.min + space.max) / 2)
                             : std::sqrt(space.min * space.max);
@@ -116,7 +119,7 @@ TEST_P(CompressorRoundTripTest, ShapeAndFiniteness) {
 TEST_P(CompressorRoundTripTest, ErrorBoundHonoredAcrossConfigs) {
   const auto comp = compressor();
   const Tensor data = dataset();
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const SummaryStats stats = ComputeSummary(data);
 
   for (double f : {0.0, 0.25, 0.5, 0.75, 1.0}) {
@@ -159,7 +162,7 @@ TEST_P(CompressorRoundTripTest, RatioRespondsMonotonicallyToConfig) {
   const Tensor data = dataset();
   const std::string kind = std::get<1>(GetParam());
   if (kind == "constant") GTEST_SKIP() << "ratio saturates on constant data";
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
 
   std::vector<double> ratios;
   for (double f : {0.05, 0.5, 0.95}) {
@@ -186,7 +189,7 @@ TEST_P(CompressorRoundTripTest, RatioRespondsMonotonicallyToConfig) {
 TEST_P(CompressorRoundTripTest, RejectsCorruptHeader) {
   const auto comp = compressor();
   const Tensor data = dataset();
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config =
       space.integer ? std::round((space.min + space.max) / 2)
                     : std::sqrt(space.min * space.max);
@@ -220,12 +223,53 @@ TEST(CompressorRegistryTest, MakeAllNames) {
   }
 }
 
+// The knob range is a function of the value range alone: the error-bound
+// codecs scale [1e-6, 0.3] by it (by 1 for a zero range), fpzip and the
+// relative/PSNR adapters ignore it, and the chunked decorator passes it to
+// its base. Both ends are exact, and the shape flags never move.
+TEST(CompressorRegistryTest, ConfigSpaceDependsOnlyOnTheValueRange) {
+  struct Expected {
+    std::unique_ptr<Compressor> codec;
+    bool scales = false;  // min/max = {lo, hi} x range, else {lo, hi}
+    double lo = 0.0, hi = 0.0;
+    bool log_scale = true, integer = false, ratio_increases = true;
+    bool power_of_two_steps = false;
+  };
+  std::vector<Expected> cases;
+  for (const char* name : {"sz", "sz3", "mgard"}) {
+    cases.push_back({MakeCompressor(name), true, 1e-6, 0.3});
+  }
+  cases.push_back({MakeCompressor("zfp"), true, 1e-6, 0.3, true, false, true,
+                   true});
+  cases.push_back({MakeCompressor("fpzip"), false, 4, 32, false, true, false});
+  cases.push_back({std::make_unique<RelativeErrorCompressor>(
+                       MakeCompressor("sz")),
+                   false, 1e-6, 0.3});
+  cases.push_back({std::make_unique<PsnrBoundCompressor>(MakeCompressor("sz")),
+                   false, 20, 120, false, false, false});
+  cases.push_back({std::make_unique<ChunkedCompressor>(MakeCompressor("zfp")),
+                   true, 1e-6, 0.3, true, false, true, true});
+  for (const Expected& c : cases) {
+    for (double r : {0.0, 1e-30, 1.0, 3.5e38}) {
+      SCOPED_TRACE(c.codec->name() + " at range " + std::to_string(r));
+      const double scale = !c.scales ? 1.0 : r > 0 ? r : 1.0;
+      const ConfigSpace space = c.codec->config_space(r);
+      EXPECT_EQ(space.min, c.lo * scale);
+      EXPECT_EQ(space.max, c.hi * scale);
+      EXPECT_EQ(space.log_scale, c.log_scale);
+      EXPECT_EQ(space.integer, c.integer);
+      EXPECT_EQ(space.ratio_increases, c.ratio_increases);
+      EXPECT_EQ(space.power_of_two_steps, c.power_of_two_steps);
+    }
+  }
+}
+
 TEST(CompressorRegistryTest, CrossCompressorStreamsRejected) {
   const Tensor data = MakeDataset("smooth3d");
   const auto sz = MakeCompressor("sz");
   const auto zfp = MakeCompressor("zfp");
   const std::vector<uint8_t> bytes =
-      sz->Compress(data, sz->config_space(data).min * 10).value();
+      sz->Compress(data, sz->config_space(ValueRange(data)).min * 10).value();
   Tensor rec;
   EXPECT_FALSE(zfp->Decompress(bytes.data(), bytes.size(), &rec).ok());
 }

@@ -17,6 +17,7 @@
 
 #include "src/compressors/compressor.h"
 #include "src/compressors/relative.h"
+#include "src/data/statistics.h"
 #include "src/data/tensor.h"
 #include "src/util/random.h"
 #include "tests/compressors/golden_hash.h"
@@ -113,7 +114,7 @@ TEST_P(SimdEquivalenceTest, ArchivesAndDecodesAreBitIdentical) {
       name == "relative"
           ? std::make_unique<RelativeErrorCompressor>(MakeCompressor("sz"))
           : MakeCompressor(name);
-  const ConfigSpace space = comp->config_space(data);
+  const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.integer
                             ? std::round(0.5 * (space.min + space.max))
                             : std::sqrt(space.min * space.max);

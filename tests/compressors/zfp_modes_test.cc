@@ -75,7 +75,7 @@ TEST(ZfpStairwiseTest, RatioCurveHasFlatSteps) {
   // rather than change at every step like SZ.
   const Tensor g = GaussianRandomField3D(16, 16, 16, 3.0, 104);
   ZfpCompressor zfp;
-  const ConfigSpace space = zfp.config_space(g);
+  const ConfigSpace space = zfp.config_space(ValueRange(g));
   int flat_steps = 0;
   double prev = -1.0;
   for (int i = 0; i < 40; ++i) {

@@ -7,6 +7,7 @@
 
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 
 namespace fxrz {
 namespace {
@@ -27,7 +28,7 @@ TEST(StationaryPointsTest, SpanConfigSpaceAndAreMonotone) {
   opts.num_stationary_points = 10;
   const auto points = CollectStationaryPoints(*sz, g, opts);
   ASSERT_EQ(points.size(), 10u);
-  const ConfigSpace space = sz->config_space(g);
+  const ConfigSpace space = sz->config_space(ValueRange(g));
   EXPECT_NEAR(points.front().config, space.min, space.min * 1e-6);
   EXPECT_NEAR(points.back().config, space.max, space.max * 1e-6);
   // Ratio grows (weakly) with the error bound.

@@ -18,6 +18,7 @@
 #include "src/data/generators/grf.h"
 #include "src/serve/server.h"
 #include "src/util/fault_injection.h"
+#include "src/util/mem_budget.h"
 #include "tests/core/hooked_compressor.h"
 
 namespace fxrz {
@@ -193,8 +194,8 @@ TEST_F(FaultLadderTest, ArchiveFailingVerificationIsNeverDegradeServed) {
   // The model-tier archive meets the (loose) target but fails its decode
   // check, so it is invalid. The request is cancelled during that
   // compression, so the checkpoint before the search's first probe fires:
-  // degrade_on_expiry has no valid archive to fall back on, and the
-  // request must resolve Cancelled rather than serve it.
+  // expiry has no valid archive to degrade to, and the request must
+  // resolve Cancelled rather than serve it.
   auto hooked = std::make_unique<HookedCompressor>(MakeCompressor("sz"));
   HookedCompressor* hook = hooked.get();
   Fxrz pipeline(std::move(hooked));
@@ -222,23 +223,30 @@ TEST_F(FaultLadderTest, ArchiveFailingVerificationIsNeverDegradeServed) {
 }
 
 TEST_F(FaultLadderTest, ChecksumOnlyVerificationNeverDecodes) {
-  // The cheap verification tier must not pay for an entropy decode: the
-  // decompress fault site is never even visited.
+  // A budget of exactly the base reservation admits the request but denies
+  // the decode half of verification its headroom (one more tensor), so
+  // verification stops after the checksum tier: the decompress fault site
+  // is never even visited.
+  const Tensor& test = (*fields_)[3];
+  MemoryBudget budget(
+      EstimatePeakBytes(fxrz_->compressor().name(), test.size_bytes()));
   GuardOptions options = OpenGate();
   options.verify_archive = true;
-  options.verify_checksum_only = true;
+  options.memory = &budget;
   const StatusOr<GuardedResult> r =
-      fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
+      fxrz_->GuardedCompressToRatio(test, MidTarget(), options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.value().archive_verified);
+  EXPECT_TRUE(r.value().memory_degraded);
   EXPECT_EQ(fault::HitCount(Site::kCompressorDecompress), 0u);
 
   // Full verification does decode.
   fault::ResetAll();
-  options.verify_checksum_only = false;
+  options.memory = nullptr;
   const StatusOr<GuardedResult> full =
-      fxrz_->GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
+      fxrz_->GuardedCompressToRatio(test, MidTarget(), options);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_FALSE(full.value().memory_degraded);
   EXPECT_GE(fault::HitCount(Site::kCompressorDecompress), 1u);
 }
 
@@ -253,18 +261,27 @@ TEST_F(FaultLadderTest, BitrotAtChecksumTierInvalidatesTheArchive) {
   ASSERT_TRUE(fxrz_->model().SaveToBytes(&blob).ok());
   ASSERT_TRUE(chunked.model().LoadFromBytes(blob.data(), blob.size()).ok());
 
+  // The base reservation plus one tensor: the model tier's checksum
+  // failure asks for no decode, the search tier takes the tensor of
+  // headroom, and every later decode check is denied, so verification
+  // stays checksum-only throughout.
+  const Tensor& test = (*fields_)[3];
+  MemoryBudget budget(
+      EstimatePeakBytes(chunked.compressor().name(), test.size_bytes()) +
+      test.size_bytes());
   GuardOptions options = OpenGate();
   options.verify_archive = true;
-  options.verify_checksum_only = true;
+  options.memory = &budget;
   fault::Arm(Site::kBitrot, /*skip=*/0, /*count=*/1);
   const StatusOr<GuardedResult> r =
-      chunked.GuardedCompressToRatio((*fields_)[3], MidTarget(), options);
+      chunked.GuardedCompressToRatio(test, MidTarget(), options);
   EXPECT_EQ(fault::TriggeredCount(Site::kBitrot), 1u)
       << "the checksum tier must have consulted a CRC";
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_NE(r.value().tier, ServingTier::kModelEstimate)
       << "the bitrot-failed first archive cannot be the one served";
   EXPECT_TRUE(r.value().archive_verified);
+  EXPECT_TRUE(r.value().memory_degraded);
   EXPECT_EQ(fault::HitCount(Site::kCompressorDecompress), 0u);
 }
 

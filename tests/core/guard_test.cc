@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "src/compressors/compressor.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 
 namespace fxrz {
 namespace {
@@ -57,11 +59,39 @@ TEST(AdmissionTest, FlagsConstantFields) {
   for (size_t i = 0; i < constant.size(); ++i) constant[i] = 2.5f;
   const AdmissionReport r = AdmitTensor(constant, 20.0);
   EXPECT_TRUE(r.admitted);
-  EXPECT_TRUE(r.constant_field);
+  EXPECT_EQ(r.value_range, 0.0);
 
   const AdmissionReport normal = AdmitTensor(SmallField(13), 20.0);
   EXPECT_TRUE(normal.admitted);
-  EXPECT_FALSE(normal.constant_field);
+  EXPECT_GT(normal.value_range, 0.0);
+}
+
+// The admission scan's range is the one the ladder hands config_space, so
+// it must equal ComputeSummary's (and ValueRange's) to the bit, or the
+// served configs, and with them the archive bytes, would move.
+TEST(AdmissionTest, ValueRangeMatchesTheSummaryBitForBit) {
+  auto fill = [](std::vector<float> values) {
+    Tensor t({values.size()});
+    for (size_t i = 0; i < values.size(); ++i) t[i] = values[i];
+    return t;
+  };
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<Tensor> fixtures = {
+      fill(std::vector<float>(64, 2.5f)),           // constant field
+      fill({-3.75f}),                               // single element
+      fill({-7.5f, -0.25f, -1e30f, -2.0f}),         // all negative
+      fill({-1.5f, 3.25f, 0.0f, -0.0f, 1e-3f}),     // mixed sign
+      fill({tiny, 3 * tiny, -5 * tiny, 0.0f}),      // subnormal
+      SmallField(14)};
+  for (const Tensor& t : fixtures) {
+    const AdmissionReport r = AdmitTensor(t, 20.0);
+    ASSERT_TRUE(r.admitted);
+    const double summary = ComputeSummary(t).value_range;
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.value_range),
+              std::bit_cast<uint64_t>(summary));
+    EXPECT_EQ(std::bit_cast<uint64_t>(ValueRange(t)),
+              std::bit_cast<uint64_t>(summary));
+  }
 }
 
 TEST(EstimationErrorTest, GuardsNonPositiveTarget) {

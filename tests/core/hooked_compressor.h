@@ -31,8 +31,8 @@ class HookedCompressor : public Compressor {
       : base_(std::move(base)) {}
 
   std::string name() const override { return base_->name(); }
-  ConfigSpace config_space(const Tensor& data) const override {
-    return base_->config_space(data);
+  ConfigSpace config_space(double value_range) const override {
+    return base_->config_space(value_range);
   }
 
   // Arms the hook and restarts the run count and the config record. Set

@@ -18,6 +18,7 @@
 #include "src/core/guard.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/util/metrics.h"
 #include "tests/core/hooked_compressor.h"
 
@@ -99,7 +100,7 @@ std::vector<Tensor>* KnobSearchTest::fields_ = nullptr;
 
 TEST_F(KnobSearchTest, CeilingOnContinuousKnobIsOutOfRange) {
   const std::unique_ptr<Fxrz> sz = Trained("sz");
-  const ConfigSpace space = sz->compressor().config_space(Query());
+  const ConfigSpace space = sz->compressor().config_space(ValueRange(Query()));
   const double ceiling = RatioAt(sz->compressor(), Query(), space.max);
   ASSERT_LT(ceiling * 1.5, 1e6);
   const Outcome o = Serve(*sz, Query(), 1e6);
@@ -113,7 +114,8 @@ TEST_F(KnobSearchTest, FloorOnIntegerKnobIsOutOfRange) {
   // tight accept_error its floor, at the maximum precision, misses the
   // lowest admissible target.
   const std::unique_ptr<Fxrz> fpzip = Trained("fpzip");
-  const ConfigSpace space = fpzip->compressor().config_space(Query());
+  const ConfigSpace space =
+      fpzip->compressor().config_space(ValueRange(Query()));
   const double floor = RatioAt(fpzip->compressor(), Query(), space.max);
   GuardOptions options;
   options.accept_error = 0.02;
@@ -127,7 +129,8 @@ TEST_F(KnobSearchTest, FloorOnIntegerKnobIsOutOfRange) {
 TEST_F(KnobSearchTest, CeilingOnIntegerKnobIsOutOfRange) {
   // fpzip's ratio falls as precision grows: its ceiling is the minimum.
   const std::unique_ptr<Fxrz> fpzip = Trained("fpzip");
-  const ConfigSpace space = fpzip->compressor().config_space(Query());
+  const ConfigSpace space =
+      fpzip->compressor().config_space(ValueRange(Query()));
   ASSERT_TRUE(space.integer);
   const double ceiling = RatioAt(fpzip->compressor(), Query(), space.min);
   const Outcome o = Serve(*fpzip, Query(), 1e4);
@@ -140,7 +143,7 @@ TEST_F(KnobSearchTest, TargetBetweenStairsOnStairwiseKnobIsOutOfRange) {
   // leaves their geometric mean out of accept_error from both.
   const std::unique_ptr<Fxrz> zfp = Trained("zfp");
   const Compressor& codec = zfp->compressor();
-  const ConfigSpace space = codec.config_space(Query());
+  const ConfigSpace space = codec.config_space(ValueRange(Query()));
   ASSERT_TRUE(space.power_of_two_steps);
   const double accept = GuardOptions().accept_error;
   double lower = 0.0, upper = 0.0, target = 0.0;
@@ -174,7 +177,7 @@ TEST_F(KnobSearchTest, ReachableTargetBetweenProbesIsServed) {
     SCOPED_TRACE(name);
     const Fxrz fxrz(MakeCompressor(name));
     const Compressor& codec = fxrz.compressor();
-    const ConfigSpace space = codec.config_space(Query());
+    const ConfigSpace space = codec.config_space(ValueRange(Query()));
     const double config =
         space.integer
             ? std::round(space.min + 0.25 * (space.max - space.min))
@@ -210,7 +213,8 @@ TEST_F(KnobSearchTest, UntrainedSearchStartsAtTheMidpoint) {
   const Outcome o = Serve(untrained, Query(), 20.0);
   ASSERT_TRUE(o.result.ok()) << o.result.status().ToString();
   EXPECT_EQ(o.result.value().tier, ServingTier::kKnobSearch);
-  const ConfigSpace space = untrained.compressor().config_space(Query());
+  const ConfigSpace space =
+      untrained.compressor().config_space(ValueRange(Query()));
   ASSERT_FALSE(hook->configs().empty());
   EXPECT_DOUBLE_EQ(hook->configs()[0], std::sqrt(space.min * space.max));
 }

@@ -9,6 +9,7 @@
 
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 
 namespace fxrz {
 namespace {
@@ -44,7 +45,7 @@ TEST_F(FxrzModelTest, EstimateWithinConfigSpace) {
   FxrzModel model;
   const auto sz = MakeCompressor("sz");
   model.Train(*sz, train_);
-  const ConfigSpace space = sz->config_space(fields_[0]);
+  const ConfigSpace space = sz->config_space(ValueRange(fields_[0]));
   for (double tcr : {3.0, 10.0, 50.0}) {
     const double config = model.EstimateWithConfidence(fields_[0], tcr).config;
     EXPECT_GE(config, space.min * 0.5);

@@ -88,7 +88,7 @@ TEST(PsnrAdapterTest, AchievedPsnrTracksKnob) {
 TEST(PsnrAdapterTest, ConfigSpaceShape) {
   PsnrBoundCompressor comp(MakeCompressor("mgard"));
   const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 806);
-  const ConfigSpace space = comp.config_space(g);
+  const ConfigSpace space = comp.config_space(ValueRange(g));
   EXPECT_FALSE(space.log_scale);
   EXPECT_FALSE(space.integer);
   EXPECT_FALSE(space.ratio_increases);

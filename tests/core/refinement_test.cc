@@ -13,6 +13,7 @@
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
 #include "src/data/generators/nyx.h"
+#include "src/data/statistics.h"
 
 namespace fxrz {
 namespace {
@@ -100,7 +101,7 @@ TEST(PaperPolicyTest, MatchesOneClampedCompressionAcrossCodecs) {
   for (const std::string name : {"sz", "sz3", "zfp", "fpzip", "mgard"}) {
     Fxrz fxrz(MakeCompressor(name));
     fxrz.Train({&fields[0], &fields[1]});
-    const ConfigSpace space = fxrz.compressor().config_space(test);
+    const ConfigSpace space = fxrz.compressor().config_space(ValueRange(test));
     for (double tcr : fxrz.model().ValidTargetRatios(3)) {
       double config = fxrz.model().EstimateWithConfidence(test, tcr).config;
       if (space.integer) config = std::round(config);

@@ -9,6 +9,7 @@
 #include "src/compressors/psnr.h"
 #include "src/compressors/relative.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 
 namespace fxrz {
 namespace {
@@ -19,7 +20,7 @@ class VerifyAllCompressorsTest : public ::testing::TestWithParam<std::string> {
 TEST_P(VerifyAllCompressorsTest, ReportsHealthyRoundTrip) {
   const auto comp = MakeCompressor(GetParam());
   const Tensor g = GaussianRandomField3D(16, 16, 16, 3.0, 991);
-  const ConfigSpace space = comp->config_space(g);
+  const ConfigSpace space = comp->config_space(ValueRange(g));
   const double config =
       space.integer ? 16 : std::sqrt(space.min * space.max);
   const VerificationReport report = VerifyCompression(*comp, g, config);

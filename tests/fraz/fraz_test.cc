@@ -1,3 +1,4 @@
+#include "src/data/statistics.h"
 #include "src/fraz/fraz.h"
 
 #include <gtest/gtest.h>
@@ -38,7 +39,7 @@ TEST_F(FrazTest, EarlyExitOnTolerance) {
 
 TEST_F(FrazTest, ConfigInsideSpace) {
   const auto zfp = MakeCompressor("zfp");
-  const ConfigSpace space = zfp->config_space(field_);
+  const ConfigSpace space = zfp->config_space(ValueRange(field_));
   const FrazResult r = FrazSearch(*zfp, field_, 8.0, {});
   EXPECT_GE(r.config, space.min);
   EXPECT_LE(r.config, space.max);

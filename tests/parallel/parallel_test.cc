@@ -7,6 +7,7 @@
 #include "src/core/features.h"
 #include "src/core/pipeline.h"
 #include "src/data/generators/grf.h"
+#include "src/data/statistics.h"
 #include "src/parallel/dump.h"
 #include "src/parallel/io_model.h"
 #include "src/util/fault_injection.h"
@@ -166,7 +167,7 @@ TEST(DumpClampTest, FxrzDumpsTheLaddersArchiveInsideTheConfigSpace) {
   fxrz.Train({&fields[0], &fields[1], &fields[2]});
   Tensor scaled = fields[3];
   for (size_t i = 0; i < scaled.size(); ++i) scaled[i] *= 1e-3f;
-  const ConfigSpace space = fxrz.compressor().config_space(scaled);
+  const ConfigSpace space = fxrz.compressor().config_space(ValueRange(scaled));
   ASSERT_GT(fxrz.model().EstimateWithConfidence(scaled, 20.0).config,
             space.max);
   const GuardedResult served =

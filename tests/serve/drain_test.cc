@@ -115,20 +115,20 @@ TEST_F(DrainTest, QueuedStragglersResolveCancelled) {
 }
 
 // An in-flight straggler: the request blocks inside its model-tier
-// compression (via the codec hook) past the drain deadline; the force
-// phase cancels its token and the ladder's checkpoint before the search's
-// first probe resolves it.
+// compression (via the codec hook) past the drain deadline, and that
+// compression then fails, so the request holds no archive to degrade to;
+// the force phase cancels its token and the ladder's checkpoint before the
+// search's first probe resolves it.
 TEST_F(DrainTest, InFlightStragglerIsForceCancelled) {
   std::atomic<bool> release{false};
   ServeOptions options;
   options.guard.accept_error = 1e-9;          // push into the search tier
   options.guard.max_refine_compressions = 0;
-  options.guard.degrade_on_expiry = false;    // cancel must surface as such
   hooked_->set_hook([&release](int) {
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return Status::Ok();
+    return Status::Unavailable("backend lost");
   });
   FxrzServer server(*fxrz_, options);
 
@@ -155,8 +155,8 @@ TEST_F(DrainTest, InFlightStragglerIsForceCancelled) {
   EXPECT_EQ(report.cancelled, 1u);
   EXPECT_TRUE(fired.load());
   // The request resolved terminally Cancelled: either force-cancelled
-  // mid-ladder (degrade disabled above, so the model-tier archive is not
-  // served) or, if dispatch raced the deadline, at the dispatch checkpoint.
+  // mid-ladder (with no archive in hand to degrade to) or, if dispatch
+  // raced the deadline, at the dispatch checkpoint.
   EXPECT_EQ(code.load(), static_cast<int>(StatusCode::kCancelled));
 }
 

@@ -356,20 +356,19 @@ TEST_F(ServerTest, MemoryBudgetExhaustionIsRetryableResourceExhausted) {
 }
 
 TEST_F(ServerTest, ServerDeadlineAppliesToQueuedRequests) {
-  ServeOptions options;
-  options.default_deadline_seconds = 0.005;
-  FxrzServer server(*fxrz_, options);
+  FxrzServer server(*fxrz_);
   server.Pause();
 
   ServeReply reply;
   bool fired = false;
   ServeRequest request = Request(fields_[0]);
+  request.deadline = Deadline::After(0.005);
   request.callback = [&reply, &fired](ServeReply r) {
     reply = std::move(r);
     fired = true;
   };
   ASSERT_TRUE(server.Submit(std::move(request)).ok());
-  // Let the server-wide deadline expire while the request is queued.
+  // Let the request's deadline expire while it is queued.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   server.Resume();
   server.Shutdown();

@@ -42,7 +42,7 @@ class FieldStoreTest : public ::testing::Test {
 TEST_F(FieldStoreTest, FixedConfigRoundTrip) {
   FieldStoreWriter writer("sz");
   const auto sz = MakeCompressor("sz");
-  const double eb = sz->config_space(fields_[3]).min * 100;
+  const double eb = sz->config_space(ValueRange(fields_[3])).min * 100;
   ASSERT_TRUE(writer.AddFieldFixedConfig("density", fields_[3], eb).ok());
 
   FieldStoreReader reader;
@@ -100,7 +100,8 @@ TEST_F(FieldStoreTest, FixedRatioConfigStaysInTheFieldsConfigSpace) {
   // into config_space before compressing.
   Tensor scaled = fields_[3];
   for (size_t i = 0; i < scaled.size(); ++i) scaled[i] *= 1e-3f;
-  const ConfigSpace space = fxrz_->compressor().config_space(scaled);
+  const ConfigSpace space =
+      fxrz_->compressor().config_space(ValueRange(scaled));
   ASSERT_GT(fxrz_->model().EstimateWithConfidence(scaled, 20.0).config,
             space.max);
   FieldStoreWriter writer("sz");
@@ -152,7 +153,7 @@ TEST_F(FieldStoreTest, MultipleFieldsIndependentlyReadable) {
   FieldStoreWriter writer("zfp");
   const auto zfp = MakeCompressor("zfp");
   for (size_t i = 0; i < fields_.size(); ++i) {
-    const double eb = zfp->config_space(fields_[i]).min * 50;
+    const double eb = zfp->config_space(ValueRange(fields_[i])).min * 50;
     ASSERT_TRUE(writer
                     .AddFieldFixedConfig("field" + std::to_string(i),
                                          fields_[i], eb)

@@ -254,7 +254,6 @@ int Stats(const std::string& dir, const std::string& golden_dir) {
   DriftMonitor drift;
   GuardOptions options;
   options.verify_archive = true;
-  options.verify_checksum_only = false;
   options.drift = &drift;
 
   const Tensor query = GaussianRandomField3D(16, 16, 16, 3.0, 9004);
