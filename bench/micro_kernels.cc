@@ -7,7 +7,9 @@
 //   * --kernels: the per-kernel throughput harness. Times every codec's
 //     compress/decompress path, both entropy coders, and zlite over the
 //     body sz hands it, at 64^3 and 256^3; reports GB/s of uncompressed
-//     data moved (for zlite, of its input body), optionally writes the
+//     data moved (for zlite, of its input body) as the best of 5 reps,
+//     timed round-robin across all rows of a grid so a slow phase of the
+//     host is spread over every row; optionally writes the
 //     results as JSON (--json FILE) and gates them against a checked-in
 //     baseline (--gate FILE [--tolerance T]). The gate fails a kernel only
 //     when it drops below tolerance * baseline -- it exists to catch
@@ -16,11 +18,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -267,23 +271,45 @@ struct KernelResult {
   double gbps = 0.0;
 };
 
-// Wall-clock best-of-N: the minimum is the least-noise estimator on a
-// machine with background load.
-double BestSeconds(int reps, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    fn();
-    best = std::min(best, timer.Seconds());
-  }
-  return best;
-}
-
 // Every harness codec runs at the geometric middle of its config space
 // (precision 16 for integer knobs).
 double BenchConfig(const Compressor& comp, const Tensor& data) {
   const ConfigSpace space = comp.config_space(ValueRange(data));
   return space.integer ? 16 : std::sqrt(space.min * space.max);
+}
+
+// One timed row of the harness: `rep` runs the kernel once over `bytes` of
+// input.
+struct TimedRow {
+  std::string name;
+  double bytes = 0.0;
+  std::function<void()> rep;
+  double best_s = 1e300;
+};
+
+// Reps per row. Each round times every row once, so a slow phase of the
+// host lands on one rep of every row instead of all reps of a few rows,
+// and the best of kRounds keeps the least-noise rep of each.
+constexpr int kRounds = 5;
+
+// Times `rows` round-robin and appends each row's best throughput, in row
+// order. Every row has run once before (its setup built or checked the
+// data it times), which absorbs first-touch effects.
+void TimeInterleaved(std::vector<TimedRow>* rows, size_t grid,
+                     std::vector<KernelResult>* results) {
+  for (int round = 0; round < kRounds; ++round) {
+    for (TimedRow& row : *rows) {
+      WallTimer timer;
+      row.rep();
+      row.best_s = std::min(row.best_s, timer.Seconds());
+    }
+  }
+  for (const TimedRow& row : *rows) {
+    const double gbps = row.bytes / row.best_s / 1e9;
+    results->push_back({row.name, grid, gbps});
+    std::fprintf(stderr, "  %-22s %zu^3  %7.4f GB/s\n", row.name.c_str(),
+                 grid, gbps);
+  }
 }
 
 std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
@@ -292,96 +318,85 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
   for (size_t grid : grids) {
     const Tensor data = MakeCubeField(grid);
     const double bytes = static_cast<double>(data.size_bytes());
-    // One rep count at every grid, so a row's timing depends on its code
-    // and not on how much host noise a short best-of-N lets through; the
-    // warmup pass absorbs first-touch effects.
-    constexpr int reps = 5;
+    std::vector<TimedRow> rows;
 
+    // The decode rows share one output tensor, so the harness keeps one
+    // decoded copy of the field between reps, not one per codec.
+    Tensor out;
+    std::vector<std::unique_ptr<Compressor>> comps;
+    std::vector<std::vector<uint8_t>> archives;
+    comps.reserve(std::size(codecs));
+    archives.reserve(std::size(codecs));
     for (const char* name : codecs) {
-      const auto comp = MakeBenchCompressor(name);
+      comps.push_back(MakeBenchCompressor(name));
+      const Compressor* comp = comps.back().get();
       const double config = BenchConfig(*comp, data);
-      const std::vector<uint8_t> archive = comp->Compress(data, config).value();
-      const double enc_s = BestSeconds(reps, [&] {
-        benchmark::DoNotOptimize(comp->Compress(data, config).value());
-      });
-      Tensor out;
-      FXRZ_CHECK(comp->Decompress(archive.data(), archive.size(), &out).ok());
-      const double dec_s = BestSeconds(reps, [&] {
-        benchmark::DoNotOptimize(
-            comp->Decompress(archive.data(), archive.size(), &out));
-      });
-      results.push_back(
-          {std::string(name) + "_compress", grid, bytes / enc_s / 1e9});
-      results.push_back(
-          {std::string(name) + "_decompress", grid, bytes / dec_s / 1e9});
-      std::fprintf(stderr, "  %-22s %zu^3  enc %7.4f GB/s  dec %7.4f GB/s\n",
-                   name, grid, bytes / enc_s / 1e9, bytes / dec_s / 1e9);
+      archives.push_back(comp->Compress(data, config).value());
+      const std::vector<uint8_t>* archive = &archives.back();
+      FXRZ_CHECK(comp->Decompress(archive->data(), archive->size(), &out).ok());
+      rows.push_back({std::string(name) + "_compress", bytes, [&, comp,
+                                                               config] {
+                        benchmark::DoNotOptimize(
+                            comp->Compress(data, config).value());
+                      }});
+      rows.push_back({std::string(name) + "_decompress", bytes,
+                      [&out, comp, archive] {
+                        benchmark::DoNotOptimize(comp->Decompress(
+                            archive->data(), archive->size(), &out));
+                      }});
     }
 
     // zlite over the body sz hands it (the archive minus its header), so
     // the rows track the lossless pass on the stream it really sees.
+    std::vector<uint8_t> body;
     {
-      const auto sz = MakeCompressor("sz");
-      const std::vector<uint8_t> archive =
-          sz->Compress(data, BenchConfig(*sz, data)).value();
+      const std::vector<uint8_t>& archive = archives[0];  // sz
       std::vector<size_t> dims;
       size_t pos = 0;
       FXRZ_CHECK(compressor_internal::ParseHeader(
                      archive.data(), archive.size(), ReadUint32(archive.data()),
                      &dims, &pos)
                      .ok());
-      std::vector<uint8_t> body;
       FXRZ_CHECK(ZliteDecompress(archive.data() + pos, archive.size() - pos,
                                  &body)
                      .ok());
-      const double body_bytes = static_cast<double>(body.size());
-      const double zl_enc_s = BestSeconds(
-          reps, [&] { benchmark::DoNotOptimize(ZliteCompress(body)); });
-      const std::vector<uint8_t> packed = ZliteCompress(body);
-      std::vector<uint8_t> unpacked;
-      const double zl_dec_s = BestSeconds(reps, [&] {
-        benchmark::DoNotOptimize(
-            ZliteDecompress(packed.data(), packed.size(), &unpacked));
-      });
-      FXRZ_CHECK(unpacked == body);
-      results.push_back({"zlite_compress", grid, body_bytes / zl_enc_s / 1e9});
-      results.push_back(
-          {"zlite_decompress", grid, body_bytes / zl_dec_s / 1e9});
-      std::fprintf(stderr, "  %-22s %zu^3  enc %7.4f GB/s  dec %7.4f GB/s\n",
-                   "zlite (sz body)", grid, body_bytes / zl_enc_s / 1e9,
-                   body_bytes / zl_dec_s / 1e9);
     }
+    const std::vector<uint8_t> packed = ZliteCompress(body);
+    std::vector<uint8_t> unpacked;
+    FXRZ_CHECK(ZliteDecompress(packed.data(), packed.size(), &unpacked).ok());
+    FXRZ_CHECK(unpacked == body);
+    const double body_bytes = static_cast<double>(body.size());
+    rows.push_back({"zlite_compress", body_bytes,
+                    [&] { benchmark::DoNotOptimize(ZliteCompress(body)); }});
+    rows.push_back({"zlite_decompress", body_bytes, [&] {
+                      benchmark::DoNotOptimize(ZliteDecompress(
+                          packed.data(), packed.size(), &unpacked));
+                    }});
 
     const std::vector<uint32_t> symbols = MakeCodeStream(data.size(), 9);
     const double sym_bytes = static_cast<double>(symbols.size()) * 4;
     const std::vector<uint8_t> huff = HuffmanEncode(symbols);
-    const double huff_enc_s = BestSeconds(
-        reps, [&] { benchmark::DoNotOptimize(HuffmanEncode(symbols)); });
-    std::vector<uint32_t> decoded;
-    const double huff_dec_s = BestSeconds(reps, [&] {
-      benchmark::DoNotOptimize(HuffmanDecode(huff.data(), huff.size(),
-                                             &decoded));
-    });
-    FXRZ_CHECK(decoded == symbols);
-    results.push_back({"huffman_encode", grid, sym_bytes / huff_enc_s / 1e9});
-    results.push_back({"huffman_decode", grid, sym_bytes / huff_dec_s / 1e9});
-    std::fprintf(stderr, "  %-22s %zu^3  enc %7.4f GB/s  dec %7.4f GB/s\n",
-                 "huffman", grid, sym_bytes / huff_enc_s / 1e9,
-                 sym_bytes / huff_dec_s / 1e9);
-
     const std::vector<uint8_t> arith = ArithEncode16(symbols);
-    const double arith_enc_s = BestSeconds(
-        reps, [&] { benchmark::DoNotOptimize(ArithEncode16(symbols)); });
-    const double arith_dec_s = BestSeconds(reps, [&] {
-      ArithDecode16(arith.data(), arith.size(), symbols.size(), &decoded);
-      benchmark::DoNotOptimize(decoded);
-    });
+    std::vector<uint32_t> decoded;
+    FXRZ_CHECK(HuffmanDecode(huff.data(), huff.size(), &decoded).ok());
     FXRZ_CHECK(decoded == symbols);
-    results.push_back({"arith_encode", grid, sym_bytes / arith_enc_s / 1e9});
-    results.push_back({"arith_decode", grid, sym_bytes / arith_dec_s / 1e9});
-    std::fprintf(stderr, "  %-22s %zu^3  enc %7.4f GB/s  dec %7.4f GB/s\n",
-                 "arith", grid, sym_bytes / arith_enc_s / 1e9,
-                 sym_bytes / arith_dec_s / 1e9);
+    ArithDecode16(arith.data(), arith.size(), symbols.size(), &decoded);
+    FXRZ_CHECK(decoded == symbols);
+    rows.push_back({"huffman_encode", sym_bytes,
+                    [&] { benchmark::DoNotOptimize(HuffmanEncode(symbols)); }});
+    rows.push_back({"huffman_decode", sym_bytes, [&] {
+                      benchmark::DoNotOptimize(
+                          HuffmanDecode(huff.data(), huff.size(), &decoded));
+                    }});
+    rows.push_back({"arith_encode", sym_bytes,
+                    [&] { benchmark::DoNotOptimize(ArithEncode16(symbols)); }});
+    rows.push_back({"arith_decode", sym_bytes, [&] {
+                      ArithDecode16(arith.data(), arith.size(), symbols.size(),
+                                    &decoded);
+                      benchmark::DoNotOptimize(decoded);
+                    }});
+
+    TimeInterleaved(&rows, grid, &results);
   }
   return results;
 }

@@ -20,11 +20,11 @@ namespace fxrz {
 
 namespace {
 
-// Per-codec metrics, resolved once per codec name and cached. Compress and
-// Decompress below are the single choke point every codec run goes
-// through, so instrumenting here covers all codecs (and their chunked/
-// relative/psnr decorators, whose inner base runs count under the base
-// codec's label) at once. The map lookup is mutex-guarded but costs
+// Per-codec metrics, resolved once per codec name and cached. RunCompress
+// (behind Compress and zfp's fixed-rate mode) and Decompress below are the
+// single choke point every codec run goes through, so instrumenting here
+// covers all codecs (and their chunked/relative/psnr decorators, whose
+// inner base runs count under the base codec's label) at once. The map lookup is mutex-guarded but costs
 // nanoseconds against the millisecond-scale codec runs it measures; the
 // metric updates themselves are lock-free.
 struct CodecMetrics {
@@ -95,6 +95,12 @@ const CodecMetrics& GetCodecMetrics(const std::string& codec) {
 
 StatusOr<std::vector<uint8_t>> Compressor::Compress(const Tensor& data,
                                                     double config) const {
+  return RunCompress(data, [&] { return DoCompress(data, config); });
+}
+
+StatusOr<std::vector<uint8_t>> Compressor::RunCompress(
+    const Tensor& data,
+    const std::function<StatusOr<std::vector<uint8_t>>()>& run) const {
   FXRZ_TRACE_SPAN("codec.compress");
   const CodecMetrics& m = GetCodecMetrics(name());
   m.compress_calls->Increment();
@@ -109,7 +115,7 @@ StatusOr<std::vector<uint8_t>> Compressor::Compress(const Tensor& data,
     m.compress_failures->Increment();
     return Status::InvalidArgument(name() + ": empty tensor");
   }
-  StatusOr<std::vector<uint8_t>> out = DoCompress(data, config);
+  StatusOr<std::vector<uint8_t>> out = run();
   if (out.ok() && out.value().empty()) {
     out = Status::Internal(name() + ": Compress produced an empty archive");
   }

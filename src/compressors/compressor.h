@@ -11,6 +11,7 @@
 #define FXRZ_COMPRESSORS_COMPRESSOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +34,9 @@ struct ConfigSpace {
 
 // Abstract error-controlled lossy compressor. Every codec run -- guard
 // tiers, FRaZ probes, training, stores, decorators' base runs -- goes
-// through the non-virtual Compress/Decompress, which own the trace span,
-// per-codec metrics and fault site (util/fault_injection.h) and report
+// through the non-virtual Compress/Decompress (zfp's fixed-rate mode through
+// the protected RunCompress that Compress is built on), which own the trace
+// span, per-codec metrics and fault site (util/fault_injection.h) and report
 // failures as Status; the codec bodies are private virtuals.
 class Compressor {
  public:
@@ -67,6 +69,15 @@ class Compressor {
   // header. The guard's checksum-only verification tier (core/guard.h)
   // runs this before deciding whether to pay for a decode check.
   virtual Status VerifyIntegrity(const uint8_t* data, size_t size) const;
+
+ protected:
+  // The body of Compress around `run`: the trace span, per-codec metrics,
+  // fault site and the empty-tensor and empty-archive checks. A codec's
+  // other compression modes (ZfpCompressor::CompressFixedRate) run their
+  // encoder through it too, so every codec run is counted the same way.
+  StatusOr<std::vector<uint8_t>> RunCompress(
+      const Tensor& data,
+      const std::function<StatusOr<std::vector<uint8_t>>()>& run) const;
 
  private:
   virtual StatusOr<std::vector<uint8_t>> DoCompress(const Tensor& data,

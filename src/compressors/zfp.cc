@@ -1,6 +1,7 @@
 #include "src/compressors/zfp.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/negabinary.h"
 #include "src/util/check.h"
+#include "src/util/thread_pool.h"
 
 namespace fxrz {
 
@@ -366,6 +368,73 @@ size_t DecodePlanes(BitReader* br, uint64_t* coeffs, size_t n, int min_plane,
 
 enum class Mode : uint8_t { kFixedAccuracy = 0, kFixedRate = 1 };
 
+// Parallel work units of the block loop: contiguous runs of the flat block
+// index (slice, bz, by, bx). A fixed multiple of the pool size balances
+// blocks of uneven cost across workers, and a range spans at least
+// kMinRangeBlocks blocks, so a small tensor does not pay more to dispatch a
+// range than to code it. The archive bytes do not depend on the split.
+constexpr size_t kRangesPerThread = 8;
+constexpr size_t kMinRangeBlocks = 64;
+
+// Codes the block at (bz, by, bx) of `slice` into `bw`. Returns false,
+// having written nothing, when the block holds a NaN or Inf. `budget` is
+// the fixed-rate bits per block (unused in fixed-accuracy mode).
+bool EncodeBlock(const float* slice, const BlockLayout& lay,
+                 const std::vector<size_t>& order, size_t bz, size_t by,
+                 size_t bx, Mode mode, double eb, int64_t budget,
+                 BitWriter* bw) {
+  float block[64];
+  uint64_t coeffs[64];
+  GatherBlock(slice, lay, bz, by, bx, block);
+  const float maxabs = MaxAbs(block, lay.block_elems);
+  if (!std::isfinite(maxabs)) return false;
+  const bool nonzero = maxabs != 0.0f;
+  int exponent = 0;
+  if (nonzero) ForwardBlock(block, lay, order, maxabs, &exponent, coeffs);
+
+  if (mode == Mode::kFixedAccuracy) {
+    if (!nonzero) {
+      bw->WriteBit(0);
+      return true;
+    }
+    bw->WriteBit(1);
+    bw->WriteBits(static_cast<uint64_t>(exponent + 1024), 12);
+    // Truncation below min_plane contributes error
+    // < 2^(min_plane+1) * 2^(e-q) per coefficient; the inverse transform
+    // can grow it by at most 2^kGuardBits.
+    const double unit = std::ldexp(1.0, exponent - kFixedPointBits);
+    int min_plane = 0;
+    while (min_plane < kTotalPlanes &&
+           std::ldexp(unit, min_plane + 1 + kGuardBits) <= eb) {
+      ++min_plane;
+    }
+    EncodePlanes(bw, coeffs, lay.block_elems, min_plane, -1);
+    return true;
+  }
+  // Fixed rate: every block spends exactly `budget` bits, including the
+  // zero flag and exponent.
+  size_t used = 0;
+  if (!nonzero) {
+    bw->WriteBit(0);
+    used = 1;
+  } else {
+    bw->WriteBit(1);
+    bw->WriteBits(static_cast<uint64_t>(exponent + 1024), 12);
+    used = 13;
+    used += EncodePlanes(bw, coeffs, lay.block_elems, 0,
+                         budget - static_cast<int64_t>(used));
+  }
+  for (size_t pad = used; pad < static_cast<size_t>(budget); pad += 64) {
+    bw->WriteBits(0, std::min<size_t>(64, budget - pad));
+  }
+  return true;
+}
+
+// Blocks are coded independently, so contiguous ranges of them encode in
+// parallel into their own writers. A prefix sum of the ranges' bit counts
+// gives each its offset in the payload, and the ranges' bits are spliced
+// there in parallel: the payload is bit for bit the one a single writer
+// walking the blocks in order would produce.
 StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
                                             double eb, double bits_per_value) {
   FXRZ_CHECK(!data.empty());
@@ -381,73 +450,67 @@ StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
                                   static_cast<double>(lay.block_elems))))
           : -1;
 
-  BitWriter bw;
-  float block[64];
-  uint64_t coeffs[64];
-  for (size_t s = 0; s < lay.num_slices; ++s) {
-    const float* slice = data.data() + s * lay.slice_elems;
-    for (size_t bz = 0; bz < lay.blocks[0]; ++bz) {
-      for (size_t by = 0; by < lay.blocks[1]; ++by) {
-        for (size_t bx = 0; bx < lay.blocks[2]; ++bx) {
-          GatherBlock(slice, lay, bz, by, bx, block);
-          const float maxabs = MaxAbs(block, lay.block_elems);
-          if (!std::isfinite(maxabs)) {
-            return Status::InvalidArgument("zfp: input has NaN/Inf values");
-          }
-          const bool nonzero = maxabs != 0.0f;
-          int exponent = 0;
-          if (nonzero) {
-            ForwardBlock(block, lay, order, maxabs, &exponent, coeffs);
-          }
-
-          if (mode == Mode::kFixedAccuracy) {
-            if (!nonzero) {
-              bw.WriteBit(0);
-              continue;
-            }
-            bw.WriteBit(1);
-            bw.WriteBits(static_cast<uint64_t>(exponent + 1024), 12);
-            // Truncation below min_plane contributes error
-            // < 2^(min_plane+1) * 2^(e-q) per coefficient; the inverse
-            // transform can grow it by at most 2^kGuardBits.
-            const double unit = std::ldexp(1.0, exponent - kFixedPointBits);
-            int min_plane = 0;
-            while (min_plane < kTotalPlanes &&
-                   std::ldexp(unit, min_plane + 1 + kGuardBits) <= eb) {
-              ++min_plane;
-            }
-            EncodePlanes(&bw, coeffs, lay.block_elems, min_plane, -1);
-          } else {
-            // Fixed rate: every block spends exactly `budget` bits,
-            // including the zero flag and exponent.
-            size_t used = 0;
-            if (!nonzero) {
-              bw.WriteBit(0);
-              used = 1;
-            } else {
-              bw.WriteBit(1);
-              bw.WriteBits(static_cast<uint64_t>(exponent + 1024), 12);
-              used = 13;
-              used += EncodePlanes(&bw, coeffs, lay.block_elems, 0,
-                                   budget - static_cast<int64_t>(used));
-            }
-            for (size_t pad = used; pad < static_cast<size_t>(budget);
-                 pad += 64) {
-              bw.WriteBits(0, std::min<size_t>(64, budget - pad));
-            }
+  ThreadPool* pool = SharedThreadPool();
+  const size_t slice_blocks = lay.blocks[0] * lay.blocks[1] * lay.blocks[2];
+  const size_t total_blocks = lay.num_slices * slice_blocks;
+  const size_t ranges = std::clamp<size_t>(
+      total_blocks / kMinRangeBlocks, 1, kRangesPerThread * pool->num_threads());
+  std::vector<std::vector<uint8_t>> range_bytes(ranges);
+  std::vector<size_t> range_start(ranges + 1, 0);
+  // lock-free: set once by the first range that meets a non-finite block;
+  // the others poll it between blocks only to stop early.
+  std::atomic<bool> nonfinite{false};
+  ParallelFor(
+      pool, 0, ranges,
+      [&](size_t r) {
+        BitWriter bw;
+        const size_t lo = r * total_blocks / ranges;
+        const size_t hi = (r + 1) * total_blocks / ranges;
+        for (size_t b = lo; b < hi; ++b) {
+          if (nonfinite.load(std::memory_order_relaxed)) return;
+          const size_t s = b / slice_blocks;
+          const size_t in_slice = b % slice_blocks;
+          const size_t bx = in_slice % lay.blocks[2];
+          const size_t by = in_slice / lay.blocks[2] % lay.blocks[1];
+          const size_t bz = in_slice / (lay.blocks[2] * lay.blocks[1]);
+          if (!EncodeBlock(data.data() + s * lay.slice_elems, lay, order, bz,
+                           by, bx, mode, eb, budget, &bw)) {
+            nonfinite.store(true, std::memory_order_relaxed);
+            return;
           }
         }
-      }
-    }
+        range_start[r + 1] = bw.bit_count();
+        range_bytes[r] = std::move(bw).Take();
+      },
+      1);
+  if (nonfinite.load()) {
+    return Status::InvalidArgument("zfp: input has NaN/Inf values");
   }
+  for (size_t r = 0; r < ranges; ++r) range_start[r + 1] += range_start[r];
 
   std::vector<uint8_t> out;
   compressor_internal::AppendHeader(&out, kMagic, data);
   out.push_back(static_cast<uint8_t>(mode));
   AppendDouble(&out, mode == Mode::kFixedAccuracy ? eb : bits_per_value);
-  const std::vector<uint8_t> payload = std::move(bw).Take();
-  AppendUint64(&out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
+  const size_t payload_bytes = (range_start[ranges] + 7) / 8;
+  AppendUint64(&out, payload_bytes);
+  const size_t payload_at = out.size();
+  out.resize(payload_at + payload_bytes, 0);
+  uint8_t* payload = out.data() + payload_at;
+  std::vector<uint8_t> first_byte(ranges, 0);
+  ParallelFor(
+      pool, 0, ranges,
+      [&](size_t r) {
+        RangeBitWriter w(payload, range_start[r]);
+        w.WriteStream(range_bytes[r].data(),
+                      range_start[r + 1] - range_start[r]);
+        first_byte[r] = w.Finish();
+        std::vector<uint8_t>().swap(range_bytes[r]);  // its bits are copied
+      },
+      1);
+  for (size_t r = 0; r < ranges; ++r) {
+    payload[range_start[r] / 8] |= first_byte[r];
+  }
   return out;
 }
 
@@ -469,11 +532,12 @@ StatusOr<std::vector<uint8_t>> ZfpCompressor::DoCompress(
 
 StatusOr<std::vector<uint8_t>> ZfpCompressor::CompressFixedRate(
     const Tensor& data, double bits_per_value) const {
-  if (!(bits_per_value > 0.0 && bits_per_value <= 34.0)) {
-    return Status::InvalidArgument("zfp: fixed rate must be in (0, 34]");
-  }
-  if (data.empty()) return Status::InvalidArgument("zfp: empty tensor");
-  return CompressImpl(data, Mode::kFixedRate, 0.0, bits_per_value);
+  return RunCompress(data, [&]() -> StatusOr<std::vector<uint8_t>> {
+    if (!(bits_per_value > 0.0 && bits_per_value <= 34.0)) {
+      return Status::InvalidArgument("zfp: fixed rate must be in (0, 34]");
+    }
+    return CompressImpl(data, Mode::kFixedRate, 0.0, bits_per_value);
+  });
 }
 
 Status ZfpCompressor::DoDecompress(const uint8_t* data, size_t size,

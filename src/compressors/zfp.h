@@ -20,6 +20,14 @@
 // observed error is typically well below the bound). The characteristic
 // *stairwise* CR-vs-eb curve (Fig. 2 of the paper) emerges from bitplane
 // truncation.
+//
+// Every block is coded independently, so compression runs on the shared
+// thread pool: contiguous ranges of blocks encode into their own bit
+// writers, and their bits are spliced into the payload at offsets from a
+// prefix sum of the ranges' bit counts. The archive is byte-identical to a
+// serial encode at any thread count. Decompression is serial: the payload
+// carries no per-range offsets, so a block's start is known only after
+// parsing every block before it.
 
 #ifndef FXRZ_COMPRESSORS_ZFP_H_
 #define FXRZ_COMPRESSORS_ZFP_H_
@@ -34,8 +42,10 @@ class ZfpCompressor : public Compressor {
   ConfigSpace config_space(double value_range) const override;
 
   // Fixed-rate compression: exactly `bits_per_value` bits per element
-  // (rounded up to whole bits per block). A rate outside (0, 34], an empty
-  // tensor or a NaN/Inf value fails as InvalidArgument.
+  // (rounded up to whole bits per block). Runs through the same span,
+  // metrics and fault site as Compress: a rate outside (0, 34], an empty
+  // tensor or a NaN/Inf value fails as InvalidArgument, an injected fault
+  // as Unavailable.
   StatusOr<std::vector<uint8_t>> CompressFixedRate(
       const Tensor& data, double bits_per_value) const;
 

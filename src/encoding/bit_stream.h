@@ -1,8 +1,9 @@
 // Bit-granular serialization used by every entropy coder and by the
 // ZFP-like bitplane codec.
 //
-// Bits are packed LSB-first into bytes. Writers own a growable byte buffer;
-// readers wrap an immutable byte span.
+// Bits are packed LSB-first into bytes. BitWriter owns a growable byte
+// buffer; RangeBitWriter splices one segment of a parallel-encoded payload
+// into a caller-sized buffer; readers wrap an immutable byte span.
 
 #ifndef FXRZ_ENCODING_BIT_STREAM_H_
 #define FXRZ_ENCODING_BIT_STREAM_H_
@@ -83,6 +84,83 @@ class BitWriter {
   size_t size_ = 0;
   uint64_t acc_ = 0;  // pending bits, LSB first
   size_t fill_ = 0;   // number of pending bits in acc_ (< 64)
+};
+
+// Writes one segment of a payload that holds several independently encoded
+// segments back to back with no padding, so the segments can be written in
+// parallel once a prefix sum of their bit counts gives each its offset. A
+// segment that starts mid-byte shares that byte with the segment before
+// it, so the writer hands its bits of that byte back from Finish() for the
+// caller to OR in once every segment is done; every other byte it stores is
+// its own. The payload must be zeroed where segments share a byte.
+class RangeBitWriter {
+ public:
+  RangeBitWriter(uint8_t* payload, size_t bit_offset)
+      : dst_(payload + bit_offset / 8),
+        fill_(bit_offset % 8),
+        shares_first_(fill_ != 0) {}
+
+  // Writes the low `count` (<= 64) bits of `bits`; the higher bits are zero.
+  void WriteBits(uint64_t bits, size_t count) {
+    FXRZ_DCHECK(count <= 64);
+    acc_ |= bits << fill_;
+    const size_t total = fill_ + count;
+    if (total < 64) {
+      fill_ = total;
+      return;
+    }
+    Store(8);
+    acc_ = fill_ == 0 ? 0 : bits >> (64 - fill_);
+    fill_ = total - 64;
+  }
+
+  // Writes the first `nbits` bits of `src`, an LSB-first stream as
+  // BitWriter lays it out (its bits past `nbits` are zero).
+  void WriteStream(const uint8_t* src, size_t nbits) {
+    for (; nbits >= 64; nbits -= 64, src += 8) WriteBits(LoadWord(src, 8), 64);
+    if (nbits > 0) WriteBits(LoadWord(src, (nbits + 7) / 8), nbits);
+  }
+
+  // Stores the tail and returns the segment's bits of the shared first
+  // byte (0 when the segment starts on a byte boundary).
+  uint8_t Finish() {
+    Store((fill_ + 7) / 8);
+    return first_;
+  }
+
+ private:
+  // The first `nbytes` (<= 8) bytes at `src` as a little-endian word.
+  static uint64_t LoadWord(const uint8_t* src, size_t nbytes) {
+    uint64_t v = 0;
+    std::memcpy(&v, src, nbytes);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
+  }
+
+  void Store(size_t nbytes) {
+    uint64_t v = acc_;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    uint8_t bytes[8];
+    std::memcpy(bytes, &v, 8);
+    size_t skip = 0;
+    if (shares_first_ && nbytes > 0) {
+      first_ = bytes[0];
+      shares_first_ = false;
+      skip = 1;
+    }
+    std::memcpy(dst_ + skip, bytes + skip, nbytes - skip);
+    dst_ += nbytes;
+  }
+
+  uint8_t* dst_;
+  uint64_t acc_ = 0;
+  size_t fill_;
+  bool shares_first_;
+  uint8_t first_ = 0;
 };
 
 // Sequential bit source over a byte span. Does not own the data.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <queue>
 #include <unordered_map>
 
@@ -33,63 +32,6 @@ constexpr size_t kMinHistogramUnit = size_t{1} << 16;
 // kMaxBinsPerSymbol bins per input symbol).
 constexpr size_t kDenseLimit = size_t{1} << 20;
 constexpr size_t kMaxBinsPerSymbol = 16;
-
-// Writes one encode range's codes straight into the payload, which holds
-// every range's bits back to back with no padding. A range that starts
-// mid-byte shares that byte with the range before it, so the writer hands
-// its bits of that byte back from Finish() for the caller to OR in once
-// every range is done; every other byte it stores is its own.
-class RangeBitWriter {
- public:
-  RangeBitWriter(uint8_t* payload, size_t bit_offset)
-      : dst_(payload + bit_offset / 8),
-        fill_(bit_offset % 8),
-        shares_first_(fill_ != 0) {}
-
-  // Writes the low `count` (< 64) bits of `bits`; the higher bits are zero.
-  void WriteBits(uint64_t bits, size_t count) {
-    acc_ |= bits << fill_;
-    const size_t total = fill_ + count;
-    if (total < 64) {
-      fill_ = total;
-      return;
-    }
-    Store(8);
-    acc_ = fill_ == 0 ? 0 : bits >> (64 - fill_);
-    fill_ = total - 64;
-  }
-
-  // Stores the tail and returns the range's bits of the shared first byte
-  // (0 when the range starts on a byte boundary).
-  uint8_t Finish() {
-    Store((fill_ + 7) / 8);
-    return first_;
-  }
-
- private:
-  void Store(size_t nbytes) {
-    uint64_t v = acc_;
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    v = __builtin_bswap64(v);
-#endif
-    uint8_t bytes[8];
-    std::memcpy(bytes, &v, 8);
-    size_t skip = 0;
-    if (shares_first_ && nbytes > 0) {
-      first_ = bytes[0];
-      shares_first_ = false;
-      skip = 1;
-    }
-    std::memcpy(dst_ + skip, bytes + skip, nbytes - skip);
-    dst_ += nbytes;
-  }
-
-  uint8_t* dst_;
-  uint64_t acc_ = 0;
-  size_t fill_;
-  bool shares_first_;
-  uint8_t first_ = 0;
-};
 
 struct SymbolLength {
   uint32_t symbol;

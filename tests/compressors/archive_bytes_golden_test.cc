@@ -2,7 +2,8 @@
 // archive hashes below were recorded from the single-threaded codecs, so any
 // change to how a compression is split into parallel work units (sz's block
 // selection and wavefront quantization, Huffman's histogram and range
-// encoding, zlite's match marking) must reproduce those archives exactly,
+// encoding, zlite's match marking, zfp's block ranges) must reproduce those
+// archives exactly,
 // at any thread count and under any scheduling. Each case also pins the
 // bytes its archive decodes to, so a kernel change that keeps the archive
 // but moves a reconstructed float is caught too.
@@ -18,7 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
+#include "src/compressors/zfp.h"
 #include "src/data/generators/nyx.h"
 #include "src/data/statistics.h"
 #include "src/data/tensor.h"
@@ -169,7 +172,8 @@ std::vector<const ArchiveCase*> ParallelCases() {
   for (const ArchiveCase& c : kArchives) {
     const std::string codec = c.codec;
     if (c.field == 1 && c.config % 2 == 0 &&
-        (codec == "sz" || codec == "sz3" || codec == "mgard")) {
+        (codec == "sz" || codec == "sz3" || codec == "mgard" ||
+         codec == "zfp")) {
       cases.push_back(&c);
     }
   }
@@ -228,6 +232,65 @@ TEST(ArchiveBytesGoldenTest, CallerOnlyCompressionsMatch) {
   }
   cv.NotifyAll();
   pool->Wait();
+}
+
+// zfp's fixed-rate mode runs the same block loop as its fixed-accuracy mode
+// but pads every block to the same bit budget. These hashes were recorded
+// from the serial block loop, before it was split into parallel ranges:
+// field, bits per value, FNV-1a of the archive, FNV-1a of the decode.
+struct FixedRateCase {
+  int field;
+  double rate;
+  uint64_t hash;
+  uint64_t decoded;
+};
+
+constexpr FixedRateCase kFixedRate[] = {
+    {0, 1.0, 0xec63efaf2de7d570, 0xdb0471b57b055200},
+    {0, 4.0, 0x43f222059ad763a0, 0xc2455b67c614a582},
+    {0, 12.0, 0x3614c7d3fd927fd0, 0x63e591121b32bfff},
+    {1, 1.0, 0x20780165e42aea08, 0x421927160d6fb032},
+    {1, 4.0, 0x8d5dc900d9a1abf5, 0x5eb40152a08c0c07},
+    {1, 12.0, 0xca4b414231dee2d0, 0x4141bf37113b71c9},
+};
+
+TEST(ArchiveBytesGoldenTest, ZfpFixedRateArchivesMatchRecordedHashes) {
+  const ZfpCompressor zfp;
+  for (const FixedRateCase& c : kFixedRate) {
+    SCOPED_TRACE("field " + std::to_string(c.field) + " rate " +
+                 std::to_string(c.rate));
+    const StatusOr<std::vector<uint8_t>> archive =
+        zfp.CompressFixedRate(Field(c.field), c.rate);
+    ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+    EXPECT_EQ(Hex(Hash(archive.value())), Hex(c.hash));
+    Tensor decoded;
+    const Status st = zfp.Decompress(archive.value().data(),
+                                     archive.value().size(), &decoded);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(Hex(HashTensor(decoded)), Hex(c.decoded));
+  }
+}
+
+// zfp-chunked runs each slab's zfp compression inside a pool worker, so the
+// slabs' block ranges nest inside the chunk loop. The 64^3 field in 8-row
+// slabs must still give the archive recorded from the serial codec, and the
+// same bytes as a chunked run that compresses its slabs one at a time.
+TEST(ArchiveBytesGoldenTest, ChunkedZfpMatchesSerialReference) {
+  constexpr uint64_t kChunkedZfpHash = 0xdce9f2be5bcbc367;
+  const Tensor& data = Field(1);
+  constexpr size_t kSlabElems = 8 * 64 * 64;
+  const ChunkedCompressor parallel(MakeCompressor("zfp"), kSlabElems,
+                                   /*threads=*/0);
+  const ChunkedCompressor serial(MakeCompressor("zfp"), kSlabElems,
+                                 /*threads=*/1);
+  const double config = ConfigAt(parallel.config_space(ValueRange(data)), 2);
+  const StatusOr<std::vector<uint8_t>> a = parallel.Compress(data, config);
+  const StatusOr<std::vector<uint8_t>> b = serial.Compress(data, config);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(parallel.ChunkCount(a.value().data(), a.value().size()), 8u);
+  EXPECT_EQ(Hex(Hash(a.value())), Hex(kChunkedZfpHash));
+  EXPECT_EQ(a.value(), b.value());
 }
 
 // ------------------------------------------------------------ entropy stages

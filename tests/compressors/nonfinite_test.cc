@@ -14,6 +14,7 @@
 
 #include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
+#include "src/compressors/zfp.h"
 #include "src/core/features.h"
 #include "src/core/guard.h"
 #include "src/core/pipeline.h"
@@ -105,6 +106,30 @@ TEST(NonFiniteTensorTest, DirectCompressRejectsOrKeepsFinitePointsInBound) {
     }
     EXPECT_EQ(violations, 0u) << "worst error " << worst;
   }
+}
+
+// zfp encodes its blocks in parallel ranges. A NaN in the last block, or in
+// a block of a middle range, fails the whole compression in either mode.
+TEST(NonFiniteTensorTest, ZfpNanInAnyBlockRangeFailsTheArchive) {
+  const Tensor clean = GaussianRandomField3D(64, 64, 64, 3.0, 78);
+  const std::unique_ptr<Compressor> comp = MakeCompressor("zfp");
+  const ZfpCompressor zfp;
+  const double tolerance = 1e-3 * ValueRange(clean);
+  for (const size_t at : {clean.size() - 1, clean.size() / 2 + 100}) {
+    SCOPED_TRACE("NaN at " + std::to_string(at));
+    Tensor poisoned = clean;
+    poisoned[at] = kNanF;
+    const StatusOr<std::vector<uint8_t>> accuracy =
+        comp->Compress(poisoned, tolerance);
+    const StatusOr<std::vector<uint8_t>> rate =
+        zfp.CompressFixedRate(poisoned, 8.0);
+    for (const auto* out : {&accuracy, &rate}) {
+      ASSERT_FALSE(out->ok());
+      EXPECT_EQ(out->status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(out->status().message(), "zfp: input has NaN/Inf values");
+    }
+  }
+  EXPECT_TRUE(comp->Compress(clean, tolerance).ok());
 }
 
 TEST(NonFiniteTensorTest, AdmissionCountsEveryBadValue) {

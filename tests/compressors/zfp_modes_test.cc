@@ -5,10 +5,13 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "src/compressors/zfp.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
+#include "src/util/fault_injection.h"
+#include "src/util/metrics.h"
 #include "tests/compressors/measured_ratio.h"
 
 namespace fxrz {
@@ -99,6 +102,44 @@ TEST(ZfpFixedRateTest, RejectsBadRate) {
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << rate;
   }
   EXPECT_TRUE(zfp.CompressFixedRate(g, 34.0).ok());
+}
+
+// Fixed-rate runs take the same instrumented path as Compress: they are
+// counted under the codec's label, and an injected compress fault comes
+// back as Unavailable.
+TEST(ZfpFixedRateTest, CountedLikeCompress) {
+  if (!metrics::Enabled()) GTEST_SKIP() << "metrics compiled out";
+  const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 106);
+  ZfpCompressor zfp;
+  auto counter = [](const std::string& name) {
+    return metrics::MetricsSnapshot::Capture().CounterValue(
+        name + "{codec=\"zfp\"}");
+  };
+  const uint64_t calls = counter("fxrz_codec_compress_total");
+  const uint64_t failures = counter("fxrz_codec_compress_failures_total");
+  const uint64_t bytes_in = counter("fxrz_codec_compress_bytes_in_total");
+  ASSERT_TRUE(zfp.CompressFixedRate(g, 8.0).ok());
+  ASSERT_FALSE(zfp.CompressFixedRate(g, 0.0).ok());
+  EXPECT_EQ(counter("fxrz_codec_compress_total"), calls + 2);
+  EXPECT_EQ(counter("fxrz_codec_compress_failures_total"), failures + 1);
+  EXPECT_EQ(counter("fxrz_codec_compress_bytes_in_total"),
+            bytes_in + g.size_bytes());
+}
+
+TEST(ZfpFixedRateTest, InjectedFaultIsUnavailable) {
+  if (!fault::Enabled()) GTEST_SKIP() << "built without FXRZ_FAULT_INJECT";
+  const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 107);
+  ZfpCompressor zfp;
+  fault::ResetAll();
+  fault::Arm(fault::Site::kCompressorCompress, /*skip=*/0, /*count=*/1);
+  const StatusOr<std::vector<uint8_t>> out = zfp.CompressFixedRate(g, 8.0);
+  const uint64_t triggered =
+      fault::TriggeredCount(fault::Site::kCompressorCompress);
+  fault::ResetAll();
+  EXPECT_EQ(triggered, 1u);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(zfp.CompressFixedRate(g, 8.0).ok());
 }
 
 }  // namespace

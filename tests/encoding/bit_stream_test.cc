@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -148,6 +149,66 @@ TEST(BitStreamTest, ContinuesAfterPrefix) {
   EXPECT_EQ(br.ReadBits(3), 0x5u);
   EXPECT_EQ(br.ReadBits(9), 0x1FFu);
   EXPECT_EQ(br.ReadBits(4), 0u);  // zero padding
+}
+
+TEST(RangeBitWriterTest, SplicedSegmentsEqualOneSerialWriter) {
+  // Segments of random bit lengths, written once by a single BitWriter and
+  // once each into their own BitWriter, then spliced at the prefix-sum
+  // offsets in reverse order (as parallel ranges may finish). Lengths cover
+  // zero, sub-byte, byte and word multiples, and multi-word runs, so the
+  // offsets land on every bit position.
+  Rng rng(19);
+  for (int rep = 0; rep < 50; ++rep) {
+    const size_t segments = 1 + rng.NextBelow(12);
+    BitWriter serial;
+    std::vector<std::vector<uint8_t>> parts;
+    std::vector<size_t> start = {0};
+    for (size_t k = 0; k < segments; ++k) {
+      const size_t kind = rng.NextBelow(4);
+      const size_t len = kind == 0   ? rng.NextBelow(9)
+                         : kind == 1 ? 64 * rng.NextBelow(4)
+                                     : rng.NextBelow(700);
+      BitWriter part;
+      for (size_t done = 0; done < len;) {
+        const size_t width = std::min<size_t>(len - done, 1 + rng.NextBelow(64));
+        const uint64_t value = rng.NextUint64();
+        serial.WriteBits(value, width);
+        part.WriteBits(value, width);
+        done += width;
+      }
+      start.push_back(start.back() + part.bit_count());
+      parts.push_back(std::move(part).Take());
+    }
+    const std::vector<uint8_t> want = std::move(serial).Take();
+    std::vector<uint8_t> payload((start.back() + 7) / 8, 0);
+    std::vector<uint8_t> first(segments, 0);
+    for (size_t k = segments; k-- > 0;) {
+      RangeBitWriter w(payload.data(), start[k]);
+      w.WriteStream(parts[k].data(), start[k + 1] - start[k]);
+      first[k] = w.Finish();
+    }
+    for (size_t k = 0; k < segments; ++k) payload[start[k] / 8] |= first[k];
+    EXPECT_EQ(payload, want) << "rep " << rep;
+  }
+}
+
+TEST(RangeBitWriterTest, WholeWordWritesMatchBitWriter) {
+  Rng rng(20);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    BitWriter serial;
+    serial.WriteBits(0, offset);
+    std::vector<uint64_t> words(5);
+    for (uint64_t& w : words) {
+      w = rng.NextUint64();
+      serial.WriteBits(w, 64);
+    }
+    const std::vector<uint8_t> want = std::move(serial).Take();
+    std::vector<uint8_t> payload(want.size(), 0);
+    RangeBitWriter w(payload.data(), offset);
+    for (uint64_t word : words) w.WriteBits(word, 64);
+    payload[offset / 8] |= w.Finish();
+    EXPECT_EQ(payload, want) << "offset " << offset;
+  }
 }
 
 TEST(LittleEndianHelpersTest, RoundTrip) {
