@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %12s %12s %9s %9s\n", "comp", "compress_s", "crc_s",
               "verify_s", "crc_%", "verify_%");
 
-  for (const std::string& name : {"sz", "zfp"}) {
+  for (const char* name : {"sz", "zfp"}) {
     ChunkedCompressor comp(MakeCompressor(name));
     const ConfigSpace space = comp.config_space(ValueRange(data));
     const double config = space.integer ? 16 : space.min * 100;
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     });
     (void)crc;
 
-    std::printf("%-8s %12.4f %12.6f %12.6f %8.2f%% %8.2f%%\n", name.c_str(),
+    std::printf("%-8s %12.4f %12.6f %12.6f %8.2f%% %8.2f%%\n", name,
                 compress_s, crc_s, verify_s, 100.0 * crc_s / compress_s,
                 100.0 * verify_s / compress_s);
   }

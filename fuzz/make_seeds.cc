@@ -61,6 +61,15 @@ int main(int argc, char** argv) {
   }
 
   {
+    // fpzip cuts fields of 2^16 elements and more into entropy segments;
+    // this one holds two, so the replay reaches the segment table.
+    const fxrz::Tensor field =
+        fxrz::GaussianRandomField3D(64, 32, 32, 3.0, 44);
+    ok &= WriteSeed(out_dir + "/fpzip", "two_segments.bin",
+                    fxrz::MakeCompressor("fpzip")->Compress(field, 12).value());
+  }
+
+  {
     fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
                                     /*target_chunk_elems=*/256, /*threads=*/1);
     ok &= WriteSeed(out_dir + "/chunked", "roundtrip.bin",

@@ -2,10 +2,6 @@
 
 namespace fxrz {
 
-namespace {
-constexpr uint32_t kTopValue = 1u << 24;
-}  // namespace
-
 void ArithEncoder::ShiftLow() {
   if (low_ < 0xFF000000ull || low_ > 0xFFFFFFFFull) {
     uint8_t carry = static_cast<uint8_t>(low_ >> 32);
@@ -22,35 +18,6 @@ void ArithEncoder::ShiftLow() {
   low_ = (low_ << 8) & 0xFFFFFFFFull;
 }
 
-void ArithEncoder::EncodeBit(BitContext* ctx, uint32_t bit) {
-  FXRZ_DCHECK(ctx != nullptr);
-  const uint32_t bound =
-      (range_ >> BitContext::kProbBits) * ctx->prob_zero();
-  if (bit == 0) {
-    range_ = bound;
-  } else {
-    low_ += bound;
-    range_ -= bound;
-  }
-  ctx->Update(bit);
-  while (range_ < kTopValue) {
-    range_ <<= 8;
-    ShiftLow();
-  }
-}
-
-void ArithEncoder::EncodeRaw(uint64_t value, size_t count) {
-  for (size_t i = count; i-- > 0;) {
-    const uint32_t bit = static_cast<uint32_t>((value >> i) & 1u);
-    range_ >>= 1;
-    if (bit) low_ += range_;
-    while (range_ < kTopValue) {
-      range_ <<= 8;
-      ShiftLow();
-    }
-  }
-}
-
 std::vector<uint8_t> ArithEncoder::Finish() && {
   for (int i = 0; i < 5; ++i) ShiftLow();
   // The first byte emitted is an artifact of the initial cache; the decoder
@@ -65,55 +32,6 @@ ArithDecoder::ArithDecoder(const uint8_t* data, size_t size)
   for (int i = 0; i < 4; ++i) {
     code_ = (code_ << 8) | NextByte();
   }
-}
-
-uint8_t ArithDecoder::NextByte() {
-  if (pos_ >= size_) {
-    overrun_ = true;
-    return 0;
-  }
-  return data_[pos_++];
-}
-
-uint32_t ArithDecoder::DecodeBit(BitContext* ctx) {
-  FXRZ_DCHECK(ctx != nullptr);
-  const uint32_t bound =
-      (range_ >> BitContext::kProbBits) * ctx->prob_zero();
-  uint32_t bit;
-  if (code_ < bound) {
-    range_ = bound;
-    bit = 0;
-  } else {
-    code_ -= bound;
-    range_ -= bound;
-    bit = 1;
-  }
-  ctx->Update(bit);
-  while (range_ < kTopValue) {
-    range_ <<= 8;
-    code_ = (code_ << 8) | NextByte();
-  }
-  return bit;
-}
-
-uint64_t ArithDecoder::DecodeRaw(size_t count) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < count; ++i) {
-    range_ >>= 1;
-    uint32_t bit;
-    if (code_ < range_) {
-      bit = 0;
-    } else {
-      code_ -= range_;
-      bit = 1;
-    }
-    value = (value << 1) | bit;
-    while (range_ < kTopValue) {
-      range_ <<= 8;
-      code_ = (code_ << 8) | NextByte();
-    }
-  }
-  return value;
 }
 
 }  // namespace fxrz

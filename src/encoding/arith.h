@@ -15,6 +15,9 @@
 
 namespace fxrz {
 
+// The coders renormalize whenever the range drops below 2^24.
+inline constexpr uint32_t kArithTopValue = 1u << 24;
+
 // Adaptive probability model for a single binary decision.
 class BitContext {
  public:
@@ -44,10 +47,23 @@ class ArithEncoder {
   ArithEncoder() = default;
 
   // Encodes `bit` under the adaptive model `ctx` (updated in place).
-  void EncodeBit(BitContext* ctx, uint32_t bit);
-
-  // Encodes `count` raw (uniform) bits, MSB first.
-  void EncodeRaw(uint64_t value, size_t count);
+  // Inline: the FPZIP-like codec spends most of its time here.
+  void EncodeBit(BitContext* ctx, uint32_t bit) {
+    FXRZ_DCHECK(ctx != nullptr);
+    const uint32_t bound =
+        (range_ >> BitContext::kProbBits) * ctx->prob_zero();
+    if (bit == 0) {
+      range_ = bound;
+    } else {
+      low_ += bound;
+      range_ -= bound;
+    }
+    ctx->Update(bit);
+    while (range_ < kArithTopValue) {
+      range_ <<= 8;
+      ShiftLow();
+    }
+  }
 
   // Flushes the coder state. Must be called exactly once.
   std::vector<uint8_t> Finish() &&;
@@ -68,16 +84,38 @@ class ArithDecoder {
   ArithDecoder(const uint8_t* data, size_t size);
 
   // Decodes one bit under `ctx` (updated in place, mirroring the encoder).
-  uint32_t DecodeBit(BitContext* ctx);
-
-  // Decodes `count` raw bits, MSB first.
-  uint64_t DecodeRaw(size_t count);
+  uint32_t DecodeBit(BitContext* ctx) {
+    FXRZ_DCHECK(ctx != nullptr);
+    const uint32_t bound =
+        (range_ >> BitContext::kProbBits) * ctx->prob_zero();
+    uint32_t bit;
+    if (code_ < bound) {
+      range_ = bound;
+      bit = 0;
+    } else {
+      code_ -= bound;
+      range_ -= bound;
+      bit = 1;
+    }
+    ctx->Update(bit);
+    while (range_ < kArithTopValue) {
+      range_ <<= 8;
+      code_ = (code_ << 8) | NextByte();
+    }
+    return bit;
+  }
 
   // True if the decoder consumed more bytes than available (corruption).
   bool overrun() const { return overrun_; }
 
  private:
-  uint8_t NextByte();
+  uint8_t NextByte() {
+    if (pos_ >= size_) {
+      overrun_ = true;
+      return 0;
+    }
+    return data_[pos_++];
+  }
 
   const uint8_t* data_;
   size_t size_;

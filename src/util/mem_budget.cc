@@ -191,7 +191,7 @@ double CodecMemoryMultiplier(std::string_view codec) {
   // Values calibrated against measured peak RSS on a 128^3 grid
   // (bench/mem_calibration, BENCH_mem.json) with ~25% headroom over the
   // worst observed run: sz peaked at ~8-11x (per-plane quantization plus
-  // entropy buffers), sz3 at ~5x, zfp under 3x, fpzip at ~3.1x, and mgard
+  // entropy buffers), sz3 at ~5x, zfp under 3x, fpzip at ~3.2x, and mgard
   // at ~27x (its multilevel lifting hierarchy materializes in double).
   static constexpr Entry kTable[] = {
       {"sz3", 6.5},  // before "sz": prefix match must take the longer name

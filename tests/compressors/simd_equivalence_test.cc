@@ -89,10 +89,10 @@ constexpr RecordedCase kRecorded[] = {
     {"zfp_plate2d", 0x3861a3c8815576e5, 0xcc9d7c97c439abc7},
     {"zfp_brick3d", 0x95484a347387bd48, 0x28f42ad55b179b36},
     {"zfp_stack4d", 0x18ae0c1df9d02fb9, 0x33d6ca5f8c0c0660},
-    {"fpzip_line1d", 0xff5ac07184a6e447, 0xa8d233ba5927c671},
-    {"fpzip_plate2d", 0x114d4de5fc8d5b5a, 0xe7e76d8581c55738},
-    {"fpzip_brick3d", 0x038138e9b67105d5, 0x42cec73e83eb7332},
-    {"fpzip_stack4d", 0xedf42fea7904fd47, 0xc882b8d6daf8c2ae},
+    {"fpzip_line1d", 0xa3abbe87c31c062a, 0xa8d233ba5927c671},
+    {"fpzip_plate2d", 0x3ce0ff487900fb62, 0xe7e76d8581c55738},
+    {"fpzip_brick3d", 0x0fb8a8fb435f2482, 0x42cec73e83eb7332},
+    {"fpzip_stack4d", 0x85643a16fc5f9577, 0xc882b8d6daf8c2ae},
     {"mgard_line1d", 0x67aeb22c293a67d9, 0xd0e18102f56a39ba},
     {"mgard_plate2d", 0x3765094541903a72, 0x7448ac129e4cf8a2},
     {"mgard_brick3d", 0x08cbfc8dc608fe0a, 0xaae237db14b36a83},

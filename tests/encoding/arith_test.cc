@@ -53,46 +53,26 @@ TEST(ArithTest, SkewedBitsCompressBelowOneBitPerSymbol) {
   EXPECT_FALSE(dec.overrun());
 }
 
-TEST(ArithTest, RawBitsRoundTrip) {
-  Rng rng(12);
-  std::vector<uint64_t> values;
-  std::vector<size_t> widths;
-  ArithEncoder enc;
-  for (int i = 0; i < 5000; ++i) {
-    const size_t w = 1 + rng.NextBelow(32);
-    const uint64_t v = rng.NextUint64() & ((w == 64) ? ~0ull : ((1ull << w) - 1));
-    values.push_back(v);
-    widths.push_back(w);
-    enc.EncodeRaw(v, w);
-  }
-  const std::vector<uint8_t> bytes = std::move(enc).Finish();
-  ArithDecoder dec(bytes.data(), bytes.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    ASSERT_EQ(dec.DecodeRaw(widths[i]), values[i]) << i;
-  }
-}
-
-TEST(ArithTest, MixedContextAndRawBits) {
+// Four adaptive contexts interleaved bit by bit, each with its own skew.
+TEST(ArithTest, InterleavedContextsRoundTrip) {
   Rng rng(13);
-  std::vector<uint32_t> ctx_bits(20000);
-  std::vector<uint32_t> raw_bits(20000);
-  for (auto& b : ctx_bits) b = rng.NextDouble() < 0.1 ? 1 : 0;
-  for (auto& b : raw_bits) b = static_cast<uint32_t>(rng.NextBelow(2));
+  std::vector<uint32_t> bits(40000);
+  for (size_t i = 0; i < bits.size(); ++i) {
+    const double p_one = 0.05 + 0.3 * static_cast<double>(i % 4);
+    bits[i] = rng.NextDouble() < p_one ? 1 : 0;
+  }
 
   ArithEncoder enc;
   std::vector<BitContext> ctxs(4);
-  for (size_t i = 0; i < ctx_bits.size(); ++i) {
-    enc.EncodeBit(&ctxs[i % 4], ctx_bits[i]);
-    enc.EncodeRaw(raw_bits[i], 1);
-  }
+  for (size_t i = 0; i < bits.size(); ++i) enc.EncodeBit(&ctxs[i % 4], bits[i]);
   const std::vector<uint8_t> bytes = std::move(enc).Finish();
 
   ArithDecoder dec(bytes.data(), bytes.size());
   std::vector<BitContext> dctxs(4);
-  for (size_t i = 0; i < ctx_bits.size(); ++i) {
-    ASSERT_EQ(dec.DecodeBit(&dctxs[i % 4]), ctx_bits[i]) << i;
-    ASSERT_EQ(dec.DecodeRaw(1), raw_bits[i]) << i;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    ASSERT_EQ(dec.DecodeBit(&dctxs[i % 4]), bits[i]) << i;
   }
+  EXPECT_FALSE(dec.overrun());
 }
 
 TEST(ArithTest, DecoderReportsOverrunOnTruncatedStream) {

@@ -46,8 +46,10 @@ run_config() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
 }
 
+# The release stage builds with -Werror, so a new warning anywhere in
+# src/, the tests, benches or examples fails CI instead of scrolling past.
 run_config release build-ci-release \
-  -DCMAKE_BUILD_TYPE=Release
+  -DCMAKE_BUILD_TYPE=Release -DFXRZ_WERROR=ON
 
 # Serving-layer load smoke: the closed-loop harness under its acceptance
 # gate (p99 budget + zero dropped-without-status), on top of the
