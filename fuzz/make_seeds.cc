@@ -70,6 +70,18 @@ int main(int argc, char** argv) {
   }
 
   {
+    // sz's quantization codes decode in parallel ranges once their Huffman
+    // payload reaches 16 KiB; this field's 2^17 codes take about 3 bits
+    // each, so the replay runs the range resynchronization.
+    const fxrz::Tensor field =
+        fxrz::GaussianRandomField3D(32, 64, 64, 3.0, 45);
+    ok &= WriteSeed(out_dir + "/sz", "multi_range.bin",
+                    fxrz::MakeCompressor("sz")
+                        ->Compress(field, 1e-3 * fxrz::ValueRange(field))
+                        .value());
+  }
+
+  {
     fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
                                     /*target_chunk_elems=*/256, /*threads=*/1);
     ok &= WriteSeed(out_dir + "/chunked", "roundtrip.bin",
@@ -84,6 +96,15 @@ int main(int argc, char** argv) {
     }
     ok &= WriteSeed(out_dir + "/huffman", "codes.bin",
                     fxrz::HuffmanEncode(symbols));
+    // 2^17 codes of 2-6 bits: a payload of several 8 KiB decode ranges.
+    std::vector<uint32_t> many(size_t{1} << 17);
+    for (size_t i = 0; i < many.size(); ++i) {
+      many[i] = static_cast<uint32_t>(32768 + (i * i + i / 3) % 23) - 11;
+    }
+    const std::vector<uint8_t> multi_range = fxrz::HuffmanEncode(many);
+    ok &= fxrz::huffman_internal::DecodeRangeCount(multi_range.data(),
+                                                   multi_range.size()) > 1;
+    ok &= WriteSeed(out_dir + "/huffman", "multi_range.bin", multi_range);
     std::vector<uint8_t> text(1024);
     for (size_t i = 0; i < text.size(); ++i) {
       text[i] = static_cast<uint8_t>((i * i) % 251);

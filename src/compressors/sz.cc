@@ -267,25 +267,6 @@ void CoefSteps(double eb, double steps[4]) {
   steps[1] = steps[2] = steps[3] = eb * 0.5 / static_cast<double>(kBlock);
 }
 
-// Per-block iteration over a slice.
-template <typename Fn>
-void ForEachBlock(const SliceLayout& lay, Fn&& fn) {
-  const size_t bz = (lay.dims[0] + kBlock - 1) / kBlock;
-  const size_t by = (lay.dims[1] + kBlock - 1) / kBlock;
-  const size_t bx = (lay.dims[2] + kBlock - 1) / kBlock;
-  for (size_t z = 0; z < bz; ++z) {
-    for (size_t y = 0; y < by; ++y) {
-      for (size_t x = 0; x < bx; ++x) {
-        size_t lo[3] = {z * kBlock, y * kBlock, x * kBlock};
-        size_t hi[3] = {std::min(lo[0] + kBlock, lay.dims[0]),
-                        std::min(lo[1] + kBlock, lay.dims[1]),
-                        std::min(lo[2] + kBlock, lay.dims[2])};
-        fn(lo, hi);
-      }
-    }
-  }
-}
-
 // Parallel work units depend only on the input's shape: selection takes
 // 32 blocks per unit, quantization one row of blocks. A field below
 // kMinSplitPoints is one unit per stage: its stages are too short to gain
@@ -404,6 +385,35 @@ class RowSchedule {
   std::atomic<bool> abandoned_{false};
 };
 
+// Runs row_fn(row, &scratch) once for every row of blocks, each once the
+// rows it reads are done (see RowSchedule), on the calling thread and the
+// pool; a grid that is not `split` runs as one unit on the calling thread.
+// ParallelForBlocked hands out slot indices in increasing order, so every
+// slot below a claimed one is claimed by a running thread and a waiting
+// Take always ends.
+template <typename RowFn>
+void RunRowWavefront(ThreadPool* pool, const BlockGrid& grid, bool split,
+                     RowFn&& row_fn) {
+  RowSchedule schedule(grid);
+  ParallelForBlocked(
+      pool, 0, grid.rows(),
+      [&](size_t first, size_t last) {
+        BlockScratch scratch;
+        for (size_t k = first; k < last; ++k) {
+          const size_t row = schedule.Take(k);
+          if (row == RowSchedule::kAbandoned) return;
+          try {
+            row_fn(row, &scratch);
+          } catch (...) {
+            schedule.Abandon();
+            throw;
+          }
+          schedule.Finish(row);
+        }
+      },
+      split ? 1 : grid.rows());
+}
+
 // Calls fn(idx, i, lin) for each point of a block in (z, y, x) order: idx
 // is the point's coordinates in its slice, i counts points within the
 // block, lin is the point's offset within the slice.
@@ -516,6 +526,44 @@ uint32_t QuantizeBlock(const float* in, float* out, const SliceLayout& lay,
   return raw;
 }
 
+// Reconstructs one block from its codes (block-local order) into `out`,
+// with the same floating-point operations QuantizeBlock used to
+// reconstruct it; each unpredictable point (code 0) takes the next
+// verbatim float of `raw`. Returns the number of verbatim floats read.
+uint32_t ReconstructBlock(float* out, const SliceLayout& lay,
+                          const size_t* lo, const size_t* hi,
+                          const BlockChoice& choice, const double* coef_steps,
+                          double bin, const uint32_t* codes, const uint8_t* raw,
+                          BlockScratch* scratch) {
+  if (choice.regression) {
+    const size_t n = FillBlockCoords(lo, hi, scratch);
+    const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
+    PlanePredict(scratch->cz.data(), scratch->cy.data(), scratch->cx.data(),
+                 n, dq.c0, dq.cz, dq.cy, dq.cx, scratch->pred.data());
+  }
+  const LorenzoSlice lorenzo(out, lay.nd, lay.strides);
+  uint32_t used = 0;
+  ForEachPoint(lay, lo, hi, [&](const size_t* idx, size_t i, size_t lin) {
+    const uint32_t sym = codes[i];
+    if (sym == 0) {
+      out[lin] = std::bit_cast<float>(ReadUint32(raw + 4 * used));
+      ++used;
+      return;
+    }
+    const double pred =
+        choice.regression ? scratch->pred[i] : lorenzo.Predict(idx, lin);
+    const int64_t code = static_cast<int64_t>(sym) - kRadius;
+    out[lin] = static_cast<float>(pred + static_cast<double>(code) * bin);
+  });
+  return used;
+}
+
+// Bit b of the selection bits: 1 when block b uses the regression
+// predictor.
+bool SelectsRegression(const uint8_t* selection, size_t b) {
+  return ((selection[b >> 3] >> (b & 7)) & 1u) != 0;
+}
+
 }  // namespace
 
 StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
@@ -568,35 +616,16 @@ StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
   std::vector<float> recon(data.size());
   std::vector<uint32_t> codes(data.size());
   std::vector<uint32_t> raw_count(grid.total, 0);
-  // ParallelForBlocked hands out slot indices in increasing order, so
-  // every slot below a claimed one is claimed by a running thread and a
-  // waiting Take always ends.
-  RowSchedule schedule(grid);
-  ParallelForBlocked(
-      pool, 0, grid.rows(),
-      [&](size_t first, size_t last) {
-        BlockScratch scratch;
-        for (size_t k = first; k < last; ++k) {
-          const size_t row = schedule.Take(k);
-          if (row == RowSchedule::kAbandoned) return;
-          try {
-            const size_t row_end = (row + 1) * grid.n[2];
-            for (size_t b = row_end - grid.n[2]; b < row_end; ++b) {
-              size_t lo[3], hi[3];
-              const size_t base = grid.Bounds(b, lo, hi);
-              raw_count[b] = QuantizeBlock(
-                  data.data() + base, recon.data() + base, lay, lo, hi,
-                  choice[b], coef_steps, eb, bin, &scratch,
-                  codes.data() + code_offset[b]);
-            }
-          } catch (...) {
-            schedule.Abandon();
-            throw;
-          }
-          schedule.Finish(row);
-        }
-      },
-      split ? 1 : grid.rows());
+  RunRowWavefront(pool, grid, split, [&](size_t row, BlockScratch* scratch) {
+    const size_t row_end = (row + 1) * grid.n[2];
+    for (size_t b = row_end - grid.n[2]; b < row_end; ++b) {
+      size_t lo[3], hi[3];
+      const size_t base = grid.Bounds(b, lo, hi);
+      raw_count[b] = QuantizeBlock(data.data() + base, recon.data() + base,
+                                   lay, lo, hi, choice[b], coef_steps, eb, bin,
+                                   scratch, codes.data() + code_offset[b]);
+    }
+  });
 
   // Verbatim floats for unpredictable points, in block order.
   std::vector<size_t> raw_offset(grid.total + 1, 0);
@@ -687,7 +716,6 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
   if (!reader.ReadLengthPrefixed(&sel_bytes, &sel_size)) {
     return Status::Corruption("sz: bad selection bits");
   }
-  BitReader selection(sel_bytes, sel_size);
 
   const uint8_t* coef_bytes = nullptr;
   size_t coef_size = 0;
@@ -710,73 +738,79 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
   if (!reader.ReadLengthPrefixed(&raw, &raw_size)) {
     return Status::Corruption("sz: bad raw stream");
   }
-  size_t raw_used = 0;
-
-  Tensor result(dims);
-  if (codes.size() != result.size()) {
+  size_t elements = 1;
+  for (size_t d : dims) elements *= d;
+  if (codes.size() != elements) {
     return Status::Corruption("sz: code count mismatch");
   }
 
-  size_t code_pos = 0;
-  size_t coef_pos = 0;
+  // Where each row of blocks starts in the three per-block sections: its
+  // codes at an offset fixed by the shape, its coefficients after those of
+  // the regression blocks before it, its verbatim floats after the zero
+  // codes before it. A row holds consecutive blocks, so a block's offsets
+  // follow from its row's. The section lengths are checked here, once: a
+  // section too short for the blocks that read it is the "truncated block
+  // metadata" a block-order decode would meet at its end.
   const SliceLayout lay = MakeSliceLayout(dims);
-  BlockScratch scratch;
-  for (size_t s = 0; s < lay.num_slices; ++s) {
-    const size_t base = s * lay.slice_elems;
-    float* rec = result.data() + base;
-    LorenzoSlice lorenzo(rec, lay.nd, lay.strides);
-
-    bool corrupt = false;
-    ForEachBlock(lay, [&](const size_t* lo, const size_t* hi) {
-      if (corrupt) return;
-      const bool use_regression = selection.ReadBit() != 0;
-      if (use_regression) {
-        if (coef_pos + 4 > coef_codes.size()) {
-          corrupt = true;
-          return;
-        }
-        RegressionCoefs dq;
-        double* fields[4] = {&dq.c0, &dq.cz, &dq.cy, &dq.cx};
-        for (int k = 0; k < 4; ++k) {
-          *fields[k] = static_cast<double>(UnZigZag(coef_codes[coef_pos++])) *
-                       coef_steps[k];
-        }
-        // Regression predictions are data-independent within the block, so
-        // the whole plane is evaluated in one kernel call.
-        const size_t n = FillBlockCoords(lo, hi, &scratch);
-        PlanePredict(scratch.cz.data(), scratch.cy.data(), scratch.cx.data(),
-                     n, dq.c0, dq.cz, dq.cy, dq.cx, scratch.pred.data());
-      }
-      size_t i = 0;
-      for (size_t z = lo[0]; z < hi[0] && !corrupt; ++z) {
-        for (size_t y = lo[1]; y < hi[1]; ++y) {
-          size_t lin =
-              z * lay.strides[0] + y * lay.strides[1] + lo[2] * lay.strides[2];
-          for (size_t x = lo[2]; x < hi[2]; ++x, ++i, ++lin) {
-            const size_t idx[3] = {z, y, x};
-            const uint32_t sym = codes[code_pos++];
-            if (sym == 0) {
-              if (raw_used + 4 > raw_size) {
-                corrupt = true;
-                return;
-              }
-              rec[lin] = std::bit_cast<float>(ReadUint32(raw + raw_used));
-              raw_used += 4;
-            } else {
-              const double pred =
-                  use_regression ? scratch.pred[i] : lorenzo.Predict(idx, lin);
-              const int64_t code = static_cast<int64_t>(sym) - kRadius;
-              rec[lin] =
-                  static_cast<float>(pred + static_cast<double>(code) * bin);
-            }
-          }
-        }
-      }
-    });
-    if (corrupt || selection.overrun()) {
-      return Status::Corruption("sz: truncated block metadata");
-    }
+  const BlockGrid grid(lay);
+  const size_t rows = grid.rows();
+  if (sel_size < (grid.total + 7) / 8) {
+    return Status::Corruption("sz: truncated block metadata");
   }
+  struct RowStart {
+    size_t code = 0, coef = 0, raw = 0;
+  };
+  std::vector<RowStart> starts(rows + 1);
+  for (size_t r = 0; r < rows; ++r) {
+    size_t lo[3], hi[3];
+    grid.Bounds(r * grid.n[2], lo, hi);
+    size_t regression = 0;
+    for (size_t b = r * grid.n[2]; b < (r + 1) * grid.n[2]; ++b) {
+      regression += SelectsRegression(sel_bytes, b) ? 1 : 0;
+    }
+    starts[r + 1].code =
+        starts[r].code + (hi[0] - lo[0]) * (hi[1] - lo[1]) * lay.dims[2];
+    starts[r + 1].coef = starts[r].coef + 4 * regression;
+  }
+  ThreadPool* pool = SharedThreadPool();
+  const bool split = elements >= kMinSplitPoints;
+  ParallelFor(
+      pool, 0, rows,
+      [&](size_t r) {
+        starts[r + 1].raw = static_cast<size_t>(
+            std::count(codes.begin() + starts[r].code,
+                       codes.begin() + starts[r + 1].code, 0u));
+      },
+      split ? kSelectGrain : rows);
+  for (size_t r = 0; r < rows; ++r) starts[r + 1].raw += starts[r].raw;
+  if (starts[rows].coef > coef_codes.size() ||
+      starts[rows].raw > raw_size / 4) {
+    return Status::Corruption("sz: truncated block metadata");
+  }
+
+  // Rows reconstruct in the quantizer's wavefront: a point reads the same
+  // reconstructed neighbours the quantizer read, so it runs the same
+  // floating-point operations as a serial pass in block order.
+  Tensor result(dims);
+  RunRowWavefront(pool, grid, split, [&](size_t row, BlockScratch* scratch) {
+    RowStart at = starts[row];
+    const size_t row_end = (row + 1) * grid.n[2];
+    for (size_t b = row_end - grid.n[2]; b < row_end; ++b) {
+      size_t lo[3], hi[3];
+      const size_t base = grid.Bounds(b, lo, hi);
+      BlockChoice choice;
+      if (SelectsRegression(sel_bytes, b)) {
+        choice.regression = true;
+        for (int k = 0; k < 4; ++k) {
+          choice.qc[k] = UnZigZag(coef_codes[at.coef++]);
+        }
+      }
+      at.raw += ReconstructBlock(result.data() + base, lay, lo, hi, choice,
+                                 coef_steps, bin, codes.data() + at.code,
+                                 raw + 4 * at.raw, scratch);
+      at.code += (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
+    }
+  });
   *out = std::move(result);
   return Status::Ok();
 }

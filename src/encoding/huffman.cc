@@ -1,6 +1,7 @@
 #include "src/encoding/huffman.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <queue>
 #include <unordered_map>
@@ -219,6 +220,330 @@ Status ParseHeader(ByteReader* reader, uint64_t* num_symbols,
   return Status::Ok();
 }
 
+// Multi-range decoding (see huffman.h): streams of at least two
+// kMinDecodeRangeBits-bit ranges are cut into at most kMaxDecodeRanges
+// equal ranges, and each range but the first records the positions of its
+// first kSyncMarks codeword boundaries for the resynchronization pass.
+constexpr size_t kMinDecodeRangeBits = size_t{1} << 16;
+constexpr size_t kMaxDecodeRanges = 64;
+constexpr size_t kSyncMarks = 256;
+
+// What a decode from an arbitrary bit position met, codeword by codeword,
+// in the range [start, end) of the payload.
+struct RangeScan {
+  uint64_t count = 0;  // codewords that begin in [start, end)
+  size_t exit = 0;     // the first codeword boundary at or after end
+  std::vector<size_t> marks;  // the first boundaries, as offsets from start
+  bool ok = false;  // false: an invalid or truncated code was met
+};
+
+// The decode side of one stream: the direct lookup table, the canonical
+// ranges for codes longer than the table, and the payload.
+class StreamDecoder {
+ public:
+  enum class Step : uint8_t { kOk, kInvalid, kTruncated };
+
+  StreamDecoder(const CanonicalTable& table, const uint8_t* payload,
+                size_t payload_bytes)
+      : table_(table),
+        ranges_(BuildRanges(table)),
+        lut_(kTableSize),
+        payload_(payload),
+        payload_bytes_(payload_bytes) {
+    // Short codes fill every slot sharing their reversed-bit prefix; slots
+    // covered only by >kTableBits codes get the sentinel kLongCode; slots
+    // no code reaches stay invalid (len 0).
+    for (size_t i = 0; i < table.sorted.size(); ++i) {
+      const uint8_t len = table.sorted[i].length;
+      if (len <= kTableBits) {
+        const uint64_t rev = ReverseBits(table.codes[i], len);
+        for (size_t j = rev; j < kTableSize; j += (1u << len)) {
+          lut_[j] = {table.sorted[i].symbol, len};
+        }
+      } else {
+        // Mark the slot for the code's first kTableBits bits as "long".
+        const uint64_t prefix = table.codes[i] >> (len - kTableBits);
+        lut_[ReverseBits(prefix, kTableBits)].len = kLongCode;
+      }
+    }
+    // Dominant-symbol fast path: the first canonical entry has the
+    // shortest code, which is always the all-zero code, so a run of k
+    // dominant symbols is k * len zero bits.
+    dom_symbol_ = table.sorted[0].symbol;
+    dom_len_ = table.sorted[0].length;
+    dom_mask_ = (uint64_t{1} << dom_len_) - 1;
+    for (size_t zeros = 0; zeros <= BitReader::kPeekMax; ++zeros) {
+      run_length_[zeros] = static_cast<uint8_t>(zeros / dom_len_);
+    }
+  }
+
+  size_t total_bits() const { return payload_bytes_ * 8; }
+
+  BitReader ReaderAt(size_t bit) const {
+    BitReader br(payload_, payload_bytes_);
+    br.Advance(bit);
+    return br;
+  }
+
+  // Decodes `count` symbols from br's position into dst.
+  Status Decode(BitReader* br, uint64_t count, uint32_t* dst) const {
+    uint64_t produced = 0;
+    while (produced < count) {
+      const uint64_t window = br->PeekBits(BitReader::kPeekMax);
+      const uint64_t run =
+          std::min<uint64_t>(Run(*br, window), count - produced);
+      if (run > 0) {
+        std::fill_n(dst + produced, run, dom_symbol_);
+        produced += run;
+        br->Advance(run * dom_len_);
+        continue;
+      }
+      const Step step = DecodeOne(br, window, dst + produced);
+      if (step == Step::kInvalid) {
+        return Status::Corruption("huffman: invalid code");
+      }
+      if (step == Step::kTruncated) {
+        return Status::Corruption("huffman: truncated code stream");
+      }
+      ++produced;
+    }
+    return Status::Ok();
+  }
+
+  // Decodes from `start`, whether or not a codeword begins there, counting
+  // the codewords that begin before `end` and recording the first
+  // `max_marks` boundaries.
+  void Scan(size_t start, size_t end, size_t max_marks,
+            RangeScan* scan) const {
+    BitReader br = ReaderAt(start);
+    uint64_t count = 0;
+    uint32_t symbol = 0;
+    scan->marks.clear();
+    scan->ok = false;
+    while (br.position() < end && scan->marks.size() < max_marks) {
+      scan->marks.push_back(br.position() - start);
+      if (DecodeOne(&br, br.PeekBits(BitReader::kPeekMax), &symbol) !=
+          Step::kOk) {
+        return;
+      }
+      ++count;
+    }
+    while (br.position() < end) {
+      const uint64_t window = br.PeekBits(BitReader::kPeekMax);
+      // A run counts only the dominant codewords that begin before end.
+      const uint64_t run = std::min<uint64_t>(
+          Run(br, window), (end - br.position() + dom_len_ - 1) / dom_len_);
+      if (run > 0) {
+        count += run;
+        br.Advance(run * dom_len_);
+        continue;
+      }
+      if (DecodeOne(&br, window, &symbol) != Step::kOk) return;
+      ++count;
+    }
+    scan->count = count;
+    scan->exit = br.position();
+    scan->ok = true;
+  }
+
+  // Re-anchors `scan`, taken from `start`, at the range's true entry: walks
+  // codewords from `entry` until one begins at a boundary the scan
+  // recorded, from where the scan's codewords are the stream's, and
+  // corrects the count. A walk that passes every recorded boundary decodes
+  // the rest of the range afresh. Returns false on an invalid or truncated
+  // code.
+  bool Resync(size_t entry, size_t start, size_t end, RangeScan* scan) const {
+    BitReader br = ReaderAt(entry);
+    uint64_t walked = 0;
+    uint32_t symbol = 0;
+    size_t j = 0;
+    while (br.position() < end) {
+      const size_t at = br.position() - start;
+      while (j < scan->marks.size() && scan->marks[j] < at) ++j;
+      if (j < scan->marks.size() && scan->marks[j] == at) {
+        scan->count = scan->count - j + walked;
+        return true;
+      }
+      if (j == scan->marks.size() && scan->count > j) {
+        RangeScan rest;
+        Scan(br.position(), end, 0, &rest);
+        if (!rest.ok) return false;
+        scan->count = walked + rest.count;
+        scan->exit = rest.exit;
+        return true;
+      }
+      if (DecodeOne(&br, br.PeekBits(BitReader::kPeekMax), &symbol) !=
+          Step::kOk) {
+        return false;
+      }
+      ++walked;
+    }
+    scan->count = walked;
+    scan->exit = br.position();
+    return true;
+  }
+
+ private:
+  static constexpr uint8_t kLongCode = 0xFF;
+  struct TableEntry {
+    uint32_t symbol = 0;
+    uint8_t len = 0;
+  };
+
+  // The number of whole dominant codewords that begin at br's position
+  // and end inside the payload; `window` is PeekBits(kPeekMax) there.
+  size_t Run(const BitReader& br, uint64_t window) const {
+    if ((window & dom_mask_) != 0) return 0;
+    const size_t zeros =
+        window == 0 ? BitReader::kPeekMax
+                    : static_cast<size_t>(std::countr_zero(window));
+    return run_length_[std::min(zeros, br.bits_remaining())];
+  }
+
+  // Decodes the codeword at br's position into *symbol; `window` is
+  // PeekBits(kPeekMax) there.
+  Step DecodeOne(BitReader* br, uint64_t window, uint32_t* symbol) const {
+    const TableEntry e = lut_[window & (kTableSize - 1)];
+    if (e.len == 0) return Step::kInvalid;
+    if (e.len != kLongCode) {
+      if (e.len > br->bits_remaining()) return Step::kTruncated;
+      br->Advance(e.len);
+      *symbol = e.symbol;
+      return Step::kOk;
+    }
+    // Long-code fallback: walk the canonical ranges beyond kTableBits.
+    uint64_t code = 0;
+    for (size_t len = 1; len <= table_.max_length; ++len) {
+      code = (code << 1) | ((window >> (len - 1)) & 1u);
+      if (len <= kTableBits) continue;
+      if (ranges_.count[len] > 0 && code >= ranges_.first_code[len] &&
+          code < ranges_.first_code[len] + ranges_.count[len]) {
+        if (len > br->bits_remaining()) return Step::kTruncated;
+        const size_t idx =
+            ranges_.first_index[len] + (code - ranges_.first_code[len]);
+        br->Advance(len);
+        *symbol = table_.sorted[idx].symbol;
+        return Step::kOk;
+      }
+    }
+    return Step::kInvalid;
+  }
+
+  const CanonicalTable& table_;
+  const CanonicalRanges ranges_;
+  std::vector<TableEntry> lut_;
+  const uint8_t* payload_;
+  size_t payload_bytes_;
+  uint32_t dom_symbol_ = 0;
+  size_t dom_len_ = 0;
+  uint64_t dom_mask_ = 0;  // the dominant code's bits
+  uint8_t run_length_[BitReader::kPeekMax + 1] = {};  // zeros -> codewords
+};
+
+// Decodes `num_symbols` symbols into dst in `ranges` ranges (see
+// huffman.h). Returns false, with dst partly written, on any anomaly: the
+// caller then decodes the stream as one range, which reports its Status.
+bool DecodeRanges(const StreamDecoder& decoder, size_t ranges,
+                  uint64_t num_symbols, uint32_t* dst) {
+  ThreadPool* pool = SharedThreadPool();
+  const size_t width = decoder.total_bits() / ranges;
+  auto range_end = [&](size_t k) {
+    return k + 1 == ranges ? decoder.total_bits() : (k + 1) * width;
+  };
+
+  // Pass 1: every range but the last decodes from its start, counting.
+  // The marks are allocated here, so pool threads' malloc arenas keep
+  // nothing.
+  std::vector<RangeScan> scans(ranges - 1);
+  for (size_t k = 1; k < scans.size(); ++k) scans[k].marks.reserve(kSyncMarks);
+  ParallelFor(
+      pool, 0, ranges - 1,
+      [&](size_t k) {
+        decoder.Scan(k * width, range_end(k), k == 0 ? 0 : kSyncMarks,
+                     &scans[k]);
+      },
+      1);
+
+  // Pass 2: each range's true entry is the previous range's true exit;
+  // range 0 starts at bit 0. The last range takes whatever symbols remain.
+  std::vector<size_t> entry(ranges, 0);
+  std::vector<uint64_t> first(ranges + 1, 0);
+  for (size_t k = 0; k + 1 < ranges; ++k) {
+    RangeScan& scan = scans[k];
+    if (!scan.ok) return false;
+    if (k > 0 && !decoder.Resync(entry[k], k * width, range_end(k), &scan)) {
+      return false;
+    }
+    entry[k + 1] = scan.exit;
+    first[k + 1] = first[k] + scan.count;
+    if (first[k + 1] > num_symbols) return false;
+  }
+  first[ranges] = num_symbols;
+
+  // Pass 3: every range decodes into its slot of dst.
+  std::vector<uint8_t> ok(ranges, 0);
+  ParallelFor(
+      pool, 0, ranges,
+      [&](size_t k) {
+        BitReader br = decoder.ReaderAt(entry[k]);
+        ok[k] = decoder.Decode(&br, first[k + 1] - first[k], dst + first[k])
+                    .ok();
+      },
+      1);
+  return std::all_of(ok.begin(), ok.end(), [](uint8_t b) { return b != 0; });
+}
+
+// A stream parsed up to its payload.
+struct ParsedStream {
+  uint64_t num_symbols = 0;
+  CanonicalTable table;
+  const uint8_t* payload = nullptr;  // unset when num_symbols is 0
+  size_t payload_bytes = 0;
+};
+
+Status ParseStream(const uint8_t* data, size_t size, ParsedStream* stream) {
+  ByteReader reader(data, size);
+  FXRZ_RETURN_IF_ERROR(
+      ParseHeader(&reader, &stream->num_symbols, &stream->table));
+  if (stream->num_symbols == 0) return Status::Ok();
+  if (!reader.ReadLengthPrefixed(&stream->payload, &stream->payload_bytes)) {
+    return Status::Corruption("huffman: truncated payload");
+  }
+  if (stream->num_symbols > stream->payload_bytes * 8) {
+    return Status::Corruption("huffman: implausible symbol count");
+  }
+  return Status::Ok();
+}
+
+// The number of ranges a stream's payload decodes in; it depends only on
+// the payload's size.
+size_t RangeCount(const ParsedStream& stream) {
+  const size_t ranges = std::min(
+      kMaxDecodeRanges, stream.payload_bytes * 8 / kMinDecodeRangeBits);
+  return std::max<size_t>(ranges, 1);
+}
+
+// Decodes a parsed stream in `ranges` ranges (1: on the calling thread).
+// With `fallback`, a multi-range decode that meets an anomaly decodes the
+// stream again as one range.
+Status DecodeStream(const ParsedStream& stream, size_t ranges, bool fallback,
+                    std::vector<uint32_t>* out) {
+  if (stream.num_symbols == 0) return Status::Ok();
+  const StreamDecoder decoder(stream.table, stream.payload,
+                              stream.payload_bytes);
+  out->resize(stream.num_symbols);
+  if (ranges >= 2) {
+    if (DecodeRanges(decoder, ranges, stream.num_symbols, out->data())) {
+      return Status::Ok();
+    }
+    if (!fallback) {
+      return Status::Internal("huffman: multi-range decode fell back");
+    }
+  }
+  BitReader br = decoder.ReaderAt(0);
+  return decoder.Decode(&br, stream.num_symbols, out->data());
+}
+
 }  // namespace
 
 std::vector<uint8_t> HuffmanEncode(const std::vector<uint32_t>& symbols) {
@@ -364,108 +689,9 @@ Status HuffmanDecode(const uint8_t* data, size_t size,
                      std::vector<uint32_t>* out) {
   FXRZ_CHECK(out != nullptr);
   out->clear();
-  ByteReader reader(data, size);
-  uint64_t num_symbols = 0;
-  CanonicalTable table;
-  FXRZ_RETURN_IF_ERROR(ParseHeader(&reader, &num_symbols, &table));
-  if (num_symbols == 0) return Status::Ok();
-  const CanonicalRanges ranges = BuildRanges(table);
-
-  const uint8_t* payload = nullptr;
-  size_t payload_bytes = 0;
-  if (!reader.ReadLengthPrefixed(&payload, &payload_bytes)) {
-    return Status::Corruption("huffman: truncated payload");
-  }
-  if (num_symbols > payload_bytes * 8) {
-    return Status::Corruption("huffman: implausible symbol count");
-  }
-
-  // Build the direct lookup table. Short codes fill every slot sharing
-  // their reversed-bit prefix; slots covered only by >kTableBits codes get
-  // the sentinel length 0xFF; slots no code reaches stay invalid (len 0).
-  struct TableEntry {
-    uint32_t symbol = 0;
-    uint8_t len = 0;
-  };
-  std::vector<TableEntry> lut(kTableSize);
-  for (size_t i = 0; i < table.sorted.size(); ++i) {
-    const uint8_t len = table.sorted[i].length;
-    if (len <= kTableBits) {
-      const uint64_t rev = ReverseBits(table.codes[i], len);
-      for (size_t j = rev; j < kTableSize; j += (1u << len)) {
-        lut[j] = {table.sorted[i].symbol, len};
-      }
-    } else {
-      // Mark the slot for the code's first kTableBits bits as "long".
-      const uint64_t prefix = table.codes[i] >> (len - kTableBits);
-      lut[ReverseBits(prefix, kTableBits)].len = 0xFF;
-    }
-  }
-
-  // Dominant-symbol fast path: the first canonical entry has the shortest
-  // code, which is always the all-zero code. When four consecutive codes
-  // are that symbol, the next 4*len bits are all zero.
-  const uint32_t dom_symbol = table.sorted[0].symbol;
-  const size_t dom_len = table.sorted[0].length;
-  const size_t run_bits = 4 * dom_len;
-  const bool run_enabled = run_bits <= BitReader::kPeekMax &&
-                           table.codes[0] == 0;
-
-  BitReader br(payload, payload_bytes);
-  out->resize(num_symbols);
-  uint32_t* dst = out->data();
-  size_t produced = 0;
-  while (produced < num_symbols) {
-    if (run_enabled && produced + 4 <= num_symbols &&
-        br.bits_remaining() >= run_bits) {
-      while (br.PeekBits(run_bits) == 0 && produced + 4 <= num_symbols &&
-             br.bits_remaining() >= run_bits) {
-        dst[produced] = dom_symbol;
-        dst[produced + 1] = dom_symbol;
-        dst[produced + 2] = dom_symbol;
-        dst[produced + 3] = dom_symbol;
-        produced += 4;
-        br.Advance(run_bits);
-      }
-      if (produced >= num_symbols) break;
-    }
-    const uint64_t window = br.PeekBits(kTableBits);
-    const TableEntry e = lut[window];
-    if (e.len == 0) {
-      return Status::Corruption("huffman: invalid code");
-    }
-    if (e.len != 0xFF) {
-      if (e.len > br.bits_remaining()) {
-        return Status::Corruption("huffman: truncated code stream");
-      }
-      br.Advance(e.len);
-      dst[produced++] = e.symbol;
-      continue;
-    }
-    // Long-code fallback: peek enough bits for the longest code and walk
-    // the canonical ranges beyond kTableBits.
-    const uint64_t v = br.PeekBits(table.max_length);
-    uint64_t code = 0;
-    size_t len = 1;
-    bool found = false;
-    for (; len <= table.max_length; ++len) {
-      code = (code << 1) | ((v >> (len - 1)) & 1u);
-      if (len <= kTableBits) continue;
-      if (ranges.count[len] > 0 && code >= ranges.first_code[len] &&
-          code < ranges.first_code[len] + ranges.count[len]) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return Status::Corruption("huffman: invalid code");
-    if (len > br.bits_remaining()) {
-      return Status::Corruption("huffman: truncated code stream");
-    }
-    const size_t idx = ranges.first_index[len] + (code - ranges.first_code[len]);
-    br.Advance(len);
-    dst[produced++] = table.sorted[idx].symbol;
-  }
-  return Status::Ok();
+  ParsedStream stream;
+  FXRZ_RETURN_IF_ERROR(ParseStream(data, size, &stream));
+  return DecodeStream(stream, RangeCount(stream), /*fallback=*/true, out);
 }
 
 namespace huffman_internal {
@@ -474,25 +700,15 @@ Status DecodeReference(const uint8_t* data, size_t size,
                        std::vector<uint32_t>* out) {
   FXRZ_CHECK(out != nullptr);
   out->clear();
-  ByteReader reader(data, size);
-  uint64_t num_symbols = 0;
-  CanonicalTable table;
-  FXRZ_RETURN_IF_ERROR(ParseHeader(&reader, &num_symbols, &table));
-  if (num_symbols == 0) return Status::Ok();
+  ParsedStream stream;
+  FXRZ_RETURN_IF_ERROR(ParseStream(data, size, &stream));
+  if (stream.num_symbols == 0) return Status::Ok();
+  const CanonicalTable& table = stream.table;
   const CanonicalRanges ranges = BuildRanges(table);
+  BitReader br(stream.payload, stream.payload_bytes);
 
-  const uint8_t* payload = nullptr;
-  size_t payload_bytes = 0;
-  if (!reader.ReadLengthPrefixed(&payload, &payload_bytes)) {
-    return Status::Corruption("huffman: truncated payload");
-  }
-  if (num_symbols > payload_bytes * 8) {
-    return Status::Corruption("huffman: implausible symbol count");
-  }
-  BitReader br(payload, payload_bytes);
-
-  out->reserve(num_symbols);
-  for (uint64_t i = 0; i < num_symbols; ++i) {
+  out->reserve(stream.num_symbols);
+  for (uint64_t i = 0; i < stream.num_symbols; ++i) {
     uint64_t code = 0;
     size_t len = 0;
     for (;;) {
@@ -514,6 +730,20 @@ Status DecodeReference(const uint8_t* data, size_t size,
     }
   }
   return Status::Ok();
+}
+
+Status DecodeInRanges(const uint8_t* data, size_t size, size_t ranges,
+                      std::vector<uint32_t>* out) {
+  FXRZ_CHECK(out != nullptr && ranges >= 1);
+  out->clear();
+  ParsedStream stream;
+  FXRZ_RETURN_IF_ERROR(ParseStream(data, size, &stream));
+  return DecodeStream(stream, ranges, /*fallback=*/false, out);
+}
+
+size_t DecodeRangeCount(const uint8_t* data, size_t size) {
+  ParsedStream stream;
+  return ParseStream(data, size, &stream).ok() ? RangeCount(stream) : 0;
 }
 
 }  // namespace huffman_internal

@@ -8,9 +8,24 @@
 //
 // Decoding is table-driven: an 11-bit canonical-code lookup table resolves
 // most codes in a single probe, longer codes fall back to the canonical
-// first_code ranges, and runs of the dominant (shortest-code) symbol are
-// matched four at a time. The bit-at-a-time reference decoder survives in
-// huffman_internal for differential testing.
+// first_code ranges, and a run of the dominant (shortest-code, all-zero)
+// symbol is taken whole from the trailing zeros of one peek. The
+// bit-at-a-time reference decoder survives in huffman_internal for
+// differential testing.
+//
+// A payload of at least 16 KiB decodes on the shared thread pool, in up to
+// 64 equal bit ranges, with no change to the stream: range k owns the
+// codewords whose first bit lies in it. Pass 1 decodes every range but the
+// last from its first bit, counting codewords and recording where its
+// first few hundred begin; a start inside a codeword falls back onto the
+// true codeword boundaries within a few dozen codewords (a Huffman code
+// resynchronizes). Pass 2, serial, walks each range from its true entry
+// (the previous range's exit) to the first recorded boundary and corrects
+// the count, or decodes the whole range again if it meets none. Pass 3
+// decodes every range into its prefix-sum slot of the output. Any anomaly
+// (an invalid or truncated code, counts beyond the symbol count, a last
+// range that fails) drops to the one-range decode, so a corrupt stream
+// gets exactly the Status a serial decode gives it.
 
 #ifndef FXRZ_ENCODING_HUFFMAN_H_
 #define FXRZ_ENCODING_HUFFMAN_H_
@@ -38,6 +53,19 @@ namespace huffman_internal {
 // differential tests of the table-driven fast path.
 Status DecodeReference(const uint8_t* data, size_t size,
                        std::vector<uint32_t>* out);
+
+// Decodes in exactly `ranges` ranges, of any width, with no fallback: a
+// multi-range decode that meets an anomaly returns
+// Internal("huffman: multi-range decode fell back"). One range is the
+// serial decode on the calling thread, whose output and Status
+// HuffmanDecode must return for every stream.
+Status DecodeInRanges(const uint8_t* data, size_t size, size_t ranges,
+                      std::vector<uint32_t>* out);
+
+// The number of ranges HuffmanDecode cuts the stream's payload into (1:
+// one range on the calling thread), or 0 for a stream whose header or
+// payload framing does not parse.
+size_t DecodeRangeCount(const uint8_t* data, size_t size);
 
 }  // namespace huffman_internal
 

@@ -7,7 +7,10 @@
 // under any scheduling. Each case also pins the bytes its archive decodes
 // to, so a kernel change that keeps the archive but moves a reconstructed
 // float is caught too: fpzip's archive hashes were re-recorded when its
-// residuals moved into segments, its decode hashes were not.
+// residuals moved into segments, its decode hashes were not. The decoded
+// bytes are checked under the same schedules, since sz's Huffman stage and
+// reconstruction, and the Huffman stage of sz3 and mgard, decode in
+// parallel ranges and rows.
 
 #include <gtest/gtest.h>
 
@@ -140,9 +143,24 @@ std::vector<uint8_t> Archive(const Compressor& comp, const ArchiveCase& c) {
   return out.ok() ? std::move(out).value() : std::vector<uint8_t>();
 }
 
-uint64_t ArchiveHash(const ArchiveCase& c) {
-  const std::vector<uint8_t> archive = Archive(*MakeCompressor(c.codec), c);
-  return archive.empty() ? 0 : Hash(archive);
+// The hashes of a case's archive and of the floats it decodes to (0 for
+// a failed step).
+struct CaseHashes {
+  uint64_t archive = 0;
+  uint64_t decoded = 0;
+};
+
+CaseHashes Hashes(const ArchiveCase& c) {
+  const std::unique_ptr<Compressor> comp = MakeCompressor(c.codec);
+  const std::vector<uint8_t> archive = Archive(*comp, c);
+  CaseHashes h;
+  if (archive.empty()) return h;
+  h.archive = Hash(archive);
+  Tensor decoded;
+  if (comp->Decompress(archive.data(), archive.size(), &decoded).ok()) {
+    h.decoded = HashTensor(decoded);
+  }
+  return h;
 }
 
 std::string Describe(const ArchiveCase& c) {
@@ -181,13 +199,13 @@ std::vector<const ArchiveCase*> ParallelCases() {
   return cases;
 }
 
-// Four threads compressing at once share one pool; each must still get the
-// recorded bytes.
+// Four threads compressing and decoding at once share one pool; each must
+// still get the recorded archive and decoded bytes.
 TEST(ArchiveBytesGoldenTest, ConcurrentCompressionsMatch) {
   constexpr size_t kThreads = 4;
   const std::vector<const ArchiveCase*> cases = ParallelCases();
   const size_t n = cases.size();
-  std::vector<uint64_t> got(n * kThreads, 0);
+  std::vector<CaseHashes> got(n * kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -195,21 +213,25 @@ TEST(ArchiveBytesGoldenTest, ConcurrentCompressionsMatch) {
       // different codecs overlap in time.
       for (size_t i = 0; i < n; ++i) {
         const size_t k = (i + t * n / kThreads) % n;
-        got[t * n + k] = ArchiveHash(*cases[k]);
+        got[t * n + k] = Hashes(*cases[k]);
       }
     });
   }
   for (std::thread& th : threads) th.join();
   for (size_t t = 0; t < kThreads; ++t) {
     for (size_t k = 0; k < n; ++k) {
-      EXPECT_EQ(Hex(got[t * n + k]), Hex(cases[k]->hash))
+      EXPECT_EQ(Hex(got[t * n + k].archive), Hex(cases[k]->hash))
           << "thread " << t << ": " << Describe(*cases[k]);
+      EXPECT_EQ(Hex(got[t * n + k].decoded), Hex(cases[k]->decoded))
+          << "thread " << t << ": " << Describe(*cases[k])
+          << " (decoded floats)";
     }
   }
 }
 
 // Every shared-pool worker is parked on a gate while the calling thread
-// compresses, so each parallel section runs on the caller alone.
+// compresses and decodes, so each parallel section runs on the caller
+// alone.
 TEST(ArchiveBytesGoldenTest, CallerOnlyCompressionsMatch) {
   ThreadPool* pool = SharedThreadPool();
   AnnotatedMutex mu;
@@ -225,7 +247,10 @@ TEST(ArchiveBytesGoldenTest, CallerOnlyCompressionsMatch) {
   }
   while (parked.load() < pool->num_threads()) std::this_thread::yield();
   for (const ArchiveCase* c : ParallelCases()) {
-    EXPECT_EQ(Hex(ArchiveHash(*c)), Hex(c->hash)) << Describe(*c);
+    const CaseHashes got = Hashes(*c);
+    EXPECT_EQ(Hex(got.archive), Hex(c->hash)) << Describe(*c);
+    EXPECT_EQ(Hex(got.decoded), Hex(c->decoded))
+        << Describe(*c) << " (decoded floats)";
   }
   {
     MutexLock lock(mu);

@@ -17,9 +17,11 @@
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
+#include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
 #include "src/store/field_store.h"
+#include "src/util/byte_reader.h"
 #include "src/util/random.h"
 
 namespace fxrz {
@@ -91,6 +93,103 @@ INSTANTIATE_TEST_SUITE_P(AllDecoders, DecodeHardeningTest,
                          ::testing::Values("sz", "sz3", "zfp", "fpzip",
                                            "mgard", "chunked"),
                          [](const auto& info) { return info.param; });
+
+// --- sz block metadata -----------------------------------------------------
+
+// An sz archive split into its tensor header and the sections of its
+// zlite-packed body: the error bound, then length-prefixed selection bits,
+// coefficient codes (Huffman), quantization codes (Huffman) and raw floats.
+struct SzParts {
+  std::vector<uint8_t> header;
+  double eb = 0.0;
+  std::vector<uint8_t> sections[4];
+};
+
+enum SzSection { kSelection = 0, kCoefficients = 1, kCodes = 2, kRaw = 3 };
+
+SzParts SplitSz(const std::vector<uint8_t>& archive, size_t rank) {
+  SzParts parts;
+  const size_t header = 8 + 8 * rank;
+  parts.header.assign(archive.begin(), archive.begin() + header);
+  std::vector<uint8_t> body;
+  EXPECT_TRUE(
+      ZliteDecompress(archive.data() + header, archive.size() - header, &body)
+          .ok());
+  ByteReader reader(body);
+  EXPECT_TRUE(reader.ReadF64(&parts.eb));
+  for (std::vector<uint8_t>& section : parts.sections) {
+    const uint8_t* bytes = nullptr;
+    size_t size = 0;
+    EXPECT_TRUE(reader.ReadLengthPrefixed(&bytes, &size));
+    section.assign(bytes, bytes + size);
+  }
+  return parts;
+}
+
+std::vector<uint8_t> JoinSz(const SzParts& parts) {
+  std::vector<uint8_t> body;
+  AppendDouble(&body, parts.eb);
+  for (const std::vector<uint8_t>& section : parts.sections) {
+    AppendUint64(&body, section.size());
+    body.insert(body.end(), section.begin(), section.end());
+  }
+  std::vector<uint8_t> archive = parts.header;
+  const std::vector<uint8_t> packed = ZliteCompress(body);
+  archive.insert(archive.end(), packed.begin(), packed.end());
+  return archive;
+}
+
+TEST(SzBlockMetadataTest, SectionShortByOneItemIsTruncatedMetadata) {
+  // 54^3 points: 9^3 = 729 blocks, so the selection bits fill 92 bytes
+  // with one bit in the last, and the field is large enough to decode in
+  // parallel rows. Noise around smooth trends makes some blocks pick the
+  // regression predictor, and one huge value is stored verbatim.
+  constexpr size_t kN = 54;
+  Tensor data({kN, kN, kN});
+  Rng rng(851);
+  for (size_t z = 0, i = 0; z < kN; ++z) {
+    for (size_t y = 0; y < kN; ++y) {
+      for (size_t x = 0; x < kN; ++x, ++i) {
+        data.data()[i] = static_cast<float>(
+            std::sin(0.2 * x) + std::cos(0.15 * y) + 0.1 * z +
+            0.05 * rng.NextGaussian());
+      }
+    }
+  }
+  data.data()[kN * kN * 20 + kN * 30 + 40] = 1e30f;
+  const auto sz = MakeCompressor("sz");
+  const std::vector<uint8_t> archive = sz->Compress(data, 0.01).value();
+  const SzParts parts = SplitSz(archive, 3);
+  ASSERT_EQ(parts.sections[kSelection].size(), 92u);
+  std::vector<uint32_t> coefficients;
+  ASSERT_TRUE(HuffmanDecode(parts.sections[kCoefficients].data(),
+                            parts.sections[kCoefficients].size(),
+                            &coefficients)
+                  .ok());
+  ASSERT_GE(coefficients.size(), 4u);
+  ASSERT_GE(parts.sections[kRaw].size(), 4u);
+  const std::vector<uint8_t> rejoined = JoinSz(parts);
+  Tensor out;
+  ASSERT_TRUE(sz->Decompress(rejoined.data(), rejoined.size(), &out).ok());
+
+  SzParts short_selection = parts;
+  short_selection.sections[kSelection].pop_back();
+  SzParts short_coefficients = parts;
+  coefficients.pop_back();
+  short_coefficients.sections[kCoefficients] = HuffmanEncode(coefficients);
+  SzParts short_raw = parts;
+  short_raw.sections[kRaw].resize(short_raw.sections[kRaw].size() - 4);
+  const std::pair<const char*, const SzParts*> cases[] = {
+      {"selection bits", &short_selection},
+      {"coefficient codes", &short_coefficients},
+      {"raw floats", &short_raw}};
+  for (const auto& [what, broken] : cases) {
+    const std::vector<uint8_t> bytes = JoinSz(*broken);
+    const Status st = sz->Decompress(bytes.data(), bytes.size(), &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << what;
+    EXPECT_EQ(st.message(), "sz: truncated block metadata") << what;
+  }
+}
 
 // --- Chunked archive index validation -------------------------------------
 

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/encoding/bit_stream.h"
 #include "src/util/random.h"
+#include "src/util/thread_annotations.h"
+#include "src/util/thread_pool.h"
 
 namespace fxrz {
 namespace {
@@ -152,6 +158,302 @@ TEST(HuffmanTest, DecodeRejectsOversubscribedTable) {
   EXPECT_FALSE(st.ok());
   EXPECT_FALSE(
       huffman_internal::DecodeReference(enc.data(), enc.size(), &dec).ok());
+}
+
+
+// ------------------------------------------------------ multi-range decode
+
+// Runs fn while every shared-pool worker is parked on a gate, so each
+// parallel section inside it runs on the calling thread alone.
+template <typename Fn>
+void WithWorkersParked(Fn&& fn) {
+  ThreadPool* pool = SharedThreadPool();
+  AnnotatedMutex mu;
+  CondVar cv;
+  bool release = false;
+  std::atomic<size_t> parked{0};
+  for (size_t i = 0; i < pool->num_threads(); ++i) {
+    pool->Submit([&] {
+      parked.fetch_add(1);
+      MutexLock lock(mu);
+      cv.Wait(mu, [&]() FXRZ_REQUIRES(mu) { return release; });
+    });
+  }
+  while (parked.load() < pool->num_threads()) std::this_thread::yield();
+  fn();
+  {
+    MutexLock lock(mu);
+    release = true;
+  }
+  cv.NotifyAll();
+  pool->Wait();
+}
+
+// Stream layout: u64 symbol count, u32 entry count, 5 bytes per entry,
+// u64 payload length, payload.
+size_t PayloadAt(const std::vector<uint8_t>& enc) {
+  return 8 + 4 + 5 * static_cast<size_t>(ReadUint32(enc.data() + 8)) + 8;
+}
+
+void SetU64(std::vector<uint8_t>* enc, size_t pos, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) {
+    (*enc)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// Resizes the payload to `bytes` (new bytes are zero) and rewrites its
+// length to match.
+std::vector<uint8_t> WithPayloadBytes(std::vector<uint8_t> enc, size_t bytes) {
+  const size_t at = PayloadAt(enc);
+  enc.resize(at + bytes, 0);
+  SetU64(&enc, at - 8, bytes);
+  return enc;
+}
+
+// The bit where each range of the stream's multi-range decode starts.
+std::vector<size_t> RangeStarts(const std::vector<uint8_t>& enc) {
+  const size_t ranges =
+      huffman_internal::DecodeRangeCount(enc.data(), enc.size());
+  const size_t bits = (enc.size() - PayloadAt(enc)) * 8;
+  std::vector<size_t> starts;
+  for (size_t k = 0; k < ranges; ++k) starts.push_back(k * (bits / ranges));
+  return starts;
+}
+
+// A valid stream decodes in any number of ranges, the default included,
+// without falling back to the one-range decode.
+void ExpectRangesNeverFallBack(const std::vector<uint32_t>& symbols) {
+  const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  const size_t ranges =
+      huffman_internal::DecodeRangeCount(enc.data(), enc.size());
+  for (const size_t k : {ranges, size_t{2}, size_t{3}, size_t{17},
+                         size_t{64}, size_t{257}}) {
+    std::vector<uint32_t> dec;
+    const Status st =
+        huffman_internal::DecodeInRanges(enc.data(), enc.size(), k, &dec);
+    ASSERT_TRUE(st.ok()) << k << " ranges: " << st.ToString();
+    EXPECT_EQ(dec, symbols) << k << " ranges";
+  }
+}
+
+// HuffmanDecode must return what the one-range decode returns, Status
+// (code and message) and symbols, with the pool free and with every
+// worker parked.
+void ExpectSameAsOneRange(const std::vector<uint8_t>& enc,
+                          const std::string& what) {
+  std::vector<uint32_t> one, free_pool, parked;
+  const Status want =
+      huffman_internal::DecodeInRanges(enc.data(), enc.size(), 1, &one);
+  const Status got_free = HuffmanDecode(enc.data(), enc.size(), &free_pool);
+  Status got_parked;
+  WithWorkersParked([&] {
+    got_parked = HuffmanDecode(enc.data(), enc.size(), &parked);
+  });
+  EXPECT_EQ(got_free.ToString(), want.ToString()) << what;
+  EXPECT_EQ(got_parked.ToString(), want.ToString()) << what << " (parked)";
+  if (want.ok()) {
+    EXPECT_EQ(free_pool, one) << what;
+    EXPECT_EQ(parked, one) << what << " (parked)";
+  }
+}
+
+// Quantization-code-like symbols: a dominant zero bin, a spread of small
+// codes, a few wide ones.
+std::vector<uint32_t> CodeLikeSymbols(size_t n, uint64_t seed, double dominant,
+                                      uint32_t spread) {
+  Rng rng(seed);
+  std::vector<uint32_t> symbols(n);
+  for (auto& s : symbols) {
+    const double r = rng.NextDouble();
+    if (r < dominant) {
+      s = 32768;
+    } else if (r < 0.999) {
+      s = 32768 + static_cast<uint32_t>(rng.NextBelow(spread)) - spread / 2;
+    } else {
+      s = static_cast<uint32_t>(rng.NextBelow(65536));
+    }
+  }
+  return symbols;
+}
+
+TEST(HuffmanMultiRangeTest, ParallelThresholdIsSixteenKibPayload) {
+  // 256 equally frequent symbols all get 8-bit codes, so the payload is
+  // exactly one byte per symbol.
+  for (const size_t n : {size_t{16383}, size_t{16384}, size_t{24577}}) {
+    std::vector<uint32_t> symbols(n);
+    for (size_t i = 0; i < n; ++i) symbols[i] = static_cast<uint32_t>(i % 256);
+    const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+    ASSERT_EQ(enc.size() - PayloadAt(enc), n);
+    EXPECT_EQ(huffman_internal::DecodeRangeCount(enc.data(), enc.size()),
+              n < 16384 ? 1u : n / 8192);
+    RoundTripDifferential(symbols);
+  }
+}
+
+TEST(HuffmanMultiRangeTest, RandomAlphabetsOnBothSidesOfThreshold) {
+  bool one_range = false, many_ranges = false;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 7919);
+    const size_t n = 4096 + rng.NextBelow(size_t{1} << 18);
+    const uint32_t alphabet = 2 + static_cast<uint32_t>(rng.NextBelow(4000));
+    const double dominant = rng.NextDouble();
+    std::vector<uint32_t> symbols(n);
+    for (auto& s : symbols) {
+      s = rng.NextDouble() < dominant
+              ? 7u
+              : static_cast<uint32_t>(rng.NextBelow(alphabet));
+    }
+    const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+    const size_t ranges =
+        huffman_internal::DecodeRangeCount(enc.data(), enc.size());
+    one_range |= ranges == 1;
+    many_ranges |= ranges > 1;
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                 std::to_string(ranges) + " ranges");
+    RoundTripDifferential(symbols);
+    ExpectRangesNeverFallBack(symbols);
+  }
+  EXPECT_TRUE(one_range);
+  EXPECT_TRUE(many_ranges);
+}
+
+TEST(HuffmanMultiRangeTest, RangeStartsLandMidCodeword) {
+  // 1024 equally frequent symbols: every code is 10 bits long, so a range
+  // start that is not a multiple of 10 splits a codeword.
+  std::vector<uint32_t> symbols(200003);
+  Rng rng(31);
+  for (auto& s : symbols) s = static_cast<uint32_t>(rng.NextBelow(1024));
+  for (uint32_t k = 0; k < 1024; ++k) symbols[k] = k;
+  const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  const std::vector<size_t> starts = RangeStarts(enc);
+  ASSERT_GE(starts.size(), 2u);
+  size_t mid_codeword = 0;
+  for (size_t start : starts) mid_codeword += start % 10 != 0 ? 1 : 0;
+  EXPECT_GT(mid_codeword, starts.size() / 2);
+  RoundTripDifferential(symbols);
+  ExpectRangesNeverFallBack(symbols);
+}
+
+TEST(HuffmanMultiRangeTest, FixedLengthCodesNeverResynchronize) {
+  // 16 equally frequent symbols: every code is 4 bits, so a decode started
+  // off a multiple of 4 never meets a true boundary, and the range is
+  // decoded again from its true entry.
+  std::vector<uint32_t> symbols(150001);
+  Rng rng(37);
+  for (auto& s : symbols) s = static_cast<uint32_t>(rng.NextBelow(16));
+  const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  ASSERT_EQ(enc.size() - PayloadAt(enc), (4 * symbols.size() + 7) / 8);
+  const std::vector<size_t> starts = RangeStarts(enc);
+  ASSERT_GE(starts.size(), 2u);
+  size_t misaligned = 0;
+  for (size_t start : starts) misaligned += start % 4 != 0 ? 1 : 0;
+  EXPECT_GT(misaligned, 0u);
+  RoundTripDifferential(symbols);
+  ExpectRangesNeverFallBack(symbols);
+}
+
+TEST(HuffmanMultiRangeTest, LongCodesBeyondTableBits) {
+  // Geometric frequencies over a wide alphabet give codes up to ~20 bits.
+  Rng rng(41);
+  std::vector<uint32_t> symbols;
+  while (symbols.size() < 150000) {
+    uint32_t sym = 0;
+    while (rng.NextBelow(4) != 0 && sym < 5000) ++sym;
+    symbols.push_back(sym * 13);
+  }
+  const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  ASSERT_GE(huffman_internal::DecodeRangeCount(enc.data(), enc.size()), 2u);
+  const uint32_t entries = ReadUint32(enc.data() + 8);
+  uint8_t longest = 0;
+  for (uint32_t i = 0; i < entries; ++i) {
+    longest = std::max(longest, enc[12 + 5 * i + 4]);
+  }
+  EXPECT_GT(longest, 11);
+  RoundTripDifferential(symbols);
+  ExpectRangesNeverFallBack(symbols);
+}
+
+TEST(HuffmanMultiRangeTest, DominantRunsWithPaddingOnlyLastRange) {
+  // Mostly the one-bit dominant code, in long runs.
+  std::vector<uint32_t> symbols = CodeLikeSymbols(400003, 51, 0.97, 8);
+  const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  const size_t payload = enc.size() - PayloadAt(enc);
+  ASSERT_GE(huffman_internal::DecodeRangeCount(enc.data(), enc.size()), 2u);
+  RoundTripDifferential(symbols);
+  ExpectRangesNeverFallBack(symbols);
+
+  // Doubling the payload with zero bytes puts every range from the middle
+  // on, the last one included, in padding, which decodes as dominant
+  // codes past the declared symbol count. A decode stops at that count.
+  const std::vector<uint8_t> padded = WithPayloadBytes(enc, 2 * payload);
+  const std::vector<size_t> starts = RangeStarts(padded);
+  ASSERT_GE(starts.size(), 2u);
+  EXPECT_GE(starts.back(), payload * 8);
+  ExpectSameAsOneRange(padded, "padded payload");
+  std::vector<uint32_t> dec;
+  ASSERT_TRUE(HuffmanDecode(padded.data(), padded.size(), &dec).ok());
+  EXPECT_EQ(dec, symbols);
+
+  // A stream holding every symbol in one run of the one-bit code: its
+  // payload is all zero bits, the last five of them padding.
+  const std::vector<uint32_t> run(300003, 32768);
+  ExpectSameAsOneRange(HuffmanEncode(run), "one run");
+  ExpectRangesNeverFallBack(run);
+}
+
+TEST(HuffmanMultiRangeTest, DeclaredCountBelowEncodedCount) {
+  const std::vector<uint32_t> symbols = CodeLikeSymbols(300000, 61, 0.7, 64);
+  std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  for (const uint64_t declared : {uint64_t{1}, uint64_t{150000},
+                                  uint64_t{299999}}) {
+    SetU64(&enc, 0, declared);
+    ExpectSameAsOneRange(enc, "declared " + std::to_string(declared));
+    std::vector<uint32_t> dec;
+    ASSERT_TRUE(HuffmanDecode(enc.data(), enc.size(), &dec).ok());
+    EXPECT_EQ(dec, std::vector<uint32_t>(symbols.begin(),
+                                         symbols.begin() + declared));
+  }
+}
+
+TEST(HuffmanMultiRangeTest, TruncationAtEveryRangeBoundary) {
+  const std::vector<uint32_t> symbols = CodeLikeSymbols(120000, 71, 0.3, 200);
+  const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  const std::vector<size_t> starts = RangeStarts(enc);
+  ASSERT_GE(starts.size(), 4u);
+  for (size_t k = 1; k < starts.size(); ++k) {
+    for (const size_t bytes : {starts[k] / 8 - 1, starts[k] / 8,
+                               starts[k] / 8 + 1}) {
+      // The whole stream cut there, and the payload cut there with its
+      // length rewritten to match, so the decode itself meets the end.
+      const std::vector<uint8_t> cut(enc.begin(),
+                                     enc.begin() + PayloadAt(enc) + bytes);
+      ExpectSameAsOneRange(cut, "stream cut at payload byte " +
+                                    std::to_string(bytes));
+      ExpectSameAsOneRange(WithPayloadBytes(enc, bytes),
+                           "payload cut at byte " + std::to_string(bytes));
+    }
+  }
+}
+
+TEST(HuffmanMultiRangeTest, BitFlipsInFirstMiddleAndLastRange) {
+  const std::vector<uint32_t> symbols = CodeLikeSymbols(250000, 81, 0.6, 40);
+  const std::vector<uint8_t> enc = HuffmanEncode(symbols);
+  const std::vector<size_t> starts = RangeStarts(enc);
+  ASSERT_GE(starts.size(), 3u);
+  const size_t payload_bits = (enc.size() - PayloadAt(enc)) * 8;
+  Rng rng(82);
+  for (const size_t k : {size_t{0}, starts.size() / 2, starts.size() - 1}) {
+    const size_t lo = starts[k];
+    const size_t hi = k + 1 < starts.size() ? starts[k + 1] : payload_bits;
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<uint8_t> mutated = enc;
+      const size_t bit = lo + rng.NextBelow(hi - lo);
+      mutated[PayloadAt(enc) + bit / 8] ^=
+          static_cast<uint8_t>(1u << (bit % 8));
+      ExpectSameAsOneRange(mutated, "range " + std::to_string(k) + ", bit " +
+                                        std::to_string(bit));
+    }
+  }
 }
 
 }  // namespace

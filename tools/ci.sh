@@ -94,8 +94,9 @@ run_config thread build-ci-tsan \
   -DFXRZ_SANITIZE=thread \
   -DFXRZ_BUILD_BENCHMARKS=OFF -DFXRZ_BUILD_EXAMPLES=OFF
 
+# Like the release stage, the ASan+UBSan build stops on any warning.
 run_config asan-ubsan build-ci-asan \
-  -DFXRZ_SANITIZE=address,undefined -DFXRZ_FUZZ=ON \
+  -DFXRZ_SANITIZE=address,undefined -DFXRZ_FUZZ=ON -DFXRZ_WERROR=ON \
   -DFXRZ_BUILD_BENCHMARKS=OFF -DFXRZ_BUILD_EXAMPLES=OFF
 
 # Overload-chaos stage: re-run the resource-governance suite in the ASan
