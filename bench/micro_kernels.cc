@@ -41,6 +41,7 @@
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
+#include "src/util/byte_reader.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
 #include "src/util/timer.h"
@@ -351,15 +352,13 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
     std::vector<uint8_t> body;
     {
       const std::vector<uint8_t>& archive = archives[0];  // sz
+      ByteReader reader(archive);
       std::vector<size_t> dims;
-      size_t pos = 0;
       FXRZ_CHECK(compressor_internal::ParseHeader(
-                     archive.data(), archive.size(), ReadUint32(archive.data()),
-                     &dims, &pos)
+                     &reader, ReadUint32(archive.data()), &dims)
                      .ok());
-      FXRZ_CHECK(ZliteDecompress(archive.data() + pos, archive.size() - pos,
-                                 &body)
-                     .ok());
+      FXRZ_CHECK(
+          ZliteDecompress(reader.cursor(), reader.remaining(), &body).ok());
     }
     const std::vector<uint8_t> packed = ZliteCompress(body);
     std::vector<uint8_t> unpacked;

@@ -33,22 +33,20 @@ metrics::Counter& VerifyFailures() {
   return c;
 }
 
-constexpr uint32_t kMagicV1 = 0x43484B31;  // "CHK1": inline sizes, no CRCs
-constexpr uint32_t kMagicV2 = 0x43484B32;  // "CHK2": checksummed TOC
+constexpr uint32_t kMagic = 0x43484B32;  // "CHK2": checksummed TOC
 
-// Byte extent of one chunk's payload inside the archive, plus the
-// version-2 integrity metadata.
+// Byte extent of one chunk's payload inside the archive, plus its
+// integrity metadata.
 struct ChunkSpan {
   size_t offset = 0;  // first payload byte
   size_t size = 0;
-  uint32_t rows = 0;  // slab extent along dim 0 (0 for version-1 archives)
+  uint32_t rows = 0;  // slab extent along dim 0
   uint32_t crc = 0;
 };
 
 struct ChunkIndex {
   std::vector<size_t> dims;
   std::vector<ChunkSpan> spans;
-  bool checksummed = false;  // version 2
 };
 
 // Walks the archive once, validating framing and collecting every chunk's
@@ -57,68 +55,53 @@ struct ChunkIndex {
 // remaining bytes, so they can neither overlap, escape the archive, nor
 // leave trailing bytes.
 //
-// Version 1 interleaves `u64 size | payload` per chunk. Version 2 frames a
-// table of contents first -- `u64 size | u32 rows | u32 crc` per chunk,
-// sealed by a CRC32C over header+TOC -- then the payloads, so index
-// corruption is detected directly rather than inferred from framing
-// drift, and the row counts a degraded decode places slabs by are trusted.
+// The archive frames a table of contents first -- `u64 size | u32 rows |
+// u32 crc` per chunk, sealed by a CRC32C over header+TOC -- then the
+// payloads, so index corruption is detected directly rather than inferred
+// from framing drift, and the row counts a degraded decode places slabs by
+// are trusted.
 Status ParseChunkIndex(const uint8_t* data, size_t size, ChunkIndex* index) {
   if (size < 4) return Status::Corruption("chunked: short archive");
-  const uint32_t magic = ReadUint32(data);
-  if (magic != kMagicV1 && magic != kMagicV2) {
+  if (ReadUint32(data) != kMagic) {
     return Status::Corruption("chunked: bad magic");
   }
-  index->checksummed = magic == kMagicV2;
 
   ByteReader reader(data, size);
   FXRZ_RETURN_IF_ERROR(
-      compressor_internal::ParseHeader(&reader, magic, &index->dims));
-  // Each chunk costs at least its TOC entry (8 bytes in v1, 16 in v2),
-  // which bounds how many chunks the remaining bytes can hold -- reject
-  // forged counts before the reserve below allocates for them.
+      compressor_internal::ParseHeader(&reader, kMagic, &index->dims));
+  // Each chunk costs at least its 16-byte TOC entry, which bounds how many
+  // chunks the remaining bytes can hold -- reject forged counts before the
+  // reserve below allocates for them.
   uint32_t num_chunks = 0;
-  if (!reader.ReadCountU32(&num_chunks,
-                           /*min_bytes_per_item=*/index->checksummed ? 16 : 8)) {
+  if (!reader.ReadCountU32(&num_chunks, /*min_bytes_per_item=*/16)) {
     return Status::Corruption("chunked: bad chunk count");
   }
   index->spans.clear();
   index->spans.reserve(num_chunks);
-  if (!index->checksummed) {
-    for (uint32_t c = 0; c < num_chunks; ++c) {
-      const uint8_t* chunk = nullptr;
-      size_t chunk_size = 0;
-      if (!reader.ReadLengthPrefixed(&chunk, &chunk_size)) {
-        return Status::Corruption("chunked: truncated chunk");
-      }
-      index->spans.push_back(
-          ChunkSpan{static_cast<size_t>(chunk - data), chunk_size, 0, 0});
+  for (uint32_t c = 0; c < num_chunks; ++c) {
+    ChunkSpan span;
+    uint64_t chunk_size = 0;
+    if (!reader.ReadU64(&chunk_size) || !reader.ReadU32(&span.rows) ||
+        !reader.ReadU32(&span.crc)) {
+      return Status::Corruption("chunked: truncated index");
     }
-  } else {
-    for (uint32_t c = 0; c < num_chunks; ++c) {
-      ChunkSpan span;
-      uint64_t chunk_size = 0;
-      if (!reader.ReadU64(&chunk_size) || !reader.ReadU32(&span.rows) ||
-          !reader.ReadU32(&span.crc)) {
-        return Status::Corruption("chunked: truncated index");
-      }
-      span.size = static_cast<size_t>(chunk_size);
-      index->spans.push_back(span);
+    span.size = static_cast<size_t>(chunk_size);
+    index->spans.push_back(span);
+  }
+  const size_t toc_end = reader.position();
+  uint32_t index_crc = 0;
+  if (!reader.ReadU32(&index_crc)) {
+    return Status::Corruption("chunked: truncated index checksum");
+  }
+  if (!Crc32cMatches(data, toc_end, index_crc)) {
+    return Status::Corruption("chunked: index checksum mismatch");
+  }
+  for (ChunkSpan& span : index->spans) {
+    const uint8_t* payload = nullptr;
+    if (!reader.ReadSpan(span.size, &payload)) {
+      return Status::Corruption("chunked: truncated chunk");
     }
-    const size_t toc_end = reader.position();
-    uint32_t index_crc = 0;
-    if (!reader.ReadU32(&index_crc)) {
-      return Status::Corruption("chunked: truncated index checksum");
-    }
-    if (!Crc32cMatches(data, toc_end, index_crc)) {
-      return Status::Corruption("chunked: index checksum mismatch");
-    }
-    for (ChunkSpan& span : index->spans) {
-      const uint8_t* payload = nullptr;
-      if (!reader.ReadSpan(span.size, &payload)) {
-        return Status::Corruption("chunked: truncated chunk");
-      }
-      span.offset = static_cast<size_t>(payload - data);
-    }
+    span.offset = static_cast<size_t>(payload - data);
   }
   if (reader.remaining() != 0) {
     return Status::Corruption("chunked: trailing bytes after last chunk");
@@ -188,7 +171,7 @@ StatusOr<std::vector<uint8_t>> ChunkedCompressor::DoCompress(
   }
 
   std::vector<uint8_t> out;
-  compressor_internal::AppendHeader(&out, kMagicV2, data);
+  compressor_internal::AppendHeader(&out, kMagic, data);
   AppendUint32(&out, static_cast<uint32_t>(num_chunks));
   for (size_t c = 0; c < num_chunks; ++c) {
     FXRZ_RETURN_IF_ERROR(statuses[c]);
@@ -220,9 +203,7 @@ Status ChunkedCompressor::DecompressChunk(const uint8_t* data, size_t size,
     return Status::InvalidArgument("chunk index");
   }
   const ChunkSpan& span = index.spans[index_in_archive];
-  if (index.checksummed) {
-    FXRZ_RETURN_IF_ERROR(ChunkChecksumStatus(data, span, index_in_archive));
-  }
+  FXRZ_RETURN_IF_ERROR(ChunkChecksumStatus(data, span, index_in_archive));
   return base_->Decompress(data + span.offset, span.size, out);
 }
 
@@ -233,7 +214,6 @@ Status ChunkedCompressor::VerifyIntegrity(const uint8_t* data,
   const Status status = [&]() -> Status {
     ChunkIndex index;
     FXRZ_RETURN_IF_ERROR(ParseChunkIndex(data, size, &index));
-    if (!index.checksummed) return Status::Ok();  // v1: framing is all
     for (size_t c = 0; c < index.spans.size(); ++c) {
       FXRZ_RETURN_IF_ERROR(ChunkChecksumStatus(data, index.spans[c], c));
     }
@@ -257,10 +237,8 @@ Status ChunkedCompressor::DoDecompress(const uint8_t* data, size_t size,
   std::vector<Tensor> slabs(spans.size());
   std::vector<Status> statuses(spans.size(), Status::Ok());
   auto decompress_chunk = [&](size_t c) {
-    if (index.checksummed) {
-      statuses[c] = ChunkChecksumStatus(data, spans[c], c);
-      if (!statuses[c].ok()) return;
-    }
+    statuses[c] = ChunkChecksumStatus(data, spans[c], c);
+    if (!statuses[c].ok()) return;
     statuses[c] =
         base_->Decompress(data + spans[c].offset, spans[c].size, &slabs[c]);
   };
@@ -281,7 +259,7 @@ Status ChunkedCompressor::DoDecompress(const uint8_t* data, size_t size,
     if (slab.rank() != result.rank() || row + slab.dim(0) > result.dim(0)) {
       return Status::Corruption("chunked: slab shape mismatch");
     }
-    if (index.checksummed && slab.dim(0) != spans[c].rows) {
+    if (slab.dim(0) != spans[c].rows) {
       return Status::Corruption("chunked: slab row count disagrees with index");
     }
     for (size_t d = 1; d < result.rank(); ++d) {
@@ -307,10 +285,6 @@ Status ChunkedCompressor::DecompressDegraded(const uint8_t* data, size_t size,
   // The header and TOC are the recovery map: without them nothing can be
   // sized or placed, so index corruption still fails the whole archive.
   FXRZ_RETURN_IF_ERROR(ParseChunkIndex(data, size, &index));
-  if (!index.checksummed) {
-    return Status::InvalidArgument(
-        "chunked: degraded decode needs a checksummed (version-2) archive");
-  }
   const std::vector<ChunkSpan>& spans = index.spans;
   if (spans.empty()) return Status::Corruption("chunked: no chunks");
   report->total_chunks = spans.size();

@@ -14,14 +14,14 @@
 // output tensor. The index is parsed once up front, not re-walked per
 // chunk.
 //
-// Integrity (format version 2, magic "CHK2"): the index records each
-// chunk's payload size, row count, and CRC32C, and is itself covered by an
-// index checksum -- so a flipped byte anywhere in the archive is detected
-// before the affected chunk is entropy-decoded, and chunk independence
-// turns detection into *containment*: DecompressDegraded salvages every
-// intact chunk, fills the corrupt chunks' slabs with kLostValueSentinel,
-// and reports exactly what was lost. Version-1 ("CHK1", unchecksummed)
-// archives still decode via the strict path.
+// Integrity (magic "CHK2"): the index records each chunk's payload size,
+// row count, and CRC32C, and is itself covered by an index checksum -- so
+// a flipped byte anywhere in the archive is detected before the affected
+// chunk is entropy-decoded, and chunk independence turns detection into
+// *containment*: DecompressDegraded salvages every intact chunk, fills the
+// corrupt chunks' slabs with kLostValueSentinel, and reports exactly what
+// was lost. The unchecksummed "CHK1" layout that
+// preceded it is no longer read: it fails with "chunked: bad magic".
 
 #ifndef FXRZ_COMPRESSORS_CHUNKED_H_
 #define FXRZ_COMPRESSORS_CHUNKED_H_
@@ -71,15 +71,14 @@ class ChunkedCompressor : public Compressor {
   }
   // Checksum-only integrity audit: validates the framing and index
   // checksum, then every per-chunk CRC32C -- without entropy-decoding
-  // anything. Version-1 archives only get the framing walk (they carry no
-  // checksums). This is what the guard's cheap verification tier runs.
+  // anything. This is what the guard's cheap verification tier runs.
   Status VerifyIntegrity(const uint8_t* data, size_t size) const override;
 
-  // Degraded decode for version-2 archives: verifies each chunk before
-  // entropy-decoding it, isolates corrupt chunks, fills their slab with
-  // LostValueSentinel(), and reports what was lost instead of failing the
-  // whole archive. Fails outright only when the header/index itself is
-  // corrupt (nothing can be placed) or the archive is version-1.
+  // Degraded decode: verifies each chunk before entropy-decoding it,
+  // isolates corrupt chunks, fills their slab with LostValueSentinel(), and
+  // reports what was lost instead of failing the whole archive. Fails
+  // outright only when the header/index itself is corrupt (nothing can be
+  // placed).
   Status DecompressDegraded(const uint8_t* data, size_t size, Tensor* out,
                             DecodeReport* report) const;
 
@@ -97,8 +96,8 @@ class ChunkedCompressor : public Compressor {
                                             double config) const override;
 
   // Strict decode: any chunk whose checksum or payload is corrupt fails
-  // the whole archive with Corruption (version-2 checksums are verified
-  // before entropy-decoding each chunk).
+  // the whole archive with Corruption (checksums are verified before
+  // entropy-decoding each chunk).
   Status DoDecompress(const uint8_t* data, size_t size,
                       Tensor* out) const override;
 

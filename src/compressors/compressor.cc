@@ -256,15 +256,6 @@ Status ParseHeader(ByteReader* reader, uint32_t magic,
   return Status::Ok();
 }
 
-Status ParseHeader(const uint8_t* data, size_t size, uint32_t magic,
-                   std::vector<size_t>* dims, size_t* pos) {
-  FXRZ_CHECK(pos != nullptr);
-  ByteReader reader(data, size);
-  FXRZ_RETURN_IF_ERROR(ParseHeader(&reader, magic, dims));
-  *pos = reader.position();
-  return Status::Ok();
-}
-
 }  // namespace compressor_internal
 
 }  // namespace fxrz

@@ -124,10 +124,6 @@ void AppendHeader(std::vector<uint8_t>* out, uint32_t magic,
 Status ParseHeader(ByteReader* reader, uint32_t magic,
                    std::vector<size_t>* dims);
 
-// Span-based convenience wrapper; on success sets dims and advances *pos.
-Status ParseHeader(const uint8_t* data, size_t size, uint32_t magic,
-                   std::vector<size_t>* dims, size_t* pos);
-
 }  // namespace compressor_internal
 
 }  // namespace fxrz

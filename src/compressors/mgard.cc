@@ -5,9 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/compressors/code_stream.h"
 #include "src/encoding/bit_stream.h"
-#include "src/encoding/huffman.h"
-#include "src/encoding/zlite.h"
 #include "src/util/check.h"
 
 namespace fxrz {
@@ -253,39 +252,25 @@ StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
 
   std::vector<double>().swap(v);
 
-  const std::vector<uint8_t> huff = HuffmanEncode(codes);
+  CodeStreamWriter stream;
+  AppendDouble(stream.params(), eb);
+  AppendDouble(stream.params(), offset);
+  stream.params()->push_back(static_cast<uint8_t>(levels));
+  stream.AddCodes(codes);
   std::vector<uint32_t>().swap(codes);
-  std::vector<uint8_t> body;
-  body.reserve(8 + 8 + 1 + 8 + huff.size());
-  AppendDouble(&body, eb);
-  AppendDouble(&body, offset);
-  body.push_back(static_cast<uint8_t>(levels));
-  AppendUint64(&body, huff.size());
-  body.insert(body.end(), huff.begin(), huff.end());
-
-  const std::vector<uint8_t> packed = ZliteCompress(body);
-  std::vector<uint8_t> out;
-  compressor_internal::AppendHeader(&out, kMagic, data);
-  out.insert(out.end(), packed.begin(), packed.end());
-  return out;
+  return std::move(stream).Finish(kMagic, data);
 }
 
 Status MgardCompressor::DoDecompress(const uint8_t* data, size_t size,
                                      Tensor* out) const {
-  ByteReader archive(data, size);
-  std::vector<size_t> dims;
-  FXRZ_RETURN_IF_ERROR(
-      compressor_internal::ParseHeader(&archive, kMagic, &dims));
-
-  std::vector<uint8_t> body;
-  FXRZ_RETURN_IF_ERROR(
-      ZliteDecompress(archive.cursor(), archive.remaining(), &body));
-
-  ByteReader reader(body);
+  CodeStreamReader stream;
+  FXRZ_RETURN_IF_ERROR(stream.Parse(data, size, kMagic, "mgard"));
+  const std::vector<size_t>& dims = stream.dims();
+  ByteReader* params = stream.params();
   double eb = 0.0, offset = 0.0;
   uint8_t levels_byte = 0;
-  if (!reader.ReadF64(&eb) || !reader.ReadF64(&offset) ||
-      !reader.ReadU8(&levels_byte)) {
+  if (!params->ReadF64(&eb) || !params->ReadF64(&offset) ||
+      !params->ReadU8(&levels_byte)) {
     return Status::Corruption("mgard: short body");
   }
   const int levels = levels_byte;
@@ -293,14 +278,8 @@ Status MgardCompressor::DoDecompress(const uint8_t* data, size_t size,
       levels < 1 || levels > 16) {
     return Status::Corruption("mgard: bad parameters");
   }
-  const uint8_t* huff_bytes = nullptr;
-  size_t huff_size = 0;
-  if (!reader.ReadLengthPrefixed(&huff_bytes, &huff_size)) {
-    return Status::Corruption("mgard: trunc");
-  }
-
   std::vector<uint32_t> codes;
-  FXRZ_RETURN_IF_ERROR(HuffmanDecode(huff_bytes, huff_size, &codes));
+  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
 
   Tensor result(dims);
   if (codes.size() != result.size()) {

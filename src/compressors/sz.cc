@@ -9,9 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/compressors/code_stream.h"
 #include "src/encoding/bit_stream.h"
-#include "src/encoding/huffman.h"
-#include "src/encoding/zlite.h"
 #include "src/util/thread_pool.h"
 
 namespace fxrz {
@@ -665,45 +664,24 @@ StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
     for (int k = 0; k < 4; ++k) coef_codes.push_back(ZigZag(c.qc[k]));
   }
 
-  const std::vector<uint8_t> sel_bytes = std::move(selection).Take();
-  const std::vector<uint8_t> coef_huff = HuffmanEncode(coef_codes);
-  const std::vector<uint8_t> huff = HuffmanEncode(codes);
-  std::vector<uint8_t> body;
-  body.reserve(8 + 8 + sel_bytes.size() + 8 + coef_huff.size() + 8 +
-               huff.size() + 8 + raw.size());
-  AppendDouble(&body, eb);
-  AppendUint64(&body, sel_bytes.size());
-  body.insert(body.end(), sel_bytes.begin(), sel_bytes.end());
-  AppendUint64(&body, coef_huff.size());
-  body.insert(body.end(), coef_huff.begin(), coef_huff.end());
-  AppendUint64(&body, huff.size());
-  body.insert(body.end(), huff.begin(), huff.end());
-  AppendUint64(&body, raw.size());
-  body.insert(body.end(), raw.begin(), raw.end());
-
-  // Dictionary pass over the entropy-coded body (Zstd stage in real SZ).
-  const std::vector<uint8_t> packed = ZliteCompress(body);
-
-  std::vector<uint8_t> out;
-  compressor_internal::AppendHeader(&out, kMagic, data);
-  out.insert(out.end(), packed.begin(), packed.end());
-  return out;
+  CodeStreamWriter stream;
+  AppendDouble(stream.params(), eb);
+  stream.AddBytes(std::move(selection).Take());
+  stream.AddCodes(coef_codes);
+  stream.AddCodes(codes);
+  stream.AddBytes(std::move(raw));
+  return std::move(stream).Finish(kMagic, data);
 }
 
 Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
                                   Tensor* out) const {
-  ByteReader archive(data, size);
-  std::vector<size_t> dims;
-  FXRZ_RETURN_IF_ERROR(
-      compressor_internal::ParseHeader(&archive, kMagic, &dims));
-
-  std::vector<uint8_t> body;
-  FXRZ_RETURN_IF_ERROR(
-      ZliteDecompress(archive.cursor(), archive.remaining(), &body));
-
-  ByteReader reader(body);
+  CodeStreamReader stream;
+  FXRZ_RETURN_IF_ERROR(stream.Parse(data, size, kMagic, "sz"));
+  const std::vector<size_t>& dims = stream.dims();
   double eb = 0.0;
-  if (!reader.ReadF64(&eb)) return Status::Corruption("sz: short body");
+  if (!stream.params()->ReadF64(&eb)) {
+    return Status::Corruption("sz: short body");
+  }
   if (!std::isfinite(eb) || eb <= 0.0) {
     return Status::Corruption("sz: bad error bound");
   }
@@ -713,31 +691,14 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
 
   const uint8_t* sel_bytes = nullptr;
   size_t sel_size = 0;
-  if (!reader.ReadLengthPrefixed(&sel_bytes, &sel_size)) {
-    return Status::Corruption("sz: bad selection bits");
-  }
-
-  const uint8_t* coef_bytes = nullptr;
-  size_t coef_size = 0;
-  if (!reader.ReadLengthPrefixed(&coef_bytes, &coef_size)) {
-    return Status::Corruption("sz: bad coef stream");
-  }
+  FXRZ_RETURN_IF_ERROR(stream.Bytes("selection bits", &sel_bytes, &sel_size));
   std::vector<uint32_t> coef_codes;
-  FXRZ_RETURN_IF_ERROR(HuffmanDecode(coef_bytes, coef_size, &coef_codes));
-
-  const uint8_t* huff_bytes = nullptr;
-  size_t huff_size = 0;
-  if (!reader.ReadLengthPrefixed(&huff_bytes, &huff_size)) {
-    return Status::Corruption("sz: bad code stream");
-  }
+  FXRZ_RETURN_IF_ERROR(stream.Codes("coefficient codes", &coef_codes));
   std::vector<uint32_t> codes;
-  FXRZ_RETURN_IF_ERROR(HuffmanDecode(huff_bytes, huff_size, &codes));
-
+  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
   const uint8_t* raw = nullptr;
   size_t raw_size = 0;
-  if (!reader.ReadLengthPrefixed(&raw, &raw_size)) {
-    return Status::Corruption("sz: bad raw stream");
-  }
+  FXRZ_RETURN_IF_ERROR(stream.Bytes("raw floats", &raw, &raw_size));
   size_t elements = 1;
   for (size_t d : dims) elements *= d;
   if (codes.size() != elements) {

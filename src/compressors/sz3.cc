@@ -5,9 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "src/compressors/code_stream.h"
 #include "src/encoding/bit_stream.h"
-#include "src/encoding/huffman.h"
-#include "src/encoding/zlite.h"
 #include "src/util/check.h"
 
 namespace fxrz {
@@ -289,63 +288,40 @@ StatusOr<std::vector<uint8_t>> Sz3Compressor::DoCompress(
 
   std::vector<float>().swap(recon);
 
-  const std::vector<uint8_t> huff = HuffmanEncode(codes);
+  CodeStreamWriter stream;
+  AppendDouble(stream.params(), eb);
+  stream.AddCodes(codes);
   std::vector<uint32_t>().swap(codes);
-  std::vector<uint8_t> body;
-  body.reserve(8 + 8 + huff.size() + 8 + raw.size());
-  AppendDouble(&body, eb);
-  AppendUint64(&body, huff.size());
-  body.insert(body.end(), huff.begin(), huff.end());
-  AppendUint64(&body, raw.size());
-  body.insert(body.end(), raw.begin(), raw.end());
-
-  const std::vector<uint8_t> packed = ZliteCompress(body);
-  std::vector<uint8_t> out;
-  compressor_internal::AppendHeader(&out, kMagic, data);
-  out.insert(out.end(), packed.begin(), packed.end());
-  return out;
+  stream.AddBytes(std::move(raw));
+  return std::move(stream).Finish(kMagic, data);
 }
 
 Status Sz3Compressor::DoDecompress(const uint8_t* data, size_t size,
                                    Tensor* out) const {
-  ByteReader archive(data, size);
-  std::vector<size_t> dims;
-  FXRZ_RETURN_IF_ERROR(
-      compressor_internal::ParseHeader(&archive, kMagic, &dims));
-
-  std::vector<uint8_t> body;
-  FXRZ_RETURN_IF_ERROR(
-      ZliteDecompress(archive.cursor(), archive.remaining(), &body));
-
-  ByteReader reader(body);
+  CodeStreamReader stream;
+  FXRZ_RETURN_IF_ERROR(stream.Parse(data, size, kMagic, "sz3"));
   double eb = 0.0;
-  if (!reader.ReadF64(&eb)) return Status::Corruption("sz3: short body");
+  if (!stream.params()->ReadF64(&eb)) {
+    return Status::Corruption("sz3: short body");
+  }
   if (!std::isfinite(eb) || eb <= 0.0) {
     return Status::Corruption("sz3: bad error bound");
   }
   const double bin = 2.0 * eb;
-  const uint8_t* huff_bytes = nullptr;
-  size_t huff_size = 0;
-  if (!reader.ReadLengthPrefixed(&huff_bytes, &huff_size)) {
-    return Status::Corruption("sz3: trunc");
-  }
   std::vector<uint32_t> codes;
-  FXRZ_RETURN_IF_ERROR(HuffmanDecode(huff_bytes, huff_size, &codes));
-
+  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
   const uint8_t* raw = nullptr;
   size_t raw_size = 0;
-  if (!reader.ReadLengthPrefixed(&raw, &raw_size)) {
-    return Status::Corruption("sz3: truncated raw");
-  }
+  FXRZ_RETURN_IF_ERROR(stream.Bytes("raw floats", &raw, &raw_size));
   size_t raw_used = 0;
 
-  Tensor result(dims);
+  Tensor result(stream.dims());
   if (codes.size() != result.size()) {
     return Status::Corruption("sz3: code count mismatch");
   }
 
   bool corrupt = false;
-  const SliceLayout lay = MakeSliceLayout(dims);
+  const SliceLayout lay = MakeSliceLayout(stream.dims());
   for (size_t s = 0; s < lay.num_slices; ++s) {
     const size_t base = s * lay.slice_elems;
     float* rec = result.data() + base;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/compressors/chunked.h"
+#include "src/compressors/code_stream.h"
 #include "src/compressors/compressor.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
@@ -96,47 +97,43 @@ INSTANTIATE_TEST_SUITE_P(AllDecoders, DecodeHardeningTest,
 
 // --- sz block metadata -----------------------------------------------------
 
-// An sz archive split into its tensor header and the sections of its
-// zlite-packed body: the error bound, then length-prefixed selection bits,
-// coefficient codes (Huffman), quantization codes (Huffman) and raw floats.
+// An sz archive's code stream: the error bound, then the selection bits,
+// the coefficient codes, the quantization codes and the raw floats.
 struct SzParts {
-  std::vector<uint8_t> header;
+  uint32_t magic = 0;
   double eb = 0.0;
-  std::vector<uint8_t> sections[4];
+  std::vector<uint8_t> selection;
+  std::vector<uint32_t> coefficients;
+  std::vector<uint32_t> codes;
+  std::vector<uint8_t> raw;
 };
 
-enum SzSection { kSelection = 0, kCoefficients = 1, kCodes = 2, kRaw = 3 };
-
-SzParts SplitSz(const std::vector<uint8_t>& archive, size_t rank) {
+SzParts SplitSz(const std::vector<uint8_t>& archive) {
   SzParts parts;
-  const size_t header = 8 + 8 * rank;
-  parts.header.assign(archive.begin(), archive.begin() + header);
-  std::vector<uint8_t> body;
+  parts.magic = ReadUint32(archive.data());
+  CodeStreamReader stream;
   EXPECT_TRUE(
-      ZliteDecompress(archive.data() + header, archive.size() - header, &body)
-          .ok());
-  ByteReader reader(body);
-  EXPECT_TRUE(reader.ReadF64(&parts.eb));
-  for (std::vector<uint8_t>& section : parts.sections) {
-    const uint8_t* bytes = nullptr;
-    size_t size = 0;
-    EXPECT_TRUE(reader.ReadLengthPrefixed(&bytes, &size));
-    section.assign(bytes, bytes + size);
-  }
+      stream.Parse(archive.data(), archive.size(), parts.magic, "sz").ok());
+  EXPECT_TRUE(stream.params()->ReadF64(&parts.eb));
+  const uint8_t* bytes = nullptr;
+  size_t size = 0;
+  EXPECT_TRUE(stream.Bytes("selection bits", &bytes, &size).ok());
+  parts.selection.assign(bytes, bytes + size);
+  EXPECT_TRUE(stream.Codes("coefficient codes", &parts.coefficients).ok());
+  EXPECT_TRUE(stream.Codes("quantization codes", &parts.codes).ok());
+  EXPECT_TRUE(stream.Bytes("raw floats", &bytes, &size).ok());
+  parts.raw.assign(bytes, bytes + size);
   return parts;
 }
 
-std::vector<uint8_t> JoinSz(const SzParts& parts) {
-  std::vector<uint8_t> body;
-  AppendDouble(&body, parts.eb);
-  for (const std::vector<uint8_t>& section : parts.sections) {
-    AppendUint64(&body, section.size());
-    body.insert(body.end(), section.begin(), section.end());
-  }
-  std::vector<uint8_t> archive = parts.header;
-  const std::vector<uint8_t> packed = ZliteCompress(body);
-  archive.insert(archive.end(), packed.begin(), packed.end());
-  return archive;
+std::vector<uint8_t> JoinSz(const SzParts& parts, const Tensor& shape) {
+  CodeStreamWriter stream;
+  AppendDouble(stream.params(), parts.eb);
+  stream.AddBytes(parts.selection);
+  stream.AddCodes(parts.coefficients);
+  stream.AddCodes(parts.codes);
+  stream.AddBytes(parts.raw);
+  return std::move(stream).Finish(parts.magic, shape);
 }
 
 TEST(SzBlockMetadataTest, SectionShortByOneItemIsTruncatedMetadata) {
@@ -159,32 +156,25 @@ TEST(SzBlockMetadataTest, SectionShortByOneItemIsTruncatedMetadata) {
   data.data()[kN * kN * 20 + kN * 30 + 40] = 1e30f;
   const auto sz = MakeCompressor("sz");
   const std::vector<uint8_t> archive = sz->Compress(data, 0.01).value();
-  const SzParts parts = SplitSz(archive, 3);
-  ASSERT_EQ(parts.sections[kSelection].size(), 92u);
-  std::vector<uint32_t> coefficients;
-  ASSERT_TRUE(HuffmanDecode(parts.sections[kCoefficients].data(),
-                            parts.sections[kCoefficients].size(),
-                            &coefficients)
-                  .ok());
-  ASSERT_GE(coefficients.size(), 4u);
-  ASSERT_GE(parts.sections[kRaw].size(), 4u);
-  const std::vector<uint8_t> rejoined = JoinSz(parts);
+  const SzParts parts = SplitSz(archive);
+  ASSERT_EQ(parts.selection.size(), 92u);
+  ASSERT_GE(parts.coefficients.size(), 4u);
+  ASSERT_GE(parts.raw.size(), 4u);
+  ASSERT_EQ(JoinSz(parts, data), archive);
   Tensor out;
-  ASSERT_TRUE(sz->Decompress(rejoined.data(), rejoined.size(), &out).ok());
 
   SzParts short_selection = parts;
-  short_selection.sections[kSelection].pop_back();
+  short_selection.selection.pop_back();
   SzParts short_coefficients = parts;
-  coefficients.pop_back();
-  short_coefficients.sections[kCoefficients] = HuffmanEncode(coefficients);
+  short_coefficients.coefficients.pop_back();
   SzParts short_raw = parts;
-  short_raw.sections[kRaw].resize(short_raw.sections[kRaw].size() - 4);
+  short_raw.raw.resize(short_raw.raw.size() - 4);
   const std::pair<const char*, const SzParts*> cases[] = {
       {"selection bits", &short_selection},
       {"coefficient codes", &short_coefficients},
       {"raw floats", &short_raw}};
   for (const auto& [what, broken] : cases) {
-    const std::vector<uint8_t> bytes = JoinSz(*broken);
+    const std::vector<uint8_t> bytes = JoinSz(*broken, data);
     const Status st = sz->Decompress(bytes.data(), bytes.size(), &out);
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << what;
     EXPECT_EQ(st.message(), "sz: truncated block metadata") << what;

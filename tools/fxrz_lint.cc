@@ -7,12 +7,13 @@
 // runs on every CI box, including gcc-only ones without clang tooling.
 //
 //   fxrz-byte-reader-only
-//     Inside any Decompress*/Deserialize* function definition in
-//     src/compressors/, src/encoding/, or src/store/, bytes from an
-//     untrusted `const uint8_t*` parameter must be parsed through the
-//     bounds-checked ByteReader (src/util/byte_reader.h). Raw memcpy from
-//     the parameter, reinterpret_cast of it, direct indexing, and manual
-//     cursor advances on it are flagged.
+//     Inside any function definition in src/compressors/, src/encoding/,
+//     or src/store/ whose name contains Decompress, Deserialize, Decode or
+//     Parse, bytes from an untrusted `const uint8_t*` parameter must be
+//     parsed through the bounds-checked ByteReader
+//     (src/util/byte_reader.h). Raw memcpy from the parameter,
+//     reinterpret_cast of it, direct indexing, and manual cursor advances
+//     on it are flagged.
 //
 //   fxrz-no-unguarded-shared-state
 //     Raw std::mutex / std::lock_guard / std::unique_lock /
@@ -356,15 +357,17 @@ void CheckByteReaderOnly(const SourceFile& f,
   constexpr const char* kCheck = "fxrz-byte-reader-only";
   const std::string& code = f.code;
 
-  // Find definitions of functions whose name mentions Decompress or
-  // Deserialize.
+  // Find definitions of functions whose name mentions Decompress,
+  // Deserialize, Decode or Parse.
   for (size_t i = 0; i < code.size(); ++i) {
     if (!IsIdent(code[i]) || (i > 0 && IsIdent(code[i - 1]))) continue;
     size_t end = i;
     while (end < code.size() && IsIdent(code[end])) ++end;
     const std::string ident = code.substr(i, end - i);
     if (ident.find("Decompress") == std::string::npos &&
-        ident.find("Deserialize") == std::string::npos) {
+        ident.find("Deserialize") == std::string::npos &&
+        ident.find("Decode") == std::string::npos &&
+        ident.find("Parse") == std::string::npos) {
       i = end;
       continue;
     }
