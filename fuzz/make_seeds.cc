@@ -6,6 +6,7 @@
 //
 // Usage: fxrz_fuzz_make_seeds OUT_DIR
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -20,6 +21,7 @@
 #include "src/encoding/zlite.h"
 #include "src/store/container.h"
 #include "src/store/field_store.h"
+#include "src/util/random.h"
 
 namespace {
 
@@ -111,6 +113,18 @@ int main(int argc, char** argv) {
     }
     ok &= WriteSeed(out_dir + "/zlite", "text.bin",
                     fxrz::ZliteCompress(text));
+    // The harness also compresses its input. This one is 512 KiB of bytes
+    // with a 128 KiB zero run across the middle, out of phase with a
+    // range that starts there, so a split in two or four ranges parses a
+    // range again from its true entry.
+    fxrz::Rng rng(46);
+    std::vector<uint8_t> long_run(size_t{1} << 19);
+    for (uint8_t& b : long_run) b = static_cast<uint8_t>(rng.NextBelow(256));
+    const size_t middle = long_run.size() / 2;
+    std::fill(long_run.begin() + static_cast<long>(middle - (1 << 16) + 7),
+              long_run.begin() + static_cast<long>(middle + (1 << 16)), 0);
+    ok &= fxrz::zlite_internal::CompressInRanges(long_run, 2).reparses > 0;
+    ok &= WriteSeed(out_dir + "/zlite", "long_run.bin", long_run);
     // The arith harness drives the decoder directly over raw bytes.
     ok &= WriteSeed(out_dir + "/arith", "raw.bin", text);
   }

@@ -11,7 +11,7 @@ void CodeStreamWriter::AddBytes(std::vector<uint8_t> bytes) {
   sections_.push_back(std::move(bytes));
 }
 
-void CodeStreamWriter::AddCodes(const std::vector<uint32_t>& codes) {
+void CodeStreamWriter::AddCodes(std::span<const uint32_t> codes) {
   sections_.push_back(HuffmanEncode(codes));
 }
 

@@ -16,6 +16,7 @@
 #define FXRZ_COMPRESSORS_CODE_STREAM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ class CodeStreamWriter {
   void AddBytes(std::vector<uint8_t> bytes);
 
   // Huffman-codes `codes` now, so the caller may free them on return.
-  void AddCodes(const std::vector<uint32_t>& codes);
+  void AddCodes(std::span<const uint32_t> codes);
 
   // Builds the body (freeing each section as it is copied in), runs zlite
   // over it and prepends the header of `data` under `magic`.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -119,39 +120,16 @@ struct RegressionCoefs {
   double c0 = 0, cz = 0, cy = 0, cx = 0;
 };
 
-// Per-block scratch reused across blocks: values gathered contiguous
-// (x-fastest) plus block-local coordinates as doubles, so the plane-fit and
-// prediction kernels run unstrided. Capacity is kBlock^3.
+using sz_internal::BlockShape;
+
+// Per-block scratch reused across blocks: the block's values gathered
+// contiguous (x-fastest), so the plane kernels run unstrided over them and
+// the block shape's tables, and a regression block's plane predictions.
+// Capacity is kBlock^3.
 struct BlockScratch {
   std::vector<float> vals;
-  std::vector<double> cz, cy, cx;     // block-local coords (0-based)
-  std::vector<double> ccz, ccy, ccx;  // centered coords (mean removed)
   std::vector<double> pred;
 };
-
-// Fills the block-local coordinate arrays for the block and returns its
-// element count.
-size_t FillBlockCoords(const size_t* lo, const size_t* hi, BlockScratch* s) {
-  const size_t nz = hi[0] - lo[0];
-  const size_t ny = hi[1] - lo[1];
-  const size_t nx = hi[2] - lo[2];
-  const size_t n = nz * ny * nx;
-  s->cz.resize(n);
-  s->cy.resize(n);
-  s->cx.resize(n);
-  s->pred.resize(n);
-  size_t i = 0;
-  for (size_t z = 0; z < nz; ++z) {
-    for (size_t y = 0; y < ny; ++y) {
-      for (size_t x = 0; x < nx; ++x, ++i) {
-        s->cz[i] = static_cast<double>(z);
-        s->cy[i] = static_cast<double>(y);
-        s->cx[i] = static_cast<double>(x);
-      }
-    }
-  }
-  return n;
-}
 
 // Copies the block's values row-by-row into contiguous scratch. The last
 // dimension always has stride 1, so each x-run is one memcpy.
@@ -171,7 +149,7 @@ void GatherBlockValues(const float* data, const size_t* strides,
 }
 
 // Regression plane kernels over a gathered block: vals[i] with centered
-// coordinates (cz[i], cy[i], cx[i]). The sums are lane-partitioned: lane j
+// coordinates (ccz[i], ccy[i], ccx[i]). The sums are lane-partitioned: lane j
 // accumulates elements j, j+4, j+8, ... and the lanes fold as
 // (l0+l2)+(l1+l3). The archive bytes depend on that order (the fitted
 // coefficients are quantized into the stream, and the error sum picks each
@@ -180,23 +158,22 @@ inline double ReduceLanes4(const double l[4]) {
   return (l[0] + l[2]) + (l[1] + l[3]);
 }
 
-// sums[0..6] = {sum v, sum cz*v, sum cy*v, sum cx*v,
-//               sum cz*cz, sum cy*cy, sum cx*cx}.
-void PlaneFitSums(const float* vals, const double* cz, const double* cy,
-                  const double* cx, size_t n, double sums[7]) {
-  double acc[7][4] = {};
-  for (size_t i = 0; i < n; ++i) {
+// sums[0..3] = {sum v, sum ccz*v, sum ccy*v, sum ccx*v}. The sums of
+// squares of the centred coordinates come from the block shape's tables.
+void PlaneFitSums(const float* vals, const BlockShape& shape, double sums[4]) {
+  const double* cz = shape.ccz.data();
+  const double* cy = shape.ccy.data();
+  const double* cx = shape.ccx.data();
+  double acc[4][4] = {};
+  for (size_t i = 0; i < shape.n; ++i) {
     const size_t l = i & 3;
     const double v = vals[i];
     acc[0][l] += v;
     acc[1][l] += cz[i] * v;
     acc[2][l] += cy[i] * v;
     acc[3][l] += cx[i] * v;
-    acc[4][l] += cz[i] * cz[i];
-    acc[5][l] += cy[i] * cy[i];
-    acc[6][l] += cx[i] * cx[i];
   }
-  for (int k = 0; k < 7; ++k) sums[k] = ReduceLanes4(acc[k]);
+  for (int k = 0; k < 4; ++k) sums[k] = ReduceLanes4(acc[k]);
 }
 
 // pred[i] = c0 + az*cz[i] + ay*cy[i] + ax*cx[i], evaluated left to right.
@@ -223,29 +200,16 @@ double PlaneAbsErr(const float* vals, const double* cz, const double* cy,
 
 // Least-squares plane fit over one gathered block. On a regular grid the
 // normal equations decouple: each slope is cov(coord, v) / var(coord).
-RegressionCoefs FitBlock(BlockScratch* s, size_t n, const size_t* lo,
-                         const size_t* hi) {
-  const double mz = (static_cast<double>(hi[0] - lo[0]) - 1) / 2.0;
-  const double my = (static_cast<double>(hi[1] - lo[1]) - 1) / 2.0;
-  const double mx = (static_cast<double>(hi[2] - lo[2]) - 1) / 2.0;
-  s->ccz.resize(n);
-  s->ccy.resize(n);
-  s->ccx.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    s->ccz[i] = s->cz[i] - mz;
-    s->ccy[i] = s->cy[i] - my;
-    s->ccx[i] = s->cx[i] - mx;
-  }
-  double sums[7];
-  PlaneFitSums(s->vals.data(), s->ccz.data(), s->ccy.data(), s->ccx.data(),
-               n, sums);
+RegressionCoefs FitBlock(const float* vals, const BlockShape& shape) {
+  double sums[4];
+  PlaneFitSums(vals, shape, sums);
   RegressionCoefs c;
-  const double mean = sums[0] / static_cast<double>(n);
-  c.cz = sums[4] > 0 ? sums[1] / sums[4] : 0.0;
-  c.cy = sums[5] > 0 ? sums[2] / sums[5] : 0.0;
-  c.cx = sums[6] > 0 ? sums[3] / sums[6] : 0.0;
+  const double mean = sums[0] / static_cast<double>(shape.n);
+  c.cz = shape.szz > 0 ? sums[1] / shape.szz : 0.0;
+  c.cy = shape.syy > 0 ? sums[2] / shape.syy : 0.0;
+  c.cx = shape.sxx > 0 ? sums[3] / shape.sxx : 0.0;
   // Express the intercept at block-local (0,0,0).
-  c.c0 = mean - c.cz * mz - c.cy * my - c.cx * mx;
+  c.c0 = mean - c.cz * shape.mz - c.cy * shape.my - c.cx * shape.mx;
   return c;
 }
 
@@ -454,10 +418,10 @@ RegressionCoefs Dequantize(const int64_t* qc, const double* coef_steps) {
 // plane is judged after coefficient quantization, as the decoder sees it.
 BlockChoice SelectPredictor(const float* in, const SliceLayout& lay,
                             const size_t* lo, const size_t* hi,
-                            const double* coef_steps, BlockScratch* scratch) {
-  const size_t n = FillBlockCoords(lo, hi, scratch);
+                            const BlockShape& shape, const double* coef_steps,
+                            BlockScratch* scratch) {
   GatherBlockValues(in, lay.strides, lo, hi, scratch);
-  const RegressionCoefs coefs = FitBlock(scratch, n, lo, hi);
+  const RegressionCoefs coefs = FitBlock(scratch->vals.data(), shape);
   BlockChoice choice;
   const double raw_coefs[4] = {coefs.c0, coefs.cz, coefs.cy, coefs.cx};
   bool coef_ok = true;
@@ -481,11 +445,20 @@ BlockChoice SelectPredictor(const float* in, const SliceLayout& lay,
     err_lorenzo += std::fabs(in[lin] - lorenzo_orig.Predict(idx, lin));
   });
   const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
-  const double err_reg = PlaneAbsErr(
-      scratch->vals.data(), scratch->cz.data(), scratch->cy.data(),
-      scratch->cx.data(), n, dq.c0, dq.cz, dq.cy, dq.cx);
+  const double err_reg =
+      PlaneAbsErr(scratch->vals.data(), shape.cz.data(), shape.cy.data(),
+                  shape.cx.data(), shape.n, dq.c0, dq.cz, dq.cy, dq.cx);
   choice.regression = err_reg < err_lorenzo;
   return choice;
+}
+
+// Fills scratch->pred with a regression block's dequantized plane.
+void PredictPlane(const BlockShape& shape, const BlockChoice& choice,
+                  const double* coef_steps, BlockScratch* scratch) {
+  const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
+  scratch->pred.resize(shape.n);
+  PlanePredict(shape.cz.data(), shape.cy.data(), shape.cx.data(), shape.n,
+               dq.c0, dq.cz, dq.cy, dq.cx, scratch->pred.data());
 }
 
 // Quantizes one block against its chosen predictor, writing its codes to
@@ -493,15 +466,10 @@ BlockChoice SelectPredictor(const float* in, const SliceLayout& lay,
 // number of unpredictable points (code 0), stored verbatim.
 uint32_t QuantizeBlock(const float* in, float* out, const SliceLayout& lay,
                        const size_t* lo, const size_t* hi,
-                       const BlockChoice& choice, const double* coef_steps,
-                       double eb, double bin, BlockScratch* scratch,
-                       uint32_t* codes) {
-  if (choice.regression) {
-    const size_t n = FillBlockCoords(lo, hi, scratch);
-    const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
-    PlanePredict(scratch->cz.data(), scratch->cy.data(), scratch->cx.data(),
-                 n, dq.c0, dq.cz, dq.cy, dq.cx, scratch->pred.data());
-  }
+                       const BlockShape& shape, const BlockChoice& choice,
+                       const double* coef_steps, double eb, double bin,
+                       BlockScratch* scratch, uint32_t* codes) {
+  if (choice.regression) PredictPlane(shape, choice, coef_steps, scratch);
   const LorenzoSlice lorenzo(out, lay.nd, lay.strides);
   uint32_t raw = 0;
   ForEachPoint(lay, lo, hi, [&](const size_t* idx, size_t i, size_t lin) {
@@ -531,15 +499,11 @@ uint32_t QuantizeBlock(const float* in, float* out, const SliceLayout& lay,
 // verbatim float of `raw`. Returns the number of verbatim floats read.
 uint32_t ReconstructBlock(float* out, const SliceLayout& lay,
                           const size_t* lo, const size_t* hi,
-                          const BlockChoice& choice, const double* coef_steps,
-                          double bin, const uint32_t* codes, const uint8_t* raw,
+                          const BlockShape& shape, const BlockChoice& choice,
+                          const double* coef_steps, double bin,
+                          const uint32_t* codes, const uint8_t* raw,
                           BlockScratch* scratch) {
-  if (choice.regression) {
-    const size_t n = FillBlockCoords(lo, hi, scratch);
-    const RegressionCoefs dq = Dequantize(choice.qc, coef_steps);
-    PlanePredict(scratch->cz.data(), scratch->cy.data(), scratch->cx.data(),
-                 n, dq.c0, dq.cz, dq.cy, dq.cx, scratch->pred.data());
-  }
+  if (choice.regression) PredictPlane(shape, choice, coef_steps, scratch);
   const LorenzoSlice lorenzo(out, lay.nd, lay.strides);
   uint32_t used = 0;
   ForEachPoint(lay, lo, hi, [&](const size_t* idx, size_t i, size_t lin) {
@@ -565,6 +529,58 @@ bool SelectsRegression(const uint8_t* selection, size_t b) {
 
 }  // namespace
 
+namespace sz_internal {
+
+BlockShapes::BlockShapes(const std::vector<size_t>& dims) {
+  const SliceLayout lay = MakeSliceLayout(dims);
+  for (size_t k = 0; k < shapes_.size(); ++k) {
+    // Bit d of k: a remainder along axis d (see Of).
+    size_t ext[3];
+    for (size_t d = 0; d < 3; ++d) {
+      ext[d] = ((k >> d) & 1) != 0 ? lay.dims[d] % kBlock : kBlock;
+    }
+    BlockShape& s = shapes_[k];
+    s.n = ext[0] * ext[1] * ext[2];
+    s.mz = (static_cast<double>(ext[0]) - 1) / 2.0;
+    s.my = (static_cast<double>(ext[1]) - 1) / 2.0;
+    s.mx = (static_cast<double>(ext[2]) - 1) / 2.0;
+    for (std::vector<double>* v : {&s.cz, &s.cy, &s.cx, &s.ccz, &s.ccy,
+                                   &s.ccx}) {
+      v->resize(s.n);
+    }
+    double acc[3][4] = {};
+    size_t i = 0;
+    for (size_t z = 0; z < ext[0]; ++z) {
+      for (size_t y = 0; y < ext[1]; ++y) {
+        for (size_t x = 0; x < ext[2]; ++x, ++i) {
+          s.cz[i] = static_cast<double>(z);
+          s.cy[i] = static_cast<double>(y);
+          s.cx[i] = static_cast<double>(x);
+          s.ccz[i] = s.cz[i] - s.mz;
+          s.ccy[i] = s.cy[i] - s.my;
+          s.ccx[i] = s.cx[i] - s.mx;
+          acc[0][i & 3] += s.ccz[i] * s.ccz[i];
+          acc[1][i & 3] += s.ccy[i] * s.ccy[i];
+          acc[2][i & 3] += s.ccx[i] * s.ccx[i];
+        }
+      }
+    }
+    s.szz = ReduceLanes4(acc[0]);
+    s.syy = ReduceLanes4(acc[1]);
+    s.sxx = ReduceLanes4(acc[2]);
+  }
+}
+
+const BlockShape& BlockShapes::Of(const size_t* lo, const size_t* hi) const {
+  size_t k = 0;
+  for (size_t d = 0; d < 3; ++d) {
+    if (hi[d] - lo[d] != kBlock) k |= size_t{1} << d;
+  }
+  return shapes_[k];
+}
+
+}  // namespace sz_internal
+
 StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
     const Tensor& data, double eb) const {
   if (!std::isfinite(eb) || eb <= 0.0) {
@@ -579,6 +595,7 @@ StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
   ThreadPool* pool = SharedThreadPool();
   const bool split = data.size() >= kMinSplitPoints;
   const size_t select_grain = split ? kSelectGrain : grid.total;
+  const sz_internal::BlockShapes shapes(data.dims());
 
   // --- Phase 1: predictor selection on the original data (like SZ2). It
   // reads only the input, so every block is independent.
@@ -590,7 +607,8 @@ StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
         for (size_t b = first; b < last; ++b) {
           size_t lo[3], hi[3];
           const float* in = data.data() + grid.Bounds(b, lo, hi);
-          choice[b] = SelectPredictor(in, lay, lo, hi, coef_steps, &scratch);
+          choice[b] = SelectPredictor(in, lay, lo, hi, shapes.Of(lo, hi),
+                                      coef_steps, &scratch);
         }
       },
       select_grain);
@@ -611,18 +629,20 @@ StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
   // recon and codes live until the archive is built. Freeing them early
   // lets the archive, which the caller keeps, land in their freed space
   // and split it; under glibc that raised the steady-state resident size
-  // of a serving loop by ~3 MB at 128^3.
-  std::vector<float> recon(data.size());
-  std::vector<uint32_t> codes(data.size());
+  // of a serving loop by ~3 MB at 128^3. They are not zero-filled: the
+  // wavefront writes every element, and is the first to touch it.
+  const auto recon = std::make_unique_for_overwrite<float[]>(data.size());
+  const auto codes = std::make_unique_for_overwrite<uint32_t[]>(data.size());
   std::vector<uint32_t> raw_count(grid.total, 0);
   RunRowWavefront(pool, grid, split, [&](size_t row, BlockScratch* scratch) {
     const size_t row_end = (row + 1) * grid.n[2];
     for (size_t b = row_end - grid.n[2]; b < row_end; ++b) {
       size_t lo[3], hi[3];
       const size_t base = grid.Bounds(b, lo, hi);
-      raw_count[b] = QuantizeBlock(data.data() + base, recon.data() + base,
-                                   lay, lo, hi, choice[b], coef_steps, eb, bin,
-                                   scratch, codes.data() + code_offset[b]);
+      raw_count[b] = QuantizeBlock(data.data() + base, recon.get() + base,
+                                   lay, lo, hi, shapes.Of(lo, hi), choice[b],
+                                   coef_steps, eb, bin, scratch,
+                                   codes.get() + code_offset[b]);
     }
   });
 
@@ -640,7 +660,7 @@ StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
             if (raw_count[b] == 0) continue;
             size_t lo[3], hi[3];
             const float* in = data.data() + grid.Bounds(b, lo, hi);
-            const uint32_t* c = codes.data() + code_offset[b];
+            const uint32_t* c = codes.get() + code_offset[b];
             uint8_t* dst = raw.data() + raw_offset[b] * 4;
             auto copy_raw = [&](const size_t*, size_t i, size_t lin) {
               if (c[i] != 0) return;
@@ -668,7 +688,7 @@ StatusOr<std::vector<uint8_t>> SzCompressor::DoCompress(
   AppendDouble(stream.params(), eb);
   stream.AddBytes(std::move(selection).Take());
   stream.AddCodes(coef_codes);
-  stream.AddCodes(codes);
+  stream.AddCodes({codes.get(), data.size()});
   stream.AddBytes(std::move(raw));
   return std::move(stream).Finish(kMagic, data);
 }
@@ -752,6 +772,7 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
   // Rows reconstruct in the quantizer's wavefront: a point reads the same
   // reconstructed neighbours the quantizer read, so it runs the same
   // floating-point operations as a serial pass in block order.
+  const sz_internal::BlockShapes shapes(dims);
   Tensor result(dims);
   RunRowWavefront(pool, grid, split, [&](size_t row, BlockScratch* scratch) {
     RowStart at = starts[row];
@@ -766,9 +787,10 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
           choice.qc[k] = UnZigZag(coef_codes[at.coef++]);
         }
       }
-      at.raw += ReconstructBlock(result.data() + base, lay, lo, hi, choice,
-                                 coef_steps, bin, codes.data() + at.code,
-                                 raw + 4 * at.raw, scratch);
+      at.raw += ReconstructBlock(result.data() + base, lay, lo, hi,
+                                 shapes.Of(lo, hi), choice, coef_steps, bin,
+                                 codes.data() + at.code, raw + 4 * at.raw,
+                                 scratch);
       at.code += (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
     }
   });

@@ -546,7 +546,7 @@ Status DecodeStream(const ParsedStream& stream, size_t ranges, bool fallback,
 
 }  // namespace
 
-std::vector<uint8_t> HuffmanEncode(const std::vector<uint32_t>& symbols) {
+std::vector<uint8_t> HuffmanEncode(std::span<const uint32_t> symbols) {
   std::vector<uint8_t> out;
   AppendUint64(&out, symbols.size());
   if (symbols.empty()) {

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/util/status.h"
@@ -39,7 +40,7 @@
 namespace fxrz {
 
 // Encodes `symbols` into a self-describing byte stream.
-std::vector<uint8_t> HuffmanEncode(const std::vector<uint32_t>& symbols);
+std::vector<uint8_t> HuffmanEncode(std::span<const uint32_t> symbols);
 
 // Decodes a stream produced by HuffmanEncode. Fails with Corruption on a
 // malformed or truncated stream.

@@ -5,10 +5,20 @@
 // (long zero runs, repeated Huffman table fragments). Format: LSB-first bit
 // stream of tokens -- flag bit 0 = literal byte, flag bit 1 = match with a
 // 16-bit backward offset and an 8-bit length (kMinMatch..kMinMatch+255).
+//
+// The compressor's greedy parse runs on the shared thread pool, in about
+// one range per thread, with bytes that do not depend on the split: the
+// match found at a position depends on the position alone, so two parses
+// that meet at one position agree from there on. Each range parses from
+// its first position; a serial pass re-anchors each range at its left
+// neighbour's exit (parsing again from there up to the first position the
+// range's own parse reached, when the exit is not one of them), and the
+// ranges' tokens are spliced at prefix-sum bit offsets.
 
 #ifndef FXRZ_ENCODING_ZLITE_H_
 #define FXRZ_ENCODING_ZLITE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +33,20 @@ std::vector<uint8_t> ZliteCompress(const std::vector<uint8_t>& input);
 // Decompresses a ZliteCompress stream.
 Status ZliteDecompress(const uint8_t* data, size_t size,
                        std::vector<uint8_t>* out);
+
+namespace zlite_internal {
+
+struct RangedCompression {
+  std::vector<uint8_t> bytes;
+  size_t reparses = 0;  // ranges parsed again from their true entry on
+};
+
+// ZliteCompress's parse in exactly `ranges` ranges (at most one per input
+// byte) of any width. Its bytes equal ZliteCompress's for every `ranges`.
+RangedCompression CompressInRanges(const std::vector<uint8_t>& input,
+                                   size_t ranges);
+
+}  // namespace zlite_internal
 
 }  // namespace fxrz
 
