@@ -6,8 +6,10 @@
 // scan of the Compressibility Adjustment (full tensor, Sec. IV-C). The
 // fused kernels walk memory once with flat-index arithmetic; the reference
 // kernels are the original odometer/multi-pass versions kept for
-// cross-checking. Results (fastest-of-N wall times plus speedups) are
-// printed and written to BENCH_analysis.json.
+// cross-checking; they run on the calling thread, while the fused kernels
+// run on SharedThreadPool() as every caller runs them. Results
+// (fastest-of-N wall times plus speedups) are printed and written to
+// BENCH_analysis.json.
 
 #include <cmath>
 #include <cstdio>
@@ -62,43 +64,28 @@ int main() {
   std::printf("fused vs reference analysis kernels, %zu^3 floats\n", kN);
   const Tensor field = MakeField(kN);
 
-  FeatureOptions serial;
-  serial.stride = 4;
-  serial.threads = 1;
-  FeatureOptions parallel = serial;
-  parallel.threads = 0;
+  FeatureOptions features;
+  features.stride = 4;
+  const CaOptions ca;
 
   double checksum = 0.0;  // defeat dead-code elimination
   const double feat_ref = BestOf(kReps, [&] {
-    checksum += ExtractFeaturesReference(field, serial).value_range;
+    checksum += ExtractFeaturesReference(field, features).value_range;
   });
   const double feat_fused = BestOf(kReps, [&] {
-    checksum += ExtractFeatures(field, serial).value_range;
+    checksum += ExtractFeatures(field, features).value_range;
   });
-  const double feat_fused_mt = BestOf(kReps, [&] {
-    checksum += ExtractFeatures(field, parallel).value_range;
-  });
-
-  CaOptions ca_serial;
-  ca_serial.threads = 1;
-  CaOptions ca_parallel = ca_serial;
-  ca_parallel.threads = 0;
-
   const double scan_ref = BestOf(kReps, [&] {
-    checksum += ScanConstantBlocksReference(field, ca_serial).non_constant_ratio;
+    checksum += ScanConstantBlocksReference(field, ca).non_constant_ratio;
   });
   const double scan_fused = BestOf(kReps, [&] {
-    checksum += ScanConstantBlocks(field, ca_serial).non_constant_ratio;
-  });
-  const double scan_fused_mt = BestOf(kReps, [&] {
-    checksum += ScanConstantBlocks(field, ca_parallel).non_constant_ratio;
+    checksum += ScanConstantBlocks(field, ca).non_constant_ratio;
   });
 
   // The model query's analysis = features + scan; the end-to-end speedup is
   // what the acceptance criterion cares about.
   const double analysis_ref = feat_ref + scan_ref;
   const double analysis_fused = feat_fused + scan_fused;
-  const double analysis_fused_mt = feat_fused_mt + scan_fused_mt;
 
   std::printf("%-22s %10s %10s %8s\n", "kernel", "ref (ms)", "fused (ms)",
               "speedup");
@@ -106,12 +93,9 @@ int main() {
               feat_ref * 1e3, feat_fused * 1e3, feat_ref / feat_fused);
   std::printf("%-22s %9.2f %10.2f %7.2fx\n", "constant-block scan",
               scan_ref * 1e3, scan_fused * 1e3, scan_ref / scan_fused);
-  std::printf("%-22s %9.2f %10.2f %7.2fx\n", "analysis (serial)",
+  std::printf("%-22s %9.2f %10.2f %7.2fx\n", "analysis",
               analysis_ref * 1e3, analysis_fused * 1e3,
               analysis_ref / analysis_fused);
-  std::printf("%-22s %9.2f %10.2f %7.2fx\n", "analysis (threads=0)",
-              analysis_ref * 1e3, analysis_fused_mt * 1e3,
-              analysis_ref / analysis_fused_mt);
 
   std::FILE* f = std::fopen("BENCH_analysis.json", "w");
   if (f != nullptr) {
@@ -119,14 +103,10 @@ int main() {
     std::fprintf(f, "  \"tensor\": [%zu, %zu, %zu],\n", kN, kN, kN);
     std::fprintf(f, "  \"features_ref_ms\": %.4f,\n", feat_ref * 1e3);
     std::fprintf(f, "  \"features_fused_ms\": %.4f,\n", feat_fused * 1e3);
-    std::fprintf(f, "  \"features_fused_mt_ms\": %.4f,\n", feat_fused_mt * 1e3);
     std::fprintf(f, "  \"scan_ref_ms\": %.4f,\n", scan_ref * 1e3);
     std::fprintf(f, "  \"scan_fused_ms\": %.4f,\n", scan_fused * 1e3);
-    std::fprintf(f, "  \"scan_fused_mt_ms\": %.4f,\n", scan_fused_mt * 1e3);
-    std::fprintf(f, "  \"analysis_speedup_serial\": %.3f,\n",
+    std::fprintf(f, "  \"analysis_speedup\": %.3f\n",
                  analysis_ref / analysis_fused);
-    std::fprintf(f, "  \"analysis_speedup_mt\": %.3f\n",
-                 analysis_ref / analysis_fused_mt);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_analysis.json\n");

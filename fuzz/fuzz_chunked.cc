@@ -9,8 +9,7 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
-                                  /*target_chunk_elems=*/1024,
-                                  /*threads=*/1);
+                                  /*target_chunk_elems=*/1024);
   fxrz::Tensor out;
   const fxrz::Status st = chunked.Decompress(data, size, &out);
   if (st.ok() && out.empty()) std::abort();

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
   {
     fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
-                                    /*target_chunk_elems=*/256, /*threads=*/1);
+                                    /*target_chunk_elems=*/256);
     ok &= WriteSeed(out_dir + "/chunked", "roundtrip.bin",
                     chunked.Compress(data, 0.01).value());
   }

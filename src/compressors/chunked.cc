@@ -125,10 +125,8 @@ float ChunkedCompressor::LostValueSentinel() {
 }
 
 ChunkedCompressor::ChunkedCompressor(std::unique_ptr<Compressor> base,
-                                     size_t target_chunk_elems, int threads)
-    : base_(std::move(base)),
-      target_chunk_elems_(target_chunk_elems),
-      threads_(threads) {
+                                     size_t target_chunk_elems)
+    : base_(std::move(base)), target_chunk_elems_(target_chunk_elems) {
   FXRZ_CHECK(base_ != nullptr);
   FXRZ_CHECK_GT(target_chunk_elems_, 0u);
 }
@@ -163,12 +161,7 @@ StatusOr<std::vector<uint8_t>> ChunkedCompressor::DoCompress(
       statuses[c] = chunk.status();
     }
   };
-  if (threads_ == 1 || num_chunks == 1) {
-    for (size_t c = 0; c < num_chunks; ++c) compress_chunk(c);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, num_chunks, compress_chunk,
-                /*grain=*/1);
-  }
+  ParallelFor(SharedThreadPool(), 0, num_chunks, compress_chunk, /*grain=*/1);
 
   std::vector<uint8_t> out;
   compressor_internal::AppendHeader(&out, kMagic, data);
@@ -242,12 +235,8 @@ Status ChunkedCompressor::DoDecompress(const uint8_t* data, size_t size,
     statuses[c] =
         base_->Decompress(data + spans[c].offset, spans[c].size, &slabs[c]);
   };
-  if (threads_ == 1 || spans.size() == 1) {
-    for (size_t c = 0; c < spans.size(); ++c) decompress_chunk(c);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, spans.size(), decompress_chunk,
-                /*grain=*/1);
-  }
+  ParallelFor(SharedThreadPool(), 0, spans.size(), decompress_chunk,
+              /*grain=*/1);
 
   // Phase 2: validate shapes in chunk order and stitch the slabs together.
   Tensor result(index.dims);
@@ -324,12 +313,7 @@ Status ChunkedCompressor::DecompressDegraded(const uint8_t* data, size_t size,
     }
     lost[c] = !status.ok();
   };
-  if (threads_ == 1 || spans.size() == 1) {
-    for (size_t c = 0; c < spans.size(); ++c) decode_chunk(c);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, spans.size(), decode_chunk,
-                /*grain=*/1);
-  }
+  ParallelFor(SharedThreadPool(), 0, spans.size(), decode_chunk, /*grain=*/1);
 
   const size_t row_elems = result.size() / result.dim(0);
   size_t row = 0;

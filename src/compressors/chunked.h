@@ -58,12 +58,12 @@ class ChunkedCompressor : public Compressor {
 
   // Slabs are sized to at most `target_chunk_elems` elements (rounded to
   // whole rows of the first dimension; a slab holds at least one row).
-  // `threads` controls per-chunk parallelism: 1 = serial, 0 = hardware
-  // concurrency. Results are identical at any thread count; the base
-  // compressor must be safe to call concurrently (all built-in codecs are).
+  // Slabs compress and decode in parallel on SharedThreadPool(), and the
+  // archive, the decoded tensor and every Status are the same however the
+  // slabs are scheduled. The base compressor must be safe to call
+  // concurrently (all built-in codecs are).
   explicit ChunkedCompressor(std::unique_ptr<Compressor> base,
-                             size_t target_chunk_elems = size_t{1} << 18,
-                             int threads = 0);
+                             size_t target_chunk_elems = size_t{1} << 18);
 
   std::string name() const override { return base_->name() + "-chunked"; }
   ConfigSpace config_space(double value_range) const override {
@@ -103,7 +103,6 @@ class ChunkedCompressor : public Compressor {
 
   std::unique_ptr<Compressor> base_;
   size_t target_chunk_elems_;
-  int threads_;
 };
 
 }  // namespace fxrz

@@ -456,7 +456,7 @@ StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
   const size_t ranges = std::clamp<size_t>(
       total_blocks / kMinRangeBlocks, 1, kRangesPerThread * pool->num_threads());
   std::vector<std::vector<uint8_t>> range_bytes(ranges);
-  std::vector<size_t> range_start(ranges + 1, 0);
+  std::vector<size_t> range_bits(ranges, 0);
   // lock-free: set once by the first range that meets a non-finite block;
   // the others poll it between blocks only to stop early.
   std::atomic<bool> nonfinite{false};
@@ -479,38 +479,25 @@ StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
             return;
           }
         }
-        range_start[r + 1] = bw.bit_count();
+        range_bits[r] = bw.bit_count();
         range_bytes[r] = std::move(bw).Take();
       },
       1);
   if (nonfinite.load()) {
     return Status::InvalidArgument("zfp: input has NaN/Inf values");
   }
-  for (size_t r = 0; r < ranges; ++r) range_start[r + 1] += range_start[r];
 
   std::vector<uint8_t> out;
   compressor_internal::AppendHeader(&out, kMagic, data);
   out.push_back(static_cast<uint8_t>(mode));
   AppendDouble(&out, mode == Mode::kFixedAccuracy ? eb : bits_per_value);
-  const size_t payload_bytes = (range_start[ranges] + 7) / 8;
-  AppendUint64(&out, payload_bytes);
-  const size_t payload_at = out.size();
-  out.resize(payload_at + payload_bytes, 0);
-  uint8_t* payload = out.data() + payload_at;
-  std::vector<uint8_t> first_byte(ranges, 0);
-  ParallelFor(
-      pool, 0, ranges,
-      [&](size_t r) {
-        RangeBitWriter w(payload, range_start[r]);
-        w.WriteStream(range_bytes[r].data(),
-                      range_start[r + 1] - range_start[r]);
-        first_byte[r] = w.Finish();
+  AppendBitRanges(
+      range_bits,
+      [&](size_t r, RangeBitWriter* w) {
+        w->WriteStream(range_bytes[r].data(), range_bits[r]);
         std::vector<uint8_t>().swap(range_bytes[r]);  // its bits are copied
       },
-      1);
-  for (size_t r = 0; r < ranges; ++r) {
-    payload[range_start[r] / 8] |= first_byte[r];
-  }
+      &out);
   return out;
 }
 

@@ -133,11 +133,7 @@ BlockScanResult ScanConstantBlocks(const Tensor& data,
     }
     unit_sums[u] = sum;
   };
-  if (options.threads == 1 || units == 1) {
-    for (size_t u = 0; u < units; ++u) scan_unit(u);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, units, scan_unit, /*grain=*/1);
-  }
+  ParallelFor(SharedThreadPool(), 0, units, scan_unit, /*grain=*/1);
 
   double sum = 0.0;
   for (const double s : unit_sums) sum += s;

@@ -24,9 +24,6 @@ namespace fxrz {
 struct CaOptions {
   size_t block = 4;      // block edge length per dimension (paper: 4x4x4)
   double lambda = 0.15;  // threshold coefficient on |mean| (paper Table IV)
-  // Worker threads for the scan: 0 = the shared pool, 1 = serial. Any
-  // setting produces bit-identical results.
-  int threads = 0;
 };
 
 // Statistics from the constant-block scan.

@@ -288,11 +288,7 @@ FeatureVector ExtractFeatures(const Tensor& data,
     const size_t hi = std::min(d0, lo + slab_rows);
     AccumulateSlab(s, lo, hi, &partials[i]);
   };
-  if (options.threads == 1 || num_slabs == 1) {
-    for (size_t i = 0; i < num_slabs; ++i) run_slab(i);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, num_slabs, run_slab, /*grain=*/1);
-  }
+  ParallelFor(SharedThreadPool(), 0, num_slabs, run_slab, /*grain=*/1);
 
   FeatureAccum total;
   for (const FeatureAccum& p : partials) total.Merge(p);

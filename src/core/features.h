@@ -47,10 +47,6 @@ struct FeatureVector {
 struct FeatureOptions {
   // Sampling stride per dimension (paper default 4 => ~1.5% of points in 3D).
   size_t stride = 4;
-  // Worker threads for the slab sweep: 0 = the shared pool, 1 = serial.
-  // Any setting produces bit-identical results (fixed slab decomposition,
-  // ordered reduction).
-  int threads = 0;
 };
 
 // Extracts all eight features from a stride-sampled view of `data` with the

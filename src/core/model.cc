@@ -173,23 +173,19 @@ TrainingBreakdown FxrzModel::Train(const Compressor& compressor,
   std::vector<std::vector<StationaryPoint>> all_points(datasets.size());
   {
     WallTimer stationary_timer;
-    if (options.training_threads == 1 || datasets.size() == 1) {
-      for (size_t i = 0; i < datasets.size(); ++i) {
-        FXRZ_CHECK(datasets[i] != nullptr && !datasets[i]->empty());
-        all_points[i] =
-            CollectStationaryPoints(compressor, *datasets[i], augmentation);
-      }
-    } else {
-      const size_t threads =
-          options.training_threads > 0
-              ? static_cast<size_t>(options.training_threads)
-              : std::thread::hardware_concurrency();
+    auto collect = [&](size_t i) {
+      FXRZ_CHECK(datasets[i] != nullptr && !datasets[i]->empty());
+      all_points[i] =
+          CollectStationaryPoints(compressor, *datasets[i], augmentation);
+    };
+    const size_t threads = options.training_threads > 0
+                               ? static_cast<size_t>(options.training_threads)
+                               : std::thread::hardware_concurrency();
+    if (threads > 1 && datasets.size() > 1) {
       ThreadPool pool(threads);
-      ParallelFor(&pool, 0, datasets.size(), [&](size_t i) {
-        FXRZ_CHECK(datasets[i] != nullptr && !datasets[i]->empty());
-        all_points[i] =
-            CollectStationaryPoints(compressor, *datasets[i], augmentation);
-      });
+      ParallelFor(&pool, 0, datasets.size(), collect);
+    } else {
+      for (size_t i = 0; i < datasets.size(); ++i) collect(i);
     }
     breakdown.stationary_seconds = stationary_timer.Seconds();
   }

@@ -2,8 +2,9 @@
 // ZFP-like bitplane codec.
 //
 // Bits are packed LSB-first into bytes. BitWriter owns a growable byte
-// buffer; RangeBitWriter splices one segment of a parallel-encoded payload
-// into a caller-sized buffer; readers wrap an immutable byte span.
+// buffer; AppendBitRanges splices the segments of a parallel-encoded
+// payload, each through a RangeBitWriter; readers wrap an immutable byte
+// span.
 
 #ifndef FXRZ_ENCODING_BIT_STREAM_H_
 #define FXRZ_ENCODING_BIT_STREAM_H_
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/util/check.h"
+#include "src/util/thread_pool.h"
 
 namespace fxrz {
 
@@ -87,12 +89,11 @@ class BitWriter {
 };
 
 // Writes one segment of a payload that holds several independently encoded
-// segments back to back with no padding, so the segments can be written in
-// parallel once a prefix sum of their bit counts gives each its offset. A
-// segment that starts mid-byte shares that byte with the segment before
-// it, so the writer hands its bits of that byte back from Finish() for the
-// caller to OR in once every segment is done; every other byte it stores is
-// its own. The payload must be zeroed where segments share a byte.
+// segments back to back with no padding (see AppendBitRanges). A segment
+// that starts mid-byte shares that byte with the segment before it, so the
+// writer hands its bits of that byte back from Finish() to be ORed in once
+// every segment is done; every other byte it stores is its own. The
+// payload must be zeroed where segments share a byte.
 class RangeBitWriter {
  public:
   RangeBitWriter(uint8_t* payload, size_t bit_offset)
@@ -281,6 +282,39 @@ void AppendDouble(std::vector<uint8_t>* out, double v);
 uint32_t ReadUint32(const uint8_t* p);
 uint64_t ReadUint64(const uint8_t* p);
 double ReadDouble(const uint8_t* p);
+
+// Appends a u64 payload byte count, then a payload of range_bits.size()
+// segments back to back with no padding: segment r is range_bits[r] bits,
+// written by write(r, RangeBitWriter*) at the prefix sum of the counts
+// before it. The segments are written in parallel on SharedThreadPool();
+// the payload is bit for bit what one BitWriter writing them in order
+// would produce, zero-padded to a whole byte. A segment may be empty.
+template <typename Write>
+void AppendBitRanges(const std::vector<size_t>& range_bits, const Write& write,
+                     std::vector<uint8_t>* out) {
+  const size_t ranges = range_bits.size();
+  std::vector<size_t> start(ranges + 1, 0);
+  for (size_t r = 0; r < ranges; ++r) start[r + 1] = start[r] + range_bits[r];
+  const size_t payload_bytes = (start[ranges] + 7) / 8;
+  AppendUint64(out, payload_bytes);
+  const size_t payload_at = out->size();
+  out->resize(payload_at + payload_bytes, 0);
+  uint8_t* payload = out->data() + payload_at;
+  std::vector<uint8_t> first_byte(ranges, 0);
+  ParallelFor(
+      SharedThreadPool(), 0, ranges,
+      [&](size_t r) {
+        RangeBitWriter w(payload, start[r]);
+        write(r, &w);
+        first_byte[r] = w.Finish();
+      },
+      1);
+  // Only a segment that starts mid-byte, so inside the payload, has bits
+  // to OR in; an empty last segment may start one byte past the end.
+  for (size_t r = 0; r < ranges; ++r) {
+    if (first_byte[r] != 0) payload[start[r] / 8] |= first_byte[r];
+  }
+}
 
 }  // namespace fxrz
 

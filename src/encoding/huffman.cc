@@ -645,7 +645,7 @@ std::vector<uint8_t> HuffmanEncode(std::span<const uint32_t> symbols) {
   auto packed_code = [&](uint32_t s) {
     return use_dense ? dense[s] : sparse.at(s);
   };
-  std::vector<size_t> range_start(ranges + 1, 0);
+  std::vector<size_t> range_bits(ranges, 0);
   ParallelFor(
       pool, 0, ranges,
       [&](size_t r) {
@@ -655,33 +655,21 @@ std::vector<uint8_t> HuffmanEncode(std::span<const uint32_t> symbols) {
         for (size_t i = lo; i < hi; ++i) {
           bits += packed_code(sym[i]) >> kLenShift;
         }
-        range_start[r + 1] = bits;
+        range_bits[r] = bits;
       },
       1);
-  for (size_t r = 0; r < ranges; ++r) range_start[r + 1] += range_start[r];
-  const size_t payload_bytes = (range_start[ranges] + 7) / 8;
-  AppendUint64(&out, payload_bytes);
-  const size_t payload_at = out.size();
-  out.resize(payload_at + payload_bytes, 0);
-  uint8_t* payload = out.data() + payload_at;
-  std::vector<uint8_t> first_byte(ranges, 0);
-  ParallelFor(
-      pool, 0, ranges,
-      [&](size_t r) {
+  AppendBitRanges(
+      range_bits,
+      [&](size_t r, RangeBitWriter* w) {
         const size_t lo = r * kEncodeRange;
         const size_t hi = std::min(n, lo + kEncodeRange);
-        RangeBitWriter w(payload, range_start[r]);
         for (size_t i = lo; i < hi; ++i) {
           const uint64_t packed = packed_code(sym[i]);
-          w.WriteBits(packed & ((uint64_t{1} << kLenShift) - 1),
-                      static_cast<size_t>(packed >> kLenShift));
+          w->WriteBits(packed & ((uint64_t{1} << kLenShift) - 1),
+                       static_cast<size_t>(packed >> kLenShift));
         }
-        first_byte[r] = w.Finish();
       },
-      1);
-  for (size_t r = 0; r < ranges; ++r) {
-    payload[range_start[r] / 8] |= first_byte[r];
-  }
+      &out);
   return out;
 }
 

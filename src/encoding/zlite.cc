@@ -18,8 +18,6 @@ constexpr size_t kWindow = 1 << 16;
 constexpr size_t kHashBits = 15;
 constexpr size_t kHashSize = 1 << kHashBits;
 constexpr int kMaxChainProbes = 16;
-// Stream header: raw size, then payload size (both u64).
-constexpr size_t kHeaderBytes = 16;
 // A parallel range is at least this long, so warming its chains over the
 // kWindow positions before it costs at most about half its work. (On sz
 // bodies of 287-501 KiB, four ranges of at least kWindow compressed 1.2-
@@ -278,29 +276,19 @@ std::vector<uint8_t> CompressImpl(const std::vector<uint8_t>& input,
     }
   }
 
-  std::vector<size_t> offset(ranges + 1, 0);
+  std::vector<size_t> range_bits(ranges);
   for (size_t r = 0; r < ranges; ++r) {
     const RangeTokens& t = tokens[r];
-    offset[r + 1] = offset[r] + t.head_bits + t.bit_count - t.first_bit;
+    range_bits[r] = t.head_bits + t.bit_count - t.first_bit;
   }
-  const size_t payload_bytes = (offset[ranges] + 7) / 8;
-  AppendUint64(&out, payload_bytes);
-  out.resize(kHeaderBytes + payload_bytes, 0);
-  uint8_t* payload = out.data() + kHeaderBytes;
-  std::vector<uint8_t> first_byte(ranges, 0);
-  ParallelFor(
-      pool, 0, ranges,
-      [&](size_t r) {
+  AppendBitRanges(
+      range_bits,
+      [&](size_t r, RangeBitWriter* w) {
         const RangeTokens& t = tokens[r];
-        RangeBitWriter w(payload, offset[r]);
-        w.WriteStream(t.head.data(), t.head_bits);
-        w.WriteStream(t.bits.data(), t.first_bit, t.bit_count - t.first_bit);
-        first_byte[r] = w.Finish();
+        w->WriteStream(t.head.data(), t.head_bits);
+        w->WriteStream(t.bits.data(), t.first_bit, t.bit_count - t.first_bit);
       },
-      1);
-  for (size_t r = 0; r < ranges; ++r) {
-    if (first_byte[r] != 0) payload[offset[r] / 8] |= first_byte[r];
-  }
+      &out);
   return out;
 }
 

@@ -2,9 +2,10 @@
 //
 // Plays the role Zstd plays in the real SZ pipeline: a dictionary-coding
 // pass over the entropy-coded stream that exploits repeated byte patterns
-// (long zero runs, repeated Huffman table fragments). Format: LSB-first bit
-// stream of tokens -- flag bit 0 = literal byte, flag bit 1 = match with a
-// 16-bit backward offset and an 8-bit length (kMinMatch..kMinMatch+255).
+// (long zero runs, repeated Huffman table fragments). Format: u64 raw size,
+// u64 payload bytes, then an LSB-first bit stream of tokens -- flag bit 0 =
+// literal byte, flag bit 1 = match with a 16-bit backward offset and an
+// 8-bit length (kMinMatch..kMinMatch+255).
 //
 // The compressor's greedy parse runs on the shared thread pool, in about
 // one range per thread, with bytes that do not depend on the split: the

@@ -48,11 +48,7 @@ void RandomForestRegressor::Fit(const FeatureMatrix& x,
     trees_[t] = DecisionTreeRegressor(tp);
     trees_[t].FitSampled(x, y, bootstraps[t]);
   };
-  if (params_.threads == 1 || num_trees <= 1) {
-    for (size_t t = 0; t < num_trees; ++t) fit_tree(t);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, num_trees, fit_tree, /*grain=*/1);
-  }
+  ParallelFor(SharedThreadPool(), 0, num_trees, fit_tree, /*grain=*/1);
 }
 
 double RandomForestRegressor::Predict(const std::vector<double>& x) const {
@@ -90,11 +86,7 @@ std::vector<double> RandomForestRegressor::PredictBatch(
   FXRZ_CHECK(!trees_.empty()) << "Predict before Fit";
   std::vector<double> out(x.size());
   auto predict_row = [&](size_t i) { out[i] = Predict(x[i]); };
-  if (params_.threads == 1 || x.size() <= 1) {
-    for (size_t i = 0; i < x.size(); ++i) predict_row(i);
-  } else {
-    ParallelFor(SharedThreadPool(), 0, x.size(), predict_row);
-  }
+  ParallelFor(SharedThreadPool(), 0, x.size(), predict_row);
   return out;
 }
 

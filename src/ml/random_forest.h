@@ -25,10 +25,6 @@ struct RandomForestParams {
   // wastes most splits).
   int max_features = 0;
   uint64_t seed = 17;
-  // Tree-level parallelism for Fit/PredictBatch: 1 = serial, 0 = hardware
-  // concurrency. Fitted trees and predictions are bit-identical at any
-  // thread count (all randomness is drawn serially up front).
-  int threads = 0;
 };
 
 class RandomForestRegressor : public Regressor {

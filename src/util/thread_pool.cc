@@ -203,6 +203,10 @@ void ParallelForBlocked(ThreadPool* pool, size_t begin, size_t end,
     // ~8 blocks per worker for load balancing without dispatch overhead.
     grain = std::max<size_t>(1, n / ((pool->num_threads() + 1) * 8));
   }
+  if (grain >= n) {  // one block: no helper could take any of it
+    body(begin, end);
+    return;
+  }
 
   auto state = std::make_shared<BlockedState>();
   state->begin = begin;

@@ -1,5 +1,6 @@
-// Fixed-size thread pool used by the fused analysis kernels, chunked
-// compression, random-forest training, and the parallel-dump simulator.
+// Fixed-size thread pool used by the codec stages, the fused analysis
+// kernels, chunked compression, random-forest training, and the
+// parallel-dump simulator.
 
 #ifndef FXRZ_UTIL_THREAD_POOL_H_
 #define FXRZ_UTIL_THREAD_POOL_H_
@@ -59,13 +60,16 @@ class ThreadPool {
 };
 
 // Lazily constructed process-wide pool sized to the hardware concurrency.
-// Kernels whose options say `threads = 0` dispatch here; sharing one pool
-// keeps nested parallel sections from multiplying OS threads.
+// Every codec stage and analysis kernel runs its parallel sections here;
+// sharing one pool keeps nested parallel sections from multiplying OS
+// threads.
 ThreadPool* SharedThreadPool();
 
 // Runs body(lo, hi) over disjoint sub-ranges that cover [begin, end), each
 // at most `grain` indices wide (grain 0 picks a size that spreads the range
-// across the pool). The calling thread claims ranges too, so nested calls --
+// across the pool). A range of one block runs on the calling thread before
+// anything is allocated or submitted. The calling thread claims ranges
+// too, so nested calls --
 // including from inside pool workers -- always make progress and cannot
 // deadlock. Exceptions thrown by `body` are rethrown to the caller after the
 // whole range has been processed (first exception wins).

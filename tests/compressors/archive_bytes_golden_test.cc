@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -32,9 +31,8 @@
 #include "src/encoding/huffman.h"
 #include "src/encoding/zlite.h"
 #include "src/util/random.h"
-#include "src/util/thread_annotations.h"
-#include "src/util/thread_pool.h"
 #include "tests/compressors/golden_hash.h"
+#include "tests/util/workers_parked.h"
 
 namespace fxrz {
 namespace {
@@ -233,31 +231,14 @@ TEST(ArchiveBytesGoldenTest, ConcurrentCompressionsMatch) {
 // compresses and decodes, so each parallel section runs on the caller
 // alone.
 TEST(ArchiveBytesGoldenTest, CallerOnlyCompressionsMatch) {
-  ThreadPool* pool = SharedThreadPool();
-  AnnotatedMutex mu;
-  CondVar cv;
-  bool release = false;
-  std::atomic<size_t> parked{0};
-  for (size_t i = 0; i < pool->num_threads(); ++i) {
-    pool->Submit([&] {
-      parked.fetch_add(1);
-      MutexLock lock(mu);
-      cv.Wait(mu, [&]() FXRZ_REQUIRES(mu) { return release; });
-    });
-  }
-  while (parked.load() < pool->num_threads()) std::this_thread::yield();
-  for (const ArchiveCase* c : ParallelCases()) {
-    const CaseHashes got = Hashes(*c);
-    EXPECT_EQ(Hex(got.archive), Hex(c->hash)) << Describe(*c);
-    EXPECT_EQ(Hex(got.decoded), Hex(c->decoded))
-        << Describe(*c) << " (decoded floats)";
-  }
-  {
-    MutexLock lock(mu);
-    release = true;
-  }
-  cv.NotifyAll();
-  pool->Wait();
+  WithWorkersParked([] {
+    for (const ArchiveCase* c : ParallelCases()) {
+      const CaseHashes got = Hashes(*c);
+      EXPECT_EQ(Hex(got.archive), Hex(c->hash)) << Describe(*c);
+      EXPECT_EQ(Hex(got.decoded), Hex(c->decoded))
+          << Describe(*c) << " (decoded floats)";
+    }
+  });
 }
 
 // zfp's fixed-rate mode runs the same block loop as its fixed-accuracy mode
@@ -300,21 +281,20 @@ TEST(ArchiveBytesGoldenTest, ZfpFixedRateArchivesMatchRecordedHashes) {
 // zfp-chunked runs each slab's zfp compression inside a pool worker, so the
 // slabs' block ranges nest inside the chunk loop. The 64^3 field in 8-row
 // slabs must still give the archive recorded from the serial codec, and the
-// same bytes as a chunked run that compresses its slabs one at a time.
+// same bytes as a run with the workers parked, which compresses its slabs
+// one at a time on the calling thread.
 TEST(ArchiveBytesGoldenTest, ChunkedZfpMatchesSerialReference) {
   constexpr uint64_t kChunkedZfpHash = 0xdce9f2be5bcbc367;
   const Tensor& data = Field(1);
   constexpr size_t kSlabElems = 8 * 64 * 64;
-  const ChunkedCompressor parallel(MakeCompressor("zfp"), kSlabElems,
-                                   /*threads=*/0);
-  const ChunkedCompressor serial(MakeCompressor("zfp"), kSlabElems,
-                                 /*threads=*/1);
-  const double config = ConfigAt(parallel.config_space(ValueRange(data)), 2);
-  const StatusOr<std::vector<uint8_t>> a = parallel.Compress(data, config);
-  const StatusOr<std::vector<uint8_t>> b = serial.Compress(data, config);
+  const ChunkedCompressor chunked(MakeCompressor("zfp"), kSlabElems);
+  const double config = ConfigAt(chunked.config_space(ValueRange(data)), 2);
+  const StatusOr<std::vector<uint8_t>> a = chunked.Compress(data, config);
+  StatusOr<std::vector<uint8_t>> b = Status::Internal("not run");
+  WithWorkersParked([&] { b = chunked.Compress(data, config); });
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(parallel.ChunkCount(a.value().data(), a.value().size()), 8u);
+  EXPECT_EQ(chunked.ChunkCount(a.value().data(), a.value().size()), 8u);
   EXPECT_EQ(Hex(Hash(a.value())), Hex(kChunkedZfpHash));
   EXPECT_EQ(a.value(), b.value());
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/compressors/compressor.h"
-#include "src/compressors/psnr.h"
 #include "src/compressors/relative.h"
 #include "src/data/tensor.h"
 #include "src/util/metrics.h"
@@ -22,9 +21,6 @@ namespace {
 std::unique_ptr<Compressor> MakeCodec(const std::string& name) {
   if (name == "relative") {
     return std::make_unique<RelativeErrorCompressor>(MakeCompressor("sz"));
-  }
-  if (name == "psnr") {
-    return std::make_unique<PsnrBoundCompressor>(MakeCompressor("sz"));
   }
   return MakeCompressor(name);
 }
@@ -62,8 +58,7 @@ TEST_P(BadConfigTest, ReturnsStatusAndCountsOneFailure) {
 
 INSTANTIATE_TEST_SUITE_P(
     Codecs, BadConfigTest,
-    ::testing::Values("sz", "sz3", "mgard", "zfp", "fpzip", "relative",
-                      "psnr"),
+    ::testing::Values("sz", "sz3", "mgard", "zfp", "fpzip", "relative"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

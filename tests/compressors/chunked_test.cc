@@ -10,6 +10,7 @@
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 #include "src/util/fault_injection.h"
+#include "tests/util/workers_parked.h"
 
 namespace fxrz {
 namespace {
@@ -69,12 +70,13 @@ TEST(ChunkedTest, OutOfRangeChunkIndexRejected) {
 TEST(ChunkedTest, FailedSlabFailsTheArchiveWithItsStatus) {
   if (!fault::Enabled()) GTEST_SKIP() << "built without FXRZ_FAULT_INJECT";
   const Tensor g = GaussianRandomField3D(16, 16, 16, 3.0, 7);
-  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1024,
-                         /*threads=*/1);
-  // Visits in order: the chunked entry, slab 0, slab 1 -- fail slab 1.
+  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1024);
+  // With the workers parked the slabs compress in order: the chunked
+  // entry, slab 0, slab 1 -- fail slab 1.
   fault::ResetAll();
   fault::Arm(fault::Site::kCompressorCompress, /*skip=*/2, /*count=*/1);
-  const StatusOr<std::vector<uint8_t>> archive = comp.Compress(g, 0.01);
+  StatusOr<std::vector<uint8_t>> archive = Status::Internal("not run");
+  WithWorkersParked([&] { archive = comp.Compress(g, 0.01); });
   const uint64_t triggered =
       fault::TriggeredCount(fault::Site::kCompressorCompress);
   fault::ResetAll();
@@ -110,17 +112,20 @@ TEST(ChunkedTest, VerifyUtilityAgrees) {
 
 TEST(ChunkedTest, ParallelArchiveByteIdenticalToSerial) {
   const Tensor g = GaussianRandomField3D(32, 16, 16, 3.0, 977);
-  ChunkedCompressor serial(MakeCompressor("sz"), /*target_chunk_elems=*/1280,
-                           /*threads=*/1);
-  ChunkedCompressor parallel(MakeCompressor("sz"), /*target_chunk_elems=*/1280,
-                             /*threads=*/0);
-  const std::vector<uint8_t> a = serial.Compress(g, 0.01).value();
-  const std::vector<uint8_t> b = parallel.Compress(g, 0.01).value();
+  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1280);
+  std::vector<uint8_t> a;
+  Tensor ra;
+  Status serial_decode = Status::Internal("not run");
+  WithWorkersParked([&] {
+    a = comp.Compress(g, 0.01).value();
+    serial_decode = comp.Decompress(a.data(), a.size(), &ra);
+  });
+  const std::vector<uint8_t> b = comp.Compress(g, 0.01).value();
   EXPECT_EQ(a, b);
 
-  Tensor ra, rb;
-  ASSERT_TRUE(serial.Decompress(a.data(), a.size(), &ra).ok());
-  ASSERT_TRUE(parallel.Decompress(a.data(), a.size(), &rb).ok());
+  Tensor rb;
+  ASSERT_TRUE(serial_decode.ok());
+  ASSERT_TRUE(comp.Decompress(a.data(), a.size(), &rb).ok());
   ASSERT_EQ(ra.dims(), rb.dims());
   for (size_t i = 0; i < ra.size(); ++i) {
     ASSERT_EQ(ra[i], rb[i]) << i;
@@ -133,8 +138,7 @@ TEST(ChunkedTest, ParallelDecompressManyChunks) {
   for (size_t i = 0; i < t.size(); ++i) {
     t[i] = static_cast<float>((i * 7) % 23) * 0.25f;
   }
-  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1,
-                         /*threads=*/0);
+  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1);
   const std::vector<uint8_t> bytes = comp.Compress(t, 0.001).value();
   EXPECT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 33u);
   Tensor rec;

@@ -43,8 +43,8 @@ class DecodeHardeningTest : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<Compressor> MakeParamCompressor() const {
     if (GetParam() == "chunked") {
-      return std::make_unique<ChunkedCompressor>(
-          MakeCompressor("sz"), /*target_chunk_elems=*/128, /*threads=*/1);
+      return std::make_unique<ChunkedCompressor>(MakeCompressor("sz"),
+                                                 /*target_chunk_elems=*/128);
     }
     return MakeCompressor(GetParam());
   }
@@ -184,8 +184,7 @@ TEST(SzBlockMetadataTest, SectionShortByOneItemIsTruncatedMetadata) {
 // --- Chunked archive index validation -------------------------------------
 
 std::vector<uint8_t> MakeChunkedArchive(const Tensor& data) {
-  ChunkedCompressor chunked(MakeCompressor("sz"), /*target_chunk_elems=*/128,
-                            /*threads=*/1);
+  ChunkedCompressor chunked(MakeCompressor("sz"), /*target_chunk_elems=*/128);
   return chunked.Compress(data, 0.02).value();
 }
 
@@ -200,7 +199,7 @@ void PatchU64(std::vector<uint8_t>* bytes, size_t pos, uint64_t value) {
 TEST(ChunkedIndexValidationTest, OversizedChunkLengthRejected) {
   const Tensor data = GaussianRandomField3D(8, 8, 8, 3.0, 821);
   std::vector<uint8_t> bytes = MakeChunkedArchive(data);
-  ChunkedCompressor chunked(MakeCompressor("sz"), 128, 1);
+  ChunkedCompressor chunked(MakeCompressor("sz"), 128);
 
   // Archive layout after the header: u32 chunk count, then per chunk a u64
   // length prefix. Find the first length prefix by scanning the header:
@@ -220,7 +219,7 @@ TEST(ChunkedIndexValidationTest, OversizedChunkLengthRejected) {
 TEST(ChunkedIndexValidationTest, TrailingBytesRejected) {
   const Tensor data = GaussianRandomField3D(8, 8, 8, 3.0, 822);
   std::vector<uint8_t> bytes = MakeChunkedArchive(data);
-  ChunkedCompressor chunked(MakeCompressor("sz"), 128, 1);
+  ChunkedCompressor chunked(MakeCompressor("sz"), 128);
   Tensor out;
   ASSERT_TRUE(chunked.Decompress(bytes.data(), bytes.size(), &out).ok());
   bytes.push_back(0x00);
@@ -230,7 +229,7 @@ TEST(ChunkedIndexValidationTest, TrailingBytesRejected) {
 TEST(ChunkedIndexValidationTest, ForgedChunkCountRejected) {
   const Tensor data = GaussianRandomField3D(8, 8, 8, 3.0, 823);
   std::vector<uint8_t> bytes = MakeChunkedArchive(data);
-  ChunkedCompressor chunked(MakeCompressor("sz"), 128, 1);
+  ChunkedCompressor chunked(MakeCompressor("sz"), 128);
   // The u32 chunk count lives right after the 32-byte tensor header.
   const size_t count_pos = 32;
   ASSERT_LE(count_pos + 4, bytes.size());

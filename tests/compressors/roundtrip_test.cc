@@ -13,7 +13,6 @@
 
 #include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
-#include "src/compressors/psnr.h"
 #include "src/compressors/relative.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
@@ -225,8 +224,8 @@ TEST(CompressorRegistryTest, MakeAllNames) {
 
 // The knob range is a function of the value range alone: the error-bound
 // codecs scale [1e-6, 0.3] by it (by 1 for a zero range), fpzip and the
-// relative/PSNR adapters ignore it, and the chunked decorator passes it to
-// its base. Both ends are exact, and the shape flags never move.
+// relative adapter ignore it, and the chunked decorator passes it to its
+// base. Both ends are exact, and the shape flags never move.
 TEST(CompressorRegistryTest, ConfigSpaceDependsOnlyOnTheValueRange) {
   struct Expected {
     std::unique_ptr<Compressor> codec;
@@ -245,8 +244,6 @@ TEST(CompressorRegistryTest, ConfigSpaceDependsOnlyOnTheValueRange) {
   cases.push_back({std::make_unique<RelativeErrorCompressor>(
                        MakeCompressor("sz")),
                    false, 1e-6, 0.3});
-  cases.push_back({std::make_unique<PsnrBoundCompressor>(MakeCompressor("sz")),
-                   false, 20, 120, false, false, false});
   cases.push_back({std::make_unique<ChunkedCompressor>(MakeCompressor("zfp")),
                    true, 1e-6, 0.3, true, false, true, true});
   for (const Expected& c : cases) {

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "tests/util/workers_parked.h"
+
 namespace fxrz {
 namespace {
 
@@ -80,12 +82,9 @@ TEST(ConstantBlockScanTest, ParallelMatchesSerial) {
                        ? 0.0f
                        : 0.5f * std::sin(0.021f * static_cast<float>(i)));
   }
-  CaOptions serial;
-  serial.threads = 1;
-  CaOptions parallel;
-  parallel.threads = 0;
-  const BlockScanResult rs = ScanConstantBlocks(t, serial);
-  const BlockScanResult rp = ScanConstantBlocks(t, parallel);
+  BlockScanResult rs;
+  WithWorkersParked([&] { rs = ScanConstantBlocks(t); });
+  const BlockScanResult rp = ScanConstantBlocks(t);
   EXPECT_EQ(rs.total_blocks, rp.total_blocks);
   EXPECT_EQ(rs.constant_blocks, rp.constant_blocks);
   EXPECT_EQ(rs.non_constant_ratio, rp.non_constant_ratio);

@@ -256,7 +256,7 @@ TEST_F(FaultLadderTest, BitrotAtChecksumTierInvalidatesTheArchive) {
   // archive is rejected without any decode, and a lower tier must serve a
   // verified replacement.
   Fxrz chunked(std::make_unique<ChunkedCompressor>(
-      MakeCompressor("sz"), /*target_chunk_elems=*/1024, /*threads=*/1));
+      MakeCompressor("sz"), /*target_chunk_elems=*/1024));
   std::vector<uint8_t> blob;
   ASSERT_TRUE(fxrz_->model().SaveToBytes(&blob).ok());
   ASSERT_TRUE(chunked.model().LoadFromBytes(blob.data(), blob.size()).ok());

@@ -6,6 +6,7 @@
 
 #include "src/data/generators/grf.h"
 #include "src/util/random.h"
+#include "tests/util/workers_parked.h"
 
 namespace fxrz {
 namespace {
@@ -159,10 +160,10 @@ TEST(FeaturesDeterminismTest, ParallelMatchesSerialBitwise) {
   for (const auto& shape : shapes) {
     const Tensor t = WavyTensor(shape);
     for (size_t stride : {size_t{1}, size_t{3}, size_t{4}}) {
-      const FeatureVector serial =
-          ExtractFeatures(t, {.stride = stride, .threads = 1});
-      const FeatureVector parallel =
-          ExtractFeatures(t, {.stride = stride, .threads = 0});
+      FeatureVector serial;
+      WithWorkersParked(
+          [&] { serial = ExtractFeatures(t, {.stride = stride}); });
+      const FeatureVector parallel = ExtractFeatures(t, {.stride = stride});
       SCOPED_TRACE("rank=" + std::to_string(shape.size()) +
                    " stride=" + std::to_string(stride));
       ExpectBitIdentical(serial, parallel);
@@ -172,9 +173,9 @@ TEST(FeaturesDeterminismTest, ParallelMatchesSerialBitwise) {
 
 TEST(FeaturesDeterminismTest, RepeatedParallelRunsAreStable) {
   const Tensor t = WavyTensor({37, 41, 43});
-  const FeatureVector first = ExtractFeatures(t, {.stride = 2, .threads = 0});
+  const FeatureVector first = ExtractFeatures(t, {.stride = 2});
   for (int rep = 0; rep < 5; ++rep) {
-    ExpectBitIdentical(first, ExtractFeatures(t, {.stride = 2, .threads = 0}));
+    ExpectBitIdentical(first, ExtractFeatures(t, {.stride = 2}));
   }
 }
 

@@ -1,5 +1,4 @@
-// Tests for the quality-preview extension (EstimatePsnr) and the PSNR
-// control adapter.
+// Tests for the quality-preview extension (EstimatePsnr).
 
 #include <gtest/gtest.h>
 
@@ -7,8 +6,7 @@
 #include <vector>
 
 #include "src/compressors/compressor.h"
-#include "src/compressors/psnr.h"
-#include "src/core/pipeline.h"
+#include "src/core/model.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 
@@ -70,43 +68,6 @@ TEST_F(QualityModelTest, PreviewTracksMeasuredPsnr) {
     EXPECT_NEAR(predicted, measured, 12.0)  // same quality regime
         << "tcr=" << tcr;
   }
-}
-
-TEST(PsnrAdapterTest, AchievedPsnrTracksKnob) {
-  const Tensor g = GaussianRandomField3D(16, 16, 16, 3.5, 805);
-  PsnrBoundCompressor comp(MakeCompressor("sz"));
-  for (double target : {40.0, 60.0, 80.0}) {
-    const std::vector<uint8_t> bytes = comp.Compress(g, target).value();
-    Tensor rec;
-    ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
-    const double achieved = ComputeDistortion(g, rec).psnr;
-    // The uniform-noise model is conservative: achieved >= target - 2 dB.
-    EXPECT_GE(achieved, target - 2.0) << target;
-  }
-}
-
-TEST(PsnrAdapterTest, ConfigSpaceShape) {
-  PsnrBoundCompressor comp(MakeCompressor("mgard"));
-  const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 806);
-  const ConfigSpace space = comp.config_space(ValueRange(g));
-  EXPECT_FALSE(space.log_scale);
-  EXPECT_FALSE(space.integer);
-  EXPECT_FALSE(space.ratio_increases);
-  EXPECT_EQ(comp.name(), "mgard-psnr");
-}
-
-TEST(PsnrAdapterTest, FxrzRunsOnPsnrKnob) {
-  std::vector<Tensor> fields;
-  for (uint64_t s : {807, 808, 809}) {
-    fields.push_back(GaussianRandomField3D(16, 16, 16, 3.0, s));
-  }
-  Fxrz fxrz(std::make_unique<PsnrBoundCompressor>(MakeCompressor("sz")));
-  fxrz.Train({&fields[0], &fields[1]});
-  const auto result =
-      fxrz.GuardedCompressToRatio(fields[2], 10.0, PaperPolicy()).value();
-  EXPECT_GE(result.config, 20.0);
-  EXPECT_LE(result.config, 120.0);
-  EXPECT_LT(EstimationError(10.0, result.measured_ratio), 0.6);
 }
 
 }  // namespace

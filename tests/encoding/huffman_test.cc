@@ -3,16 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/encoding/bit_stream.h"
 #include "src/util/random.h"
-#include "src/util/thread_annotations.h"
-#include "src/util/thread_pool.h"
+#include "tests/util/workers_parked.h"
 
 namespace fxrz {
 namespace {
@@ -162,32 +159,6 @@ TEST(HuffmanTest, DecodeRejectsOversubscribedTable) {
 
 
 // ------------------------------------------------------ multi-range decode
-
-// Runs fn while every shared-pool worker is parked on a gate, so each
-// parallel section inside it runs on the calling thread alone.
-template <typename Fn>
-void WithWorkersParked(Fn&& fn) {
-  ThreadPool* pool = SharedThreadPool();
-  AnnotatedMutex mu;
-  CondVar cv;
-  bool release = false;
-  std::atomic<size_t> parked{0};
-  for (size_t i = 0; i < pool->num_threads(); ++i) {
-    pool->Submit([&] {
-      parked.fetch_add(1);
-      MutexLock lock(mu);
-      cv.Wait(mu, [&]() FXRZ_REQUIRES(mu) { return release; });
-    });
-  }
-  while (parked.load() < pool->num_threads()) std::this_thread::yield();
-  fn();
-  {
-    MutexLock lock(mu);
-    release = true;
-  }
-  cv.NotifyAll();
-  pool->Wait();
-}
 
 // Stream layout: u64 symbol count, u32 entry count, 5 bytes per entry,
 // u64 payload length, payload.

@@ -10,6 +10,7 @@
 #include "src/ml/random_forest.h"
 #include "src/ml/svr.h"
 #include "src/util/random.h"
+#include "tests/util/workers_parked.h"
 
 namespace fxrz {
 namespace {
@@ -65,15 +66,12 @@ TEST(RandomForestTest, ParallelFitIdenticalToSerial) {
   // fitting the trees in parallel yields the exact same forest -- checked
   // down to the serialized bytes.
   const Problem train = LinearProblem(300, 52, 0.1);
-  RandomForestParams serial;
-  serial.num_trees = 24;
-  serial.seed = 7;
-  serial.threads = 1;
-  RandomForestParams parallel = serial;
-  parallel.threads = 0;
+  RandomForestParams params;
+  params.num_trees = 24;
+  params.seed = 7;
 
-  RandomForestRegressor a(serial), b(parallel);
-  a.Fit(train.x, train.y);
+  RandomForestRegressor a(params), b(params);
+  WithWorkersParked([&] { a.Fit(train.x, train.y); });
   b.Fit(train.x, train.y);
   std::vector<uint8_t> bytes_a, bytes_b;
   a.Serialize(&bytes_a);
@@ -88,9 +86,7 @@ TEST(RandomForestTest, ParallelFitIdenticalToSerial) {
 TEST(RandomForestTest, PredictBatchMatchesSerialPredict) {
   const Problem train = LinearProblem(200, 53, 0.05);
   const Problem test = LinearProblem(64, 54, 0.0);
-  RandomForestParams params;
-  params.threads = 0;
-  RandomForestRegressor model(params);
+  RandomForestRegressor model;
   model.Fit(train.x, train.y);
   const std::vector<double> batch = model.PredictBatch(test.x);
   ASSERT_EQ(batch.size(), test.x.size());
