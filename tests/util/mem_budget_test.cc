@@ -160,7 +160,7 @@ TEST(CodecMemoryMultiplierTest, ResolvesBaseAndDerivedNames) {
   EXPECT_EQ(CodecMemoryMultiplier("sz-chunked"), CodecMemoryMultiplier("sz"));
   EXPECT_EQ(CodecMemoryMultiplier("zfp-rel"), CodecMemoryMultiplier("zfp"));
   // "sz3" must resolve as sz3, not as derived-from-"sz".
-  EXPECT_EQ(CodecMemoryMultiplier("sz3"), CodecMemoryMultiplier("sz3-psnr"));
+  EXPECT_EQ(CodecMemoryMultiplier("sz3"), CodecMemoryMultiplier("sz3-chunked"));
   // Unknown codecs get a conservative default, never zero.
   EXPECT_GE(CodecMemoryMultiplier("no-such-codec"), 1.0);
 }
