@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "src/compressors/compressor.h"
-#include "src/compressors/relative.h"
 #include "src/core/compressibility.h"
 #include "src/core/features.h"
 #include "src/data/fft.h"
@@ -49,15 +48,6 @@
 namespace {
 
 using namespace fxrz;
-
-// Resolves codec names, including the "relative" error-bound adapter which
-// is a decorator rather than a factory entry.
-std::unique_ptr<Compressor> MakeBenchCompressor(const std::string& name) {
-  if (name == "relative") {
-    return std::make_unique<RelativeErrorCompressor>(MakeCompressor("sz"));
-  }
-  return MakeCompressor(name);
-}
 
 const Tensor& TestField() {
   static const Tensor* field =
@@ -132,7 +122,7 @@ void ArithDecode16(const uint8_t* data, size_t size, size_t count,
 // ---------------------------------------------------------------------------
 
 void BM_Compress(benchmark::State& state, const std::string& name) {
-  const auto comp = MakeBenchCompressor(name);
+  const auto comp = MakeCompressor(name);
   const Tensor& data = TestField();
   const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.integer ? 16 : std::sqrt(space.min * space.max);
@@ -143,7 +133,7 @@ void BM_Compress(benchmark::State& state, const std::string& name) {
 }
 
 void BM_Decompress(benchmark::State& state, const std::string& name) {
-  const auto comp = MakeBenchCompressor(name);
+  const auto comp = MakeCompressor(name);
   const Tensor& data = TestField();
   const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.integer ? 16 : std::sqrt(space.min * space.max);
@@ -245,13 +235,11 @@ BENCHMARK_CAPTURE(BM_Compress, sz3, "sz3");
 BENCHMARK_CAPTURE(BM_Compress, zfp, "zfp");
 BENCHMARK_CAPTURE(BM_Compress, fpzip, "fpzip");
 BENCHMARK_CAPTURE(BM_Compress, mgard, "mgard");
-BENCHMARK_CAPTURE(BM_Compress, relative, "relative");
 BENCHMARK_CAPTURE(BM_Decompress, sz, "sz");
 BENCHMARK_CAPTURE(BM_Decompress, sz3, "sz3");
 BENCHMARK_CAPTURE(BM_Decompress, zfp, "zfp");
 BENCHMARK_CAPTURE(BM_Decompress, fpzip, "fpzip");
 BENCHMARK_CAPTURE(BM_Decompress, mgard, "mgard");
-BENCHMARK_CAPTURE(BM_Decompress, relative, "relative");
 BENCHMARK(BM_FeatureExtraction)->Arg(1)->Arg(4);
 BENCHMARK(BM_ConstantBlockScan);
 BENCHMARK(BM_Huffman);
@@ -315,7 +303,7 @@ void TimeInterleaved(std::vector<TimedRow>* rows, size_t grid,
 
 std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
   std::vector<KernelResult> results;
-  const char* codecs[] = {"sz", "sz3", "zfp", "fpzip", "mgard", "relative"};
+  const char* codecs[] = {"sz", "sz3", "zfp", "fpzip", "mgard"};
   for (size_t grid : grids) {
     const Tensor data = MakeCubeField(grid);
     const double bytes = static_cast<double>(data.size_bytes());
@@ -329,7 +317,7 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
     comps.reserve(std::size(codecs));
     archives.reserve(std::size(codecs));
     for (const char* name : codecs) {
-      comps.push_back(MakeBenchCompressor(name));
+      comps.push_back(MakeCompressor(name));
       const Compressor* comp = comps.back().get();
       const double config = BenchConfig(*comp, data);
       archives.push_back(comp->Compress(data, config).value());

@@ -1,6 +1,6 @@
-// Fuzz harness: chunked archive index parsing and chunk dispatch. Uses the
-// SZ-like codec as the base compressor (the index layer under test is
-// identical for every base).
+// Fuzz harness: chunked archive index parsing, chunk dispatch and the
+// checksum-only audit. Uses the SZ-like codec as the base compressor (the
+// index layer under test is identical for every base).
 
 #include <cstdlib>
 
@@ -11,11 +11,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
                                   /*target_chunk_elems=*/1024);
   fxrz::Tensor out;
-  const fxrz::Status st = chunked.Decompress(data, size, &out);
-  if (st.ok() && out.empty()) std::abort();
-  // Exercise the single-chunk path and the index-only scan as well.
-  (void)chunked.ChunkCount(data, size);
-  fxrz::Tensor chunk0;
-  (void)chunked.DecompressChunk(data, size, 0, &chunk0);
+  const fxrz::Status decoded = chunked.Decompress(data, size, &out);
+  if (decoded.ok() && out.empty()) std::abort();
+  // Decompress checks every chunk's CRC before decoding it, so an archive
+  // it accepts must pass the checksum-only audit as well.
+  const fxrz::Status verified = chunked.VerifyIntegrity(data, size);
+  if (decoded.ok() && !verified.ok()) std::abort();
   return 0;
 }

@@ -84,10 +84,16 @@ int main(int argc, char** argv) {
   }
 
   {
+    // One row per slab: a 16-chunk sz archive.
     fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
                                     /*target_chunk_elems=*/256);
-    ok &= WriteSeed(out_dir + "/chunked", "roundtrip.bin",
-                    chunked.Compress(data, 0.01).value());
+    std::vector<uint8_t> archive = chunked.Compress(data, 0.01).value();
+    ok &= WriteSeed(out_dir + "/chunked", "roundtrip.bin", archive);
+    // The same archive with its last payload byte flipped: the replay
+    // reaches the checksum failure of both Decompress and VerifyIntegrity.
+    archive.back() ^= 0x01;
+    ok &= !chunked.VerifyIntegrity(archive.data(), archive.size()).ok();
+    ok &= WriteSeed(out_dir + "/chunked", "bad_crc.bin", archive);
   }
 
   {

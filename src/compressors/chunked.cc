@@ -1,9 +1,7 @@
 #include "src/compressors/chunked.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "src/encoding/bit_stream.h"
 #include "src/util/check.h"
@@ -58,8 +56,8 @@ struct ChunkIndex {
 // The archive frames a table of contents first -- `u64 size | u32 rows |
 // u32 crc` per chunk, sealed by a CRC32C over header+TOC -- then the
 // payloads, so index corruption is detected directly rather than inferred
-// from framing drift, and the row counts a degraded decode places slabs by
-// are trusted.
+// from framing drift, and decode can cross-check each slab's row count
+// against the index.
 Status ParseChunkIndex(const uint8_t* data, size_t size, ChunkIndex* index) {
   if (size < 4) return Status::Corruption("chunked: short archive");
   if (ReadUint32(data) != kMagic) {
@@ -120,10 +118,6 @@ Status ChunkChecksumStatus(const uint8_t* data, const ChunkSpan& span,
 
 }  // namespace
 
-float ChunkedCompressor::LostValueSentinel() {
-  return std::numeric_limits<float>::quiet_NaN();
-}
-
 ChunkedCompressor::ChunkedCompressor(std::unique_ptr<Compressor> base,
                                      size_t target_chunk_elems)
     : base_(std::move(base)), target_chunk_elems_(target_chunk_elems) {
@@ -178,26 +172,6 @@ StatusOr<std::vector<uint8_t>> ChunkedCompressor::DoCompress(
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
   return out;
-}
-
-size_t ChunkedCompressor::ChunkCount(const uint8_t* data, size_t size) const {
-  ChunkIndex index;
-  if (!ParseChunkIndex(data, size, &index).ok()) return 0;
-  return index.spans.size();
-}
-
-Status ChunkedCompressor::DecompressChunk(const uint8_t* data, size_t size,
-                                          size_t index_in_archive,
-                                          Tensor* out) const {
-  FXRZ_CHECK(out != nullptr);
-  ChunkIndex index;
-  FXRZ_RETURN_IF_ERROR(ParseChunkIndex(data, size, &index));
-  if (index_in_archive >= index.spans.size()) {
-    return Status::InvalidArgument("chunk index");
-  }
-  const ChunkSpan& span = index.spans[index_in_archive];
-  FXRZ_RETURN_IF_ERROR(ChunkChecksumStatus(data, span, index_in_archive));
-  return base_->Decompress(data + span.offset, span.size, out);
 }
 
 Status ChunkedCompressor::VerifyIntegrity(const uint8_t* data,
@@ -261,77 +235,6 @@ Status ChunkedCompressor::DoDecompress(const uint8_t* data, size_t size,
     row += slab.dim(0);
   }
   if (row != result.dim(0)) return Status::Corruption("chunked: missing rows");
-  *out = std::move(result);
-  return Status::Ok();
-}
-
-Status ChunkedCompressor::DecompressDegraded(const uint8_t* data, size_t size,
-                                             Tensor* out,
-                                             DecodeReport* report) const {
-  FXRZ_CHECK(out != nullptr && report != nullptr);
-  *report = DecodeReport();
-  ChunkIndex index;
-  // The header and TOC are the recovery map: without them nothing can be
-  // sized or placed, so index corruption still fails the whole archive.
-  FXRZ_RETURN_IF_ERROR(ParseChunkIndex(data, size, &index));
-  const std::vector<ChunkSpan>& spans = index.spans;
-  if (spans.empty()) return Status::Corruption("chunked: no chunks");
-  report->total_chunks = spans.size();
-
-  // The verified index declares every chunk's row extent; cross-check it
-  // against the output shape before trusting it for placement.
-  size_t total_rows = 0;
-  for (const ChunkSpan& span : spans) {
-    if (span.rows == 0) return Status::Corruption("chunked: zero-row chunk");
-    total_rows += span.rows;
-  }
-  Tensor result(index.dims);
-  if (total_rows != result.dim(0)) {
-    return Status::Corruption("chunked: index rows disagree with shape");
-  }
-
-  // Decode chunk-by-chunk; a corrupt chunk is contained, not fatal.
-  std::vector<Tensor> slabs(spans.size());
-  // One byte per chunk: workers set their own entries concurrently, which
-  // the bit-packed std::vector<bool> cannot do without a data race.
-  std::vector<uint8_t> lost(spans.size(), 0);
-  auto decode_chunk = [&](size_t c) {
-    Status status = ChunkChecksumStatus(data, spans[c], c);
-    if (status.ok()) {
-      status =
-          base_->Decompress(data + spans[c].offset, spans[c].size, &slabs[c]);
-    }
-    if (status.ok() &&
-        (slabs[c].rank() != result.rank() ||
-         slabs[c].dim(0) != spans[c].rows)) {
-      status = Status::Corruption("chunked: slab shape mismatch");
-    }
-    for (size_t d = 1; status.ok() && d < result.rank(); ++d) {
-      if (slabs[c].dim(d) != result.dim(d)) {
-        status = Status::Corruption("chunked: slab shape mismatch");
-      }
-    }
-    lost[c] = !status.ok();
-  };
-  ParallelFor(SharedThreadPool(), 0, spans.size(), decode_chunk, /*grain=*/1);
-
-  const size_t row_elems = result.size() / result.dim(0);
-  size_t row = 0;
-  for (size_t c = 0; c < spans.size(); ++c) {
-    float* slab_out = result.data() + row * row_elems;
-    const size_t slab_elems = spans[c].rows * row_elems;
-    if (lost[c]) {
-      std::fill(slab_out, slab_out + slab_elems, LostValueSentinel());
-      report->lost_chunks.push_back(c);
-      report->lost_byte_ranges.emplace_back(
-          row * row_elems * sizeof(float),
-          (row * row_elems + slab_elems) * sizeof(float));
-      report->lost_values += slab_elems;
-    } else {
-      std::memcpy(slab_out, slabs[c].data(), slab_elems * sizeof(float));
-    }
-    row += spans[c].rows;
-  }
   *out = std::move(result);
   return Status::Ok();
 }

@@ -23,10 +23,10 @@ namespace {
 // Per-codec metrics, resolved once per codec name and cached. RunCompress
 // (behind Compress and zfp's fixed-rate mode) and Decompress below are the
 // single choke point every codec run goes through, so instrumenting here
-// covers all codecs (and their chunked/relative/psnr decorators, whose
-// inner base runs count under the base codec's label) at once. The map lookup is mutex-guarded but costs
-// nanoseconds against the millisecond-scale codec runs it measures; the
-// metric updates themselves are lock-free.
+// covers all codecs (and the chunked decorator, whose inner base runs
+// count under the base codec's label) at once. The map lookup is
+// mutex-guarded but costs nanoseconds against the millisecond-scale codec
+// runs it measures; the metric updates themselves are lock-free.
 struct CodecMetrics {
   metrics::Counter* compress_calls;
   metrics::Counter* compress_failures;

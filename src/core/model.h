@@ -48,7 +48,9 @@ struct FxrzTrainingOptions {
   ModelType model_type = ModelType::kRandomForest;
   bool tune_hyperparameters = false;  // 4-fold CV grid search
   // Threads for per-dataset stationary-point collection (the dominant
-  // training cost); 1 = serial, 0 = hardware concurrency.
+  // training cost); 1 = serial, 0 = hardware concurrency. When the count
+  // resolves above 1, the calling thread collects alongside a pool of that
+  // many workers, so up to count + 1 collections run at once.
   int training_threads = 1;
   uint64_t seed = 101;
 };

@@ -7,37 +7,10 @@
 
 namespace fxrz {
 
-namespace {
-void CheckSizes(const std::vector<double>& a, const std::vector<double>& b) {
-  FXRZ_CHECK_EQ(a.size(), b.size());
-  FXRZ_CHECK(!a.empty());
-}
-}  // namespace
-
-double MeanSquaredError(const std::vector<double>& truth,
-                        const std::vector<double>& pred) {
-  CheckSizes(truth, pred);
-  double s = 0.0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    const double d = truth[i] - pred[i];
-    s += d * d;
-  }
-  return s / static_cast<double>(truth.size());
-}
-
-double MeanAbsoluteError(const std::vector<double>& truth,
-                         const std::vector<double>& pred) {
-  CheckSizes(truth, pred);
-  double s = 0.0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    s += std::fabs(truth[i] - pred[i]);
-  }
-  return s / static_cast<double>(truth.size());
-}
-
 double MeanAbsolutePercentageError(const std::vector<double>& truth,
                                    const std::vector<double>& pred) {
-  CheckSizes(truth, pred);
+  FXRZ_CHECK_EQ(truth.size(), pred.size());
+  FXRZ_CHECK(!truth.empty());
   double s = 0.0;
   for (size_t i = 0; i < truth.size(); ++i) {
     const double denom = std::max(std::fabs(truth[i]), 1e-12);

@@ -7,16 +7,9 @@
 
 namespace fxrz {
 
-// Mean squared error. Requires equal non-zero lengths.
-double MeanSquaredError(const std::vector<double>& truth,
-                        const std::vector<double>& pred);
-
-// Mean absolute error.
-double MeanAbsoluteError(const std::vector<double>& truth,
-                         const std::vector<double>& pred);
-
 // Mean absolute percentage error: mean(|t - p| / max(|t|, eps)).
-// This is the paper's "estimation error" shape (Formula 5).
+// This is the paper's "estimation error" shape (Formula 5). Requires equal
+// non-zero lengths.
 double MeanAbsolutePercentageError(const std::vector<double>& truth,
                                    const std::vector<double>& pred);
 

@@ -181,7 +181,7 @@ double CodecMemoryMultiplier(std::string_view codec) {
   // (quantized codes, entropy buffers, candidate archive). Conservative by
   // design; bench/mem_calibration compares them against measured RSS.
   //
-  // Derived codecs wrap a base ("sz-chunked", "zfp-rel", "sz3-chunked"): the
+  // Derived codecs wrap a base ("sz-chunked", "zfp-chunked", "sz3-chunked"): the
   // wrapper adds at most the archive copy the base already accounts for,
   // so the base multiplier is resolved from the name prefix.
   struct Entry {

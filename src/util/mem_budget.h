@@ -131,7 +131,7 @@ bool ParseByteSize(std::string_view text, uint64_t* out);
 
 // Peak working-set multiplier for compressing one tensor with the named
 // codec: peak_bytes ~= tensor_bytes * multiplier. Derived-codec names
-// ("sz-chunked", "zfp-rel") resolve through their base codec; unknown
+// ("sz-chunked", "zfp-chunked") resolve through their base codec; unknown
 // names get a conservative default. Calibrated by bench/mem_calibration.
 double CodecMemoryMultiplier(std::string_view codec);
 

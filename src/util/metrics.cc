@@ -193,10 +193,6 @@ std::vector<double> LatencyBuckets() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0};
 }
 
-std::vector<double> ByteBuckets() {
-  return {64.0, 1024.0, 16384.0, 262144.0, 4194304.0, 67108864.0};
-}
-
 std::vector<double> RatioBuckets() {
   return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0, 1024.0, 4096.0};
 }

@@ -186,7 +186,6 @@ inline Histogram& GetHistogram(std::string_view, std::vector<double>,
 
 // Canonical bucket sets, shared so related histograms stay comparable.
 std::vector<double> LatencyBuckets();     // 1us .. 10s, decades
-std::vector<double> ByteBuckets();        // 64B .. 64MB, x16
 std::vector<double> RatioBuckets();       // compression ratios 1 .. 4096
 std::vector<double> RelErrorBuckets();    // relative errors 1e-3 .. 1
 std::vector<double> ThroughputBuckets();  // bytes/s, 1MB/s .. 4GB/s, x4

@@ -69,10 +69,12 @@ ThreadPool* SharedThreadPool();
 // at most `grain` indices wide (grain 0 picks a size that spreads the range
 // across the pool). A range of one block runs on the calling thread before
 // anything is allocated or submitted. The calling thread claims ranges
-// too, so nested calls --
-// including from inside pool workers -- always make progress and cannot
-// deadlock. Exceptions thrown by `body` are rethrown to the caller after the
-// whole range has been processed (first exception wins).
+// too, so nested calls -- including from inside pool workers -- always make
+// progress and cannot deadlock. Exceptions thrown by `body` are rethrown to
+// the caller after the whole range has been processed (first exception
+// wins). It returns once every block is done, which may be before its
+// helper tasks have left the pool; a caller that needs an idle pool calls
+// pool->Wait().
 void ParallelForBlocked(ThreadPool* pool, size_t begin, size_t end,
                         const std::function<void(size_t, size_t)>& body,
                         size_t grain = 0);

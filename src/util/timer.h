@@ -20,8 +20,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double Milliseconds() const { return Seconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

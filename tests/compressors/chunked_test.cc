@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "src/encoding/bit_stream.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 #include "src/util/fault_injection.h"
+#include "tests/compressors/chunk_count.h"
 #include "tests/util/workers_parked.h"
 
 namespace fxrz {
@@ -20,7 +20,7 @@ TEST(ChunkedTest, RoundTripMatchesShapeAndBound) {
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/2048);
   const double eb = 0.01;
   const std::vector<uint8_t> bytes = comp.Compress(g, eb).value();
-  EXPECT_GT(comp.ChunkCount(bytes.data(), bytes.size()), 1u);
+  EXPECT_GT(ChunkCount(bytes, g.rank()), 1u);
 
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
@@ -32,39 +32,9 @@ TEST(ChunkedTest, SingleChunkWhenDataSmall) {
   const Tensor g = GaussianRandomField3D(8, 8, 8, 3.0, 972);
   ChunkedCompressor comp(MakeCompressor("zfp"));
   const std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
-  EXPECT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 1u);
+  EXPECT_EQ(ChunkCount(bytes, g.rank()), 1u);
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
-}
-
-TEST(ChunkedTest, RandomAccessChunkMatchesSlab) {
-  const Tensor g = GaussianRandomField3D(32, 8, 8, 3.0, 973);
-  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  const double eb = 0.005;
-  const std::vector<uint8_t> bytes = comp.Compress(g, eb).value();
-  const size_t chunks = comp.ChunkCount(bytes.data(), bytes.size());
-  ASSERT_GE(chunks, 4u);
-
-  // Slab 2 decompressed alone equals rows [2*8, 3*8) of the full result.
-  Tensor full;
-  ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &full).ok());
-  Tensor slab;
-  ASSERT_TRUE(comp.DecompressChunk(bytes.data(), bytes.size(), 2, &slab).ok());
-  const size_t rows_per_chunk = 32 / chunks;
-  ASSERT_EQ(slab.dim(0), rows_per_chunk);
-  const size_t offset = 2 * rows_per_chunk * 8 * 8;
-  for (size_t i = 0; i < slab.size(); ++i) {
-    ASSERT_EQ(slab[i], full[offset + i]) << i;
-  }
-}
-
-TEST(ChunkedTest, OutOfRangeChunkIndexRejected) {
-  const Tensor g = GaussianRandomField3D(16, 8, 8, 3.0, 974);
-  ChunkedCompressor comp(MakeCompressor("sz"), 512);
-  const std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
-  Tensor slab;
-  EXPECT_FALSE(
-      comp.DecompressChunk(bytes.data(), bytes.size(), 999, &slab).ok());
 }
 
 TEST(ChunkedTest, FailedSlabFailsTheArchiveWithItsStatus) {
@@ -93,7 +63,7 @@ TEST(ChunkedTest, UnevenRowSplit) {
   for (size_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(i % 13);
   ChunkedCompressor comp(MakeCompressor("mgard"), /*target_chunk_elems=*/24);
   const std::vector<uint8_t> bytes = comp.Compress(t, 0.01).value();
-  EXPECT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 3u);
+  EXPECT_EQ(ChunkCount(bytes, t.rank()), 3u);
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
   EXPECT_LE(ComputeDistortion(t, rec).max_abs_error, 0.0101);
@@ -140,7 +110,7 @@ TEST(ChunkedTest, ParallelDecompressManyChunks) {
   }
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/1);
   const std::vector<uint8_t> bytes = comp.Compress(t, 0.001).value();
-  EXPECT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 33u);
+  EXPECT_EQ(ChunkCount(bytes, t.rank()), 33u);
   Tensor rec;
   ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
   ASSERT_EQ(rec.dims(), t.dims());
@@ -155,12 +125,6 @@ TEST(ChunkedTest, CorruptStreamsRejected) {
   EXPECT_FALSE(comp.Decompress(bytes.data(), bytes.size() / 2, &rec).ok());
   bytes[1] ^= 0xFF;
   EXPECT_FALSE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
-}
-
-// First payload byte of the version-2 layout: header (magic + rank + dims),
-// chunk count, 16-byte TOC entries, index checksum.
-size_t V2PayloadStart(const Tensor& shape, size_t chunks) {
-  return 4 + 4 + 8 * shape.rank() + 4 + 16 * chunks + 4;
 }
 
 TEST(ChunkedTest, VerifyIntegrityCatchesEveryFlippedByte) {
@@ -191,83 +155,6 @@ TEST(ChunkedTest, StrictDecodeRejectsPayloadCorruptionAtEveryStride) {
     ASSERT_FALSE(comp.Decompress(corrupt.data(), corrupt.size(), &rec).ok())
         << "flipped byte " << pos;
   }
-}
-
-TEST(ChunkedTest, DegradedDecodeSalvagesIntactChunks) {
-  const Tensor g = GaussianRandomField3D(32, 8, 8, 3.0, 980);
-  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
-  const size_t chunks = comp.ChunkCount(bytes.data(), bytes.size());
-  ASSERT_EQ(chunks, 4u);
-  Tensor clean;
-  ASSERT_TRUE(comp.Decompress(bytes.data(), bytes.size(), &clean).ok());
-
-  // Corrupt the first payload byte: chunk 0 is lost, chunks 1-3 survive.
-  bytes[V2PayloadStart(g, chunks)] ^= 0xFF;
-  Tensor rec;
-  DecodeReport report;
-  ASSERT_TRUE(
-      comp.DecompressDegraded(bytes.data(), bytes.size(), &rec, &report).ok());
-  ASSERT_EQ(rec.dims(), g.dims());
-  EXPECT_FALSE(report.complete());
-  EXPECT_EQ(report.total_chunks, 4u);
-  ASSERT_EQ(report.lost_chunks, std::vector<size_t>{0});
-  const size_t slab_elems = 8 * 8 * 8;  // 8 rows per 512-element chunk
-  EXPECT_EQ(report.lost_values, slab_elems);
-  ASSERT_EQ(report.lost_byte_ranges.size(), 1u);
-  EXPECT_EQ(report.lost_byte_ranges[0].first, 0u);
-  EXPECT_EQ(report.lost_byte_ranges[0].second, slab_elems * sizeof(float));
-  for (size_t i = 0; i < rec.size(); ++i) {
-    if (i < slab_elems) {
-      ASSERT_TRUE(std::isnan(rec[i])) << i;
-    } else {
-      ASSERT_EQ(rec[i], clean[i]) << i;
-    }
-  }
-
-  // The strict paths must still refuse the damaged archive.
-  EXPECT_FALSE(comp.VerifyIntegrity(bytes.data(), bytes.size()).ok());
-  EXPECT_FALSE(comp.Decompress(bytes.data(), bytes.size(), &rec).ok());
-}
-
-TEST(ChunkedTest, DegradedDecodeReportsEveryLostChunk) {
-  const Tensor g = GaussianRandomField3D(32, 8, 8, 3.0, 981);
-  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
-  ASSERT_EQ(comp.ChunkCount(bytes.data(), bytes.size()), 4u);
-
-  // Kill the last chunk (archive tail is chunk 3's last payload byte).
-  bytes[bytes.size() - 1] ^= 0xFF;
-  Tensor rec;
-  DecodeReport report;
-  ASSERT_TRUE(
-      comp.DecompressDegraded(bytes.data(), bytes.size(), &rec, &report).ok());
-  ASSERT_EQ(report.lost_chunks, std::vector<size_t>{3});
-
-  // Kill chunk 0 as well: both failures must be isolated and reported.
-  bytes[V2PayloadStart(g, 4)] ^= 0xFF;
-  ASSERT_TRUE(
-      comp.DecompressDegraded(bytes.data(), bytes.size(), &rec, &report).ok());
-  EXPECT_EQ(report.lost_chunks, (std::vector<size_t>{0, 3}));
-  EXPECT_EQ(report.lost_values, 2u * 8 * 8 * 8);
-  EXPECT_EQ(report.lost_byte_ranges.size(), 2u);
-}
-
-TEST(ChunkedTest, DegradedDecodeFailsWhenIndexCorrupt) {
-  // Without a trustworthy index nothing can be placed: corrupting the TOC
-  // (here a chunk-size field) must fail even the degraded path.
-  const Tensor g = GaussianRandomField3D(16, 8, 8, 3.0, 982);
-  ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/512);
-  std::vector<uint8_t> bytes = comp.Compress(g, 0.01).value();
-  bytes[4 + 4 + 8 * g.rank() + 4] ^= 0xFF;  // first TOC byte
-  Tensor rec;
-  DecodeReport report;
-  EXPECT_FALSE(
-      comp.DecompressDegraded(bytes.data(), bytes.size(), &rec, &report).ok());
-}
-
-TEST(ChunkedTest, LostValueSentinelIsQuietNan) {
-  EXPECT_TRUE(std::isnan(ChunkedCompressor::LostValueSentinel()));
 }
 
 // Builds an archive in the unchecksummed "CHK1" layout that preceded
@@ -305,14 +192,9 @@ TEST(ChunkedTest, VersionOneArchivesAreBadMagic) {
   const std::vector<uint8_t> v1 = BuildV1Archive(*sz, g, 4, 0.01);
 
   ChunkedCompressor comp(MakeCompressor("sz"), /*target_chunk_elems=*/256);
-  EXPECT_EQ(comp.ChunkCount(v1.data(), v1.size()), 0u);
   Tensor rec;
-  DecodeReport report;
-  const Status statuses[] = {
-      comp.Decompress(v1.data(), v1.size(), &rec),
-      comp.VerifyIntegrity(v1.data(), v1.size()),
-      comp.DecompressChunk(v1.data(), v1.size(), 1, &rec),
-      comp.DecompressDegraded(v1.data(), v1.size(), &rec, &report)};
+  const Status statuses[] = {comp.Decompress(v1.data(), v1.size(), &rec),
+                             comp.VerifyIntegrity(v1.data(), v1.size())};
   for (const Status& st : statuses) {
     EXPECT_EQ(st.code(), StatusCode::kCorruption);
     EXPECT_EQ(st.message(), "chunked: bad magic");

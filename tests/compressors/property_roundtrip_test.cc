@@ -1,7 +1,6 @@
 // Seeded property-based round-trip sweep.
 //
-// For every codec (the four base compressors plus the relative-error
-// adapter), a fixed-seed generator draws randomized shapes, content
+// For every codec, a fixed-seed generator draws randomized shapes, content
 // styles, and knob values; each draw must round-trip with the codec's
 // error-bound contract intact. On top of the numerical contract, the
 // sweep cross-checks the observability layer: the per-codec
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "src/compressors/compressor.h"
-#include "src/compressors/relative.h"
 #include "src/data/statistics.h"
 #include "src/data/tensor.h"
 #include "src/util/metrics.h"
@@ -30,13 +28,6 @@ namespace {
 
 constexpr uint64_t kSweepSeed = 0xF8A2u;
 constexpr int kCasesPerCodec = 6;
-
-std::unique_ptr<Compressor> MakeCodec(const std::string& name) {
-  if (name == "relative") {
-    return std::make_unique<RelativeErrorCompressor>(MakeCompressor("sz"));
-  }
-  return MakeCompressor(name);
-}
 
 // Random tensor: rank 1-4, randomized extents (kept small enough that six
 // cases per codec stay fast on one core), and one of three content styles.
@@ -96,7 +87,7 @@ class PropertyRoundTripTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PropertyRoundTripTest, SeededSweepHonorsContractAndMetrics) {
   const std::string codec_name = GetParam();
-  const std::unique_ptr<Compressor> codec = MakeCodec(codec_name);
+  const std::unique_ptr<Compressor> codec = MakeCompressor(codec_name);
   // One deterministic stream per codec so adding a codec never reshuffles
   // another codec's cases.
   uint64_t codec_salt = 0;
@@ -136,11 +127,6 @@ TEST_P(PropertyRoundTripTest, SeededSweepHonorsContractAndMetrics) {
       if (config >= 32) {
         EXPECT_EQ(dist.max_abs_error, 0.0);
       }
-    } else if (codec_name == "relative") {
-      const double range = stats.max - stats.min;
-      const double slack = 1e-5 * magnitude + 1e-12;
-      EXPECT_LE(dist.max_abs_error, config * range + slack)
-          << "relative eb " << config << " range " << range;
     } else {
       const double slack = 1e-5 * magnitude + 1e-12;
       EXPECT_LE(dist.max_abs_error, config + slack)
@@ -151,11 +137,8 @@ TEST_P(PropertyRoundTripTest, SeededSweepHonorsContractAndMetrics) {
     // The byte-flow counters must match the sizes this very call moved.
     const metrics::MetricsSnapshot delta = metrics::MetricsSnapshot::Delta(
         before, metrics::MetricsSnapshot::Capture());
-    // The relative adapter delegates Compress to its base codec, whose
-    // inner wrapper is not re-entered -- the adapter's own name labels it.
-    const std::string label = codec->name();
     const std::string prefix = "fxrz_codec_";
-    const std::string suffix = "{codec=\"" + label + "\"}";
+    const std::string suffix = "{codec=\"" + codec->name() + "\"}";
     EXPECT_EQ(delta.CounterValue(prefix + "compress_total" + suffix), 1u);
     EXPECT_EQ(delta.CounterValue(prefix + "compress_bytes_in_total" + suffix),
               data.size_bytes());
@@ -184,7 +167,7 @@ TEST_P(PropertyRoundTripTest, SeededSweepHonorsContractAndMetrics) {
 
 INSTANTIATE_TEST_SUITE_P(
     Codecs, PropertyRoundTripTest,
-    ::testing::Values("sz", "sz3", "zfp", "fpzip", "mgard", "relative"),
+    ::testing::Values("sz", "sz3", "zfp", "fpzip", "mgard"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

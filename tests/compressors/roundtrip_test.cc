@@ -13,7 +13,6 @@
 
 #include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
-#include "src/compressors/relative.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 #include "src/data/tensor.h"
@@ -223,9 +222,8 @@ TEST(CompressorRegistryTest, MakeAllNames) {
 }
 
 // The knob range is a function of the value range alone: the error-bound
-// codecs scale [1e-6, 0.3] by it (by 1 for a zero range), fpzip and the
-// relative adapter ignore it, and the chunked decorator passes it to its
-// base. Both ends are exact, and the shape flags never move.
+// codecs scale [1e-6, 0.3] by it (by 1 for a zero range), fpzip ignores
+// it, and the chunked decorator passes it to its base. Both ends are exact, and the shape flags never move.
 TEST(CompressorRegistryTest, ConfigSpaceDependsOnlyOnTheValueRange) {
   struct Expected {
     std::unique_ptr<Compressor> codec;
@@ -241,9 +239,6 @@ TEST(CompressorRegistryTest, ConfigSpaceDependsOnlyOnTheValueRange) {
   cases.push_back({MakeCompressor("zfp"), true, 1e-6, 0.3, true, false, true,
                    true});
   cases.push_back({MakeCompressor("fpzip"), false, 4, 32, false, true, false});
-  cases.push_back({std::make_unique<RelativeErrorCompressor>(
-                       MakeCompressor("sz")),
-                   false, 1e-6, 0.3});
   cases.push_back({std::make_unique<ChunkedCompressor>(MakeCompressor("zfp")),
                    true, 1e-6, 0.3, true, false, true, true});
   for (const Expected& c : cases) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/compressors/compressor.h"
-#include "src/compressors/relative.h"
 #include "src/data/statistics.h"
 #include "src/data/tensor.h"
 #include "src/util/random.h"
@@ -97,10 +96,6 @@ constexpr RecordedCase kRecorded[] = {
     {"mgard_plate2d", 0x3765094541903a72, 0x7448ac129e4cf8a2},
     {"mgard_brick3d", 0x08cbfc8dc608fe0a, 0xaae237db14b36a83},
     {"mgard_stack4d", 0x07e15557d4d59537, 0x3ef98a6edd5091d7},
-    {"relative_line1d", 0xb809d2d98e57a11a, 0xa2ec865ad4cb31fd},
-    {"relative_plate2d", 0x4d1ab8aabe8be316, 0x416a2d40afad03d0},
-    {"relative_brick3d", 0x50aec6d0b09c8e5b, 0x8b005ec16814f21c},
-    {"relative_stack4d", 0xef6b5ac9c2a662ac, 0x512c713eee7b323e},
 };
 
 class SimdEquivalenceTest
@@ -110,10 +105,7 @@ TEST_P(SimdEquivalenceTest, ArchivesAndDecodesAreBitIdentical) {
   const std::string& name = std::get<0>(GetParam());
   const std::string key = name + "_" + std::get<1>(GetParam());
   const Tensor data = MakeDataset(std::get<1>(GetParam()));
-  const std::unique_ptr<Compressor> comp =
-      name == "relative"
-          ? std::make_unique<RelativeErrorCompressor>(MakeCompressor("sz"))
-          : MakeCompressor(name);
+  const std::unique_ptr<Compressor> comp = MakeCompressor(name);
   const ConfigSpace space = comp->config_space(ValueRange(data));
   const double config = space.integer
                             ? std::round(0.5 * (space.min + space.max))
@@ -134,8 +126,7 @@ TEST_P(SimdEquivalenceTest, ArchivesAndDecodesAreBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodecsAllShapes, SimdEquivalenceTest,
-    ::testing::Combine(::testing::Values("sz", "sz3", "zfp", "fpzip", "mgard",
-                                         "relative"),
+    ::testing::Combine(::testing::Values("sz", "sz3", "zfp", "fpzip", "mgard"),
                        ::testing::Values("line1d", "plate2d", "brick3d",
                                          "stack4d")),
     [](const ::testing::TestParamInfo<SimdEquivalenceTest::ParamType>& info) {

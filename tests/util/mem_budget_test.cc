@@ -158,7 +158,7 @@ TEST(ParseByteSizeTest, RejectsGarbageAndOverflow) {
 TEST(CodecMemoryMultiplierTest, ResolvesBaseAndDerivedNames) {
   EXPECT_GT(CodecMemoryMultiplier("sz"), 1.0);
   EXPECT_EQ(CodecMemoryMultiplier("sz-chunked"), CodecMemoryMultiplier("sz"));
-  EXPECT_EQ(CodecMemoryMultiplier("zfp-rel"), CodecMemoryMultiplier("zfp"));
+  EXPECT_EQ(CodecMemoryMultiplier("zfp-chunked"), CodecMemoryMultiplier("zfp"));
   // "sz3" must resolve as sz3, not as derived-from-"sz".
   EXPECT_EQ(CodecMemoryMultiplier("sz3"), CodecMemoryMultiplier("sz3-chunked"));
   // Unknown codecs get a conservative default, never zero.
