@@ -27,8 +27,8 @@ using namespace fxrz;
 // Cheap analytic field with smooth large-scale structure plus a ripple --
 // enough variation that no branch in the kernels is degenerate.
 Tensor MakeField(size_t n) {
-  std::vector<size_t> dims = {n, n, n};
-  std::vector<float> values(n * n * n);
+  Tensor field = Tensor::ForOverwrite({n, n, n});
+  float* values = field.data();
   const double inv = 1.0 / static_cast<double>(n);
   size_t i = 0;
   for (size_t z = 0; z < n; ++z) {
@@ -42,7 +42,7 @@ Tensor MakeField(size_t n) {
       }
     }
   }
-  return Tensor(std::move(dims), std::move(values));
+  return field;
 }
 
 template <typename Fn>

@@ -144,11 +144,10 @@ StatusOr<std::vector<uint8_t>> ChunkedCompressor::DoCompress(
     chunk_rows[c] = static_cast<uint32_t>(rows);
     std::vector<size_t> slab_dims = data.dims();
     slab_dims[0] = rows;
-    std::vector<float> values(rows * row_elems);
-    std::memcpy(values.data(), data.data() + row_lo * row_elems,
-                values.size() * sizeof(float));
-    StatusOr<std::vector<uint8_t>> chunk = base_->Compress(
-        Tensor(std::move(slab_dims), std::move(values)), config);
+    Tensor slab = Tensor::ForOverwrite(std::move(slab_dims));
+    std::memcpy(slab.data(), data.data() + row_lo * row_elems,
+                slab.size_bytes());
+    StatusOr<std::vector<uint8_t>> chunk = base_->Compress(slab, config);
     if (chunk.ok()) {
       chunks[c] = std::move(chunk).value();
     } else {
@@ -212,8 +211,9 @@ Status ChunkedCompressor::DoDecompress(const uint8_t* data, size_t size,
   ParallelFor(SharedThreadPool(), 0, spans.size(), decompress_chunk,
               /*grain=*/1);
 
-  // Phase 2: validate shapes in chunk order and stitch the slabs together.
-  Tensor result(index.dims);
+  // Phase 2: validate shapes in chunk order and stitch the slabs together;
+  // every row is copied from its slab, or the decode fails.
+  Tensor result = Tensor::ForOverwrite(index.dims);
   const size_t row_elems = result.size() / result.dim(0);
   size_t row = 0;
   for (size_t c = 0; c < slabs.size(); ++c) {

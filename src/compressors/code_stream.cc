@@ -46,7 +46,7 @@ Status CodeStreamReader::Parse(const uint8_t* data, size_t size,
       compressor_internal::ParseHeader(&archive, magic, &dims_));
   FXRZ_RETURN_IF_ERROR(
       ZliteDecompress(archive.cursor(), archive.remaining(), &body_));
-  reader_ = ByteReader(body_);
+  reader_ = ByteReader(body_.data(), body_.size());
   return Status::Ok();
 }
 
@@ -59,9 +59,10 @@ Status CodeStreamReader::Bytes(const char* what, const uint8_t** data,
 }
 
 Status CodeStreamReader::Codes(const char* what,
-                               std::vector<uint32_t>* codes) {
+                               OverwriteVector<uint32_t>* codes) {
   const uint8_t* bytes = nullptr;
   size_t size = 0;
+  codes->clear();
   FXRZ_RETURN_IF_ERROR(Bytes(what, &bytes, &size));
   return HuffmanDecode(bytes, size, codes);
 }

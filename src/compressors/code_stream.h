@@ -22,6 +22,7 @@
 
 #include "src/data/tensor.h"
 #include "src/util/byte_reader.h"
+#include "src/util/overwrite.h"
 #include "src/util/status.h"
 
 namespace fxrz {
@@ -64,14 +65,16 @@ class CodeStreamReader {
 
   // The next section: a view into the body, or its decoded codes. A
   // section longer than the body left fails with
-  // Corruption("<codec>: truncated <what>").
+  // Corruption("<codec>: truncated <what>"). The body and the codes are
+  // allocated without zeroing and written first by their decoders; *codes
+  // is empty on any error.
   Status Bytes(const char* what, const uint8_t** data, size_t* size);
-  Status Codes(const char* what, std::vector<uint32_t>* codes);
+  Status Codes(const char* what, OverwriteVector<uint32_t>* codes);
 
  private:
   std::string codec_;
   std::vector<size_t> dims_;
-  std::vector<uint8_t> body_;
+  OverwriteVector<uint8_t> body_;
   ByteReader reader_{nullptr, 0};
 };
 

@@ -58,7 +58,10 @@ class Compressor {
   StatusOr<std::vector<uint8_t>> Compress(const Tensor& data,
                                           double config) const;
 
-  // Reconstructs a tensor from a stream produced by Compress.
+  // Reconstructs a tensor from a stream produced by Compress. On any error
+  // *out is left untouched: a codec decodes into its own tensor (built
+  // with Tensor::ForOverwrite) and moves it into *out only on success, so
+  // a failed decode never hands out unwritten memory.
   Status Decompress(const uint8_t* data, size_t size, Tensor* out) const;
 
   // Cheap integrity audit of an archive without decoding it. Formats that

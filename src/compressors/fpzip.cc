@@ -360,12 +360,12 @@ Status FpzipCompressor::DoDecompress(const uint8_t* data, size_t size,
   }
 
   // Entropy-decode the segments in parallel, each residual into its slot
-  // of `ordered` as the offset it adds to the truncated prediction.
-  Tensor result(dims);
-  // Every slot is written by its segment's decode, so none is zeroed first:
-  // the pages are first touched by the parallel decode.
-  const std::unique_ptr<uint32_t[]> ordered =
-      std::make_unique_for_overwrite<uint32_t[]>(result.size());
+  // of `ordered` as the offset it adds to the truncated prediction. Every
+  // slot is written by its segment's decode, and every output element by
+  // the final conversion, so neither is zeroed first: their pages are
+  // first touched by the parallel passes.
+  Tensor result = Tensor::ForOverwrite(dims);
+  OverwriteVector<uint32_t> ordered(result.size());
   std::vector<Status> segment_status(segments);
   ParallelFor(
       SharedThreadPool(), 0, segments,
@@ -394,7 +394,7 @@ Status FpzipCompressor::DoDecompress(const uint8_t* data, size_t size,
   // value once its backward neighbors are final. Arithmetic is modulo
   // 2^32, which for a valid stream is exact.
   const uint32_t mask = Truncate(0xFFFFFFFFu, p);
-  ForEachLorenzoPoint(ordered.get(), lay, 0, lay.planes(),
+  ForEachLorenzoPoint(ordered.data(), lay, 0, lay.planes(),
                       [&](size_t i, int64_t pred) {
                         ordered[i] += static_cast<uint32_t>(pred) & mask;
                         return ordered[i];

@@ -100,7 +100,7 @@ int NumLevels(const std::vector<size_t>& dims) {
 // quantization applied between them).
 class MultilevelTransform {
  public:
-  MultilevelTransform(std::vector<double>* v, const std::vector<size_t>& dims)
+  MultilevelTransform(double* v, const std::vector<size_t>& dims)
       : v_(v), dims_(dims), rank_(dims.size()) {
     strides_.assign(rank_, 1);
     for (size_t i = rank_; i-- > 1;) {
@@ -146,7 +146,7 @@ class MultilevelTransform {
     const size_t last = rank_ - 1;
     const size_t nbr = half * strides_[axis];
     const size_t row = dims_[last];
-    double* v = v_->data();
+    double* v = v_;
 
     // Outer odometer over axes 0..rank_-2; the inner loop walks the last
     // axis. When `axis` is an outer axis and the inner stride is 1 (level
@@ -204,7 +204,7 @@ class MultilevelTransform {
     }
   }
 
-  std::vector<double>* v_;
+  double* v_;
   std::vector<size_t> dims_;
   size_t rank_;
   std::vector<size_t> strides_;
@@ -234,7 +234,7 @@ StatusOr<std::vector<uint8_t>> MgardCompressor::DoCompress(
   ShiftToDouble(data.data(), data.size(), offset, v.data());
 
   const int levels = NumLevels(data.dims());
-  MultilevelTransform transform(&v, data.dims());
+  MultilevelTransform transform(v.data(), data.dims());
   transform.Forward(levels);
 
   // Worst-case error accumulation: each of (levels * rank) predict passes
@@ -278,20 +278,21 @@ Status MgardCompressor::DoDecompress(const uint8_t* data, size_t size,
       levels < 1 || levels > 16) {
     return Status::Corruption("mgard: bad parameters");
   }
-  std::vector<uint32_t> codes;
+  OverwriteVector<uint32_t> codes;
   FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
 
-  Tensor result(dims);
+  // Dequantization writes every coefficient and the shift every output.
+  Tensor result = Tensor::ForOverwrite(dims);
   if (codes.size() != result.size()) {
     return Status::Corruption("mgard: code count mismatch");
   }
 
   const double q =
       2.0 * eb / (static_cast<double>(levels) * dims.size() + 1.0);
-  std::vector<double> v(codes.size());
+  OverwriteVector<double> v(codes.size());
   DequantizeZigZag(codes.data(), codes.size(), q, v.data());
 
-  MultilevelTransform transform(&v, dims);
+  MultilevelTransform transform(v.data(), dims);
   transform.Inverse(levels);
 
   ShiftToFloat(v.data(), v.size(), offset, result.data());

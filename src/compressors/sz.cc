@@ -712,9 +712,9 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
   const uint8_t* sel_bytes = nullptr;
   size_t sel_size = 0;
   FXRZ_RETURN_IF_ERROR(stream.Bytes("selection bits", &sel_bytes, &sel_size));
-  std::vector<uint32_t> coef_codes;
+  OverwriteVector<uint32_t> coef_codes;
   FXRZ_RETURN_IF_ERROR(stream.Codes("coefficient codes", &coef_codes));
-  std::vector<uint32_t> codes;
+  OverwriteVector<uint32_t> codes;
   FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
   const uint8_t* raw = nullptr;
   size_t raw_size = 0;
@@ -771,9 +771,11 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
 
   // Rows reconstruct in the quantizer's wavefront: a point reads the same
   // reconstructed neighbours the quantizer read, so it runs the same
-  // floating-point operations as a serial pass in block order.
+  // floating-point operations as a serial pass in block order. Every block
+  // writes each of its points, so the wavefront is the first to touch the
+  // output's pages.
   const sz_internal::BlockShapes shapes(dims);
-  Tensor result(dims);
+  Tensor result = Tensor::ForOverwrite(dims);
   RunRowWavefront(pool, grid, split, [&](size_t row, BlockScratch* scratch) {
     RowStart at = starts[row];
     const size_t row_end = (row + 1) * grid.n[2];

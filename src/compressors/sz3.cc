@@ -308,14 +308,15 @@ Status Sz3Compressor::DoDecompress(const uint8_t* data, size_t size,
     return Status::Corruption("sz3: bad error bound");
   }
   const double bin = 2.0 * eb;
-  std::vector<uint32_t> codes;
+  OverwriteVector<uint32_t> codes;
   FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
   const uint8_t* raw = nullptr;
   size_t raw_size = 0;
   FXRZ_RETURN_IF_ERROR(stream.Bytes("raw floats", &raw, &raw_size));
   size_t raw_used = 0;
 
-  Tensor result(stream.dims());
+  // Every point is predicted and written once, in the predictor's order.
+  Tensor result = Tensor::ForOverwrite(stream.dims());
   if (codes.size() != result.size()) {
     return Status::Corruption("sz3: code count mismatch");
   }
@@ -326,11 +327,17 @@ Status Sz3Compressor::DoDecompress(const uint8_t* data, size_t size,
     const size_t base = s * lay.slice_elems;
     float* rec = result.data() + base;
     ForEachPredictedPoint(rec, lay, [&](size_t lin, double pred) {
-      if (corrupt) return;
+      // Past a short raw section the decode fails, but every point is
+      // still written: later predictions read it.
+      if (corrupt) {
+        rec[lin] = 0.0f;
+        return;
+      }
       const uint32_t sym = codes[base + lin];
       if (sym == 0) {
         if (raw_used + 4 > raw_size) {
           corrupt = true;
+          rec[lin] = 0.0f;
           return;
         }
         rec[lin] = std::bit_cast<float>(ReadUint32(raw + raw_used));

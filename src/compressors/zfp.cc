@@ -553,7 +553,8 @@ Status ZfpCompressor::DoDecompress(const uint8_t* data, size_t size,
     return Status::Corruption("zfp: bad parameter");
   }
 
-  Tensor result(dims);
+  // Every block stores each of its in-range points.
+  Tensor result = Tensor::ForOverwrite(dims);
   const BlockLayout lay = MakeBlockLayout(dims);
   const std::vector<size_t> order = CoefficientOrder(lay.nd);
   const int64_t budget =

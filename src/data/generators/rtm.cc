@@ -149,7 +149,9 @@ std::vector<Tensor> SimulateRtmSnapshots(const RtmConfig& c,
     std::swap(curr, next);
 
     while (next_snap < time_steps.size() && time_steps[next_snap] == it) {
-      snapshots.emplace_back(std::vector<size_t>{nz, ny, nx}, curr);
+      Tensor snapshot = Tensor::ForOverwrite({nz, ny, nx});
+      std::copy(curr.begin(), curr.end(), snapshot.data());
+      snapshots.push_back(std::move(snapshot));
       ++next_snap;
     }
   }

@@ -1,5 +1,7 @@
 #include "src/data/tensor.h"
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 
 namespace fxrz {
@@ -14,17 +16,44 @@ size_t Product(const std::vector<size_t>& dims) {
 
 }  // namespace
 
-Tensor::Tensor(std::vector<size_t> dims) : dims_(std::move(dims)) {
+void Tensor::Shape(std::vector<size_t> dims) {
+  dims_ = std::move(dims);
   FXRZ_CHECK(!dims_.empty() && dims_.size() <= kMaxRank)
       << "rank " << dims_.size();
   for (size_t d : dims_) FXRZ_CHECK_GT(d, 0u);
-  data_.assign(Product(dims_), 0.0f);
+  data_.resize(Product(dims_));
 }
 
-Tensor::Tensor(std::vector<size_t> dims, std::vector<float> values)
-    : dims_(std::move(dims)), data_(std::move(values)) {
-  FXRZ_CHECK(!dims_.empty() && dims_.size() <= kMaxRank);
-  FXRZ_CHECK_EQ(Product(dims_), data_.size());
+Tensor::Tensor(std::vector<size_t> dims) {
+  Shape(std::move(dims));
+  std::fill(data_.begin(), data_.end(), 0.0f);
+}
+
+Tensor::Tensor(std::vector<size_t> dims, std::initializer_list<float> values) {
+  Shape(std::move(dims));
+  FXRZ_CHECK_EQ(data_.size(), values.size());
+  std::copy(values.begin(), values.end(), data_.begin());
+}
+
+Tensor Tensor::ForOverwrite(std::vector<size_t> dims) {
+  Tensor t;
+  t.Shape(std::move(dims));
+  return t;
+}
+
+Tensor::Tensor(const Tensor& other) : dims_(other.dims_) {
+  data_.resize(other.size());
+  if (!empty()) std::memcpy(data(), other.data(), size_bytes());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) {
+    dims_ = other.dims_;
+    data_.clear();  // a reallocation copies no old element
+    data_.resize(other.size());
+    if (!empty()) std::memcpy(data(), other.data(), size_bytes());
+  }
+  return *this;
 }
 
 size_t Tensor::Offset(std::initializer_list<size_t> idx) const {

@@ -11,10 +11,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "src/util/check.h"
+#include "src/util/overwrite.h"
 
 namespace fxrz {
 
@@ -30,12 +33,23 @@ class Tensor {
   // Requires 1 <= dims.size() <= kMaxRank and every extent > 0.
   explicit Tensor(std::vector<size_t> dims);
 
-  // Creates a tensor taking ownership of `values`; values.size() must equal
-  // the product of dims.
-  Tensor(std::vector<size_t> dims, std::vector<float> values);
+  // Creates a tensor holding `values`, whose count must equal the product
+  // of dims: a literal for tests and examples. Code that fills a tensor
+  // from a computation builds it with ForOverwrite and writes data().
+  Tensor(std::vector<size_t> dims, std::initializer_list<float> values);
 
-  Tensor(const Tensor&) = default;
-  Tensor& operator=(const Tensor&) = default;
+  // Creates a tensor of the given shape whose elements are unset: the
+  // caller must write every element before the tensor is read or handed
+  // out. A decoder builds its output this way, so the pages are first
+  // touched by the pass that fills them (often on every core) instead of
+  // by a serial zero-fill the pass would overwrite. In sanitizer builds the
+  // elements start as NaN (see src/util/overwrite.h), so a skipped element
+  // shows in the decoded result.
+  static Tensor ForOverwrite(std::vector<size_t> dims);
+
+  // Copies are one memcpy of the elements.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
   Tensor(Tensor&&) = default;
   Tensor& operator=(Tensor&&) = default;
 
@@ -64,17 +78,22 @@ class Tensor {
   // Strides in elements for each dimension (row-major).
   std::vector<size_t> Strides() const;
 
-  // True when shapes and all values are bitwise equal.
+  // True when shapes and all values are bitwise equal: +0 and -0 differ,
+  // and a NaN equals a NaN with the same bits.
   bool SameAs(const Tensor& other) const {
-    return dims_ == other.dims_ && data_ == other.data_;
+    return dims_ == other.dims_ &&
+           (empty() || std::memcmp(data(), other.data(), size_bytes()) == 0);
   }
 
   // "512x512x512" style rendering of the shape.
   std::string ShapeString() const;
 
  private:
+  // Checks the shape and sizes data_ for it, leaving the elements unset.
+  void Shape(std::vector<size_t> dims);
+
   std::vector<size_t> dims_;
-  std::vector<float> data_;
+  OverwriteVector<float> data_;
 };
 
 }  // namespace fxrz

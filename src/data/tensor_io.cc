@@ -82,9 +82,9 @@ Status DeserializeTensor(const uint8_t* data, size_t size, size_t* pos,
   if (!reader.ReadSpan(total * sizeof(float), &payload)) {
     return Status::Corruption("tensor: short payload");
   }
-  std::vector<float> values(total);
-  std::memcpy(values.data(), payload, total * sizeof(float));
-  *out = Tensor(std::move(dims), std::move(values));
+  Tensor t = Tensor::ForOverwrite(std::move(dims));
+  std::memcpy(t.data(), payload, total * sizeof(float));
+  *out = std::move(t);
   *pos += reader.position();
   return Status::Ok();
 }
@@ -114,9 +114,9 @@ Status ReadRawF32File(const std::string& path,
   if (bytes.size() != total * sizeof(float)) {
     return Status::InvalidArgument("raw file size does not match shape");
   }
-  std::vector<float> values(total);
-  std::memcpy(values.data(), bytes.data(), bytes.size());
-  *out = Tensor(dims, std::move(values));
+  Tensor t = Tensor::ForOverwrite(dims);
+  std::memcpy(t.data(), bytes.data(), bytes.size());
+  *out = std::move(t);
   return Status::Ok();
 }
 

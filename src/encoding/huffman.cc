@@ -523,17 +523,17 @@ size_t RangeCount(const ParsedStream& stream) {
   return std::max<size_t>(ranges, 1);
 }
 
-// Decodes a parsed stream in `ranges` ranges (1: on the calling thread).
-// With `fallback`, a multi-range decode that meets an anomaly decodes the
-// stream again as one range.
+// Decodes a parsed stream into dst, which holds num_symbols elements, in
+// `ranges` ranges (1: on the calling thread). With `fallback`, a
+// multi-range decode that meets an anomaly decodes the stream again as one
+// range.
 Status DecodeStream(const ParsedStream& stream, size_t ranges, bool fallback,
-                    std::vector<uint32_t>* out) {
+                    uint32_t* dst) {
   if (stream.num_symbols == 0) return Status::Ok();
   const StreamDecoder decoder(stream.table, stream.payload,
                               stream.payload_bytes);
-  out->resize(stream.num_symbols);
   if (ranges >= 2) {
-    if (DecodeRanges(decoder, ranges, stream.num_symbols, out->data())) {
+    if (DecodeRanges(decoder, ranges, stream.num_symbols, dst)) {
       return Status::Ok();
     }
     if (!fallback) {
@@ -541,7 +541,25 @@ Status DecodeStream(const ParsedStream& stream, size_t ranges, bool fallback,
     }
   }
   BitReader br = decoder.ReaderAt(0);
-  return decoder.Decode(&br, stream.num_symbols, out->data());
+  return decoder.Decode(&br, stream.num_symbols, dst);
+}
+
+// Parses the stream, sizes *out for its symbols and decodes into it in
+// `ranges` ranges (0: RangeCount's). *out is empty on any error. Only this
+// wrapper is instantiated per vector type; the decode runs through dst.
+template <typename Vector>
+Status DecodeInto(const uint8_t* data, size_t size, size_t ranges,
+                  bool fallback, Vector* out) {
+  FXRZ_CHECK(out != nullptr);
+  out->clear();
+  ParsedStream stream;
+  FXRZ_RETURN_IF_ERROR(ParseStream(data, size, &stream));
+  out->resize(stream.num_symbols);
+  const Status status =
+      DecodeStream(stream, ranges == 0 ? RangeCount(stream) : ranges,
+                   fallback, out->data());
+  if (!status.ok()) out->clear();
+  return status;
 }
 
 }  // namespace
@@ -675,11 +693,12 @@ std::vector<uint8_t> HuffmanEncode(std::span<const uint32_t> symbols) {
 
 Status HuffmanDecode(const uint8_t* data, size_t size,
                      std::vector<uint32_t>* out) {
-  FXRZ_CHECK(out != nullptr);
-  out->clear();
-  ParsedStream stream;
-  FXRZ_RETURN_IF_ERROR(ParseStream(data, size, &stream));
-  return DecodeStream(stream, RangeCount(stream), /*fallback=*/true, out);
+  return DecodeInto(data, size, 0, /*fallback=*/true, out);
+}
+
+Status HuffmanDecode(const uint8_t* data, size_t size,
+                     OverwriteVector<uint32_t>* out) {
+  return DecodeInto(data, size, 0, /*fallback=*/true, out);
 }
 
 namespace huffman_internal {
@@ -722,11 +741,8 @@ Status DecodeReference(const uint8_t* data, size_t size,
 
 Status DecodeInRanges(const uint8_t* data, size_t size, size_t ranges,
                       std::vector<uint32_t>* out) {
-  FXRZ_CHECK(out != nullptr && ranges >= 1);
-  out->clear();
-  ParsedStream stream;
-  FXRZ_RETURN_IF_ERROR(ParseStream(data, size, &stream));
-  return DecodeStream(stream, ranges, /*fallback=*/false, out);
+  FXRZ_CHECK(ranges >= 1);
+  return DecodeInto(data, size, ranges, /*fallback=*/false, out);
 }
 
 size_t DecodeRangeCount(const uint8_t* data, size_t size) {

@@ -35,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "src/util/overwrite.h"
 #include "src/util/status.h"
 
 namespace fxrz {
@@ -43,9 +44,14 @@ namespace fxrz {
 std::vector<uint8_t> HuffmanEncode(std::span<const uint32_t> symbols);
 
 // Decodes a stream produced by HuffmanEncode. Fails with Corruption on a
-// malformed or truncated stream.
+// malformed or truncated stream, and then leaves *out empty.
 Status HuffmanDecode(const uint8_t* data, size_t size,
                      std::vector<uint32_t>* out);
+
+// The same decode into a buffer that is not zeroed first: the decode's own
+// (parallel) pass is the first to touch its pages. Same contract.
+Status HuffmanDecode(const uint8_t* data, size_t size,
+                     OverwriteVector<uint32_t>* out);
 
 namespace huffman_internal {
 
@@ -59,7 +65,7 @@ Status DecodeReference(const uint8_t* data, size_t size,
 // multi-range decode that meets an anomaly returns
 // Internal("huffman: multi-range decode fell back"). One range is the
 // serial decode on the calling thread, whose output and Status
-// HuffmanDecode must return for every stream.
+// HuffmanDecode must return for every stream. *out is empty on any error.
 Status DecodeInRanges(const uint8_t* data, size_t size, size_t ranges,
                       std::vector<uint32_t>* out);
 

@@ -292,47 +292,15 @@ std::vector<uint8_t> CompressImpl(const std::vector<uint8_t>& input,
   return out;
 }
 
-}  // namespace
-
-std::vector<uint8_t> ZliteCompress(const std::vector<uint8_t>& input) {
-  const size_t ranges = std::clamp<size_t>(
-      input.size() / kMinRange, 1, SharedThreadPool()->num_threads());
-  size_t reparses = 0;
-  return CompressImpl(input, ranges, &reparses);
-}
-
-Status ZliteDecompress(const uint8_t* data, size_t size,
-                       std::vector<uint8_t>* out) {
-  FXRZ_CHECK(out != nullptr);
-  out->clear();
-  ByteReader reader(data, size);
-  uint64_t raw_size = 0;
-  const uint8_t* payload = nullptr;
-  size_t payload_bytes = 0;
-  if (!reader.ReadU64(&raw_size) ||
-      !reader.ReadLengthPrefixed(&payload, &payload_bytes)) {
-    return Status::Corruption("zlite: truncated");
-  }
-  if (raw_size == 0) return Status::Ok();
-  // A match token (25 bits) emits at most kMaxMatch bytes, so the payload
-  // bounds how much output a valid stream can produce. Rejecting forged
-  // sizes here keeps the resize() below from becoming a huge allocation; a
-  // forged size under this bound still costs a zero-filled output of that
-  // size, up to about 83 times the payload.
-  const uint64_t max_output = payload_bytes * 8ull / 25ull * kMaxMatch +
-                              kMaxMatch;
-  if (raw_size > max_output) {
-    return Status::Corruption("zlite: implausible raw size");
-  }
-
-  // The output is sized once; a failed decode leaves in it the bytes
-  // decoded before the failure.
+// Decodes the tokens of `payload` into dst[0, raw_size). *written is the
+// number of bytes written, all of them on success and those decoded before
+// the failure otherwise.
+Status ExpandTokens(const uint8_t* payload, size_t payload_bytes,
+                    size_t raw_size, uint8_t* dst, size_t* written) {
   BitReader br(payload, payload_bytes);
-  out->resize(raw_size);
-  uint8_t* const dst = out->data();
   size_t pos = 0;
   auto fail = [&](const char* message) {
-    out->resize(pos);
+    *written = pos;
     return Status::Corruption(message);
   };
   while (pos < raw_size) {
@@ -362,7 +330,61 @@ Status ZliteDecompress(const uint8_t* data, size_t size,
     }
     pos += len;
   }
+  *written = pos;
   return Status::Ok();
+}
+
+// Parses the header, sizes *out for the raw bytes and decodes into it.
+// Only this wrapper is instantiated per vector type; the decode runs
+// through a pointer.
+template <typename Vector>
+Status DecompressInto(const uint8_t* data, size_t size, Vector* out) {
+  FXRZ_CHECK(out != nullptr);
+  out->clear();
+  ByteReader reader(data, size);
+  uint64_t raw_size = 0;
+  const uint8_t* payload = nullptr;
+  size_t payload_bytes = 0;
+  if (!reader.ReadU64(&raw_size) ||
+      !reader.ReadLengthPrefixed(&payload, &payload_bytes)) {
+    return Status::Corruption("zlite: truncated");
+  }
+  if (raw_size == 0) return Status::Ok();
+  // A match token (25 bits) emits at most kMaxMatch bytes, so the payload
+  // bounds how much output a valid stream can produce. Rejecting forged
+  // sizes here keeps the resize() below from becoming a huge allocation; a
+  // forged size under this bound still costs an output of that size, up to
+  // about 83 times the payload.
+  const uint64_t max_output = payload_bytes * 8ull / 25ull * kMaxMatch +
+                              kMaxMatch;
+  if (raw_size > max_output) {
+    return Status::Corruption("zlite: implausible raw size");
+  }
+  out->resize(raw_size);
+  size_t written = 0;
+  const Status status =
+      ExpandTokens(payload, payload_bytes, raw_size, out->data(), &written);
+  out->resize(written);
+  return status;
+}
+
+}  // namespace
+
+std::vector<uint8_t> ZliteCompress(const std::vector<uint8_t>& input) {
+  const size_t ranges = std::clamp<size_t>(
+      input.size() / kMinRange, 1, SharedThreadPool()->num_threads());
+  size_t reparses = 0;
+  return CompressImpl(input, ranges, &reparses);
+}
+
+Status ZliteDecompress(const uint8_t* data, size_t size,
+                       std::vector<uint8_t>* out) {
+  return DecompressInto(data, size, out);
+}
+
+Status ZliteDecompress(const uint8_t* data, size_t size,
+                       OverwriteVector<uint8_t>* out) {
+  return DecompressInto(data, size, out);
 }
 
 namespace zlite_internal {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/overwrite.h"
 #include "src/util/status.h"
 
 namespace fxrz {
@@ -31,9 +32,15 @@ namespace fxrz {
 // input grows by a small constant factor plus header.
 std::vector<uint8_t> ZliteCompress(const std::vector<uint8_t>& input);
 
-// Decompresses a ZliteCompress stream.
+// Decompresses a ZliteCompress stream. On a failure *out holds the bytes
+// decoded before it.
 Status ZliteDecompress(const uint8_t* data, size_t size,
                        std::vector<uint8_t>* out);
+
+// The same decode into a buffer that is not zeroed first, so the decode is
+// the first to touch its pages. Same contract.
+Status ZliteDecompress(const uint8_t* data, size_t size,
+                       OverwriteVector<uint8_t>* out);
 
 namespace zlite_internal {
 

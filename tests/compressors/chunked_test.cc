@@ -174,12 +174,10 @@ std::vector<uint8_t> BuildV1Archive(const Compressor& base, const Tensor& data,
     const size_t rows = std::min(rows_per_chunk, data.dim(0) - row_lo);
     std::vector<size_t> dims = data.dims();
     dims[0] = rows;
-    std::vector<float> values(
-        data.data() + row_lo * row_elems,
-        data.data() + (row_lo + rows) * row_elems);
-    const std::vector<uint8_t> payload =
-        base.Compress(Tensor(std::move(dims), std::move(values)), config)
-            .value();
+    Tensor slab = Tensor::ForOverwrite(std::move(dims));
+    std::copy(data.data() + row_lo * row_elems,
+              data.data() + (row_lo + rows) * row_elems, slab.data());
+    const std::vector<uint8_t> payload = base.Compress(slab, config).value();
     AppendUint64(&out, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
   }

@@ -68,7 +68,7 @@ Status ReadAll(const std::vector<uint8_t>& archive,
   }
   for (const Section& s : sections) {
     if (s.codes) {
-      std::vector<uint32_t> symbols;
+      OverwriteVector<uint32_t> symbols;
       FXRZ_RETURN_IF_ERROR(stream.Codes(s.what, &symbols));
     } else {
       const uint8_t* bytes = nullptr;
@@ -122,9 +122,11 @@ TEST(CodeStreamTest, RoundTripsParametersAndSections) {
   EXPECT_EQ(level, 7);
   for (const Section& s : sections) {
     if (s.codes) {
-      std::vector<uint32_t> symbols;
+      OverwriteVector<uint32_t> symbols;
       ASSERT_TRUE(stream.Codes(s.what, &symbols).ok()) << s.what;
-      EXPECT_EQ(symbols, s.symbols) << s.what;
+      EXPECT_EQ(std::vector<uint32_t>(symbols.begin(), symbols.end()),
+                s.symbols)
+          << s.what;
     } else {
       const uint8_t* bytes = nullptr;
       size_t size = 0;

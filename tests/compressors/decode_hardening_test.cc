@@ -28,14 +28,24 @@
 namespace fxrz {
 namespace {
 
-// Decodes `mutated` and checks the hardened-decoder contract: either a
-// non-OK Status, or a result whose shape matches the original tensor.
+// What a caller's tensor holds before a decode; a failed decode must
+// leave it exactly so (Compressor::Decompress's contract), never a
+// partly written or unwritten buffer.
+Tensor Sentinel() {
+  return Tensor({2, 3}, {1.5f, -0.0f, 7.0f, 0.0f, -3.25f, 9.0f});
+}
+
+// Decodes `mutated` into a sentinel-filled tensor and checks the
+// hardened-decoder contract: either a non-OK Status with the tensor
+// untouched, or a result whose shape matches the original tensor.
 void ExpectSafeDecode(Compressor& comp, const std::vector<uint8_t>& mutated,
                       const Tensor& original, const std::string& what) {
-  Tensor out;
+  Tensor out = Sentinel();
   const Status st = comp.Decompress(mutated.data(), mutated.size(), &out);
   if (st.ok()) {
     EXPECT_EQ(out.dims(), original.dims()) << what;
+  } else {
+    EXPECT_TRUE(out.SameAs(Sentinel())) << what << ": " << st.ToString();
   }
 }
 
@@ -66,10 +76,12 @@ TEST_P(DecodeHardeningTest, EveryPrefixRejectedOrWellFormed) {
 
   // Exhaustive: every proper prefix of the archive.
   for (size_t len = 0; len < bytes.size(); ++len) {
-    Tensor out;
+    Tensor out = Sentinel();
     const Status st = comp->Decompress(bytes.data(), len, &out);
     EXPECT_FALSE(st.ok()) << GetParam() << ": prefix of " << len
                           << " bytes decoded";
+    EXPECT_TRUE(out.SameAs(Sentinel()))
+        << GetParam() << ": prefix of " << len << " bytes changed *out";
   }
 }
 
@@ -103,8 +115,8 @@ struct SzParts {
   uint32_t magic = 0;
   double eb = 0.0;
   std::vector<uint8_t> selection;
-  std::vector<uint32_t> coefficients;
-  std::vector<uint32_t> codes;
+  OverwriteVector<uint32_t> coefficients;
+  OverwriteVector<uint32_t> codes;
   std::vector<uint8_t> raw;
 };
 

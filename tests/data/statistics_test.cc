@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace fxrz {
@@ -69,7 +70,8 @@ TEST(HistogramTest, CountsSumToSize) {
 }
 
 TEST(HistogramTest, ConstantDataAllInOneBin) {
-  Tensor t({50}, std::vector<float>(50, 3.0f));
+  Tensor t({50});
+  std::fill(t.data(), t.data() + t.size(), 3.0f);
   const std::vector<size_t> h = Histogram(t, 4);
   EXPECT_EQ(h[0], 50u);
 }

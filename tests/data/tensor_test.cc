@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace fxrz {
@@ -67,6 +71,46 @@ TEST(TensorTest, SameAsComparesShapeAndValues) {
   EXPECT_TRUE(a.SameAs(b));
   EXPECT_FALSE(a.SameAs(c));  // same data, different shape
   EXPECT_FALSE(a.SameAs(d));
+}
+
+TEST(TensorTest, SameAsComparesBits) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor pos({2}, {0.0f, 1.0f});
+  const Tensor neg({2}, {-0.0f, 1.0f});
+  EXPECT_FALSE(pos.SameAs(neg));  // +0 == -0 as floats, not as bits
+  const Tensor a({2}, {nan, 1.0f});
+  const Tensor b({2}, {nan, 1.0f});
+  EXPECT_TRUE(a.SameAs(b));  // NaN != NaN as floats, equal as bits
+  EXPECT_TRUE(Tensor().SameAs(Tensor()));
+}
+
+TEST(TensorTest, ForOverwriteHasTheShapeAndCopiesCompareSame) {
+  Tensor t = Tensor::ForOverwrite({3, 4});
+  EXPECT_EQ(t.dims(), (std::vector<size_t>{3, 4}));
+  EXPECT_EQ(t.size(), 12u);
+  for (size_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(i) - 5.5f;
+  const Tensor copy = t;
+  EXPECT_TRUE(copy.SameAs(t));
+  Tensor assigned({1});
+  assigned = t;
+  EXPECT_TRUE(assigned.SameAs(t));
+}
+
+// In sanitizer builds every buffer a decoder writes first starts as 0xFF
+// bytes (a NaN for float), so an element a decoder skips changes the
+// decoded result; elsewhere the elements are left unset.
+TEST(TensorTest, SanitizerBuildsPoisonOverwriteBuffers) {
+  if (!kPoisonOverwrite) GTEST_SKIP() << "not a sanitizer build";
+  const Tensor t = Tensor::ForOverwrite({5, 7});
+  for (size_t i = 0; i < t.size(); ++i) {
+    EXPECT_TRUE(std::isnan(t[i])) << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(t[i]), 0xFFFFFFFFu) << i;
+  }
+  OverwriteVector<uint32_t> codes;
+  codes.resize(33);
+  for (const uint32_t c : codes) EXPECT_EQ(c, 0xFFFFFFFFu);
+  OverwriteVector<uint8_t> body(17);
+  for (const uint8_t b : body) EXPECT_EQ(b, 0xFFu);
 }
 
 TEST(TensorTest, ShapeString) {

@@ -70,10 +70,36 @@ TEST(HuffmanTest, DecodeRejectsTruncatedStream) {
   std::vector<uint32_t> symbols(100, 3);
   symbols[50] = 9;
   std::vector<uint8_t> enc = HuffmanEncode(symbols);
-  std::vector<uint32_t> dec;
+  std::vector<uint32_t> dec(7, 1);
   EXPECT_FALSE(HuffmanDecode(enc.data(), 5, &dec).ok());
+  EXPECT_TRUE(dec.empty());
   enc.resize(enc.size() / 2);
+  dec.assign(7, 1);
   EXPECT_FALSE(HuffmanDecode(enc.data(), enc.size(), &dec).ok());
+  EXPECT_TRUE(dec.empty());  // not the decoded prefix
+}
+
+TEST(HuffmanTest, DecodeRejectsInvalidCodeAndLeavesOutputEmpty) {
+  // Symbol 0 has code 0 and symbol 1 code 10, so 11 is no codeword: eight
+  // zero bits decode, then the payload's ones meet the invalid code.
+  std::vector<uint8_t> enc;
+  AppendUint64(&enc, 10);  // num_symbols
+  AppendUint32(&enc, 2);   // num_entries
+  AppendUint32(&enc, 0);
+  enc.push_back(1);
+  AppendUint32(&enc, 1);
+  enc.push_back(2);
+  AppendUint64(&enc, 2);  // payload size
+  enc.push_back(0x00);
+  enc.push_back(0xFF);
+  std::vector<uint32_t> dec;
+  Status st = HuffmanDecode(enc.data(), enc.size(), &dec);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_TRUE(dec.empty());
+  OverwriteVector<uint32_t> codes(3);
+  st = HuffmanDecode(enc.data(), enc.size(), &codes);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_TRUE(codes.empty());
 }
 
 TEST(HuffmanTest, DecodeRejectsGarbage) {
@@ -225,6 +251,11 @@ void ExpectSameAsOneRange(const std::vector<uint8_t>& enc,
   if (want.ok()) {
     EXPECT_EQ(free_pool, one) << what;
     EXPECT_EQ(parked, one) << what << " (parked)";
+  } else {
+    // A failed decode hands out no symbols, not even a decoded prefix.
+    EXPECT_TRUE(one.empty()) << what;
+    EXPECT_TRUE(free_pool.empty()) << what;
+    EXPECT_TRUE(parked.empty()) << what << " (parked)";
   }
 }
 

@@ -1,7 +1,7 @@
 // fxrz_lint: project-specific static analysis for the FXRZ codebase.
 //
-// Two invariant systems in this repository exist by convention and are
-// easy to regress silently in review; this tool makes them machine-checked.
+// Some invariants in this repository exist by convention and are easy to
+// regress silently in review; this tool makes them machine-checked.
 // It is a lexical analyzer (comment/string-aware token scanning, function
 // body extraction by brace matching) rather than a clang-tidy plugin so it
 // runs on every CI box, including gcc-only ones without clang tooling.
@@ -14,6 +14,13 @@
 //     (src/util/byte_reader.h). Raw memcpy from the parameter,
 //     reinterpret_cast of it, direct indexing, and manual cursor advances
 //     on it are flagged.
+//
+//   fxrz-decode-output-for-overwrite
+//     Inside a DoDecompress definition in src/compressors/, a tensor is
+//     built with Tensor::ForOverwrite, never as `Tensor name(...)`: the
+//     zero-filling construction touches every page of the output on the
+//     calling thread before the decode's own (often parallel) pass writes
+//     every element again.
 //
 //   fxrz-no-unguarded-shared-state
 //     Raw std::mutex / std::lock_guard / std::unique_lock /
@@ -347,27 +354,24 @@ std::vector<std::string> UntrustedByteParams(const std::string& params) {
   return names;
 }
 
-void CheckByteReaderOnly(const SourceFile& f,
-                         std::vector<Finding>* findings) {
-  const bool in_scope =
-      f.virtual_path.find("src/compressors/") != std::string::npos ||
-      f.virtual_path.find("src/encoding/") != std::string::npos ||
-      f.virtual_path.find("src/store/") != std::string::npos;
-  if (!in_scope) return;
-  constexpr const char* kCheck = "fxrz-byte-reader-only";
-  const std::string& code = f.code;
+// A function definition found by ForEachDefinition.
+struct Definition {
+  std::string name;
+  std::string params;  // the text between the parentheses
+  std::string body;    // from '{' to '}'
+  size_t body_offset = 0;  // offset of body[0] in the file's code
+};
 
-  // Find definitions of functions whose name mentions Decompress,
-  // Deserialize, Decode or Parse.
+// Calls `fn` with every function definition in `code` whose name satisfies
+// `wanted`.
+template <typename Wanted, typename Fn>
+void ForEachDefinition(const std::string& code, Wanted&& wanted, Fn&& fn) {
   for (size_t i = 0; i < code.size(); ++i) {
     if (!IsIdent(code[i]) || (i > 0 && IsIdent(code[i - 1]))) continue;
     size_t end = i;
     while (end < code.size() && IsIdent(code[end])) ++end;
     const std::string ident = code.substr(i, end - i);
-    if (ident.find("Decompress") == std::string::npos &&
-        ident.find("Deserialize") == std::string::npos &&
-        ident.find("Decode") == std::string::npos &&
-        ident.find("Parse") == std::string::npos) {
+    if (!wanted(ident)) {
       i = end;
       continue;
     }
@@ -399,18 +403,39 @@ void CheckByteReaderOnly(const SourceFile& f,
       i = end;
       continue;
     }
-    const size_t body_open = p;
-    const size_t body_close = MatchDelim(code, body_open, '{', '}');
+    const size_t body_close = MatchDelim(code, p, '{', '}');
     if (body_close == std::string::npos) {
       i = end;
       continue;
     }
-    const std::string params = code.substr(open + 1, close - open - 1);
-    const std::string body =
-        code.substr(body_open, body_close - body_open + 1);
-    const size_t body_offset = body_open;
+    fn(Definition{ident, code.substr(open + 1, close - open - 1),
+                  code.substr(p, body_close - p + 1), p});
+    i = body_close;
+  }
+}
 
-    for (const std::string& param : UntrustedByteParams(params)) {
+void CheckByteReaderOnly(const SourceFile& f,
+                         std::vector<Finding>* findings) {
+  const bool in_scope =
+      f.virtual_path.find("src/compressors/") != std::string::npos ||
+      f.virtual_path.find("src/encoding/") != std::string::npos ||
+      f.virtual_path.find("src/store/") != std::string::npos;
+  if (!in_scope) return;
+  constexpr const char* kCheck = "fxrz-byte-reader-only";
+
+  // Definitions of functions whose name mentions Decompress, Deserialize,
+  // Decode or Parse.
+  auto reads_bytes = [](const std::string& ident) {
+    return ident.find("Decompress") != std::string::npos ||
+           ident.find("Deserialize") != std::string::npos ||
+           ident.find("Decode") != std::string::npos ||
+           ident.find("Parse") != std::string::npos;
+  };
+  ForEachDefinition(f.code, reads_bytes, [&](const Definition& d) {
+    const std::string& ident = d.name;
+    const std::string& body = d.body;
+    const size_t body_offset = d.body_offset;
+    for (const std::string& param : UntrustedByteParams(d.params)) {
       // memcpy with the untrusted parameter in the source argument.
       for (size_t at = body.find("memcpy"); at != std::string::npos;
            at = body.find("memcpy", at + 1)) {
@@ -465,8 +490,41 @@ void CheckByteReaderOnly(const SourceFile& f,
         }
       }
     }
-    i = body_close;
-  }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// fxrz-decode-output-for-overwrite
+// ---------------------------------------------------------------------------
+
+void CheckDecodeOutputForOverwrite(const SourceFile& f,
+                                   std::vector<Finding>* findings) {
+  if (f.virtual_path.find("src/compressors/") == std::string::npos) return;
+  constexpr const char* kCheck = "fxrz-decode-output-for-overwrite";
+  auto is_decoder = [](const std::string& ident) {
+    return ident == "DoDecompress";
+  };
+  ForEachDefinition(f.code, is_decoder, [&](const Definition& d) {
+    const std::string& body = d.body;
+    // `Tensor name(` or `Tensor name{`.
+    for (size_t at = body.find("Tensor"); at != std::string::npos;
+         at = body.find("Tensor", at + 1)) {
+      if (!TokenAt(body, at, "Tensor") || IsMemberAccess(body, at)) continue;
+      const size_t name = SkipSpace(body, at + 6);
+      size_t end = name;
+      while (end < body.size() && IsIdent(body[end])) ++end;
+      if (end == name) continue;
+      const size_t open = SkipSpace(body, end);
+      if (open < body.size() && (body[open] == '(' || body[open] == '{')) {
+        findings->push_back(
+            {f.display_path, f.LineOf(d.body_offset + at), kCheck,
+             "zero-filling Tensor construction '" +
+                 body.substr(name, end - name) +
+                 "' in DoDecompress(); build the output with "
+                 "Tensor::ForOverwrite and let the decode write it first"});
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -578,6 +636,7 @@ int main(int argc, char** argv) {
         treat_as.empty() ? display : NormalizeSlashes(treat_as);
     const SourceFile f = LoadFile(file, display, virt);
     CheckByteReaderOnly(f, &findings);
+    CheckDecodeOutputForOverwrite(f, &findings);
     CheckSharedState(f, &findings);
   }
 
