@@ -6,8 +6,9 @@
 //   * default: the google-benchmark suite (./micro_kernels [--benchmark_*]).
 //   * --kernels: the per-kernel throughput harness. Times every codec's
 //     compress/decompress path, both entropy coders, and zlite over the
-//     body sz hands it, at 64^3 and 256^3; reports GB/s of uncompressed
-//     data moved (for zlite, of its input body) as the best of 5 reps,
+//     body of an sz archive, at 64^3 and 256^3; reports GB/s of
+//     uncompressed data moved (for zlite, of its input body) as the best
+//     of 5 reps,
 //     timed round-robin across all rows of a grid so a slow phase of the
 //     host is spread over every row; optionally writes the
 //     results as JSON (--json FILE) and gates them against a checked-in
@@ -335,8 +336,10 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
                       }});
     }
 
-    // zlite over the body sz hands it (the archive minus its header), so
-    // the rows track the lossless pass on the stream it really sees.
+    // zlite over the body of the sz archive (the archive minus its
+    // header): entropy-coded sections, which no codec passes through zlite
+    // any more. The decode row writes into an OverwriteVector
+    // (src/util/overwrite.h), reused across reps as a caller's would be.
     std::vector<uint8_t> body;
     {
       const std::vector<uint8_t>& archive = archives[0];  // sz
@@ -345,11 +348,8 @@ std::vector<KernelResult> RunKernelHarness(const std::vector<size_t>& grids) {
       FXRZ_CHECK(compressor_internal::ParseHeader(
                      &reader, ReadUint32(archive.data()), &dims)
                      .ok());
-      FXRZ_CHECK(
-          ZliteDecompress(reader.cursor(), reader.remaining(), &body).ok());
+      body.assign(reader.cursor(), reader.cursor() + reader.remaining());
     }
-    // The decode rows write into the buffers the code stream decodes into
-    // (src/util/overwrite.h), reused across reps as a caller's would be.
     const std::vector<uint8_t> packed = ZliteCompress(body);
     OverwriteVector<uint8_t> unpacked;
     FXRZ_CHECK(ZliteDecompress(packed.data(), packed.size(), &unpacked).ok());

@@ -1,4 +1,5 @@
-// Fuzz harness: HuffmanDecode must reject or cleanly decode any bytes.
+// Fuzz harness: HuffmanDecode and HuffmanDecodeRuns must reject or cleanly
+// decode any bytes.
 
 #include <vector>
 
@@ -8,5 +9,9 @@
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::vector<uint32_t> symbols;
   (void)fxrz::HuffmanDecode(data, size, &symbols);
+  // A bound like a 2^20-element tensor's keeps the run decode's output
+  // small.
+  fxrz::OverwriteVector<uint32_t> codes;
+  (void)fxrz::HuffmanDecodeRuns(data, size, 0, uint64_t{1} << 20, &codes);
   return 0;
 }

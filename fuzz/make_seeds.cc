@@ -84,6 +84,22 @@ int main(int argc, char** argv) {
   }
 
   {
+    // sz's quantization codes are stored in 6^3 blocks, a row of blocks
+    // (6 z-planes, 24576 codes here) after another. Zeroing z in [20, 44)
+    // makes the rows for z in [24, 42) one run of the zero-error code,
+    // codes 98304 to 172032, across the 2^17 boundary between encode
+    // ranges; the rest keeps the payload above the 16 KiB at which the
+    // decode splits into ranges.
+    fxrz::Tensor field = fxrz::GaussianRandomField3D(64, 64, 64, 3.0, 46);
+    std::fill(field.data() + 20 * 64 * 64, field.data() + 44 * 64 * 64,
+              0.0f);
+    ok &= WriteSeed(out_dir + "/sz", "runs_across_ranges.bin",
+                    fxrz::MakeCompressor("sz")
+                        ->Compress(field, 1e-3 * fxrz::ValueRange(field))
+                        .value());
+  }
+
+  {
     // One row per slab: a 16-chunk sz archive.
     fxrz::ChunkedCompressor chunked(fxrz::MakeCompressor("sz"),
                                     /*target_chunk_elems=*/256);
@@ -113,6 +129,18 @@ int main(int argc, char** argv) {
     ok &= fxrz::huffman_internal::DecodeRangeCount(multi_range.data(),
                                                    multi_range.size()) > 1;
     ok &= WriteSeed(out_dir + "/huffman", "multi_range.bin", multi_range);
+    // A run-coded stream: runs of up to 256 codes between wide codes, so
+    // most codewords are run digits and the decode's range boundaries fall
+    // inside runs; the last run crosses the final encode range boundary.
+    std::vector<uint32_t> runs;
+    fxrz::Rng rng(47);
+    while (runs.size() < 700000) {
+      runs.insert(runs.end(), 1 + rng.NextBelow(256), 32768);
+      runs.push_back(static_cast<uint32_t>(rng.NextBelow(4096)));
+    }
+    runs.insert(runs.end(), 100000, 32768);
+    ok &= WriteSeed(out_dir + "/huffman", "runs.bin",
+                    fxrz::HuffmanEncodeRuns(runs));
     std::vector<uint8_t> text(1024);
     for (size_t i = 0; i < text.size(); ++i) {
       text[i] = static_cast<uint8_t>((i * i) % 251);

@@ -3,7 +3,6 @@
 #include "src/compressors/compressor.h"
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
-#include "src/encoding/zlite.h"
 
 namespace fxrz {
 
@@ -12,29 +11,24 @@ void CodeStreamWriter::AddBytes(std::vector<uint8_t> bytes) {
 }
 
 void CodeStreamWriter::AddCodes(std::span<const uint32_t> codes) {
-  sections_.push_back(HuffmanEncode(codes));
+  sections_.push_back(HuffmanEncodeRuns(codes));
 }
 
 std::vector<uint8_t> CodeStreamWriter::Finish(uint32_t magic,
                                               const Tensor& data) && {
-  size_t body_size = params_.size();
-  for (const std::vector<uint8_t>& section : sections_) {
-    body_size += 8 + section.size();
-  }
-  std::vector<uint8_t> body;
-  body.reserve(body_size);
-  body.insert(body.end(), params_.begin(), params_.end());
-  for (std::vector<uint8_t>& section : sections_) {
-    AppendUint64(&body, section.size());
-    body.insert(body.end(), section.begin(), section.end());
-    std::vector<uint8_t>().swap(section);
-  }
-
-  // Dictionary pass over the entropy-coded body (Zstd stage in real SZ).
-  const std::vector<uint8_t> packed = ZliteCompress(body);
   std::vector<uint8_t> out;
   compressor_internal::AppendHeader(&out, magic, data);
-  out.insert(out.end(), packed.begin(), packed.end());
+  size_t size = out.size() + params_.size();
+  for (const std::vector<uint8_t>& section : sections_) {
+    size += 8 + section.size();
+  }
+  out.reserve(size);
+  out.insert(out.end(), params_.begin(), params_.end());
+  for (std::vector<uint8_t>& section : sections_) {
+    AppendUint64(&out, section.size());
+    out.insert(out.end(), section.begin(), section.end());
+    std::vector<uint8_t>().swap(section);
+  }
   return out;
 }
 
@@ -42,11 +36,14 @@ Status CodeStreamReader::Parse(const uint8_t* data, size_t size,
                                uint32_t magic, const char* codec) {
   codec_ = codec;
   ByteReader archive(data, size);
-  FXRZ_RETURN_IF_ERROR(
-      compressor_internal::ParseHeader(&archive, magic, &dims_));
-  FXRZ_RETURN_IF_ERROR(
-      ZliteDecompress(archive.cursor(), archive.remaining(), &body_));
-  reader_ = ByteReader(body_.data(), body_.size());
+  const Status header =
+      compressor_internal::ParseHeader(&archive, magic, &dims_);
+  if (!header.ok()) {
+    return Status::Corruption(codec_ + ": " + header.message());
+  }
+  elements_ = 1;
+  for (const size_t d : dims_) elements_ *= d;
+  reader_ = ByteReader(archive.cursor(), archive.remaining());
   return Status::Ok();
 }
 
@@ -58,13 +55,14 @@ Status CodeStreamReader::Bytes(const char* what, const uint8_t** data,
   return Status::Ok();
 }
 
-Status CodeStreamReader::Codes(const char* what,
+Status CodeStreamReader::Codes(const char* what, uint64_t min_codes,
+                               uint64_t max_codes,
                                OverwriteVector<uint32_t>* codes) {
   const uint8_t* bytes = nullptr;
   size_t size = 0;
   codes->clear();
   FXRZ_RETURN_IF_ERROR(Bytes(what, &bytes, &size));
-  return HuffmanDecode(bytes, size, codes);
+  return HuffmanDecodeRuns(bytes, size, min_codes, max_codes, codes);
 }
 
 }  // namespace fxrz

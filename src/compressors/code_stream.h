@@ -2,15 +2,18 @@
 // place:
 //
 //   codec header (magic | rank | dims)
-//   zlite( parameter block | section | section | ... )
+//   parameter block | section | section | ...
 //
 // Each section is `u64 length | bytes`. A code section's bytes are the
-// Huffman coding of its codes; a byte section's are the codec's own. The
+// run-coded Huffman stream of its codes (HuffmanEncodeRuns: each run of
+// the section's most frequent code is written as RUNA/RUNB digits, and the
+// stream records that code); a byte section's are the codec's own. The
 // parameter block has no length of its own: the codec writes and reads its
-// fixed fields, and the first section starts where they end.
+// fixed fields, and the first section starts where they end. No lossless
+// pass runs over the body.
 //
 // The writer takes sections in archive order; the reader hands them back
-// in the same order, each checked against the bytes left in the body.
+// in the same order, each checked against the bytes left in the archive.
 
 #ifndef FXRZ_COMPRESSORS_CODE_STREAM_H_
 #define FXRZ_COMPRESSORS_CODE_STREAM_H_
@@ -37,8 +40,8 @@ class CodeStreamWriter {
   // Huffman-codes `codes` now, so the caller may free them on return.
   void AddCodes(std::span<const uint32_t> codes);
 
-  // Builds the body (freeing each section as it is copied in), runs zlite
-  // over it and prepends the header of `data` under `magic`.
+  // Writes the header of `data` under `magic`, the parameter block and the
+  // sections into the archive, freeing each section as it is copied in.
   std::vector<uint8_t> Finish(uint32_t magic, const Tensor& data) &&;
 
  private:
@@ -48,33 +51,35 @@ class CodeStreamWriter {
 
 class CodeStreamReader {
  public:
-  CodeStreamReader() = default;
-  // params() and the sections point into the body this object owns.
-  CodeStreamReader(const CodeStreamReader&) = delete;
-  CodeStreamReader& operator=(const CodeStreamReader&) = delete;
-
-  // Checks the header against `magic` and unpacks the body. `codec` names
-  // the codec in the Corruption status of a short section.
+  // Checks the header against `magic`. `codec` names the codec in every
+  // Corruption status, a bad header's included: "<codec>: bad magic".
+  // params() and the sections are views into the archive, which must
+  // outlive them.
   Status Parse(const uint8_t* data, size_t size, uint32_t magic,
                const char* codec);
 
   const std::vector<size_t>& dims() const { return dims_; }
+  size_t elements() const { return elements_; }  // the product of dims()
 
-  // The body, positioned at the parameter block until the codec reads it.
+  // The archive, positioned at the parameter block until the codec reads
+  // it.
   ByteReader* params() { return &reader_; }
 
-  // The next section: a view into the body, or its decoded codes. A
-  // section longer than the body left fails with
-  // Corruption("<codec>: truncated <what>"). The body and the codes are
-  // allocated without zeroing and written first by their decoders; *codes
-  // is empty on any error.
+  // The next section: a view into the archive, or its decoded codes. A
+  // section longer than the archive left fails with
+  // Corruption("<codec>: truncated <what>"), and a code section of fewer
+  // than `min_codes` or more than `max_codes` codes with a Corruption
+  // status before its codes are allocated. The codes are allocated without
+  // zeroing and written first by their decoder; *codes is empty on any
+  // error.
   Status Bytes(const char* what, const uint8_t** data, size_t* size);
-  Status Codes(const char* what, OverwriteVector<uint32_t>* codes);
+  Status Codes(const char* what, uint64_t min_codes, uint64_t max_codes,
+               OverwriteVector<uint32_t>* codes);
 
  private:
   std::string codec_;
   std::vector<size_t> dims_;
-  OverwriteVector<uint8_t> body_;
+  size_t elements_ = 0;
   ByteReader reader_{nullptr, 0};
 };
 

@@ -13,7 +13,7 @@ namespace fxrz {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x4D475231;  // "MGR1"
+constexpr uint32_t kMagic = 0x4D475232;  // "MGR2"
 
 // Element-wise kernels of the transform's input, output and quantizer.
 
@@ -279,13 +279,11 @@ Status MgardCompressor::DoDecompress(const uint8_t* data, size_t size,
     return Status::Corruption("mgard: bad parameters");
   }
   OverwriteVector<uint32_t> codes;
-  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
+  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", stream.elements(),
+                                    stream.elements(), &codes));
 
   // Dequantization writes every coefficient and the shift every output.
   Tensor result = Tensor::ForOverwrite(dims);
-  if (codes.size() != result.size()) {
-    return Status::Corruption("mgard: code count mismatch");
-  }
 
   const double q =
       2.0 * eb / (static_cast<double>(levels) * dims.size() + 1.0);

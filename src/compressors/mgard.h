@@ -7,7 +7,9 @@
 //   2. uniform quantization of all multilevel coefficients with a step
 //      chosen so that the worst-case accumulated interpolation error stays
 //      within the user's absolute error bound;
-//   3. canonical Huffman + dictionary (zlite) coding of the codes.
+//   3. canonical Huffman coding of the codes, each run of the most frequent
+//      code written as its length in RUNA/RUNB digits
+//      (src/compressors/code_stream.h).
 //
 // Guarantee: max |x - x'| <= eb (conservative step splitting across levels).
 

@@ -18,7 +18,7 @@ namespace fxrz {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x535A4C32;  // "SZL2"
+constexpr uint32_t kMagic = 0x535A4C33;  // "SZL3"
 constexpr int64_t kRadius = 32768;       // quantization capacity 2^16
 constexpr size_t kBlock = 6;             // SZ2's 6^d prediction blocks
 
@@ -709,35 +709,40 @@ Status SzCompressor::DoDecompress(const uint8_t* data, size_t size,
   double coef_steps[4];
   CoefSteps(eb, coef_steps);
 
+  // Up to four coefficient codes per regression block the selection bits
+  // name, and one code per point.
+  const SliceLayout lay = MakeSliceLayout(dims);
+  const BlockGrid grid(lay);
+  const size_t elements = stream.elements();
   const uint8_t* sel_bytes = nullptr;
   size_t sel_size = 0;
   FXRZ_RETURN_IF_ERROR(stream.Bytes("selection bits", &sel_bytes, &sel_size));
+  if (sel_size < (grid.total + 7) / 8) {
+    return Status::Corruption("sz: truncated block metadata");
+  }
+  size_t regression_blocks = 0;
+  for (size_t b = 0; b < grid.total; ++b) {
+    regression_blocks += SelectsRegression(sel_bytes, b) ? 1 : 0;
+  }
   OverwriteVector<uint32_t> coef_codes;
-  FXRZ_RETURN_IF_ERROR(stream.Codes("coefficient codes", &coef_codes));
+  FXRZ_RETURN_IF_ERROR(stream.Codes("coefficient codes", 0,
+                                    4 * regression_blocks, &coef_codes));
   OverwriteVector<uint32_t> codes;
-  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
+  FXRZ_RETURN_IF_ERROR(
+      stream.Codes("quantization codes", elements, elements, &codes));
   const uint8_t* raw = nullptr;
   size_t raw_size = 0;
   FXRZ_RETURN_IF_ERROR(stream.Bytes("raw floats", &raw, &raw_size));
-  size_t elements = 1;
-  for (size_t d : dims) elements *= d;
-  if (codes.size() != elements) {
-    return Status::Corruption("sz: code count mismatch");
-  }
 
   // Where each row of blocks starts in the three per-block sections: its
   // codes at an offset fixed by the shape, its coefficients after those of
   // the regression blocks before it, its verbatim floats after the zero
   // codes before it. A row holds consecutive blocks, so a block's offsets
-  // follow from its row's. The section lengths are checked here, once: a
-  // section too short for the blocks that read it is the "truncated block
-  // metadata" a block-order decode would meet at its end.
-  const SliceLayout lay = MakeSliceLayout(dims);
-  const BlockGrid grid(lay);
+  // follow from its row's. The coefficient and raw sections' lengths are
+  // checked here, once (the selection bits' above): a section too short
+  // for the blocks that read it is the "truncated block metadata" a
+  // block-order decode would meet at its end.
   const size_t rows = grid.rows();
-  if (sel_size < (grid.total + 7) / 8) {
-    return Status::Corruption("sz: truncated block metadata");
-  }
   struct RowStart {
     size_t code = 0, coef = 0, raw = 0;
   };

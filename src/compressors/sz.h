@@ -5,8 +5,10 @@
 //      4D tensors are compressed as independent 3D hyperslices);
 //   2. linear-scaling quantization of the prediction residual with a
 //      user-set absolute error bound (quantization bin width = 2*eb);
-//   3. canonical Huffman coding of the quantization codes, followed by a
-//      dictionary-coding pass (zlite, standing in for Zstd).
+//   3. canonical Huffman coding of the quantization codes, with each run of
+//      the most frequent code written as its length in RUNA/RUNB digits
+//      (src/compressors/code_stream.h); this takes smooth fields below one
+//      bit per value, where real SZ runs Zstd over the Huffman stream.
 // Values whose residual overflows the quantization capacity are stored
 // verbatim ("unpredictable"), exactly as in SZ.
 //

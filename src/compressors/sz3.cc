@@ -13,7 +13,7 @@ namespace fxrz {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x535A3331;  // "SZ31"
+constexpr uint32_t kMagic = 0x535A3332;  // "SZ32"
 constexpr int64_t kRadius = 32768;
 
 struct SliceLayout {
@@ -309,7 +309,8 @@ Status Sz3Compressor::DoDecompress(const uint8_t* data, size_t size,
   }
   const double bin = 2.0 * eb;
   OverwriteVector<uint32_t> codes;
-  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", &codes));
+  FXRZ_RETURN_IF_ERROR(stream.Codes("quantization codes", stream.elements(),
+                                    stream.elements(), &codes));
   const uint8_t* raw = nullptr;
   size_t raw_size = 0;
   FXRZ_RETURN_IF_ERROR(stream.Bytes("raw floats", &raw, &raw_size));
@@ -317,9 +318,6 @@ Status Sz3Compressor::DoDecompress(const uint8_t* data, size_t size,
 
   // Every point is predicted and written once, in the predictor's order.
   Tensor result = Tensor::ForOverwrite(stream.dims());
-  if (codes.size() != result.size()) {
-    return Status::Corruption("sz3: code count mismatch");
-  }
 
   bool corrupt = false;
   const SliceLayout lay = MakeSliceLayout(stream.dims());

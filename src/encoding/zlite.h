@@ -1,11 +1,16 @@
 // "zlite": a small LZSS-style byte compressor.
 //
-// Plays the role Zstd plays in the real SZ pipeline: a dictionary-coding
-// pass over the entropy-coded stream that exploits repeated byte patterns
-// (long zero runs, repeated Huffman table fragments). Format: u64 raw size,
-// u64 payload bytes, then an LSB-first bit stream of tokens -- flag bit 0 =
-// literal byte, flag bit 1 = match with a 16-bit backward offset and an
-// 8-bit length (kMinMatch..kMinMatch+255).
+// It played the role Zstd plays in the real SZ pipeline, a dictionary pass
+// over the entropy-coded stream, until the code sections of sz, sz3 and
+// mgard took runs of their dominant code out of the Huffman stream
+// (src/compressors/code_stream.h). No codec runs it now. Its remaining
+// callers are perfbench's encoding proxy, the tests, micro_kernels' zlite
+// rows and fuzz_zlite; these files go with ROADMAP item 3b, which rebuilds
+// that proxy.
+//
+// Format: u64 raw size, u64 payload bytes, then an LSB-first bit stream of
+// tokens -- flag bit 0 = literal byte, flag bit 1 = match with a 16-bit
+// backward offset and an 8-bit length (kMinMatch..kMinMatch+255).
 //
 // The compressor's greedy parse runs on the shared thread pool, in about
 // one range per thread, with bytes that do not depend on the split: the

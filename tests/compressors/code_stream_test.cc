@@ -11,12 +11,14 @@
 #include "src/compressors/compressor.h"
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/huffman.h"
-#include "src/encoding/zlite.h"
+#include "tests/util/workers_parked.h"
 
 namespace fxrz {
 namespace {
 
 constexpr uint32_t kMagic = 0x54455354;  // "TEST"
+// The most codes a code section of these archives may hold.
+constexpr uint64_t kMaxCodes = 1000;
 
 struct Section {
   const char* what;
@@ -69,7 +71,7 @@ Status ReadAll(const std::vector<uint8_t>& archive,
   for (const Section& s : sections) {
     if (s.codes) {
       OverwriteVector<uint32_t> symbols;
-      FXRZ_RETURN_IF_ERROR(stream.Codes(s.what, &symbols));
+      FXRZ_RETURN_IF_ERROR(stream.Codes(s.what, 0, kMaxCodes, &symbols));
     } else {
       const uint8_t* bytes = nullptr;
       size_t size = 0;
@@ -79,7 +81,7 @@ Status ReadAll(const std::vector<uint8_t>& archive,
   return Status::Ok();
 }
 
-// The archive's header and its unpacked body.
+// The archive's header and its body.
 struct Unpacked {
   std::vector<uint8_t> header;
   std::vector<uint8_t> body;
@@ -89,19 +91,14 @@ Unpacked Unpack(const std::vector<uint8_t>& archive) {
   ByteReader reader(archive);
   std::vector<size_t> dims;
   EXPECT_TRUE(compressor_internal::ParseHeader(&reader, kMagic, &dims).ok());
-  Unpacked u;
-  u.header.assign(archive.begin(),
-                  archive.begin() + static_cast<long>(reader.position()));
-  EXPECT_TRUE(
-      ZliteDecompress(reader.cursor(), reader.remaining(), &u.body).ok());
-  return u;
+  const auto body = archive.begin() + static_cast<long>(reader.position());
+  return {{archive.begin(), body}, {body, archive.end()}};
 }
 
 std::vector<uint8_t> Repack(const std::vector<uint8_t>& header,
                             const std::vector<uint8_t>& body) {
   std::vector<uint8_t> archive = header;
-  const std::vector<uint8_t> packed = ZliteCompress(body);
-  archive.insert(archive.end(), packed.begin(), packed.end());
+  archive.insert(archive.end(), body.begin(), body.end());
   return archive;
 }
 
@@ -123,7 +120,7 @@ TEST(CodeStreamTest, RoundTripsParametersAndSections) {
   for (const Section& s : sections) {
     if (s.codes) {
       OverwriteVector<uint32_t> symbols;
-      ASSERT_TRUE(stream.Codes(s.what, &symbols).ok()) << s.what;
+      ASSERT_TRUE(stream.Codes(s.what, 0, kMaxCodes, &symbols).ok()) << s.what;
       EXPECT_EQ(std::vector<uint32_t>(symbols.begin(), symbols.end()),
                 s.symbols)
           << s.what;
@@ -155,7 +152,8 @@ TEST(CodeStreamTest, EveryTruncatedBodyNamesTheCodecAndSection) {
   std::vector<size_t> ends;
   size_t end = 9;
   for (const Section& s : sections) {
-    end += 8 + (s.codes ? HuffmanEncode(s.symbols).size() : s.bytes.size());
+    end += 8 + (s.codes ? HuffmanEncodeRuns(s.symbols).size()
+                        : s.bytes.size());
     ends.push_back(end);
   }
   ASSERT_EQ(end, u.body.size());
@@ -202,7 +200,64 @@ TEST(CodeStreamTest, WrongMagicIsBadMagic) {
   const Status st =
       stream.Parse(archive.data(), archive.size(), kMagic + 1, "test");
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_EQ(st.message(), "bad magic");
+  EXPECT_EQ(st.message(), "test: bad magic");
+}
+
+// A code section must hold as many codes as its caller allows; the decode
+// fails before it allocates the claimed count.
+TEST(CodeStreamTest, CodeSectionOutsideItsBoundsIsCorruption) {
+  const Tensor shape({6, 7});
+  const std::vector<uint8_t> archive = Write(SampleSections(), shape);
+  struct Bounds {
+    uint64_t min_codes, max_codes;
+    bool ok;
+  };
+  // The first code section holds 300 codes.
+  for (const Bounds& b : {Bounds{0, 299, false}, Bounds{301, 1000, false},
+                          Bounds{300, 300, true}}) {
+    CodeStreamReader stream;
+    ASSERT_TRUE(
+        stream.Parse(archive.data(), archive.size(), kMagic, "test").ok());
+    ASSERT_EQ(stream.elements(), 42u);
+    ASSERT_TRUE(stream.params()->Skip(9));
+    const uint8_t* bytes = nullptr;
+    size_t size = 0;
+    ASSERT_TRUE(stream.Bytes("flags", &bytes, &size).ok());
+    OverwriteVector<uint32_t> codes;
+    const Status st =
+        stream.Codes("first codes", b.min_codes, b.max_codes, &codes);
+    if (b.ok) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(codes.size(), 300u);
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption);
+      EXPECT_EQ(st.message(), "huffman: implausible symbol count");
+      EXPECT_TRUE(codes.empty());
+    }
+  }
+}
+
+// The body is the sections themselves: a code section holds the run-coded
+// stream of its codes, written the same whatever the pool's workers do.
+TEST(CodeStreamTest, SectionsAreStoredAsIsAndIndependentOfThePool) {
+  const Tensor shape({6, 7});
+  const std::vector<Section> sections = SampleSections();
+  const std::vector<uint8_t> archive = Write(sections, shape);
+  std::vector<uint8_t> parked;
+  WithWorkersParked([&] { parked = Write(sections, shape); });
+  EXPECT_EQ(parked, archive);
+
+  std::vector<uint8_t> body = Unpack(archive).body;
+  std::vector<uint8_t> want;
+  AppendDouble(&want, 0.125);
+  want.push_back(7);
+  for (const Section& s : sections) {
+    const std::vector<uint8_t> bytes =
+        s.codes ? HuffmanEncodeRuns(s.symbols) : s.bytes;
+    AppendUint64(&want, bytes.size());
+    want.insert(want.end(), bytes.begin(), bytes.end());
+  }
+  EXPECT_EQ(body, want);
 }
 
 }  // namespace

@@ -131,8 +131,14 @@ SzParts SplitSz(const std::vector<uint8_t>& archive) {
   size_t size = 0;
   EXPECT_TRUE(stream.Bytes("selection bits", &bytes, &size).ok());
   parts.selection.assign(bytes, bytes + size);
-  EXPECT_TRUE(stream.Codes("coefficient codes", &parts.coefficients).ok());
-  EXPECT_TRUE(stream.Codes("quantization codes", &parts.codes).ok());
+  EXPECT_TRUE(stream
+                  .Codes("coefficient codes", 0, stream.elements(),
+                         &parts.coefficients)
+                  .ok());
+  EXPECT_TRUE(stream
+                  .Codes("quantization codes", stream.elements(),
+                         stream.elements(), &parts.codes)
+                  .ok());
   EXPECT_TRUE(stream.Bytes("raw floats", &bytes, &size).ok());
   parts.raw.assign(bytes, bytes + size);
   return parts;
@@ -190,6 +196,111 @@ TEST(SzBlockMetadataTest, SectionShortByOneItemIsTruncatedMetadata) {
     const Status st = sz->Decompress(bytes.data(), bytes.size(), &out);
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << what;
     EXPECT_EQ(st.message(), "sz: truncated block metadata") << what;
+  }
+}
+
+// --- Run-coded code sections ----------------------------------------------
+
+// A run-coded stream (HuffmanEncodeRuns's layout) of `count` symbols whose
+// table holds only the two run digits, one bit each (RUNA 0, RUNB 1), and
+// whose payload is `digits` (1: RUNA, 2: RUNB).
+std::vector<uint8_t> DigitStream(uint64_t count,
+                                 const std::vector<uint8_t>& digits) {
+  std::vector<uint8_t> out;
+  AppendUint64(&out, count);
+  AppendUint32(&out, 32768);  // the dominant symbol
+  out.push_back(1);           // RUNA's code length
+  out.push_back(1);           // RUNB's
+  AppendUint32(&out, 0);      // no symbol entries
+  const size_t bytes = (digits.size() + 7) / 8;
+  out.push_back(static_cast<uint8_t>(bytes * 8 - digits.size()));
+  AppendUint64(&out, bytes);
+  std::vector<uint8_t> payload(bytes, 0);
+  for (size_t i = 0; i < digits.size(); ++i) {
+    if (digits[i] == 2) payload[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+  }
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+// The digits of a run of `length`, least significant first.
+std::vector<uint8_t> RunDigits(uint64_t length) {
+  std::vector<uint8_t> digits;
+  for (uint64_t v = length + 1; v > 1; v >>= 1) {
+    digits.push_back(static_cast<uint8_t>(1 + (v & 1)));
+  }
+  return digits;
+}
+
+// An 8^3 mgard archive whose one code section is `section`.
+std::vector<uint8_t> MgardWithCodes(const std::vector<uint8_t>& section) {
+  const Tensor data = GaussianRandomField3D(8, 8, 8, 3.0, 861);
+  const std::vector<uint8_t> archive =
+      MakeCompressor("mgard")->Compress(data, 0.05).value();
+  // The header (magic, rank, three dims), then the parameter block (eb,
+  // offset, levels), then the code section's length.
+  constexpr size_t kSectionAt = 4 + 4 + 3 * 8 + 8 + 8 + 1;
+  std::vector<uint8_t> forged(archive.begin(), archive.begin() + kSectionAt);
+  AppendUint64(&forged, section.size());
+  forged.insert(forged.end(), section.begin(), section.end());
+  return forged;
+}
+
+TEST(RunCodedSectionTest, ForgedRunsFailBeforeAnyUnboundedAllocation) {
+  const auto mgard = MakeCompressor("mgard");
+  constexpr uint64_t kElements = 512;
+  // The archive of a valid digit stream decodes.
+  {
+    const std::vector<uint8_t> ok = MgardWithCodes(
+        DigitStream(kElements, RunDigits(kElements)));
+    Tensor out;
+    ASSERT_TRUE(mgard->Decompress(ok.data(), ok.size(), &out).ok());
+  }
+  std::vector<uint8_t> huge(64, 2);
+  const std::pair<std::string, std::vector<uint8_t>> cases[] = {
+      // The stream ends inside its last run: 511 of 512 codes.
+      {"huffman: truncated code stream",
+       DigitStream(kElements, RunDigits(kElements - 1))},
+      // The run's digits add up to one code past the element count.
+      {"huffman: run past symbol count",
+       DigitStream(kElements, RunDigits(kElements + 1))},
+      // 64 RUNB digits: a run of 2^65 - 2 codes.
+      {"huffman: run past symbol count", DigitStream(kElements, huge)},
+      // Counts other than the tensor's, one no memory could hold among
+      // them.
+      {"huffman: implausible symbol count",
+       DigitStream(kElements + 1, RunDigits(kElements + 1))},
+      {"huffman: implausible symbol count",
+       DigitStream(kElements - 1, RunDigits(kElements - 1))},
+      {"huffman: implausible symbol count",
+       DigitStream(uint64_t{1} << 40, huge)},
+  };
+  for (const auto& [message, section] : cases) {
+    const std::vector<uint8_t> bytes = MgardWithCodes(section);
+    Tensor out = Sentinel();
+    const Status st = mgard->Decompress(bytes.data(), bytes.size(), &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << message;
+    EXPECT_EQ(st.message(), message);
+    EXPECT_TRUE(out.SameAs(Sentinel())) << message;
+  }
+}
+
+TEST(RunCodedSectionTest, ArchivesOfThePreviousFormatNameTheirCodec) {
+  const Tensor data = GaussianRandomField3D(8, 8, 8, 3.0, 862);
+  // The magics written before code sections were run-coded.
+  const std::pair<std::string, uint32_t> old[] = {
+      {"sz", 0x535A4C32}, {"sz3", 0x535A3331}, {"mgard", 0x4D475231}};
+  for (const auto& [codec, magic] : old) {
+    const auto comp = MakeCompressor(codec);
+    std::vector<uint8_t> bytes = comp->Compress(data, 0.05).value();
+    for (int i = 0; i < 4; ++i) {
+      bytes[static_cast<size_t>(i)] = static_cast<uint8_t>(magic >> (8 * i));
+    }
+    Tensor out = Sentinel();
+    const Status st = comp->Decompress(bytes.data(), bytes.size(), &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << codec;
+    EXPECT_EQ(st.message(), codec + ": bad magic");
+    EXPECT_TRUE(out.SameAs(Sentinel())) << codec;
   }
 }
 

@@ -217,7 +217,9 @@ TEST_F(FxrzModelTest, EstimatesMatchPinnedPointEstimates) {
   // EstimateWithConfidence's config, and RefineConfig's correction, are
   // the values the former point query (Predict, then clamp) produced,
   // pinned from it bit for bit: the forest's per-tree mean sums the trees
-  // in Predict's order.
+  // in Predict's order. sz's pins were re-recorded from the same query
+  // when its code sections became run-coded, which moved the ratios it
+  // trains on.
   struct Pin {
     const char* codec;
     std::vector<std::pair<double, double>> estimates;  // (target, config)
@@ -225,10 +227,10 @@ TEST_F(FxrzModelTest, EstimatesMatchPinnedPointEstimates) {
   };
   const Pin pins[] = {
       {"sz",
-       {{5.0, 0.071769761112958116},
-        {20.0, 1.1596670802773528},
-        {80.0, 2.2265027298765547}},
-       0.79853947806963632},
+       {{5.0, 0.054422802897238554},
+        {20.0, 0.8715024240226531},
+        {80.0, 2.2259572666153797}},
+       0.5976178661753303},
       {"zfp", {{4.0, 0.20398009542703577}, {16.0, 2.0381524482759934}},
        2.0381524482759934},
       {"fpzip", {{2.0, 18.0}, {4.0, 10.0}}, 4.0},

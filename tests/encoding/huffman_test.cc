@@ -138,8 +138,8 @@ TEST(HuffmanTest, LongCodesBeyondTableBits) {
 }
 
 TEST(HuffmanTest, DominantSymbolRunFastPath) {
-  // Long runs of the most frequent symbol exercise the run-of-4 fast path;
-  // interleaved rare symbols check it re-synchronizes correctly.
+  // Long runs of the most frequent symbol, which the decoder once took
+  // through a trailing-zeros fast path, between rare symbols.
   Rng rng(8);
   std::vector<uint32_t> symbols;
   for (int seg = 0; seg < 200; ++seg) {
@@ -455,6 +455,224 @@ TEST(HuffmanMultiRangeTest, BitFlipsInFirstMiddleAndLastRange) {
       ExpectSameAsOneRange(mutated, "range " + std::to_string(k) + ", bit " +
                                         std::to_string(bit));
     }
+  }
+}
+
+// ------------------------------------------------------ run-coded streams
+
+std::vector<uint32_t> ToVector(const OverwriteVector<uint32_t>& v) {
+  return std::vector<uint32_t>(v.begin(), v.end());
+}
+
+// The run-coded stream of `symbols`, checked to be written the same with
+// every worker parked and to decode back with the default ranges and in
+// `ranges` ranges, none of which falls back.
+std::vector<uint8_t> RunsRoundTrip(const std::vector<uint32_t>& symbols,
+                                   std::initializer_list<size_t> ranges = {
+                                       1, 2, 3, 7}) {
+  const std::vector<uint8_t> enc = HuffmanEncodeRuns(symbols);
+  std::vector<uint8_t> parked;
+  WithWorkersParked([&] { parked = HuffmanEncodeRuns(symbols); });
+  EXPECT_EQ(parked, enc);
+  OverwriteVector<uint32_t> dec;
+  const Status st =
+      HuffmanDecodeRuns(enc.data(), enc.size(), 0, symbols.size(), &dec);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(ToVector(dec), symbols);
+  for (const size_t k : ranges) {
+    std::vector<uint32_t> in_ranges;
+    const Status rst = huffman_internal::DecodeRunsInRanges(
+        enc.data(), enc.size(), 0, symbols.size(), k, &in_ranges);
+    EXPECT_TRUE(rst.ok()) << k << " ranges: " << rst.ToString();
+    EXPECT_EQ(in_ranges, symbols) << k << " ranges";
+  }
+  return enc;
+}
+
+// HuffmanDecodeRuns must return what the one-range decode returns, Status
+// and symbols, with the pool free and with every worker parked.
+void ExpectRunsSameAsOneRange(const std::vector<uint8_t>& enc,
+                              uint64_t max_symbols, const std::string& what) {
+  std::vector<uint32_t> one;
+  OverwriteVector<uint32_t> free_pool, parked;
+  const Status want = huffman_internal::DecodeRunsInRanges(
+      enc.data(), enc.size(), 0, max_symbols, 1, &one);
+  const Status got_free =
+      HuffmanDecodeRuns(enc.data(), enc.size(), 0, max_symbols, &free_pool);
+  Status got_parked;
+  WithWorkersParked([&] {
+    got_parked =
+        HuffmanDecodeRuns(enc.data(), enc.size(), 0, max_symbols, &parked);
+  });
+  EXPECT_EQ(got_free.ToString(), want.ToString()) << what;
+  EXPECT_EQ(got_parked.ToString(), want.ToString()) << what << " (parked)";
+  EXPECT_EQ(ToVector(free_pool), one) << what;
+  EXPECT_EQ(ToVector(parked), one) << what << " (parked)";
+  if (!want.ok()) {
+    EXPECT_TRUE(one.empty()) << what;
+  }
+}
+
+TEST(HuffmanRunsTest, EmptyStreamIsItsCount) {
+  EXPECT_EQ(RunsRoundTrip({}).size(), 8u);
+}
+
+TEST(HuffmanRunsTest, OneSymbolThroughoutIsOneRun) {
+  // 2^17 + 5 copies: one run of 18 digits, and no symbol entries.
+  const std::vector<uint32_t> symbols((size_t{1} << 17) + 5, 32768);
+  const std::vector<uint8_t> enc = RunsRoundTrip(symbols, {1, 2, 5, 64});
+  EXPECT_LE(enc.size(), 8u + 4 + 2 + 4 + 1 + 8 + 3);
+}
+
+TEST(HuffmanRunsTest, DominantSymbolThatNeverRepeats) {
+  // Every other symbol is the dominant one, so every run is one long.
+  std::vector<uint32_t> symbols(100001);
+  Rng rng(901);
+  for (size_t i = 0; i < symbols.size(); ++i) {
+    symbols[i] = i % 2 == 0 ? 32768
+                            : static_cast<uint32_t>(rng.NextBelow(32768));
+  }
+  RunsRoundTrip(symbols);
+}
+
+TEST(HuffmanRunsTest, RunLengthsOneToSeventy) {
+  std::vector<uint32_t> symbols;
+  for (size_t length = 1; length <= 70; ++length) {
+    symbols.insert(symbols.end(), length, 7);
+    symbols.push_back(length % 2 == 0 ? 3 : 11);
+  }
+  RunsRoundTrip(symbols, {1, 2, 3, 7, 64});
+}
+
+TEST(HuffmanRunsTest, RunLengthsAroundPowersOfTwo) {
+  // One run and one other symbol: the stream is a few digits long, and the
+  // decode writes the whole run from them.
+  for (size_t k = 1; k <= 24; ++k) {
+    for (const size_t length :
+         {(size_t{1} << k) - 1, size_t{1} << k, (size_t{1} << k) + 1}) {
+      std::vector<uint32_t> symbols(length + 1, 4);
+      symbols.back() = 9;
+      const std::vector<uint8_t> enc = HuffmanEncodeRuns(symbols);
+      EXPECT_LE(enc.size(), 8u + 4 + 2 + 4 + 5 + 1 + 8 + 5) << length;
+      OverwriteVector<uint32_t> dec;
+      ASSERT_TRUE(
+          HuffmanDecodeRuns(enc.data(), enc.size(), 0, symbols.size(), &dec)
+              .ok())
+          << length;
+      ASSERT_EQ(dec.size(), symbols.size()) << length;
+      EXPECT_TRUE(std::equal(dec.begin(), dec.end(), symbols.begin()))
+          << length;
+    }
+  }
+}
+
+TEST(HuffmanRunsTest, RunsAtEveryEncodeRangeBoundary) {
+  // Encode ranges hold 2^16 symbols. Runs of length 2 fill the stream
+  // between single other symbols; at each range boundary b one run ends
+  // at b, starts at b, straddles b, or covers the whole range after b and
+  // a little more (so the next boundary too), each shape at every boundary
+  // in turn, at 2, 3 and 6 ranges.
+  constexpr size_t kRange = size_t{1} << 16;
+  constexpr uint32_t kDom = 2;
+  for (const size_t ranges : {size_t{2}, size_t{3}, size_t{6}}) {
+    for (size_t shift = 0; shift < 4; ++shift) {
+      const size_t n = (ranges - 1) * kRange + 777;
+      std::vector<uint32_t> symbols(n, kDom);
+      for (size_t i = 0; i < n; i += 3) {
+        symbols[i] = 10 + static_cast<uint32_t>((i / 3) % 5);
+      }
+      auto run = [&](size_t from, size_t to) {
+        std::fill(symbols.begin() + static_cast<long>(from),
+                  symbols.begin() + static_cast<long>(std::min(to, n)),
+                  kDom);
+        if (from > 0) symbols[from - 1] = 1;
+        if (to < n) symbols[to] = 1;
+      };
+      for (size_t r = 1; r < ranges; ++r) {
+        const size_t b = r * kRange;
+        switch ((r + shift) % 4) {
+          case 0: run(b - 50, b); break;
+          case 1: run(b, b + 50); break;
+          case 2: run(b - 25, b + 25); break;
+          default:
+            run(b - 1, b + kRange + 10);
+            ++r;  // the run straddles the next boundary too
+            break;
+        }
+      }
+      RunsRoundTrip(symbols, {1, 2, 3, 17});
+    }
+  }
+}
+
+// Runs of up to 2^8 codes between single wide symbols: most codewords are
+// digits, so the decode's range boundaries fall inside runs.
+std::vector<uint32_t> DigitHeavySymbols(size_t runs, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> symbols;
+  for (size_t i = 0; i < runs; ++i) {
+    symbols.insert(symbols.end(), 1 + rng.NextBelow(256), 32768);
+    symbols.push_back(static_cast<uint32_t>(rng.NextBelow(4096)));
+  }
+  return symbols;
+}
+
+TEST(HuffmanRunsTest, RunsAcrossEveryDecodeRangeBoundary) {
+  std::vector<uint32_t> symbols = DigitHeavySymbols(6000, 911);
+  // End on a long run, so the last range a run reaches holds the stream's
+  // end and its padding.
+  symbols.insert(symbols.end(), 100000, 32768);
+  const std::vector<uint8_t> enc =
+      RunsRoundTrip(symbols, {1, 2, 3, 7, 17, 64, 257});
+  EXPECT_LT(enc.size(), symbols.size() / 8);
+  ExpectRunsSameAsOneRange(enc, symbols.size(), "digit-heavy stream");
+}
+
+TEST(HuffmanRunsTest, DominantSymbolIsTheLargest) {
+  for (const uint32_t dom : {uint32_t{65535}, ~uint32_t{0}}) {
+    std::vector<uint32_t> symbols = DigitHeavySymbols(3000, 913);
+    for (uint32_t& s : symbols) {
+      if (s == 32768) s = dom;
+    }
+    RunsRoundTrip(symbols, {1, 2, 7, 64});
+  }
+}
+
+TEST(HuffmanRunsTest, BoundsOnTheSymbolCount) {
+  const std::vector<uint32_t> symbols(1000, 5);
+  const std::vector<uint8_t> enc = HuffmanEncodeRuns(symbols);
+  OverwriteVector<uint32_t> dec;
+  EXPECT_TRUE(
+      HuffmanDecodeRuns(enc.data(), enc.size(), 1000, 1000, &dec).ok());
+  for (const auto& [lo, hi] : {std::pair<uint64_t, uint64_t>{0, 999},
+                               {1001, 5000}}) {
+    const Status st = HuffmanDecodeRuns(enc.data(), enc.size(), lo, hi, &dec);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption);
+    EXPECT_EQ(st.message(), "huffman: implausible symbol count");
+    EXPECT_TRUE(dec.empty());
+  }
+  // An empty stream meets only a lower bound of 0.
+  const std::vector<uint8_t> empty = HuffmanEncodeRuns({});
+  EXPECT_TRUE(HuffmanDecodeRuns(empty.data(), empty.size(), 0, 9, &dec).ok());
+  EXPECT_FALSE(HuffmanDecodeRuns(empty.data(), empty.size(), 1, 9, &dec).ok());
+}
+
+TEST(HuffmanRunsTest, CutsAndBitFlipsMatchTheOneRangeDecode) {
+  const std::vector<uint32_t> symbols = DigitHeavySymbols(6000, 917);
+  const std::vector<uint8_t> enc = HuffmanEncodeRuns(symbols);
+  for (size_t len = 0; len < enc.size(); len += 1 + len / 16) {
+    const std::vector<uint8_t> cut(enc.begin(),
+                                   enc.begin() + static_cast<long>(len));
+    ExpectRunsSameAsOneRange(cut, symbols.size(),
+                             "cut at " + std::to_string(len));
+  }
+  Rng rng(918);
+  for (int trial = 0; trial < 48; ++trial) {
+    std::vector<uint8_t> mutated = enc;
+    const size_t bit = rng.NextBelow(mutated.size() * 8);
+    mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ExpectRunsSameAsOneRange(mutated, symbols.size(),
+                             "bit " + std::to_string(bit));
   }
 }
 

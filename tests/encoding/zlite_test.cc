@@ -142,7 +142,8 @@ size_t RangeStart(size_t n, size_t k, size_t r) {
   return n / k * r + std::min(r, n % k);
 }
 
-// The zlite input sz builds: the body of an archive.
+// The body of an sz archive (its sections, stored as they are): realistic
+// entropy-coded bytes.
 std::vector<uint8_t> SzBody(const Tensor& field, double rel_eb) {
   const std::vector<uint8_t> archive =
       MakeCompressor("sz")->Compress(field, rel_eb * ValueRange(field))
@@ -153,10 +154,8 @@ std::vector<uint8_t> SzBody(const Tensor& field, double rel_eb) {
                                                    archive.data()),
                                                &dims)
                   .ok());
-  std::vector<uint8_t> body;
-  EXPECT_TRUE(
-      ZliteDecompress(reader.cursor(), reader.remaining(), &body).ok());
-  return body;
+  return std::vector<uint8_t>(reader.cursor(),
+                              reader.cursor() + reader.remaining());
 }
 
 TEST(ZliteRangesTest, SzBodiesMatchTheOneRangeParse) {

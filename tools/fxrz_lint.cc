@@ -333,7 +333,9 @@ std::vector<std::string> SplitArgs(const std::string& s, size_t open,
   return args;
 }
 
-// Extracts the names of `const uint8_t*` parameters from a parameter list.
+// Extracts the names of `const uint8_t*` (or `uint8_t const*`) parameters
+// from a parameter list: the bytes a decoder reads. A `uint8_t*` without
+// const is an output the function writes, not untrusted input.
 std::vector<std::string> UntrustedByteParams(const std::string& params) {
   std::vector<std::string> names;
   for (const char* type : {"uint8_t", "unsigned char"}) {
@@ -343,8 +345,19 @@ std::vector<std::string> UntrustedByteParams(const std::string& params) {
       if (at > 0 && (IsIdent(params[at - 1]) || params[at - 1] == ':')) {
         continue;  // e.g. std::uint8_t matched at "uint8_t" -- allow below
       }
+      // `const` before the type, or between it and the '*'.
+      size_t before = at;
+      while (before > 0 &&
+             std::isspace(static_cast<unsigned char>(params[before - 1]))) {
+        --before;
+      }
+      bool is_const = before >= 5 && TokenAt(params, before - 5, "const");
       size_t i = SkipSpace(params, at + needle.size());
-      if (i >= params.size() || params[i] != '*') continue;
+      if (TokenAt(params, i, "const")) {
+        is_const = true;
+        i = SkipSpace(params, i + 5);
+      }
+      if (!is_const || i >= params.size() || params[i] != '*') continue;
       i = SkipSpace(params, i + 1);
       size_t end = i;
       while (end < params.size() && IsIdent(params[end])) ++end;
