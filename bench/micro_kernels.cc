@@ -8,9 +8,8 @@
 //     compress/decompress path, both entropy coders, and zlite over the
 //     body of an sz archive, at 64^3 and 256^3; reports GB/s of
 //     uncompressed data moved (for zlite, of its input body) as the best
-//     of 5 reps,
-//     timed round-robin across all rows of a grid so a slow phase of the
-//     host is spread over every row; optionally writes the
+//     of 5 reps, timed round-robin across all rows of a grid so a slow
+//     phase of the host is spread over every row; optionally writes the
 //     results as JSON (--json FILE) and gates them against a checked-in
 //     baseline (--gate FILE [--tolerance T]). The gate fails a kernel only
 //     when it drops below tolerance * baseline -- it exists to catch

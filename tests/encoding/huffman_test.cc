@@ -138,8 +138,7 @@ TEST(HuffmanTest, LongCodesBeyondTableBits) {
 }
 
 TEST(HuffmanTest, DominantSymbolRunFastPath) {
-  // Long runs of the most frequent symbol, which the decoder once took
-  // through a trailing-zeros fast path, between rare symbols.
+  // Long runs of the most frequent symbol between rare symbols.
   Rng rng(8);
   std::vector<uint32_t> symbols;
   for (int seg = 0; seg < 200; ++seg) {
