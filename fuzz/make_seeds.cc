@@ -14,6 +14,7 @@
 
 #include "src/compressors/chunked.h"
 #include "src/compressors/compressor.h"
+#include "src/compressors/zfp.h"
 #include "src/core/model.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
@@ -69,6 +70,20 @@ int main(int argc, char** argv) {
         fxrz::GaussianRandomField3D(64, 32, 32, 3.0, 44);
     ok &= WriteSeed(out_dir + "/fpzip", "two_segments.bin",
                     fxrz::MakeCompressor("fpzip")->Compress(field, 12).value());
+  }
+
+  {
+    // zfp cuts its blocks into segments of 128 and records each one's bit
+    // length; these 32^3 fields hold four, so the replay reaches the
+    // segment table and the parallel decode in both modes.
+    const fxrz::Tensor field =
+        fxrz::GaussianRandomField3D(32, 32, 32, 3.0, 48);
+    const fxrz::ZfpCompressor zfp;
+    ok &= WriteSeed(out_dir + "/zfp", "four_segments.bin",
+                    zfp.Compress(field, 1e-3 * fxrz::ValueRange(field))
+                        .value());
+    ok &= WriteSeed(out_dir + "/zfp", "four_segments_fixed_rate.bin",
+                    zfp.CompressFixedRate(field, 6.0).value());
   }
 
   {
@@ -133,10 +148,10 @@ int main(int argc, char** argv) {
     // most codewords are run digits and the decode's range boundaries fall
     // inside runs; the last run crosses the final encode range boundary.
     std::vector<uint32_t> runs;
-    fxrz::Rng rng(47);
+    fxrz::Rng runs_rng(47);
     while (runs.size() < 700000) {
-      runs.insert(runs.end(), 1 + rng.NextBelow(256), 32768);
-      runs.push_back(static_cast<uint32_t>(rng.NextBelow(4096)));
+      runs.insert(runs.end(), 1 + runs_rng.NextBelow(256), 32768);
+      runs.push_back(static_cast<uint32_t>(runs_rng.NextBelow(4096)));
     }
     runs.insert(runs.end(), 100000, 32768);
     ok &= WriteSeed(out_dir + "/huffman", "runs.bin",

@@ -1,6 +1,7 @@
 #include "src/compressors/fpzip.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -360,12 +361,41 @@ Status FpzipCompressor::DoDecompress(const uint8_t* data, size_t size,
   }
 
   // Entropy-decode the segments in parallel, each residual into its slot
-  // of `ordered` as the offset it adds to the truncated prediction. Every
-  // slot is written by its segment's decode, and every output element by
-  // the final conversion, so neither is zeroed first: their pages are
-  // first touched by the parallel passes.
+  // of `ordered` as the offset it adds to the truncated prediction, and
+  // chain the Lorenzo reconstruction behind them: segment s reconstructs
+  // in place, in raster order, once its own decode and segment s - 1's
+  // reconstruction are both done, run by whichever of the two finishes
+  // last, so no thread waits. Each point's offset becomes its value once
+  // its backward neighbors are final (arithmetic modulo 2^32, exact for a
+  // valid stream), and its float goes to the output as it is made. Every
+  // slot and every output element is written before it is read, so
+  // neither is zeroed first. A failed segment never releases its
+  // successor, so the chain stops there.
   Tensor result = Tensor::ForOverwrite(dims);
   OverwriteVector<uint32_t> ordered(result.size());
+  const uint32_t mask = Truncate(0xFFFFFFFFu, p);
+  // lock-free: per-segment countdown of the two events above (one for
+  // segment 0); the acq_rel decrements chain the writes of both to the
+  // thread that reconstructs the segment.
+  std::vector<std::atomic<uint8_t>> pending(segments);
+  for (size_t s = 0; s < segments; ++s) {
+    pending[s].store(s == 0 ? 1 : 2, std::memory_order_relaxed);
+  }
+  auto release = [&](size_t s) {
+    for (; s < segments &&
+           pending[s].fetch_sub(1, std::memory_order_acq_rel) == 1;
+         ++s) {
+      ForEachLorenzoPoint(
+          ordered.data(), lay, SegmentPlane(lay, segments, s),
+          SegmentPlane(lay, segments, s + 1), [&](size_t i, int64_t pred) {
+            const uint32_t v =
+                ordered[i] + (static_cast<uint32_t>(pred) & mask);
+            ordered[i] = v;
+            result[i] = OrderedToFloat(v);
+            return v;
+          });
+    }
+  };
   std::vector<Status> segment_status(segments);
   ParallelFor(
       SharedThreadPool(), 0, segments,
@@ -385,27 +415,12 @@ Status FpzipCompressor::DoDecompress(const uint8_t* data, size_t size,
         }
         if (dec.overrun() || bits.overrun()) {
           segment_status[s] = Status::Corruption("fpzip: bad residual stream");
+          return;
         }
+        release(s);
       },
       1);
   for (const Status& st : segment_status) FXRZ_RETURN_IF_ERROR(st);
-
-  // Reconstruct in place in raster order: each point's offset becomes its
-  // value once its backward neighbors are final. Arithmetic is modulo
-  // 2^32, which for a valid stream is exact.
-  const uint32_t mask = Truncate(0xFFFFFFFFu, p);
-  ForEachLorenzoPoint(ordered.data(), lay, 0, lay.planes(),
-                      [&](size_t i, int64_t pred) {
-                        ordered[i] += static_cast<uint32_t>(pred) & mask;
-                        return ordered[i];
-                      });
-
-  ParallelForBlocked(
-      SharedThreadPool(), 0, result.size(),
-      [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) result[i] = OrderedToFloat(ordered[i]);
-      },
-      size_t{1} << 16);
   *out = std::move(result);
   return Status::Ok();
 }

@@ -18,10 +18,13 @@
 // stays global -- a segment's first plane still predicts from the plane
 // before it -- so only the models' warm-up costs ratio. The prediction
 // reads only the truncated input, so the segments encode in parallel on
-// the shared pool; decoding entropy-decodes them in parallel and then runs
-// the Lorenzo reconstruction in one serial pass in place. The segment
-// count is a function of the shape alone, so the archive bytes are the
-// same on any host at any thread count.
+// the shared pool. Decoding entropy-decodes them in parallel and chains
+// the Lorenzo reconstruction behind them: a segment reconstructs its
+// planes, and converts them to floats, as soon as its own decode and the
+// previous segment's reconstruction are both done, run by whichever of
+// the two finishes last. The segment count is a function of the shape
+// alone, so the archive bytes are the same on any host at any thread
+// count.
 //
 // Archive ("FPZ2"): the codec header, the precision byte, a u32 segment
 // count, then per segment a length-prefixed class stream and a

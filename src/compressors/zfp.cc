@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/encoding/bit_stream.h"
 #include "src/encoding/negabinary.h"
+#include "src/util/byte_reader.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
@@ -15,7 +18,8 @@ namespace fxrz {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x5A465031;  // "ZFP1"
+constexpr uint32_t kMagic = 0x5A465032;             // "ZFP2"
+constexpr uint32_t kUnsegmentedMagic = 0x5A465031;  // "ZFP1"
 constexpr int kFixedPointBits = 26;      // q: value scale 2^q within a block
 constexpr int kTotalPlanes = 32;         // bitplanes kept per coefficient
 // Inverse-transform error growth safety margin (log2). The ZFP lifting gains
@@ -132,6 +136,9 @@ struct BlockLayout {
   size_t blocks[3] = {1, 1, 1};
   size_t slice_elems = 1;
   size_t block_elems = 1;     // 4^nd
+
+  size_t slice_blocks() const { return blocks[0] * blocks[1] * blocks[2]; }
+  size_t total_blocks() const { return num_slices * slice_blocks(); }
 };
 
 BlockLayout MakeBlockLayout(const std::vector<size_t>& dims) {
@@ -368,24 +375,68 @@ size_t DecodePlanes(BitReader* br, uint64_t* coeffs, size_t n, int min_plane,
 
 enum class Mode : uint8_t { kFixedAccuracy = 0, kFixedRate = 1 };
 
-// Parallel work units of the block loop: contiguous runs of the flat block
-// index (slice, bz, by, bx). A fixed multiple of the pool size balances
-// blocks of uneven cost across workers, and a range spans at least
-// kMinRangeBlocks blocks, so a small tensor does not pay more to dispatch a
-// range than to code it. The archive bytes do not depend on the split.
-constexpr size_t kRangesPerThread = 8;
-constexpr size_t kMinRangeBlocks = 64;
+// The flat block index (slice, bz, by, bx) is cut into contiguous
+// segments, about one per kSegmentBlocks blocks and at most kMaxSegments.
+// Their number depends only on the shape: compression encodes them in
+// parallel, the archive records each one's bit length, and decompression
+// decodes them in parallel from those offsets, so the archive bytes do not
+// depend on the host's thread count.
+constexpr size_t kSegmentBlocks = 128;
+constexpr size_t kMaxSegments = 256;
 
-// Codes the block at (bz, by, bx) of `slice` into `bw`. Returns false,
-// having written nothing, when the block holds a NaN or Inf. `budget` is
-// the fixed-rate bits per block (unused in fixed-accuracy mode).
-bool EncodeBlock(const float* slice, const BlockLayout& lay,
-                 const std::vector<size_t>& order, size_t bz, size_t by,
-                 size_t bx, Mode mode, double eb, int64_t budget,
-                 BitWriter* bw) {
+size_t SegmentCount(const BlockLayout& lay) {
+  return std::clamp<size_t>(lay.total_blocks() / kSegmentBlocks, 1,
+                            kMaxSegments);
+}
+
+// First block of segment `s` of `segments` (s == segments gives the end).
+size_t SegmentBlock(const BlockLayout& lay, size_t segments, size_t s) {
+  return s * lay.total_blocks() / segments;
+}
+
+// Block coordinates of flat block index `b`.
+struct BlockPos {
+  size_t slice, bz, by, bx;
+};
+
+BlockPos BlockAt(const BlockLayout& lay, size_t b) {
+  const size_t in_slice = b % lay.slice_blocks();
+  return {b / lay.slice_blocks(), in_slice / (lay.blocks[2] * lay.blocks[1]),
+          in_slice / lay.blocks[2] % lay.blocks[1], in_slice % lay.blocks[2]};
+}
+
+// Per-block bit budget in fixed-rate mode (-1 in fixed-accuracy mode).
+int64_t BlockBudget(Mode mode, double bits_per_value, const BlockLayout& lay) {
+  if (mode != Mode::kFixedRate) return -1;
+  return std::max<int64_t>(
+      16, static_cast<int64_t>(std::ceil(
+              bits_per_value * static_cast<double>(lay.block_elems))));
+}
+
+// Lowest bitplane a fixed-accuracy block with common exponent `exponent`
+// keeps. Truncation below min_plane contributes error
+// < 2^(min_plane+1) * 2^(e-q) per coefficient; the inverse transform can
+// grow it by at most 2^kGuardBits.
+int MinPlane(int exponent, double eb) {
+  const double unit = std::ldexp(1.0, exponent - kFixedPointBits);
+  int min_plane = 0;
+  while (min_plane < kTotalPlanes &&
+         std::ldexp(unit, min_plane + 1 + kGuardBits) <= eb) {
+    ++min_plane;
+  }
+  return min_plane;
+}
+
+// Codes the block at `pos` of `data` into `bw`. Returns false, having
+// written nothing, when the block holds a NaN or Inf. `budget` is the
+// fixed-rate bits per block (unused in fixed-accuracy mode).
+bool EncodeBlock(const float* data, const BlockLayout& lay,
+                 const std::vector<size_t>& order, const BlockPos& pos,
+                 Mode mode, double eb, int64_t budget, BitWriter* bw) {
   float block[64];
   uint64_t coeffs[64];
-  GatherBlock(slice, lay, bz, by, bx, block);
+  GatherBlock(data + pos.slice * lay.slice_elems, lay, pos.bz, pos.by, pos.bx,
+              block);
   const float maxabs = MaxAbs(block, lay.block_elems);
   if (!std::isfinite(maxabs)) return false;
   const bool nonzero = maxabs != 0.0f;
@@ -399,16 +450,7 @@ bool EncodeBlock(const float* slice, const BlockLayout& lay,
     }
     bw->WriteBit(1);
     bw->WriteBits(static_cast<uint64_t>(exponent + 1024), 12);
-    // Truncation below min_plane contributes error
-    // < 2^(min_plane+1) * 2^(e-q) per coefficient; the inverse transform
-    // can grow it by at most 2^kGuardBits.
-    const double unit = std::ldexp(1.0, exponent - kFixedPointBits);
-    int min_plane = 0;
-    while (min_plane < kTotalPlanes &&
-           std::ldexp(unit, min_plane + 1 + kGuardBits) <= eb) {
-      ++min_plane;
-    }
-    EncodePlanes(bw, coeffs, lay.block_elems, min_plane, -1);
+    EncodePlanes(bw, coeffs, lay.block_elems, MinPlane(exponent, eb), -1);
     return true;
   }
   // Fixed rate: every block spends exactly `budget` bits, including the
@@ -430,57 +472,77 @@ bool EncodeBlock(const float* slice, const BlockLayout& lay,
   return true;
 }
 
-// Blocks are coded independently, so contiguous ranges of them encode in
-// parallel into their own writers. A prefix sum of the ranges' bit counts
-// gives each its offset in the payload, and the ranges' bits are spliced
-// there in parallel: the payload is bit for bit the one a single writer
-// walking the blocks in order would produce.
+// Mirror of EncodeBlock: reads one block from `br` and writes its 4^nd
+// values, x fastest, to `block`.
+void DecodeBlock(BitReader* br, const BlockLayout& lay,
+                 const std::vector<size_t>& order, Mode mode, double eb,
+                 int64_t budget, float* block) {
+  uint64_t coeffs[64];
+  size_t used = 1;
+  if (!br->ReadBit()) {
+    for (size_t i = 0; i < lay.block_elems; ++i) block[i] = 0.0f;
+  } else {
+    const int exponent = static_cast<int>(br->ReadBits(12)) - 1024;
+    used += 12;
+    const int min_plane =
+        mode == Mode::kFixedAccuracy ? MinPlane(exponent, eb) : 0;
+    used += DecodePlanes(
+        br, coeffs, lay.block_elems, min_plane,
+        mode == Mode::kFixedRate ? budget - static_cast<int64_t>(used) : -1);
+    InverseBlock(coeffs, lay, order, exponent, block);
+  }
+  if (mode == Mode::kFixedRate && used < static_cast<size_t>(budget)) {
+    br->Advance(static_cast<size_t>(budget) - used);  // the block's padding
+  }
+}
+
+// The segment table: a u8 holding the segment count less one, a u8 bit
+// width w, then every segment's bit length in w bits, packed LSB first
+// and zero-padded to a whole byte. w is the width of the longest length.
+void AppendSegmentTable(const std::vector<size_t>& lengths,
+                        std::vector<uint8_t>* out) {
+  const size_t width = std::bit_width(
+      *std::max_element(lengths.begin(), lengths.end()));
+  out->push_back(static_cast<uint8_t>(lengths.size() - 1));
+  out->push_back(static_cast<uint8_t>(width));
+  BitWriter packed;
+  for (const size_t length : lengths) packed.WriteBits(length, width);
+  const std::vector<uint8_t> bytes = std::move(packed).Take();
+  out->insert(out->end(), bytes.begin(), bytes.end());
+}
+
+// The segments encode in parallel into their own writers, and their bits
+// are spliced into the payload at offsets from a prefix sum of their bit
+// counts: the payload is bit for bit the one a single writer walking the
+// blocks in order would produce.
 StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
                                             double eb, double bits_per_value) {
   FXRZ_CHECK(!data.empty());
   const BlockLayout lay = MakeBlockLayout(data.dims());
   const std::vector<size_t> order = CoefficientOrder(lay.nd);
+  const int64_t budget = BlockBudget(mode, bits_per_value, lay);
 
-  // Per-block bit budget in fixed-rate mode.
-  const int64_t budget =
-      mode == Mode::kFixedRate
-          ? std::max<int64_t>(
-                16, static_cast<int64_t>(
-                        std::ceil(bits_per_value *
-                                  static_cast<double>(lay.block_elems))))
-          : -1;
-
-  ThreadPool* pool = SharedThreadPool();
-  const size_t slice_blocks = lay.blocks[0] * lay.blocks[1] * lay.blocks[2];
-  const size_t total_blocks = lay.num_slices * slice_blocks;
-  const size_t ranges = std::clamp<size_t>(
-      total_blocks / kMinRangeBlocks, 1, kRangesPerThread * pool->num_threads());
-  std::vector<std::vector<uint8_t>> range_bytes(ranges);
-  std::vector<size_t> range_bits(ranges, 0);
-  // lock-free: set once by the first range that meets a non-finite block;
-  // the others poll it between blocks only to stop early.
+  const size_t segments = SegmentCount(lay);
+  std::vector<std::vector<uint8_t>> segment_bytes(segments);
+  std::vector<size_t> segment_bits(segments, 0);
+  // lock-free: set once by the first segment that meets a non-finite
+  // block; the others poll it between blocks only to stop early.
   std::atomic<bool> nonfinite{false};
   ParallelFor(
-      pool, 0, ranges,
-      [&](size_t r) {
+      SharedThreadPool(), 0, segments,
+      [&](size_t s) {
         BitWriter bw;
-        const size_t lo = r * total_blocks / ranges;
-        const size_t hi = (r + 1) * total_blocks / ranges;
-        for (size_t b = lo; b < hi; ++b) {
+        const size_t hi = SegmentBlock(lay, segments, s + 1);
+        for (size_t b = SegmentBlock(lay, segments, s); b < hi; ++b) {
           if (nonfinite.load(std::memory_order_relaxed)) return;
-          const size_t s = b / slice_blocks;
-          const size_t in_slice = b % slice_blocks;
-          const size_t bx = in_slice % lay.blocks[2];
-          const size_t by = in_slice / lay.blocks[2] % lay.blocks[1];
-          const size_t bz = in_slice / (lay.blocks[2] * lay.blocks[1]);
-          if (!EncodeBlock(data.data() + s * lay.slice_elems, lay, order, bz,
-                           by, bx, mode, eb, budget, &bw)) {
+          if (!EncodeBlock(data.data(), lay, order, BlockAt(lay, b), mode, eb,
+                           budget, &bw)) {
             nonfinite.store(true, std::memory_order_relaxed);
             return;
           }
         }
-        range_bits[r] = bw.bit_count();
-        range_bytes[r] = std::move(bw).Take();
+        segment_bits[s] = bw.bit_count();
+        segment_bytes[s] = std::move(bw).Take();
       },
       1);
   if (nonfinite.load()) {
@@ -491,11 +553,12 @@ StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
   compressor_internal::AppendHeader(&out, kMagic, data);
   out.push_back(static_cast<uint8_t>(mode));
   AppendDouble(&out, mode == Mode::kFixedAccuracy ? eb : bits_per_value);
+  AppendSegmentTable(segment_bits, &out);
   AppendBitRanges(
-      range_bits,
-      [&](size_t r, RangeBitWriter* w) {
-        w->WriteStream(range_bytes[r].data(), range_bits[r]);
-        std::vector<uint8_t>().swap(range_bytes[r]);  // its bits are copied
+      segment_bits,
+      [&](size_t s, RangeBitWriter* w) {
+        w->WriteStream(segment_bytes[s].data(), segment_bits[s]);
+        std::vector<uint8_t>().swap(segment_bytes[s]);  // its bits are copied
       },
       &out);
   return out;
@@ -505,7 +568,7 @@ StatusOr<std::vector<uint8_t>> CompressImpl(const Tensor& data, Mode mode,
 
 ConfigSpace ZfpCompressor::config_space(double value_range) const {
   ConfigSpace space = compressor_internal::ErrorBoundSpace(value_range);
-  space.power_of_two_steps = true;  // see min_plane in CompressImpl
+  space.power_of_two_steps = true;  // see MinPlane
   return space;
 }
 
@@ -529,16 +592,22 @@ StatusOr<std::vector<uint8_t>> ZfpCompressor::CompressFixedRate(
 
 Status ZfpCompressor::DoDecompress(const uint8_t* data, size_t size,
                                    Tensor* out) const {
+  uint32_t magic = 0;
+  if (ByteReader(data, size).ReadU32(&magic) && magic == kUnsegmentedMagic) {
+    return Status::Corruption(
+        "zfp: ZFP1 archive; the unsegmented format is no longer decoded, "
+        "re-compress the source field");
+  }
   ByteReader reader(data, size);
   std::vector<size_t> dims;
   FXRZ_RETURN_IF_ERROR(
       compressor_internal::ParseHeader(&reader, kMagic, &dims));
   uint8_t mode_byte = 0;
   double param = 0.0;
-  const uint8_t* payload = nullptr;
-  size_t payload_size = 0;
+  uint8_t stored_segments = 0;
+  uint8_t width = 0;
   if (!reader.ReadU8(&mode_byte) || !reader.ReadF64(&param) ||
-      !reader.ReadLengthPrefixed(&payload, &payload_size)) {
+      !reader.ReadU8(&stored_segments) || !reader.ReadU8(&width)) {
     return Status::Corruption("zfp: short header");
   }
   const Mode mode = static_cast<Mode>(mode_byte);
@@ -552,60 +621,90 @@ Status ZfpCompressor::DoDecompress(const uint8_t* data, size_t size,
       (mode == Mode::kFixedRate && param > 64.0)) {
     return Status::Corruption("zfp: bad parameter");
   }
-
-  // Every block stores each of its in-range points.
-  Tensor result = Tensor::ForOverwrite(dims);
   const BlockLayout lay = MakeBlockLayout(dims);
-  const std::vector<size_t> order = CoefficientOrder(lay.nd);
-  const int64_t budget =
-      mode == Mode::kFixedRate
-          ? std::max<int64_t>(
-                16, static_cast<int64_t>(
-                        std::ceil(param * static_cast<double>(lay.block_elems))))
-          : -1;
+  const size_t segments = SegmentCount(lay);
+  if (size_t{stored_segments} + 1 != segments) {
+    return Status::Corruption(
+        "zfp: " + std::to_string(size_t{stored_segments} + 1) +
+        " segments where the shape implies " + std::to_string(segments));
+  }
+  const uint8_t* table = nullptr;
+  const size_t table_bytes = (segments * width + 7) / 8;
+  if (width > 64 || !reader.ReadSpan(table_bytes, &table)) {
+    return Status::Corruption("zfp: bad segment table");
+  }
+  uint64_t lengths[kMaxSegments];
+  BitReader table_bits(table, table_bytes);
+  for (size_t s = 0; s < segments; ++s) {
+    lengths[s] = table_bits.ReadBits(width);
+  }
+  const uint8_t* payload = nullptr;
+  size_t payload_size = 0;
+  if (!reader.ReadLengthPrefixed(&payload, &payload_size)) {
+    return Status::Corruption("zfp: truncated payload");
+  }
 
-  BitReader br(payload, payload_size);
-  float block[64];
-  uint64_t coeffs[64];
-  for (size_t s = 0; s < lay.num_slices; ++s) {
-    float* slice = result.data() + s * lay.slice_elems;
-    for (size_t bz = 0; bz < lay.blocks[0]; ++bz) {
-      for (size_t by = 0; by < lay.blocks[1]; ++by) {
-        for (size_t bx = 0; bx < lay.blocks[2]; ++bx) {
-          if (br.overrun()) return Status::Corruption("zfp: stream overrun");
-          size_t used = 0;
-          const uint32_t nonzero = br.ReadBit();
-          ++used;
-          if (!nonzero) {
-            for (size_t i = 0; i < lay.block_elems; ++i) block[i] = 0.0f;
-          } else {
-            const int exponent = static_cast<int>(br.ReadBits(12)) - 1024;
-            used += 12;
-            int min_plane = 0;
-            if (mode == Mode::kFixedAccuracy) {
-              const double unit = std::ldexp(1.0, exponent - kFixedPointBits);
-              while (min_plane < kTotalPlanes &&
-                     std::ldexp(unit, min_plane + 1 + kGuardBits) <= param) {
-                ++min_plane;
-              }
-            }
-            used += DecodePlanes(&br, coeffs, lay.block_elems, min_plane,
-                                 mode == Mode::kFixedRate
-                                     ? budget - static_cast<int64_t>(used)
-                                     : -1);
-            InverseBlock(coeffs, lay, order, exponent, block);
-          }
-          if (mode == Mode::kFixedRate &&
-              used < static_cast<size_t>(budget)) {
-            // Skip padding to the fixed block boundary.
-            br.Advance(static_cast<size_t>(budget) - used);
-          }
-          ScatterBlock(slice, lay, bz, by, bx, block);
-        }
-      }
+  // Every segment's span is validated against the payload, and its length
+  // against its block count, before the output is allocated: a block is
+  // at least its one-bit zero flag, and exactly `budget` bits at a fixed
+  // rate.
+  const int64_t budget = BlockBudget(mode, param, lay);
+  const uint64_t payload_bits = uint64_t{payload_size} * 8;
+  uint64_t start[kMaxSegments + 1];
+  start[0] = 0;
+  for (size_t s = 0; s < segments; ++s) {
+    if (lengths[s] > payload_bits - start[s]) {
+      return Status::Corruption("zfp: segment " + std::to_string(s) +
+                                " runs past the payload");
+    }
+    start[s + 1] = start[s] + lengths[s];
+    const uint64_t blocks =
+        SegmentBlock(lay, segments, s + 1) - SegmentBlock(lay, segments, s);
+    if (mode == Mode::kFixedRate
+            ? lengths[s] != blocks * static_cast<uint64_t>(budget)
+            : lengths[s] < blocks) {
+      return Status::Corruption(
+          "zfp: segment " + std::to_string(s) + " records " +
+          std::to_string(lengths[s]) + " bits for " + std::to_string(blocks) +
+          " blocks");
     }
   }
-  if (br.overrun()) return Status::Corruption("zfp: truncated payload");
+  if ((start[segments] + 7) / 8 != payload_size) {
+    return Status::Corruption(
+        "zfp: segment lengths sum to " + std::to_string(start[segments]) +
+        " bits where the payload holds " + std::to_string(payload_size) +
+        " bytes");
+  }
+
+  // The segments decode in parallel, each from its own offset, scattering
+  // its blocks straight into the output: blocks cover disjoint points, and
+  // every point is written by its block.
+  Tensor result = Tensor::ForOverwrite(dims);
+  const std::vector<size_t> order = CoefficientOrder(lay.nd);
+  std::vector<Status> segment_status(segments);
+  ParallelFor(
+      SharedThreadPool(), 0, segments,
+      [&](size_t s) {
+        BitReader br(payload, payload_size);
+        br.Advance(start[s]);
+        float block[64];
+        const size_t hi = SegmentBlock(lay, segments, s + 1);
+        for (size_t b = SegmentBlock(lay, segments, s); b < hi; ++b) {
+          DecodeBlock(&br, lay, order, mode, param, budget, block);
+          if (br.position() > start[s + 1]) break;
+          const BlockPos pos = BlockAt(lay, b);
+          ScatterBlock(result.data() + pos.slice * lay.slice_elems, lay,
+                       pos.bz, pos.by, pos.bx, block);
+        }
+        if (br.overrun() || br.position() != start[s + 1]) {
+          segment_status[s] = Status::Corruption(
+              "zfp: segment " + std::to_string(s) + " decodes " +
+              (br.position() < start[s + 1] ? "short of" : "past") +
+              " its recorded " + std::to_string(lengths[s]) + " bits");
+        }
+      },
+      1);
+  for (const Status& st : segment_status) FXRZ_RETURN_IF_ERROR(st);
   *out = std::move(result);
   return Status::Ok();
 }

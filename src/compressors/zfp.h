@@ -21,13 +21,21 @@
 // *stairwise* CR-vs-eb curve (Fig. 2 of the paper) emerges from bitplane
 // truncation.
 //
-// Every block is coded independently, so compression runs on the shared
-// thread pool: contiguous ranges of blocks encode into their own bit
-// writers, and their bits are spliced into the payload at offsets from a
-// prefix sum of the ranges' bit counts. The archive is byte-identical to a
-// serial encode at any thread count. Decompression is serial: the payload
-// carries no per-range offsets, so a block's start is known only after
-// parsing every block before it.
+// Every block is coded independently, so both directions run on the shared
+// thread pool. The flat block index is cut into segments, about one per
+// 128 blocks and at most 256, a number fixed by the shape. Each segment
+// encodes into its own bit writer; the archive records every segment's bit
+// length and splices their bits into one payload at the prefix-sum
+// offsets, so the bytes are the same at any thread count. Decompression
+// starts a bit reader at each segment's offset and decodes the segments in
+// parallel, scattering their blocks straight into the output; a segment
+// that does not consume exactly its recorded bits fails the decode.
+//
+// Archive ("ZFP2"): the codec header, the mode byte, the f64 parameter
+// (tolerance or rate), the segment table -- a u8 segment count less one, a
+// u8 bit width w and every segment's bit length in w bits, packed -- then
+// the u64 length-prefixed payload. Unsegmented "ZFP1"
+// archives are rejected with a Corruption that names them.
 
 #ifndef FXRZ_COMPRESSORS_ZFP_H_
 #define FXRZ_COMPRESSORS_ZFP_H_

@@ -2,17 +2,18 @@
 // archive hashes below were recorded from the single-threaded codecs, so any
 // change to how a compression is split into parallel work units (sz's block
 // selection and wavefront quantization, Huffman's histogram and range
-// encoding and the run coding's range bounds, zfp's block ranges, fpzip's
-// entropy segments) must reproduce those archives exactly, at any thread
-// count and under any scheduling. Each case also pins the bytes its
+// encoding and the run coding's range bounds, zfp's block segments,
+// fpzip's entropy segments) must reproduce those archives exactly, at any
+// thread count and under any scheduling. Each case also pins the bytes its
 // archive decodes to, so a kernel change that keeps the archive but moves
 // a reconstructed float is caught too: fpzip's archive hashes were
-// re-recorded when its residuals moved into segments, and those of sz, sz3
-// and mgard when their code sections became run-coded with no zlite pass;
-// their decode hashes were not. The decoded
-// bytes are checked under the same schedules, since sz's Huffman stage and
-// reconstruction, and the Huffman stage of sz3 and mgard, decode in
-// parallel ranges and rows.
+// re-recorded when its residuals moved into segments, those of sz, sz3
+// and mgard when their code sections became run-coded with no zlite pass,
+// and zfp's when its archive gained a segment table; their decode hashes
+// were not. The decoded bytes are checked under the same schedules, since
+// sz's Huffman stage and reconstruction, the Huffman stage of sz3 and
+// mgard, zfp's segments and fpzip's segments with their chained
+// reconstruction decode in parallel.
 
 #include <gtest/gtest.h>
 
@@ -114,16 +115,16 @@ constexpr ArchiveCase kArchives[] = {
     {"mgard", 1, 2, 0xce39a267706d16c9, 0x4843b0c9830cca68},
     {"mgard", 1, 3, 0xaa9b43907af2a9b2, 0x7d594edfaa414b30},
     {"mgard", 1, 4, 0xcedab82323773732, 0x879eccd19d9d96c4},
-    {"zfp", 0, 0, 0xbbad6ddf716ead97, 0x0e8d0cec42c1357c},
-    {"zfp", 0, 1, 0xc729cc44c6849e8e, 0xc96d6cbd28d0750d},
-    {"zfp", 0, 2, 0xdb9a2df7f4d01820, 0x4d06f536dcbb90a4},
-    {"zfp", 0, 3, 0xae71deb77e03fbae, 0x1ada974b5e05fad1},
-    {"zfp", 0, 4, 0xdb95dcfb0bc7501a, 0x545342446633c026},
-    {"zfp", 1, 0, 0x1db81f2eb185c5b2, 0x797a7716aae2d9df},
-    {"zfp", 1, 1, 0x4ac3c5f7bf066277, 0x1ba1a3185d604e3e},
-    {"zfp", 1, 2, 0xf69d1a1120262112, 0xa42359662f6b6019},
-    {"zfp", 1, 3, 0x566c277c5cdc529f, 0x502bad0bac3d3ed6},
-    {"zfp", 1, 4, 0xde3d9e70967f3362, 0x0c04c9db2220da94},
+    {"zfp", 0, 0, 0xdbe66305d2b675c9, 0x0e8d0cec42c1357c},
+    {"zfp", 0, 1, 0xf9e191fde70cf661, 0xc96d6cbd28d0750d},
+    {"zfp", 0, 2, 0x63385d054fc204bc, 0x4d06f536dcbb90a4},
+    {"zfp", 0, 3, 0xdee16cbc70ab8898, 0x1ada974b5e05fad1},
+    {"zfp", 0, 4, 0x03ae758d06a2bea5, 0x545342446633c026},
+    {"zfp", 1, 0, 0x2dcfb99af58de7ce, 0x797a7716aae2d9df},
+    {"zfp", 1, 1, 0x53074ce6a0ff2921, 0x1ba1a3185d604e3e},
+    {"zfp", 1, 2, 0x751231c8d01eaf8b, 0xa42359662f6b6019},
+    {"zfp", 1, 3, 0x355aa68b2f21d698, 0x502bad0bac3d3ed6},
+    {"zfp", 1, 4, 0x2e10bcfcb4135038, 0x0c04c9db2220da94},
     {"fpzip", 0, 0, 0x18920c95cba8b246, 0x41d2578b592167d3},
     {"fpzip", 0, 1, 0x99ca3d1139738922, 0x5a8b62bf1e942ef4},
     {"fpzip", 0, 2, 0x3e7fd2474c316233, 0x253dd74638037adc},
@@ -245,9 +246,11 @@ TEST(ArchiveBytesGoldenTest, CallerOnlyCompressionsMatch) {
 }
 
 // zfp's fixed-rate mode runs the same block loop as its fixed-accuracy mode
-// but pads every block to the same bit budget. These hashes were recorded
-// from the serial block loop, before it was split into parallel ranges:
-// field, bits per value, FNV-1a of the archive, FNV-1a of the decode.
+// but pads every block to the same bit budget. The decode hashes were
+// recorded from the serial block loop, before it was split into parallel
+// ranges; the archive hashes were re-recorded when the archive gained its
+// segment table: field, bits per value, FNV-1a of the archive, FNV-1a of
+// the decode.
 struct FixedRateCase {
   int field;
   double rate;
@@ -256,12 +259,12 @@ struct FixedRateCase {
 };
 
 constexpr FixedRateCase kFixedRate[] = {
-    {0, 1.0, 0xec63efaf2de7d570, 0xdb0471b57b055200},
-    {0, 4.0, 0x43f222059ad763a0, 0xc2455b67c614a582},
-    {0, 12.0, 0x3614c7d3fd927fd0, 0x63e591121b32bfff},
-    {1, 1.0, 0x20780165e42aea08, 0x421927160d6fb032},
-    {1, 4.0, 0x8d5dc900d9a1abf5, 0x5eb40152a08c0c07},
-    {1, 12.0, 0xca4b414231dee2d0, 0x4141bf37113b71c9},
+    {0, 1.0, 0xd59552226bfc5608, 0xdb0471b57b055200},
+    {0, 4.0, 0x8ac31a9d478c8bc2, 0xc2455b67c614a582},
+    {0, 12.0, 0xb247e952df934cd2, 0x63e591121b32bfff},
+    {1, 1.0, 0xda497f4599fbc686, 0x421927160d6fb032},
+    {1, 4.0, 0xdfc77b69cfbcc95d, 0x5eb40152a08c0c07},
+    {1, 12.0, 0xe02a9e74d1c9dce3, 0x4141bf37113b71c9},
 };
 
 TEST(ArchiveBytesGoldenTest, ZfpFixedRateArchivesMatchRecordedHashes) {
@@ -282,12 +285,12 @@ TEST(ArchiveBytesGoldenTest, ZfpFixedRateArchivesMatchRecordedHashes) {
 }
 
 // zfp-chunked runs each slab's zfp compression inside a pool worker, so the
-// slabs' block ranges nest inside the chunk loop. The 64^3 field in 8-row
-// slabs must still give the archive recorded from the serial codec, and the
-// same bytes as a run with the workers parked, which compresses its slabs
-// one at a time on the calling thread.
+// slabs' block segments nest inside the chunk loop. The 64^3 field in
+// 8-row slabs must still give the recorded archive, and the same bytes as
+// a run with the workers parked, which compresses its slabs one at a time
+// on the calling thread.
 TEST(ArchiveBytesGoldenTest, ChunkedZfpMatchesSerialReference) {
-  constexpr uint64_t kChunkedZfpHash = 0xdce9f2be5bcbc367;
+  constexpr uint64_t kChunkedZfpHash = 0xed51ba45fad5a8bd;
   const Tensor& data = Field(1);
   constexpr size_t kSlabElems = 8 * 64 * 64;
   const ChunkedCompressor chunked(MakeCompressor("zfp"), kSlabElems);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "src/compressors/chunked.h"
 #include "src/compressors/code_stream.h"
 #include "src/compressors/compressor.h"
+#include "src/compressors/zfp.h"
 #include "src/data/generators/grf.h"
 #include "src/data/statistics.h"
 #include "src/encoding/bit_stream.h"
@@ -302,6 +305,154 @@ TEST(RunCodedSectionTest, ArchivesOfThePreviousFormatNameTheirCodec) {
     EXPECT_EQ(st.message(), codec + ": bad magic");
     EXPECT_TRUE(out.SameAs(Sentinel())) << codec;
   }
+}
+
+// --- zfp segment table ----------------------------------------------------
+
+// A ZFP2 archive split at its segment table: the codec header, mode byte
+// and parameter; the segment count (stored less one) and the bit lengths
+// (stored packed, in the width of the longest); the payload.
+struct ZfpParts {
+  std::vector<uint8_t> head;
+  size_t count = 0;
+  std::vector<uint64_t> lengths;
+  std::vector<uint8_t> payload;
+};
+
+ZfpParts SplitZfp(const std::vector<uint8_t>& archive) {
+  ByteReader reader(archive);
+  ZfpParts parts;
+  const size_t head = 4 + 4 + 8 * ReadUint32(archive.data() + 4) + 1 + 8;
+  parts.head.assign(archive.begin(), archive.begin() + head);
+  uint8_t count = 0, width = 0;
+  const uint8_t* table = nullptr;
+  EXPECT_TRUE(reader.Skip(head) && reader.ReadU8(&count) &&
+              reader.ReadU8(&width));
+  parts.count = size_t{count} + 1;
+  const size_t table_bytes = (parts.count * width + 7) / 8;
+  EXPECT_TRUE(reader.ReadSpan(table_bytes, &table));
+  BitReader bits(table, table_bytes);
+  for (size_t s = 0; s < parts.count; ++s) {
+    parts.lengths.push_back(bits.ReadBits(width));
+  }
+  const uint8_t* payload = nullptr;
+  size_t size = 0;
+  EXPECT_TRUE(reader.ReadLengthPrefixed(&payload, &size));
+  parts.payload.assign(payload, payload + size);
+  return parts;
+}
+
+// The inverse of SplitZfp.
+std::vector<uint8_t> JoinZfp(const ZfpParts& parts) {
+  std::vector<uint8_t> out = parts.head;
+  out.push_back(static_cast<uint8_t>(parts.count - 1));
+  uint64_t longest = 0;
+  for (const uint64_t length : parts.lengths) {
+    longest = std::max(longest, length);
+  }
+  const size_t width = std::bit_width(longest);
+  out.push_back(static_cast<uint8_t>(width));
+  BitWriter bits;
+  for (const uint64_t length : parts.lengths) bits.WriteBits(length, width);
+  const std::vector<uint8_t> table = std::move(bits).Take();
+  out.insert(out.end(), table.begin(), table.end());
+  AppendUint64(&out, parts.payload.size());
+  out.insert(out.end(), parts.payload.begin(), parts.payload.end());
+  return out;
+}
+
+// Decodes a forged archive into a sentinel: it must fail as a Corruption
+// whose message names zfp and holds `needle`, leaving the sentinel as it
+// was.
+void ExpectZfpCorruption(const std::vector<uint8_t>& bytes,
+                         const std::string& needle) {
+  Tensor out = Sentinel();
+  const Status st = ZfpCompressor().Decompress(bytes.data(), bytes.size(),
+                                               &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << needle;
+  EXPECT_EQ(st.message().rfind("zfp: ", 0), 0u) << st.message();
+  EXPECT_NE(st.message().find(needle), std::string::npos) << st.message();
+  EXPECT_TRUE(out.SameAs(Sentinel())) << needle;
+}
+
+TEST(ZfpSegmentTableTest, ForgedTablesAreCorruptionNamingZfp) {
+  // 8 x 8 x 32 blocks: four segments of 128.
+  const Tensor data = GaussianRandomField3D(32, 32, 32, 3.0, 871);
+  const std::vector<uint8_t> archive =
+      ZfpCompressor().Compress(data, 1e-3 * ValueRange(data)).value();
+  const ZfpParts valid = SplitZfp(archive);
+  ASSERT_EQ(valid.count, 4u);
+  ASSERT_EQ(JoinZfp(valid), archive);
+  const uint64_t payload_bits = valid.payload.size() * 8;
+
+  {  // One segment's length alone runs past the payload.
+    ZfpParts forged = valid;
+    forged.lengths[1] = payload_bits;
+    ExpectZfpCorruption(JoinZfp(forged), "segment 1 runs past the payload");
+  }
+  {  // The lengths sum past the payload.
+    ZfpParts forged = valid;
+    forged.lengths[3] += 8;
+    ExpectZfpCorruption(JoinZfp(forged), "segment 3 runs past the payload");
+  }
+  {  // The lengths sum a byte short of it.
+    ZfpParts forged = valid;
+    forged.lengths[3] -= 8;
+    ExpectZfpCorruption(JoinZfp(forged), "segment lengths sum to");
+  }
+  {  // The payload holds a byte past what the lengths sum to.
+    ZfpParts forged = valid;
+    forged.payload.push_back(0);
+    ExpectZfpCorruption(JoinZfp(forged), "segment lengths sum to");
+  }
+  {  // Segment 0's blocks end before its recorded length: the sum holds.
+    ZfpParts forged = valid;
+    forged.lengths[0] += 1;
+    forged.lengths[1] -= 1;
+    ExpectZfpCorruption(JoinZfp(forged), "segment 0 decodes short of");
+  }
+  {  // Segment 0's blocks run past its recorded length.
+    ZfpParts forged = valid;
+    forged.lengths[0] -= 1;
+    forged.lengths[1] += 1;
+    ExpectZfpCorruption(JoinZfp(forged), "segment 0 decodes past");
+  }
+  {  // Fewer bits than blocks: each block is at least its zero flag.
+    ZfpParts forged = valid;
+    forged.lengths[2] = 127;
+    ExpectZfpCorruption(JoinZfp(forged), "segment 2 records 127 bits for 128");
+  }
+  // Segment counts other than the shape's, with a table to match.
+  for (const size_t count : {1, 3, 5, 256}) {
+    ZfpParts forged = valid;
+    forged.count = count;
+    forged.lengths.resize(count, 8);
+    ExpectZfpCorruption(JoinZfp(forged), "segments where the shape implies 4");
+  }
+  {  // A bit width no length can have.
+    std::vector<uint8_t> bytes = archive;
+    bytes[valid.head.size() + 1] = 65;
+    ExpectZfpCorruption(bytes, "bad segment table");
+  }
+  {  // An archive of the unsegmented format.
+    std::vector<uint8_t> bytes = archive;
+    bytes[0] = 0x31;  // "ZFP1"
+    ExpectZfpCorruption(bytes, "ZFP1 archive");
+  }
+}
+
+TEST(ZfpSegmentTableTest, FixedRateLengthsMustMatchTheBudget) {
+  const Tensor data = GaussianRandomField3D(32, 32, 32, 3.0, 872);
+  const std::vector<uint8_t> archive =
+      ZfpCompressor().CompressFixedRate(data, 4.0).value();
+  const ZfpParts valid = SplitZfp(archive);
+  ASSERT_EQ(valid.count, 4u);
+  ASSERT_EQ(valid.lengths[0], 128u * 4 * 64);
+  ZfpParts forged = valid;
+  forged.lengths[0] -= 8;
+  forged.lengths[1] += 8;
+  ExpectZfpCorruption(JoinZfp(forged),
+                      "segment 0 records 32760 bits for 128 blocks");
 }
 
 // --- Chunked archive index validation -------------------------------------

@@ -1,6 +1,7 @@
 // FPZIP-specific behaviors: the precision ladder, losslessness at full
-// precision, ordered-integer mapping properties, and the hardening of the
-// segmented archive format.
+// precision, ordered-integer mapping properties, the hardening of the
+// segmented archive format, and the decode that chains each segment's
+// reconstruction behind its entropy decode.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/data/statistics.h"
 #include "src/util/random.h"
 #include "tests/compressors/measured_ratio.h"
+#include "tests/util/workers_parked.h"
 
 namespace fxrz {
 namespace {
@@ -283,6 +285,93 @@ TEST(FpzipFormatTest, ResidualClassAbovePrecisionIsRejected) {
   const std::vector<uint8_t> bytes =
       Archive1D(8, kPrecision, {{std::move(enc).Finish(), {}}});
   ExpectCorruption(DecodeStatus(bytes), "fpzip: bad residual class");
+}
+
+// ----------------------------------------------------------- chained decode
+
+// Shapes of ranks 1 to 4 whose residual streams hold 1, 2, 8 and 64
+// segments (one per 32768 elements, at most 64).
+struct ChainShape {
+  std::vector<size_t> dims;
+  uint32_t segments;
+};
+
+const ChainShape kChainShapes[] = {
+    {{1000}, 1},           {{30, 40}, 1},         {{10, 11, 12}, 1},
+    {{2, 5, 6, 7}, 1},     {{65536}, 2},          {{256, 256}, 2},
+    {{16, 64, 64}, 2},     {{2, 8, 64, 64}, 2},   {{262144}, 8},
+    {{512, 512}, 8},       {{64, 64, 64}, 8},     {{4, 16, 64, 64}, 8},
+    {{2097152}, 64},       {{2048, 1024}, 64},    {{128, 128, 128}, 64},
+    {{2, 64, 128, 128}, 64},
+};
+
+Tensor ChainField(const std::vector<size_t>& dims) {
+  Rng rng(920);
+  Tensor t(dims);
+  for (size_t i = 0; i < t.size(); ++i) {
+    t[i] = static_cast<float>(std::sin(0.0003 * static_cast<double>(i)) +
+                              0.01 * rng.NextGaussian());
+  }
+  return t;
+}
+
+// The chained decode on the free pool gives the floats of a decode with
+// the workers parked, where each segment decodes and then reconstructs on
+// the calling thread in order.
+TEST(FpzipChainTest, PoolDecodeEqualsParkedDecode) {
+  const FpzipCompressor fpzip;
+  for (const ChainShape& shape : kChainShapes) {
+    SCOPED_TRACE("rank " + std::to_string(shape.dims.size()) + ", " +
+                 std::to_string(shape.segments) + " segments");
+    const Tensor data = ChainField(shape.dims);
+    const std::vector<uint8_t> bytes = fpzip.Compress(data, 16).value();
+    ASSERT_EQ(ReadUint32(bytes.data() + SegmentCountAt(shape.dims.size())),
+              shape.segments);
+    Tensor pooled, parked;
+    const Status pool_st =
+        fpzip.Decompress(bytes.data(), bytes.size(), &pooled);
+    Status parked_st = Status::Internal("not run");
+    WithWorkersParked([&] {
+      parked_st = fpzip.Decompress(bytes.data(), bytes.size(), &parked);
+    });
+    ASSERT_TRUE(pool_st.ok()) << pool_st.ToString();
+    ASSERT_TRUE(parked_st.ok()) << parked_st.ToString();
+    EXPECT_TRUE(pooled.SameAs(parked));
+    for (size_t i = 0; i < data.size(); ++i) {
+      ASSERT_LE(std::fabs(pooled[i] - data[i]), 0.01 * std::fabs(data[i]))
+          << "index " << i;
+    }
+  }
+}
+
+// The last segment's raw stream is cut to nothing, so its decode fails
+// after every segment before it has decoded and reconstructed into the
+// decoder's own buffers: the caller's tensor is left as it was.
+TEST(FpzipChainTest, CorruptLastSegmentLeavesOutputUntouched) {
+  const Tensor data = GaussianRandomField3D(64, 64, 64, 3.0, 921);
+  std::vector<uint8_t> bytes = FpzipCompressor().Compress(data, 16).value();
+  ASSERT_EQ(ReadUint32(bytes.data() + SegmentCountAt(3)), 8u);
+  size_t at = SegmentCountAt(3) + 4;
+  for (int s = 0; s < 8; ++s) {
+    at += 8 + ReadUint64(bytes.data() + at);  // class stream
+    if (s == 7) break;
+    at += 8 + ReadUint64(bytes.data() + at);  // raw stream
+  }
+  ASSERT_GT(ReadUint64(bytes.data() + at), 0u);
+  bytes.resize(at + 8);
+  PutU64(&bytes, at, 0);
+  const Tensor sentinel({2, 2}, {1.5f, -2.0f, 0.0f, 9.0f});
+  Tensor pooled = sentinel, parked = sentinel;
+  ExpectCorruption(
+      FpzipCompressor().Decompress(bytes.data(), bytes.size(), &pooled),
+      "fpzip: bad residual stream");
+  WithWorkersParked([&] {
+    ExpectCorruption(
+        FpzipCompressor().Decompress(bytes.data(), bytes.size(), &parked),
+        "fpzip: bad residual stream");
+  });
+  EXPECT_TRUE(pooled.SameAs(sentinel));
+  EXPECT_TRUE(parked.SameAs(sentinel));
 }
 
 }  // namespace

@@ -84,10 +84,10 @@ constexpr RecordedCase kRecorded[] = {
     {"sz3_plate2d", 0x98299b44b2ccbb44, 0x3e43ca6f0bb27122},
     {"sz3_brick3d", 0xfc4a1eb80236a167, 0x99ce0462c5a43ab7},
     {"sz3_stack4d", 0x8842449f4eafb4cd, 0x1b05ad145a39b383},
-    {"zfp_line1d", 0xf8ec34a10a731f3b, 0xe12af44ddac86a65},
-    {"zfp_plate2d", 0x3861a3c8815576e5, 0xcc9d7c97c439abc7},
-    {"zfp_brick3d", 0x95484a347387bd48, 0x28f42ad55b179b36},
-    {"zfp_stack4d", 0x18ae0c1df9d02fb9, 0x33d6ca5f8c0c0660},
+    {"zfp_line1d", 0x5c6f499c9b086b27, 0xe12af44ddac86a65},
+    {"zfp_plate2d", 0x1ee6c80c782c43b3, 0xcc9d7c97c439abc7},
+    {"zfp_brick3d", 0x29151bd48ee11625, 0x28f42ad55b179b36},
+    {"zfp_stack4d", 0xfaf4562bf324ddd8, 0x33d6ca5f8c0c0660},
     {"fpzip_line1d", 0xa3abbe87c31c062a, 0xa8d233ba5927c671},
     {"fpzip_plate2d", 0x3ce0ff487900fb62, 0xe7e76d8581c55738},
     {"fpzip_brick3d", 0x0fb8a8fb435f2482, 0x42cec73e83eb7332},
